@@ -25,7 +25,7 @@ from .forms import DeltaShift, Eisenstein, EtaQuotient, EtaQuotientSpec, \
 from .niebur import EvalParams, PointValue, harmonic_slice, i_bessel, \
     jn_value, niebur_value, phi
 from .operators import apply_element, hecke_additive_cosets, \
-    hecke_additive_formula, hecke_multiplicative
+    hecke_additive_formula, hecke_multiplicative, hecke_multiplicative_cosets
 from .pairing import EvalReport, PairingResult, PointEvaluator, bko_pairing, \
     pair, r_at_s1, r_numeric, verify_equivariance, verify_prop_divisor_sums
 from .series import PuiseuxSeries, integral_projection, log_derivative, \
@@ -45,7 +45,7 @@ __all__ = [
     "EvalParams", "PointValue", "harmonic_slice", "i_bessel", "jn_value",
     "niebur_value", "phi",
     "apply_element", "hecke_additive_cosets", "hecke_additive_formula",
-    "hecke_multiplicative",
+    "hecke_multiplicative", "hecke_multiplicative_cosets",
     "EvalReport", "PairingResult", "PointEvaluator", "bko_pairing", "pair",
     "r_at_s1", "r_numeric", "verify_equivariance",
     "verify_prop_divisor_sums",

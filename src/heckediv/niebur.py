@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import gcd
 
 import mpmath
-import numpy as np
 
 from . import forms
 from .curve import HeegnerPoint, reduce_point
@@ -97,6 +96,7 @@ def phi(m: int, v, s, digits: int = 30):
 
 def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     """Vectorized phi_m(v, s) in doubles (power series, adaptive length)."""
+    import numpy as np
     if m == 0:
         return v ** s
     nu = s - 0.5
@@ -124,6 +124,7 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _inverse_table(c: int) -> np.ndarray:
+    import numpy as np
     inv = np.zeros(c, dtype=np.int64)
     for r in range(c):
         if gcd(r, c) == 1:
@@ -158,6 +159,7 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float, C: int,
                      digits: int) -> tuple[complex, list[tuple[int, complex]]]:
     """Truncated Poincare sum in doubles; also returns the partial sums at
     power-of-two truncations for the empirical tail estimate."""
+    import numpy as np
     total = complex(_phi_np(m, np.array([v]), s)[0]) * \
         complex(math.cos(2 * math.pi * m * u), -math.sin(2 * math.pi * m * u)) \
         if m else complex(v ** s)

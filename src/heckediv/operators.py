@@ -16,17 +16,34 @@ over the same representatives *without* the det^(k/2)/d^k factors.  Those
 factors are constant for upper-triangular matrices, so the two possible
 normalizations differ by a fixed rational scalar; the bare product is the
 one for which E4 maps to E12 - (36882000/691) Delta with constant term 1,
-and it makes every scalar coset T(q,q) act as the exact identity.  All
-products are computed factor-by-factor with windows trimmed to the
-requested output precision, then certified integral and rational.
+and it makes every scalar coset T(q,q) act as the exact identity.  Two
+routes compute it as well:
+
+* ``hecke_multiplicative`` and ``apply_element`` stay in Q.  Summed over
+  b, the log-derivatives of the translates form a character sum: with
+  l = Theta(f)/f, the image g = f|*T(n) has
+  Theta(g)/g = sum_{ad=n, (a,N)=1} a sum_k l_{dk} q^(ak),
+  and g is rebuilt from its leading term by the recurrence
+  m u_m = sum_{i>=1} H_i u_{m-i} on that series H;
+* ``hecke_multiplicative_cosets`` multiplies the twisted translates over
+  Q(zeta_d), with windows trimmed to the requested output precision, and
+  certifies the product integral and rational.  It is the verification
+  oracle of the rational route, which computes the very identity that a
+  log-derivative check would test, and it takes the expansions the
+  rational route cannot: those on a fractional grid or with non-rational
+  coefficients.
+
+Both routes give the same coefficients, types and precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 
-from .algebra import AlgebraElement, double_coset_reps, left_coset_reps
+from .algebra import AlgebraElement, _is_prime, double_coset_reps, left_coset_reps
+from .cyclotomic import Cyclo, _as_rational
 from .errors import (NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
@@ -130,6 +147,14 @@ def _atom_order(atom) -> Fraction:
     raise TypeError(f"unknown atom {atom!r}")
 
 
+def _check_multiplicative(n: int, N: int) -> None:
+    if n < 1:
+        raise UnsupportedParameter("Hecke parameter must be positive")
+    if not (gcd(n, N) == 1 or (N % n == 0 and _is_prime(n))):
+        raise UnsupportedParameter(
+            f"multiplicative T({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
+
+
 def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
     """Product of bare slash translates, trimmed so the result keeps `prec`
     coefficients past its leading exponent."""
@@ -145,14 +170,17 @@ def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
     return out
 
 
-def hecke_multiplicative(f: FormExpression, n: int, N: int,
-                         prec: int = 30) -> FormExpression:
-    """f|_* T(n): the product of slash translates over the determinant-n
-    coset representatives, returned as an opaque expansion of certified
-    weight k * |I| at level N with `prec` known coefficients."""
-    if not (gcd(n, N) == 1 or (N % n == 0 and _is_prime(n))):
-        raise UnsupportedParameter(
-            f"multiplicative T({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
+def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
+                                prec: int = 30) -> FormExpression:
+    """f|_* T(n) as the product of twisted slash translates over Q(zeta_d).
+
+    This is the verification oracle for :func:`hecke_multiplicative`: it
+    never forms a log-derivative, so it checks the character-sum identity
+    the rational route is built on rather than restating it.  It is also
+    the route for expansions on a fractional grid or with non-rational
+    coefficients.  The image is an opaque expansion of certified weight
+    k * |I| at level N with `prec` known coefficients."""
+    _check_multiplicative(n, N)
     reps = left_coset_reps(N, n)
     k = f.weight
     order = expression_order(f)
@@ -165,15 +193,121 @@ def hecke_multiplicative(f: FormExpression, n: int, N: int,
     return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
+def _div(x, y):
+    # exact quotient, kept an int when it is one
+    if type(x) is int and type(y) is int and x % y == 0:
+        return x // y
+    return _as_rational(Fraction(x) / y)
+
+
+def _rational_image(f: PuiseuxSeries, pairs, prec: int, span: int) -> PuiseuxSeries:
+    """The product of bare translates named by `pairs`, computed in Q.
+
+    `pairs` is a signed list of ((a, d), e): the pair stands for the d
+    translates f((a tau + b)/d), 0 <= b < d, taken to the power e.  With
+    f = c_0 q^h (1 + O(q)) on grid D = 1 and l = Theta(f)/f, summing over
+    b turns the log-derivative of the product into the character sum
+    H = sum e a sum_k l_{dk} q^(ak).  The product is C q^(h sum e a) times
+    a unit u with u_0 = 1, where C = prod (c_0^d (-1)^(h(d-1)))^e and
+    m u_m = sum_{i>=1} H_i u_{m-i}.  Every d/a is at most `span`, and f
+    must know span * (prec - 1) + 1 coefficients.
+    """
+    c, h = f.coeffs, f.order
+    c0 = c[0]
+    # l from sum_i c_i l_{m-i} = (h + m) c_m, one pass
+    l = [h]
+    for m in range(1, span * (prec - 1) + 1):
+        l.append(_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
+    H = [0] * prec
+    lead = Fraction(1)
+    for (a, d), e in pairs:
+        for M in range(a, prec, a):
+            H[M] += e * a * l[d * (M // a)]
+        lead *= (Fraction(c0) ** d * (-1 if h * (d - 1) % 2 else 1)) ** e
+    u = [_as_rational(lead)]
+    for m in range(1, prec):
+        u.append(_div(sum(map(mul, H[1:m + 1], reversed(u))), m))
+    return PuiseuxSeries(1, h * sum(e * a for (a, _), e in pairs), u)
+
+
+def _rational_input(f: FormExpression, prec: int, span: int, slack: int,
+                    coset_jobs) -> tuple[PuiseuxSeries, int] | None:
+    """The expansion of f for the rational route and the precision of the
+    image, or None when the expansion is not on grid D = 1 over Q.
+
+    The image keeps `prec` coefficients when f knows span * (prec - 1) + 1
+    of them.  A shorter expansion (an opaque series, say) limits it the
+    way the coset route is limited: `coset_jobs` lists the (budget, d/a)
+    of each coset product that route forms, and a product over a window
+    of w coefficients keeps ceil(w a/d) of them.
+    """
+    if prec < 1:
+        raise PrecisionExhausted("the image must keep at least one coefficient")
+    series = f.qexp(span * prec + slack)
+    if series.precision <= span * (prec - 1):
+        expansions = [(f.qexp(budget), s) for budget, s in coset_jobs]
+        prec = min([prec] + [-(-g.precision // s) for g, s in expansions])
+        series = max((g for g, _ in expansions), key=lambda g: g.precision,
+                     default=series)
+    if series.is_zero():
+        raise NonUnitLeading("multiplicative Hecke image of the zero series")
+    if series.D != 1 or any(isinstance(c, Cyclo) for c in series.coeffs):
+        return None
+    return series, prec
+
+
+def _tn_pairs(n: int, N: int) -> list:
+    """The pairs ((a, n/a), 1), (a, N) = 1, of the translates in f|*T(n)."""
+    return [((a, n // a), 1) for a in range(1, n + 1) if n % a == 0 and gcd(a, N) == 1]
+
+
+def hecke_multiplicative(f: FormExpression, n: int, N: int,
+                         prec: int = 30) -> FormExpression:
+    """f|_* T(n): the product of slash translates over the determinant-n
+    coset representatives, returned as an opaque expansion of certified
+    weight k * |I| at level N with `prec` known coefficients.
+
+    Expansions on grid D = 1 over Q take the rational route; the rest go
+    to :func:`hecke_multiplicative_cosets`, whose output this matches
+    exactly, coefficient types and precision included."""
+    _check_multiplicative(n, N)
+    pairs = _tn_pairs(n, N)
+    ncosets = sum(d for (_, d), _ in pairs)
+    k = f.weight
+    slack = int(abs(expression_order(f)) * n) + 8
+    found = _rational_input(f, prec, n, slack, [(ncosets * prec + slack, n)])
+    if found is None:
+        return hecke_multiplicative_cosets(f, n, N, prec)
+    series, prec = found
+    image = _rational_image(series, pairs, prec, n)
+    return FormExpression.of(OpaqueSeries(image, k * ncosets, N))
+
+
+def _mobius(e: int) -> int:
+    mu, p = 1, 2
+    while p * p <= e:
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            mu = -mu
         p += 1
-    return True
+    return -mu if e > 1 else mu
+
+
+def _element_pairs(u: AlgebraElement) -> list:
+    """One signed pair list for a whole algebra element.  T(a, d) acts as
+    T(1, d/a), since the scalar coset is the identity, and by Moebius
+    inversion f|*T(1, m) = prod_{e^2 | m, (e, N) = 1} (f|*T(m/e^2))^mu(e)."""
+    acc = {}
+    for (a, d), mult in u.terms:
+        m = d // a
+        for e in range(1, isqrt(m) + 1):
+            mu = _mobius(e)
+            if mu and m % (e * e) == 0 and gcd(e, u.N) == 1:
+                for pair, _ in _tn_pairs(m // (e * e), u.N):
+                    acc[pair] = acc.get(pair, 0) + mu * mult
+    return [(pair, e) for pair, e in acc.items() if e]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +317,8 @@ def _is_prime(n: int) -> bool:
 def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
                   prec: int = 30) -> FormExpression:
     """Apply a formal sum of double cosets: additively (sum of slash-sums)
-    or multiplicatively (product over terms with multiplicity exponents)."""
+    or multiplicatively (product over terms with multiplicity exponents,
+    keeping prec + 4 coefficients)."""
     if mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown mode {mode!r}")
     k = f.weight
@@ -200,15 +335,39 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
                 total = term if total is None else total + term
         return FormExpression.of(OpaqueSeries(total.integral_projection(), k, N))
 
+    jobs = _coset_jobs(f, u, prec)
+    weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)
+    span = max((s for *_, s in jobs), default=1)
+    slack = int(abs(expression_order(f)) * span) + 8
+    found = _rational_input(f, prec + 4, span, slack,
+                            [(budget, s) for _, _, budget, s in jobs])
+    if found is None:
+        out = _element_cosets(f, u, prec)
+    else:
+        out = _rational_image(found[0], _element_pairs(u), found[1], span)
+    return FormExpression.of(OpaqueSeries(out, weight, N))
+
+
+def _coset_jobs(f: FormExpression, u: AlgebraElement, prec: int) -> list:
+    """(representatives, multiplicity, expansion budget, d/a) of each term
+    of u."""
     order = expression_order(f)
-    out = None
-    weight = 0
+    jobs = []
     for (a, d), mult in u.terms:
-        reps = double_coset_reps(a, d, N)
-        weight += k * len(reps) * mult
+        reps = double_coset_reps(a, d, u.N)
         budget = len(reps) * (prec + 4) + int(abs(order) * a * d) + 8
-        series = f.qexp(budget)
-        piece = _slash_product(series, reps, prec + 4).integral_projection()
+        jobs.append((reps, mult, budget, d // a))
+    return jobs
+
+
+def _element_cosets(f: FormExpression, u: AlgebraElement, prec: int) -> PuiseuxSeries:
+    """f|*u as the product of each term's coset product to the power of its
+    multiplicity, with prec + 4 coefficients.  It is the oracle for the
+    rational route of apply_element, and the route for expansions on a
+    fractional grid or with non-rational coefficients."""
+    out = None
+    for reps, mult, budget, _ in _coset_jobs(f, u, prec):
+        piece = _slash_product(f.qexp(budget), reps, prec + 4).integral_projection()
         piece = piece ** mult
         out = piece if out is None else out * piece
-    return FormExpression.of(OpaqueSeries(out, weight, N))
+    return out

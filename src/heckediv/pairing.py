@@ -155,10 +155,14 @@ def verify_equivariance(p: int, m: int, f: forms.FormExpression, N: int = 1,
                         label: str | None = None) -> EvalReport:
     """Exact check of the s = 1 equivariance
     Coeff_{q^m} Theta(f|*T(p))/(f|*T(p)) =
-    Coeff_{q^pm} Theta(f)/f + p Coeff_{q^(m/p)} Theta(f)/f."""
+    Coeff_{q^pm} Theta(f)/f + p Coeff_{q^(m/p)} Theta(f)/f.
+
+    The image comes from the coset product: the rational route of
+    hecke_multiplicative computes it from this very identity."""
     order = operators.expression_order(f)
     sig = operators.sigma1(p)
-    img = operators.hecke_multiplicative(f, p, N, prec=m + int(abs(order)) * sig + 8)
+    img = operators.hecke_multiplicative_cosets(
+        f, p, N, prec=m + int(abs(order)) * sig + 8)
     g = img.atoms[0][0].series
     lhs = Fraction(g.log_derivative().coefficient(m))
     base = f.qexp(p * m + int(abs(order)) + 10).log_derivative()

@@ -186,11 +186,13 @@ def test_apply_element_additive_linearity():
 
 
 def test_theta_pairing_equivariance_coefficients():
-    # Coeff_q^m of Theta(f|*T(p))/(f|*T(p)) = Coeff_q^pm + p Coeff_q^(m/p)
+    # Coeff_q^m of Theta(f|*T(p))/(f|*T(p)) = Coeff_q^pm + p Coeff_q^(m/p);
+    # the rational route is built on this identity, so the image comes
+    # from the coset product
     e4 = F.FormExpression.of(F.Eisenstein(4))
     base = F.eisenstein(4, 40).log_derivative()
     for p in (2, 3):
-        img = series_of(O.hecke_multiplicative(e4, p, 1, prec=20))
+        img = series_of(O.hecke_multiplicative_cosets(e4, p, 1, prec=20))
         ld = img.log_derivative()
         for m in (1, 2, 3):
             rhs = Fraction(base.coefficient(p * m))
