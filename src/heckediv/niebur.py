@@ -13,7 +13,11 @@ the partial sums at power-of-two truncations (not certified).
 
 Two backends share the window logic: a vectorized double-precision path
 (the default, digits <= 15; plenty for the 1e-3 scale identities) and an
-mpmath path for higher working precision at small truncation.
+mpmath path for higher working precision at small truncation.  The
+vectorized path does the per-residue work of a row (the test gcd(d, c) = 1,
+the inverse a = d^-1 mod c and the phase -2 pi m a/c) once per block of c
+residues and repeats it along the window; only the terms that depend on d
+itself are computed per element.
 """
 
 from __future__ import annotations
@@ -95,7 +99,12 @@ def phi(m: int, v, s, digits: int = 30):
 
 
 def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized phi_m(v, s) in doubles (power series, adaptive length)."""
+    """Vectorized phi_m(v, s) in doubles (power series, adaptive length).
+
+    Every series term is positive and, under monotone IEEE rounding, no
+    smaller at a larger y, so the largest entries of the terms and of the
+    partial sums sit at y_max: the stopping test runs as a scalar
+    recurrence at y_max, and the vector steps need no reductions."""
     import numpy as np
     if m == 0:
         return v ** s
@@ -103,18 +112,24 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     x = 2.0 * math.pi * m * v
     half = x / 2.0
     y = half * half
-    term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
-    acc = term.copy()
     ymax = float(y.max()) if y.size else 0.0
+    term_max = acc_max = 1.0 / math.gamma(nu + 1.0)
     k = 1
     while True:
-        term = term * (y / (k * (k + nu)))
-        acc += term
-        if ymax / ((k + 1) * (k + 1 + nu)) < 0.5 and float(np.abs(term).max()) < 1e-18 * float(np.abs(acc).max() + 1e-300):
+        term_max = term_max * (ymax / (k * (k + nu)))
+        acc_max += term_max
+        if ymax / ((k + 1) * (k + 1 + nu)) < 0.5 and term_max < 1e-18 * (acc_max + 1e-300):
             break
         k += 1
         if k > 400:
             raise ConvergenceBudgetExceeded("vectorized Bessel series stalled")
+    term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
+    acc = term.copy()
+    ratio = np.empty_like(y)
+    for j in range(1, k + 1):
+        np.divide(y, j * (j + nu), out=ratio)
+        term *= ratio
+        acc += term
     return 2.0 * math.pi * np.sqrt(m * v) * half ** nu * acc
 
 
@@ -122,14 +137,25 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
 # the Poincare sum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
 def _inverse_table(c: int) -> np.ndarray:
+    """inv[r] = r^-1 mod c on the units r, 0 elsewhere: r^(phi(c)-1) mod c
+    by square-and-multiply on the vector of units (the products stay below
+    c^2, so c < 3 * 10^9 keeps them inside int64)."""
     import numpy as np
-    inv = np.zeros(c, dtype=np.int64)
-    for r in range(c):
-        if gcd(r, c) == 1:
-            inv[r] = pow(r, -1, c)
-    return inv
+    units = np.flatnonzero(np.gcd(np.arange(c, dtype=np.int64), c) == 1)
+    base = units.copy()
+    inv = np.ones_like(units)
+    e = units.size - 1
+    while e:
+        if e & 1:
+            inv *= base
+            inv %= c
+        base *= base
+        base %= c
+        e >>= 1
+    table = np.zeros(c, dtype=np.int64)
+    table[units] = inv % c
+    return table
 
 
 def _row_halfwidth(c: int, v: float, digits: int) -> int:
@@ -169,21 +195,30 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float, C: int,
     for c in range(N, C * N + 1, N):
         X = _row_halfwidth(c, v, digits)
         center = -c * u
-        d = np.arange(math.ceil(center - X), math.floor(center + X) + 1, dtype=np.int64)
-        mask = np.gcd(d, c) == 1
-        if mask.any():
-            d = d[mask]
-            t = c * u + d.astype(np.float64)
-            denom = t * t + (c * v) ** 2
-            vg = v / denom
-            amp = _phi_np(m, vg, s)
-            if m:
-                a = _inverse_table(c)[d % c]
-                phase = -2.0 * math.pi * m * (a / float(c)) + 2.0 * math.pi * m * t / (c * denom)
-                row = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
-            else:
-                row = complex(np.sum(amp))
-            total += row
+        lo, hi = math.ceil(center - X), math.floor(center + X)
+        # d mod c has period c along the window, so the coprimality test
+        # and the phase -2 pi m a/c run once on the residues of lo..lo+c-1
+        # and are repeated; the coprime d stay in increasing order, so the
+        # row sums add the same doubles in the same order as an
+        # element-by-element pass
+        block = (lo + np.arange(c, dtype=np.int64)) % c
+        coprime = np.flatnonzero(np.gcd(block, c) == 1)
+        reps = (hi - lo) // c + 1
+        d = (lo + (c * np.arange(reps, dtype=np.int64))[:, None] + coprime).ravel()
+        count = int(np.searchsorted(d, hi, side="right"))
+        d = d[:count]
+        t = c * u + d.astype(np.float64)
+        denom = t * t + (c * v) ** 2
+        vg = v / denom
+        amp = _phi_np(m, vg, s)
+        if m:
+            a = _inverse_table(c)[block[coprime]]
+            turn = np.tile(-2.0 * math.pi * m * (a / float(c)), reps)[:count]
+            phase = turn + 2.0 * math.pi * m * t / (c * denom)
+            row = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
+        else:
+            row = complex(np.sum(amp))
+        total += row
         while next_mark < len(marks) and c == marks[next_mark] * N:
             partials.append((marks[next_mark], total))
             next_mark += 1
@@ -254,21 +289,6 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
             k_emp = max(k_emp, abs(complex(s2) - complex(s1)) / denom)
     est = k_emp * C ** (2 - 2 * s) + 1e-15 * abs(complex(value))
     return PointValue(value=value, error_estimate=float(est))
-
-
-def eisenstein_value(N: int, tau, params: EvalParams) -> PointValue:
-    """E_N(tau, s) = F_{N,0}(tau, s)."""
-    return niebur_value(N, 0, tau, params)
-
-
-def weight0_hecke_value(evaluator, n: int, N: int, tau) -> complex:
-    """(F|_0 T(n))(tau) = sum of F at the coset-representative images."""
-    from .algebra import left_coset_reps
-    total = 0j
-    for a, b, c, d in left_coset_reps(N, n):
-        w = (a * complex(tau) + b) / (c * complex(tau) + d)
-        total += evaluator(w)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckediv import forms as F, niebur as NB, operators as O
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import NonGenusZeroLevel
+from heckediv.errors import ConvergenceBudgetExceeded, NonGenusZeroLevel
 from heckediv.niebur import EvalParams
 
 
@@ -209,3 +210,143 @@ def test_slice_level2_m2_structure():
 def test_slice_rejects_other_levels():
     with pytest.raises(NonGenusZeroLevel):
         NB.harmonic_slice(6, 1, 8)
+
+
+# -- block-periodic rows against the element-by-element oracle ----------------------
+#
+# The oracle is the element-by-element route the fast path replaced: np.gcd
+# over the whole window, a per-residue Python pow table, and a Bessel series
+# that stops on max-reductions of the term and partial-sum vectors.  The
+# fast path must reproduce it bit for bit.
+
+def _oracle_phi_np(m, v, s):
+    import numpy as np
+    if m == 0:
+        return v ** s
+    nu = s - 0.5
+    x = 2.0 * math.pi * m * v
+    half = x / 2.0
+    y = half * half
+    term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
+    acc = term.copy()
+    ymax = float(y.max()) if y.size else 0.0
+    k = 1
+    while True:
+        term = term * (y / (k * (k + nu)))
+        acc += term
+        if ymax / ((k + 1) * (k + 1 + nu)) < 0.5 and \
+                float(np.abs(term).max()) < 1e-18 * float(np.abs(acc).max() + 1e-300):
+            break
+        k += 1
+        if k > 400:
+            raise ConvergenceBudgetExceeded("vectorized Bessel series stalled")
+    return 2.0 * math.pi * np.sqrt(m * v) * half ** nu * acc
+
+
+def _oracle_inverse_table(c):
+    import numpy as np
+    inv = np.zeros(c, dtype=np.int64)
+    for r in range(c):
+        if math.gcd(r, c) == 1:
+            inv[r] = pow(r, -1, c)
+    return inv
+
+
+def _oracle_sum_fast(N, m, u, v, s, C, digits):
+    import numpy as np
+    total = complex(_oracle_phi_np(m, np.array([v]), s)[0]) * \
+        complex(math.cos(2 * math.pi * m * u), -math.sin(2 * math.pi * m * u)) \
+        if m else complex(v ** s)
+    marks = NB._checkpoints(C)
+    partials = []
+    next_mark = 0
+    for c in range(N, C * N + 1, N):
+        X = NB._row_halfwidth(c, v, digits)
+        center = -c * u
+        d = np.arange(math.ceil(center - X), math.floor(center + X) + 1, dtype=np.int64)
+        mask = np.gcd(d, c) == 1
+        if mask.any():
+            d = d[mask]
+            t = c * u + d.astype(np.float64)
+            denom = t * t + (c * v) ** 2
+            vg = v / denom
+            amp = _oracle_phi_np(m, vg, s)
+            if m:
+                a = _oracle_inverse_table(c)[d % c]
+                phase = -2.0 * math.pi * m * (a / float(c)) + 2.0 * math.pi * m * t / (c * denom)
+                row = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
+            else:
+                row = complex(np.sum(amp))
+            total += row
+        while next_mark < len(marks) and c == marks[next_mark] * N:
+            partials.append((marks[next_mark], total))
+            next_mark += 1
+    while next_mark < len(marks):
+        partials.append((marks[next_mark], total))
+        next_mark += 1
+    return total, partials
+
+
+# u = 0 gives windows of odd length 2X + 1 (integral centre -c u) in every
+# row; u < 0 with the small v = 0.03 gives even length 2X; u = 1/2 mixes
+# the two by the parity of c
+ORACLE_TAUS = (1j, -0.37 + 0.03j, 0.5 + 1.3j)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+@pytest.mark.parametrize("m", (0, 1, 2, 3))
+@pytest.mark.parametrize("s", (1.5, 2.0))
+def test_block_rows_match_elementwise_oracle(N, m, s):
+    for tau in ORACLE_TAUS:
+        for C in (1, 2, 7, 40):
+            got = NB._niebur_sum_fast(N, m, tau.real, tau.imag, s, C, 14)
+            want = _oracle_sum_fast(N, m, tau.real, tau.imag, s, C, 14)
+            assert got[0] == want[0], (tau, C)
+            assert got[1] == want[1], (tau, C)
+
+
+def test_window_parities_covered():
+    # the oracle grid sees both window parities
+    lengths = set()
+    for tau in ORACLE_TAUS:
+        for c in (1, 2, 3, 7):
+            X = NB._row_halfwidth(c, tau.imag, 14)
+            center = -c * tau.real
+            lengths.add((math.floor(center + X) - math.ceil(center - X) + 1) - 2 * X)
+    assert lengths == {0, 1}
+
+
+@pytest.mark.parametrize("m", (0, 2))
+def test_niebur_value_matches_elementwise_oracle(m, monkeypatch):
+    P = EvalParams(truncation=30, digits=14, s=1.5)
+    tau = -0.21 + 0.77j
+    got = NB.niebur_value(2, m, tau, P)
+    monkeypatch.setattr(NB, "_niebur_sum_fast", _oracle_sum_fast)
+    want = NB.niebur_value(2, m, tau, P)
+    assert got.value == want.value
+    assert got.error_estimate == want.error_estimate
+
+
+def test_inverse_table_against_pow():
+    for c in list(range(1, 301)) + [997, 1800]:
+        table = NB._inverse_table(c)
+        assert table.shape == (c,)
+        for r in range(c):
+            want = pow(r, -1, c) if math.gcd(r, c) == 1 else 0
+            assert table[r] == want, (c, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(0, 3),
+       s=st.floats(1.01, 3.0),
+       v=st.lists(st.floats(1e-9, 4.0, allow_subnormal=False), min_size=1, max_size=40))
+def test_phi_np_matches_oracle(m, s, v):
+    import numpy as np
+    arr = np.array(v)
+    try:
+        want = _oracle_phi_np(m, arr, s)
+    except ConvergenceBudgetExceeded:
+        with pytest.raises(ConvergenceBudgetExceeded):
+            NB._phi_np(m, arr, s)
+        return
+    assert np.array_equal(NB._phi_np(m, arr, s), want)
