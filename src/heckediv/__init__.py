@@ -20,16 +20,15 @@ from .curve import CanonicalPoint, CuspClass, Divisor, HeegnerPoint, \
 from .cyclotomic import Cyclo
 from .forms import DeltaShift, Eisenstein, EtaQuotient, EtaQuotientSpec, \
     FormExpression, JMinus, OpaqueSeries, delta, eisenstein, \
-    eta_quotient_qexp, expression_divisor, expression_qexp, form_by_name, \
-    j_function, j_shifted, jn, standard_form
+    eta_quotient_qexp, expression_by_name, expression_divisor, j_function, \
+    j_shifted, jn
 from .niebur import EvalParams, PointValue, harmonic_slice, i_bessel, \
     jn_value, niebur_value, phi
 from .operators import apply_element, hecke_additive_cosets, \
     hecke_additive_formula, hecke_multiplicative, hecke_multiplicative_cosets
 from .pairing import EvalReport, PairingResult, PointEvaluator, bko_pairing, \
     pair, r_at_s1, r_numeric, verify_equivariance, verify_prop_divisor_sums
-from .series import PuiseuxSeries, integral_projection, log_derivative, \
-    rescale_exponents, series_arith, theta, twist
+from .series import PuiseuxSeries
 
 __all__ = [
     "AlgebraElement", "algebra_multiply", "double_coset_label",
@@ -40,8 +39,8 @@ __all__ = [
     "Cyclo",
     "DeltaShift", "Eisenstein", "EtaQuotient", "EtaQuotientSpec",
     "FormExpression", "JMinus", "OpaqueSeries", "delta", "eisenstein",
-    "eta_quotient_qexp", "expression_divisor", "expression_qexp",
-    "form_by_name", "j_function", "j_shifted", "jn", "standard_form",
+    "eta_quotient_qexp", "expression_by_name", "expression_divisor",
+    "j_function", "j_shifted", "jn",
     "EvalParams", "PointValue", "harmonic_slice", "i_bessel", "jn_value",
     "niebur_value", "phi",
     "apply_element", "hecke_additive_cosets", "hecke_additive_formula",
@@ -49,6 +48,5 @@ __all__ = [
     "EvalReport", "PairingResult", "PointEvaluator", "bko_pairing", "pair",
     "r_at_s1", "r_numeric", "verify_equivariance",
     "verify_prop_divisor_sums",
-    "PuiseuxSeries", "integral_projection", "log_derivative",
-    "rescale_exponents", "series_arith", "theta", "twist",
+    "PuiseuxSeries",
 ]

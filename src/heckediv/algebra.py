@@ -195,7 +195,9 @@ class AlgebraElement:
         return AlgebraElement(N, tuple(sorted(clean.items())))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert self.N == other.N
+        if self.N != other.N:
+            raise UnsupportedParameter(
+                f"cannot add elements of R_0({self.N}) and R_0({other.N})")
         acc = dict(self.terms)
         for k, m in other.terms:
             acc[k] = acc.get(k, 0) + m

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> tuple[object, int]:
     digits = getattr(args, "digits", None) or _default_digits()
     if args.verb == "qexp":
-        return forms.form_by_name(args.form, args.prec).to_json(), 0
+        return forms.expression_by_name(args.form).qexp(args.prec).to_json(), 0
 
     if args.verb == "hecke-add":
         expr = forms.expression_by_name(args.form)
@@ -192,7 +192,7 @@ def _run(args) -> tuple[object, int]:
     if args.verb == "hecke-div":
         expr = forms.expression_by_name(args.form)
         D = curve.divisor_of_form(expr, args.level)
-        return curve.hecke_divisor(args.n, D, args.level).to_json(), 0
+        return curve.hecke_divisor(args.n, D).to_json(), 0
 
     if args.verb == "bko":
         expr = forms.expression_by_name(args.form)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import forms
 from .algebra import Mat, mat_mul, p1_label, left_coset_reps
@@ -369,7 +369,9 @@ class Divisor:
                 + sum((v for _, v in self.numeric), Fraction(0)))
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        assert self.N == other.N
+        if self.N != other.N:
+            raise UnsupportedParameter(
+                f"cannot add divisors on X_0({self.N}) and X_0({other.N})")
         inter = self.interior_dict()
         for k, v in other.interior:
             inter[k] = inter.get(k, Fraction(0)) + v
@@ -454,11 +456,10 @@ def cusp_divisor(N: int, a: int, c: int, coeff=1) -> Divisor:
 # Hecke action on divisors
 # ---------------------------------------------------------------------------
 
-def hecke_divisor(n: int, D: Divisor, N: int | None = None) -> Divisor:
-    """T(n) D = sum_z n_z sum_i [alpha_i z], every image point reduced to
-    its canonical class."""
-    N = D.N if N is None else N
-    assert N == D.N
+def hecke_divisor(n: int, D: Divisor) -> Divisor:
+    """T(n) D = sum_z n_z sum_i [alpha_i z] on X_0(D.N), every image point
+    reduced to its canonical class."""
+    N = D.N
     reps = left_coset_reps(N, n)
     inter: dict = {}
     cp: dict = {}
@@ -624,7 +625,13 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
 
     Numeric root-finding (on the exact square-free part, so multiple roots
     cannot stall it) only guides the search; every root is verified by
-    exact synthetic division before it is accepted.
+    exact synthetic division before it is accepted.  A rational root p/q
+    of the primitive integer square-free part, with leading coefficient L,
+    has q | L, so it is nint(L x)/L for any approximation x closer than
+    1/(2L).  The working precision is set so that every simple rational
+    root is found that close: with height H, degree d and the Cauchy bound
+    B on |x|, the perturbation of x is at most eps (d+1) H B^d / |P'(x)|,
+    and |P'(p/q)| >= L^(2-d).
     """
     import mpmath
 
@@ -635,17 +642,19 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
     if len(dense) <= 1:
         return roots, {i: c for i, c in enumerate(dense) if c}
     sf = _poly_squarefree(dense)
-    with mpmath.workdps(60):
-        approx = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                   for c in reversed(sf)], maxsteps=500,
-                                  extraprec=200)
-    for r in approx:
-        if abs(mpmath.im(r)) > mpmath.mpf(10) ** -30:
-            continue
-        re = mpmath.re(r)
-        cand = Fraction(round(float(re)))
-        if abs(re - cand.numerator) > mpmath.mpf(10) ** -20:
-            cand = Fraction(int(mpmath.nint(re * 10 ** 6)), 10 ** 6).limit_denominator(10 ** 6)
+    den = lcm(*(c.denominator for c in sf))
+    ints = [int(c * den) for c in sf]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
+    d, L, H = len(ints) - 1, abs(ints[-1]), max(abs(c) for c in ints)
+    B = 1 + -(-max(abs(c) for c in ints[:-1]) // L)  # Cauchy: |x| < B
+    digits = len(str(2 * (d + 1) * H * B ** d * L ** (d - 1))) + 15
+    with mpmath.workdps(digits):
+        approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)],
+                                  maxsteps=500, extraprec=200)
+        cands = [Fraction(int(mpmath.nint(mpmath.re(r) * L)), L)
+                 for r in approx if 2 * L * abs(mpmath.im(r)) < 1]
+    for cand in cands:
         while len(dense) > 1:
             quot, rem = _synthetic_division(dense, cand)
             if rem != 0:

@@ -4,8 +4,13 @@ Everything here produces exact q-expansions (:class:`PuiseuxSeries`) or
 symbolic :class:`FormExpression` values: normalized Eisenstein series,
 Delta, the j-function in both normalizations (classical constant 744 and
 the shifted variant with constant 24 that the divisor-sum identities are
-stated for), the weight-0 Hecke images j_n, eta quotients, and the
+stated for), the weight-0 Hecke images j_n (computed by the additive
+operator's coefficient formula at k = 0), eta quotients, and the
 genus-zero Hauptmoduln eta(tau)^a/eta(N tau)^a.
+
+:func:`expression_by_name` parses the form names of the CLI into
+:class:`FormExpression` values; ``expression_by_name(name).qexp(prec)`` is
+the expansion with `prec` coefficients from the leading term.
 
 Expansion caches are process-wide and only ever append (pure constructors
 behind lru_cache), so concurrent readers are safe.
@@ -122,42 +127,14 @@ def j_shifted(prec: int) -> PuiseuxSeries:
     return j_function(prec) - 720
 
 
-def standard_form(name: str, prec: int) -> PuiseuxSeries:
-    if name == "delta":
-        return delta(prec)
-    if name == "j":
-        return j_function(prec)
-    if name == "j_shifted":
-        return j_shifted(prec)
-    raise ValueError(f"unknown standard form {name!r}")
-
-
-def _weight0_tn(f: PuiseuxSeries, n: int) -> PuiseuxSeries:
-    # weight-0 Hecke image on integral q-expansions:
-    # coefficient of q^M becomes sum_{d | (M, n)} (n/d) c(M n / d^2),
-    # with d running over all divisors of n when M = 0
-    assert f.D == 1
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    lo = n * f.order if f.order < 0 else 0
-    hi = -(-f.cutoff // n)  # ceil: c(Mn) must be known
-    out = []
-    for M in range(lo, hi):
-        s = 0
-        for d in divisors:
-            if M % d == 0:
-                idx = M * n // (d * d)
-                s += (n // d) * f.coefficient(idx)
-        out.append(s)
-    return PuiseuxSeries(1, lo, out)
-
-
 @lru_cache(maxsize=128)
 def jn(n: int, prec: int) -> PuiseuxSeries:
     """j_n = (j - 720)|T(n) at weight 0: q^-n + 24 sigma_1(n) + O(q)."""
+    from .operators import hecke_additive_formula
     if n < 1:
         raise ValueError("n must be positive")
     base = j_shifted(n * (prec + n) + 1)
-    return _weight0_tn(base, n).truncate(prec - n)
+    return hecke_additive_formula(base, 0, n).truncate(prec - n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +377,11 @@ def expression_from_json(data: dict) -> "FormExpression":
     atoms = tuple(_atom_unjson(a) for a in data["atoms"])
     shift = Fraction(data.get("shift", 0))
     expr = FormExpression(atoms, shift)
-    assert expr.weight == data["weight"] and expr.level == data["level"]
+    if (expr.weight, expr.level) != (data["weight"], data["level"]):
+        raise ValueError(
+            f"expression has weight {expr.weight} and level {expr.level}, "
+            f"but the data records {data['weight']} and {data['level']}")
     return expr
-
-
-def expression_qexp(expr: FormExpression, prec: int) -> PuiseuxSeries:
-    return expr.qexp(prec)
 
 
 def expression_divisor(expr: FormExpression):
@@ -442,30 +418,10 @@ HAUPTMODUL_CM_VALUES = {
 }
 
 
-# registry used by the CLI
-def form_by_name(name: str, prec: int) -> PuiseuxSeries:
-    key = name.strip()
-    if key in ("E4", "E6", "E8", "E10", "E12", "E14", "E16"):
-        return eisenstein(int(key[1:]), prec)
-    if key == "Delta":
-        return delta(prec)
-    if key == "j":
-        return j_function(prec)
-    if key == "j_shifted":
-        return j_shifted(prec)
-    if key.startswith("jminus:"):
-        return j_function(prec + 1) - Fraction(key.split(":", 1)[1])
-    if key.startswith("eta:"):
-        _, level, body = key.split(":", 2)
-        exps = {}
-        for part in body.split(","):
-            m, r = part.split("=")
-            exps[int(m)] = int(r)
-        return eta_quotient_qexp(EtaQuotientSpec.make(int(level), exps), prec)
-    raise ValueError(f"unknown form name {name!r}")
-
-
 def expression_by_name(name: str) -> FormExpression:
+    """The one parser of form names, shared by every CLI verb: E4..E16,
+    Delta, j, j_shifted, jminus:<c> (j - c) and eta:<level>:<m>=<r>,...
+    (prod eta(m tau)^r)."""
     key = name.strip()
     if key in ("E4", "E6", "E8", "E10", "E12", "E14", "E16"):
         return FormExpression.of(Eisenstein(int(key[1:])))

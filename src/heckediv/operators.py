@@ -7,7 +7,9 @@ Two independent routes compute the additive operator:
   c(m) -> n^(1-k/2) sum_{0<d|(m,n)} d^(k-1) c(mn/d^2) directly
   (d runs over all divisors of n when m = 0);
 * ``hecke_additive_cosets`` slashes f over the upper-triangular coset
-  representatives and projects the result back to an integral series.
+  representatives and projects the result back to an integral series;
+  the additive mode of ``apply_element`` takes the same slash sum over
+  the double cosets of an algebra element.
 
 They agree on their common domain, which the tests exercise.
 
@@ -48,10 +50,6 @@ from .errors import (NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
 from .series import PuiseuxSeries
-
-
-def sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +99,20 @@ def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
     return g
 
 
+def _slash_sum(f: PuiseuxSeries, k: int, groups) -> PuiseuxSeries:
+    """sum over (reps, mult) in `groups` of mult * sum_rep f|_k rep,
+    certified to be an integral rational expansion."""
+    if k % 2 != 0:
+        raise UnsupportedWeightParity(f"odd weight {k}")
+    total = None
+    for reps, mult in groups:
+        for rep in reps:
+            term = _slash_upper(f, rep, k, bare=False)
+            term = term if mult == 1 else term * mult
+            total = term if total is None else total + term
+    return total.integral_projection()
+
+
 def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSeries:
     """f|_k T(n) as a sum of slashes over coset representatives of level N.
 
@@ -108,14 +120,7 @@ def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSe
     triangular: gcd(n, N) = 1, or n = p | N prime.  The summed series is
     certified to be an integral rational expansion.
     """
-    if k % 2 != 0:
-        raise UnsupportedWeightParity(f"odd weight {k}")
-    reps = left_coset_reps(N, n)
-    total = None
-    for rep in reps:
-        term = _slash_upper(f, rep, k, bare=False)
-        total = term if total is None else total + term
-    return total.integral_projection()
+    return _slash_sum(f, k, [(left_coset_reps(N, n), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +330,8 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     N = u.N
     if mode == "additive":
         budget = max((a * d for (a, d), _ in u.terms), default=1) * prec + 8
-        series = f.qexp(budget)
-        total = None
-        for (a, d), mult in u.terms:
-            reps = double_coset_reps(a, d, N)
-            for rep in reps:
-                term = _slash_upper(series, rep, k, bare=False)
-                term = term if mult == 1 else term * mult
-                total = term if total is None else total + term
-        return FormExpression.of(OpaqueSeries(total.integral_projection(), k, N))
+        groups = [(double_coset_reps(a, d, N), mult) for (a, d), mult in u.terms]
+        return FormExpression.of(OpaqueSeries(_slash_sum(f.qexp(budget), k, groups), k, N))
 
     jobs = _coset_jobs(f, u, prec)
     weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)

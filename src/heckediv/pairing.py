@@ -18,7 +18,7 @@ import mpmath
 
 from . import curve, forms, niebur, operators
 from .curve import CuspClass, Divisor, HeegnerPoint, JFiberPoint
-from .errors import MissingCuspValue, UnknownDivisor
+from .errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
 from .niebur import EvalParams
 
 
@@ -100,7 +100,7 @@ def jn_evaluator(n: int, digits: int = 50) -> PointEvaluator:
     inf = curve.canonical_cusp(1, 0, 1)
     return PointEvaluator(
         interior=lambda z: niebur.jn_value(n, z, digits),
-        cusp_values={inf: 24 * operators.sigma1(n)},
+        cusp_values={inf: 24 * forms.sigma(1, n)},
         name=f"j_{n}",
     )
 
@@ -160,7 +160,7 @@ def verify_equivariance(p: int, m: int, f: forms.FormExpression, N: int = 1,
     The image comes from the coset product: the rational route of
     hecke_multiplicative computes it from this very identity."""
     order = operators.expression_order(f)
-    sig = operators.sigma1(p)
+    sig = forms.sigma(1, p)
     img = operators.hecke_multiplicative_cosets(
         f, p, N, prec=m + int(abs(order)) * sig + 8)
     g = img.atoms[0][0].series
@@ -212,9 +212,12 @@ def verify_prop_divisor_sums(n: int, F: PointEvaluator, D: Divisor, N: int,
                              tolerance: float = 1e-20,
                              label: str | None = None,
                              digits: int = 60) -> EvalReport:
-    """Numeric check of D_F(T(n) D) = D_{F|T(n)}(D)."""
+    """Numeric check of D_F(T(n) D) = D_{F|T(n)}(D) on X_0(N), the curve
+    D lives on."""
+    if N != D.N:
+        raise UnsupportedParameter(f"divisor lives on X_0({D.N}), not X_0({N})")
     with mpmath.workdps(digits):
-        lhs = pair(F, curve.hecke_divisor(n, D, N)).value
+        lhs = pair(F, curve.hecke_divisor(n, D)).value
         rhs = pair(hecke_image_evaluator(F, n, N), D).value
         diff = abs(mpmath.mpc(lhs) - mpmath.mpc(rhs))
     name = label or f"divisor-sum identity T({n}) on X_0({N})"

@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import Cyclo, _as_rational, coeff_is_zero, coeff_rational
-from .errors import NonUnitLeading, NotIntegralSeries, PrecisionExhausted
+from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
+                     UnsupportedParameter)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -159,30 +160,6 @@ class PuiseuxSeries:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_terms(cls, D, order, coeffs):
-        return cls(D, order, coeffs)
-
-    @classmethod
-    def from_dict(cls, terms: dict, cutoff) -> "PuiseuxSeries":
-        """Build a series from {exponent: coefficient} with exponents and
-        cutoff given as Fractions or ints (exponent values, not numerators)."""
-        terms = {Fraction(e): c for e, c in terms.items() if not coeff_is_zero(c)}
-        cutoff = Fraction(cutoff)
-        D = cutoff.denominator
-        for e in terms:
-            D = D * e.denominator // gcd(D, e.denominator)
-        cut = int(cutoff * D)
-        if not terms:
-            return cls(D, cut, [])
-        lo = min(int(e * D) for e in terms)
-        coeffs = [0] * (cut - lo)
-        for e, c in terms.items():
-            i = int(e * D) - lo
-            if i < len(coeffs):
-                coeffs[i] = c
-        return cls(D, lo, coeffs)
-
-    @classmethod
     def one(cls, prec: int) -> "PuiseuxSeries":
         return cls(1, 0, [1] + [0] * (prec - 1))
 
@@ -213,7 +190,9 @@ class PuiseuxSeries:
         deliberately not re-reduced to the minimal grid."""
         if newD == self.D:
             return self
-        assert newD % self.D == 0
+        if newD % self.D != 0:
+            raise UnsupportedParameter(
+                f"grid 1/{newD} does not refine the series grid 1/{self.D}")
         s = newD // self.D
         if not self.coeffs:
             return PuiseuxSeries._raw(newD, self.order * s, ())
@@ -470,7 +449,9 @@ class PuiseuxSeries:
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
         coeffs = [_coeff_unjson(c) for c in data["coeffs"]]
-        assert len(coeffs) == data["precision"]
+        if len(coeffs) != data["precision"]:
+            raise ValueError(f"series data lists {len(coeffs)} coefficients "
+                             f"but records precision {data['precision']}")
         return cls(data["D"], data["order"], coeffs)
 
 
@@ -496,39 +477,3 @@ def _coeff_unjson(c):
         return Cyclo(c["zeta_order"], [_rat_unstr(x) for x in c["coeffs"]])
     return _rat_unstr(c)
 
-
-def series_arith(a: PuiseuxSeries, b: PuiseuxSeries, op: str, k: int | None = None) -> PuiseuxSeries:
-    """Named entry point for the four ring operations and integer powers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        if k is None:
-            raise ValueError("pow needs an integer exponent")
-        return a ** k
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def theta(f: PuiseuxSeries) -> PuiseuxSeries:
-    return f.theta()
-
-
-def log_derivative(f: PuiseuxSeries) -> PuiseuxSeries:
-    return f.log_derivative()
-
-
-def rescale_exponents(f: PuiseuxSeries, a) -> PuiseuxSeries:
-    return f.rescale_exponents(a)
-
-
-def twist(f: PuiseuxSeries, j: int, n: int) -> PuiseuxSeries:
-    return f.twist(j, n)
-
-
-def integral_projection(f: PuiseuxSeries) -> PuiseuxSeries:
-    return f.integral_projection()

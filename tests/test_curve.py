@@ -271,6 +271,31 @@ def test_j_polynomial_of_hecke_image():
     assert set(residual) <= {0}
 
 
+def _poly_mul(p, q):
+    out = {}
+    for i, x in p.items():
+        for j, y in q.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+X2M2 = {0: Fraction(-2), 2: Fraction(1)}  # x^2 - 2 has no rational root
+
+
+@pytest.mark.parametrize("roots, cofactor", [
+    ([Fraction(1, 10 ** 7 + 19)], {0: Fraction(1)}),  # denominator above 10^6
+    ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 9)], {0: Fraction(1)}),
+    ([Fraction(-7, 12), Fraction(-7, 12), Fraction(287496)], X2M2),
+])
+def test_rational_roots_found_exactly(roots, cofactor):
+    poly = cofactor
+    for r in roots:
+        poly = _poly_mul(poly, {0: -r, 1: Fraction(1)})
+    found, residual = C.polynomial_rational_roots(poly)
+    assert found == {r: roots.count(r) for r in roots}
+    assert residual == cofactor
+
+
 def test_j_polynomial_rejects_level2_function():
     t = F.hauptmodul_qexp(2, 14)
     with pytest.raises(NotPolynomialInJ):

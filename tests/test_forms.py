@@ -62,7 +62,6 @@ def test_j_and_shift():
     jp = F.j_shifted(3)
     assert jp.coefficient(0) == 24
     assert jp.coefficient(1) == 196884
-    assert F.standard_form("j_shifted", 3) == jp
 
 
 def test_jn_normalization():
@@ -146,14 +145,20 @@ def test_hauptmodul_leading_terms():
 
 
 def test_registry_names():
-    assert F.form_by_name("E4", 5) == F.eisenstein(4, 5)
-    assert F.form_by_name("Delta", 5) == F.delta(5)
-    assert F.form_by_name("j_shifted", 5) == F.j_shifted(5)
-    assert F.form_by_name("jminus:1728", 5).coefficient(0) == -984
-    eta = F.form_by_name("eta:2:1=24,2=-24", 5)
+    qexp = lambda name: F.expression_by_name(name).qexp(5)
+    assert qexp("E4") == F.eisenstein(4, 5)
+    assert qexp("Delta") == F.delta(5)
+    assert qexp("j") == F.j_function(5)
+    assert qexp("j_shifted") == F.j_shifted(5)
+    assert qexp("jminus:1728").coefficient(0) == -984
+    eta = qexp("eta:2:1=24,2=-24")
     assert eta.coefficient(0) == -24
+    # every name gives `prec` coefficients from its leading term
+    for name in ("E4", "Delta", "j", "j_shifted", "jminus:1728", "jminus:0",
+                 "eta:2:1=24,2=-24"):
+        assert qexp(name).precision == 5
     with pytest.raises(ValueError):
-        F.form_by_name("nope", 5)
+        F.expression_by_name("nope")
 
 
 def test_psl2_index():

@@ -72,8 +72,10 @@ GOLDEN_CLI = {
     'qexp eta:2:1=24,2=-24': '0123a0d60a5531058776d041f662a34da9a460927351f4b3ec5dcfa5d1a45615',
     'qexp j': 'b6ac2f8bbde2f4ca331d11ad2b5f80b86e2f87f2556f9ce07286ef82619155cc',
     'qexp j_shifted': '29bac7702e937a8c6a98772c04b571c7c0261f10779c86b0ea440ac631005447',
-    'qexp jminus:0': '3bec49937694269a655e91337a24c22f1dcf3f93e4a3657cd69e2a8d58f9a794',
-    'qexp jminus:1728': 'b794fee66d98abd6d5751a9df9264bb7bf7c82fc9f047e88ffcc78155d9456df',
+    # jminus:<c> prints --prec coefficients like every other name, so
+    # jminus:0 prints exactly what `j` prints
+    'qexp jminus:0': 'b6ac2f8bbde2f4ca331d11ad2b5f80b86e2f87f2556f9ce07286ef82619155cc',
+    'qexp jminus:1728': '8996485e3c73b0a82d0e3ca6937ea152ac19b1774330b5efa910851c17945519',
     'rohrlich s=1': '56c2e9326aa8462a0fbff97a5ea4eefc900df543adba050d358a454a39ffbda1',
     'rohrlich s=1 j-1728': '4c8013d939d40e3daf09bc83132d4596f3acd5e0a4230496e43bff26c44bb81e',
     'verify algebra': '7df889ecc77f61fd309ac1016c1f1275413650a580fba37ff9ae054a871da916',

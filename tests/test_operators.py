@@ -123,8 +123,8 @@ def test_weight_and_order_bookkeeping():
     for n in (2, 3, 4):
         img = O.hecke_multiplicative(delta, n, 1, prec=10)
         s = series_of(img)
-        assert img.weight == 12 * O.sigma1(n)
-        assert s.leading_exponent() == O.sigma1(n)
+        assert img.weight == 12 * F.sigma(1, n)
+        assert s.leading_exponent() == F.sigma(1, n)
 
 
 def test_multiplicativity_in_f():
@@ -183,6 +183,17 @@ def test_apply_element_additive_linearity():
     rhs = series_of(O.apply_element(e4, u, "additive", prec=10)) + \
         series_of(O.apply_element(e4, v, "additive", prec=10))
     assert lhs.agrees_with(rhs, through=8)
+
+
+def test_apply_element_additive_rejects_odd_weight():
+    # eta(tau) eta(23 tau) has weight 1; the slash-sum route of
+    # hecke_additive_cosets refuses it, and so must apply_element
+    f = F.FormExpression.of(F.EtaQuotient(F.EtaQuotientSpec.make(23, {1: 1, 23: 1})))
+    assert f.weight == 1
+    with pytest.raises(UnsupportedWeightParity):
+        O.apply_element(f, A.t_n(2, 23), "additive", prec=8)
+    with pytest.raises(UnsupportedWeightParity):
+        O.hecke_additive_cosets(f.qexp(24), 1, 2, 23)
 
 
 def test_theta_pairing_equivariance_coefficients():

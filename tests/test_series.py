@@ -224,17 +224,7 @@ def test_equal_through_demands_coverage():
     assert a.equal_through(b, 2)
 
 
-# -- named entry point and JSON ---------------------------------------------------
-
-def test_series_arith_dispatch():
-    from heckediv.series import series_arith
-    a, b = geometric(5), S(1, 0, [1, -1, 0, 0, 0])
-    assert series_arith(a, b, "mul").coefficient(1) == 0
-    assert series_arith(a, b, "add").coefficient(1) == 0
-    assert series_arith(a, b, "sub").coefficient(1) == 2
-    assert series_arith(a, b, "div").coefficient(1) == 2
-    assert series_arith(b, None, "pow", k=2).coefficient(1) == -2
-
+# -- JSON ---------------------------------------------------
 
 def test_json_round_trip_rational_and_cyclotomic():
     f = S(2, -3, [Fraction(-36882000, 691), 2, Cyclo.zeta(5) + 1, 0, 7])

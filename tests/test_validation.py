@@ -1,0 +1,88 @@
+"""Input and wire-data validation raises typed errors, never bare asserts,
+so every check also holds under ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from heckediv import algebra as A, curve as C, forms as F, pairing as P
+from heckediv.curve import POINT_I
+from heckediv.errors import UnsupportedParameter
+from heckediv.series import PuiseuxSeries as S
+
+
+def test_series_json_precision_mismatch():
+    data = S(1, 0, [1, 2, 3]).to_json()
+    data["precision"] = 4
+    with pytest.raises(ValueError):
+        S.from_json(data)
+
+
+def test_expression_json_weight_or_level_mismatch():
+    data = F.expression_by_name("E4").to_json()
+    with pytest.raises(ValueError):
+        F.expression_from_json({**data, "weight": 6})
+    with pytest.raises(ValueError):
+        F.expression_from_json({**data, "level": 2})
+    assert F.expression_from_json(data) == F.expression_by_name("E4")
+
+
+def test_divisor_sum_across_levels():
+    with pytest.raises(UnsupportedParameter):
+        C.point_divisor(1, POINT_I) + C.point_divisor(2, POINT_I)
+
+
+def test_algebra_sum_across_levels():
+    with pytest.raises(UnsupportedParameter):
+        A.t_n(3, 1) + A.t_n(3, 2)
+
+
+def test_lift_grid_needs_a_refinement():
+    f = S(2, 1, [1, 0, 1])
+    assert f.lift_grid(4).D == 4
+    with pytest.raises(UnsupportedParameter):
+        f.lift_grid(3)
+
+
+def test_divisor_sums_check_the_level():
+    D = C.point_divisor(1, POINT_I)
+    with pytest.raises(UnsupportedParameter):
+        P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20), D, 2)
+
+
+_UNDER_O = """
+from heckediv import algebra as A, curve as C, forms as F, pairing as P
+from heckediv.series import PuiseuxSeries as S
+assert False, "asserts must be stripped"
+data = S(1, 0, [1, 2]).to_json()
+e4 = F.expression_by_name("E4").to_json()
+checks = [
+    lambda: S.from_json({**data, "precision": 3}),
+    lambda: F.expression_from_json({**e4, "weight": 6}),
+    lambda: C.point_divisor(1, C.POINT_I) + C.point_divisor(2, C.POINT_I),
+    lambda: A.t_n(3, 1) + A.t_n(3, 2),
+    lambda: S(2, 1, [1]).lift_grid(3),
+    lambda: P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20),
+                                       C.point_divisor(1, C.POINT_I), 2),
+]
+for check in checks:
+    try:
+        check()
+        print("accepted")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["ValueError", "ValueError", "UnsupportedParameter",
+                                  "UnsupportedParameter", "UnsupportedParameter",
+                                  "UnsupportedParameter"]
