@@ -22,8 +22,8 @@ from .forms import DeltaShift, Eisenstein, EtaQuotient, EtaQuotientSpec, \
     FormExpression, JMinus, OpaqueSeries, delta, eisenstein, \
     eta_quotient_qexp, expression_by_name, expression_divisor, j_function, \
     j_shifted, jn
-from .niebur import EvalParams, PointValue, harmonic_slice, i_bessel, \
-    jn_value, niebur_value, phi
+from .niebur import EvalParams, PointValue, harmonic_slice, jn_value, \
+    niebur_value
 from .operators import apply_element, hecke_additive_cosets, \
     hecke_additive_formula, hecke_multiplicative, hecke_multiplicative_cosets
 from .pairing import EvalReport, PairingResult, PointEvaluator, bko_pairing, \
@@ -41,8 +41,7 @@ __all__ = [
     "FormExpression", "JMinus", "OpaqueSeries", "delta", "eisenstein",
     "eta_quotient_qexp", "expression_by_name", "expression_divisor",
     "j_function", "j_shifted", "jn",
-    "EvalParams", "PointValue", "harmonic_slice", "i_bessel", "jn_value",
-    "niebur_value", "phi",
+    "EvalParams", "PointValue", "harmonic_slice", "jn_value", "niebur_value",
     "apply_element", "hecke_additive_cosets", "hecke_additive_formula",
     "hecke_multiplicative", "hecke_multiplicative_cosets",
     "EvalReport", "PairingResult", "PointEvaluator", "bko_pairing", "pair",

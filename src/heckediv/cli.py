@@ -8,7 +8,8 @@ parameters in the output so runs are reproducible.  Exit codes: 0 success
 2 usage error.
 
 The HECKEDIV_DIGITS environment variable sets the default working
-precision (decimal digits) of the numeric verbs.
+precision (decimal digits) of the `bko` and `rohrlich` verbs; like
+`--digits`, it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ from .errors import HeckeDivError
 from .niebur import EvalParams
 
 
-def _default_digits() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return int(os.environ.get("HECKEDIV_DIGITS", "30"))
+        value = int(text)
     except ValueError:
-        return 30
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 def _emit(payload, fmt: str) -> None:
@@ -126,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bko", help="(j_n, f)_BKO pairing, level 1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--form", required=True)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=_positive_int, default=None)
 
     p = add_parser("rohrlich", help="R_{N,m}(s; f): exact at s=1, numeric for s>1")
     p.add_argument("--N", type=int, default=1)
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--form", required=True)
     p.add_argument("--C", type=int, default=300)
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=_positive_int, default=None)
 
     p = add_parser("niebur", help="Niebur-Poincare series value F_{N,-m}(tau, s)")
     p.add_argument("--N", type=int, default=1)
@@ -142,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tau", required=True, help="complex point 're,im'")
     p.add_argument("--C", type=int, default=300)
-    p.add_argument("--digits", type=int, default=None)
 
     p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
@@ -151,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple[object, int]:
-    digits = getattr(args, "digits", None) or _default_digits()
     if args.verb == "qexp":
         return forms.expression_by_name(args.form).qexp(args.prec).to_json(), 0
 
@@ -196,11 +198,11 @@ def _run(args) -> tuple[object, int]:
 
     if args.verb == "bko":
         expr = forms.expression_by_name(args.form)
-        res = pairing.bko_pairing(args.n, expr, digits=digits)
+        res = pairing.bko_pairing(args.n, expr, digits=args.digits)
         exact = pairing.r_at_s1(1, args.n, expr)
         return {"n": args.n, "form": args.form,
-                "value": _mpc_pair(res.value, digits),
-                "exact_s1": str(exact), "digits": digits}, 0
+                "value": _mpc_pair(res.value, args.digits),
+                "exact_s1": str(exact), "digits": args.digits}, 0
 
     if args.verb == "rohrlich":
         expr = forms.expression_by_name(args.form)
@@ -208,15 +210,15 @@ def _run(args) -> tuple[object, int]:
             val = pairing.r_at_s1(args.N, args.m, expr)
             return {"N": args.N, "m": args.m, "s": "1", "exact": True,
                     "value": str(val)}, 0
-        params = EvalParams(truncation=args.C, digits=min(digits, 15), s=args.s)
+        params = EvalParams(truncation=args.C, s=args.s)
         res = pairing.r_numeric(args.N, args.m, args.s, expr, params)
         return {"N": args.N, "m": args.m, "s": args.s, "exact": False,
-                "value": _mpc_pair(res.value, digits),
+                "value": _mpc_pair(res.value, args.digits),
                 "C": args.C}, 0
 
     if args.verb == "niebur":
         tau = _parse_tau(args.tau)
-        params = EvalParams(truncation=args.C, digits=min(digits, 15), s=args.s)
+        params = EvalParams(truncation=args.C, s=args.s)
         pv = niebur.niebur_value(args.N, args.m, tau, params)
         return {"value": _mpc_pair(pv.value, 17),
                 "error": f"{pv.error_estimate:.6g}", "C": args.C}, 0
@@ -233,7 +235,15 @@ def _run(args) -> tuple[object, int]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # only the verbs with a --digits flag read the environment default
+    if getattr(args, "digits", 0) is None:
+        env = os.environ.get("HECKEDIV_DIGITS", "30")
+        try:
+            args.digits = _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"HECKEDIV_DIGITS: {exc}")
     try:
         payload, code = _run(args)
     except HeckeDivError as exc:

@@ -97,7 +97,9 @@ class Cyclo:
 
     def __init__(self, order: int, coords):
         coords = tuple(_as_rational(c) for c in coords)
-        assert len(coords) == euler_phi(order)
+        if len(coords) != euler_phi(order):
+            raise ValueError(f"Q(zeta_{order}) needs {euler_phi(order)} coordinates, "
+                             f"got {len(coords)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coords", coords)
 

@@ -329,7 +329,10 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     k = f.weight
     N = u.N
     if mode == "additive":
-        budget = max((a * d for (a, d), _ in u.terms), default=1) * prec + 8
+        if not u.terms:
+            raise UnsupportedParameter(
+                "the empty element sums no slashes, so its additive image has no precision")
+        budget = max(a * d for (a, d), _ in u.terms) * prec + 8
         groups = [(double_coset_reps(a, d, N), mult) for (a, d), mult in u.terms]
         return FormExpression.of(OpaqueSeries(_slash_sum(f.qexp(budget), k, groups), k, N))
 

@@ -11,7 +11,7 @@ arithmetic; numerics are reserved for CM values and real s > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -131,10 +131,7 @@ def r_numeric(N: int, m: int, s, f: forms.FormExpression,
 
     Refuses divisors that touch cusps: the cusp value of F_{N,-m}(., s)
     at general s is context-dependent, so none is invented here."""
-    params = params or EvalParams(s=float(s))
-    if abs(params.s - float(s)) > 0:
-        params = EvalParams(truncation=params.truncation, digits=params.digits,
-                            s=float(s))
+    params = replace(params or EvalParams(), s=float(s))
     D = curve.divisor_of_form(f, N)
     if D.cusp_part:
         raise MissingCuspValue(

@@ -125,3 +125,43 @@ def test_unknown_suite_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "nope"])
     assert exc.value.code == 2
+
+
+def test_niebur_verb_has_no_digits_flag():
+    # the Poincare sum runs in doubles; the verb prints 17 digits
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["niebur", "--m", "1", "--s", "1.5", "--tau", "0,1", "--C", "4",
+                  "--digits", "20"])
+    assert exc.value.code == 2
+
+
+def test_rohrlich_numeric_accepts_high_digits(capsys):
+    code, out = run_cli(capsys, "rohrlich", "--m", "1", "--form", "E4",
+                        "--s", "1.5", "--C", "20", "--digits", "40")
+    data = json.loads(out)
+    assert code == 0 and data["exact"] is False
+    assert float(data["value"][0]) != 0.0
+
+
+@pytest.mark.parametrize("bad", ("0", "-3", "abc", "2.5"))
+def test_digits_must_be_a_positive_integer(capsys, monkeypatch, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bko", "--n", "1", "--form", "E4", "--digits", bad])
+    assert exc.value.code == 2
+    assert repr(bad) in capsys.readouterr().err
+    monkeypatch.setenv("HECKEDIV_DIGITS", bad)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rohrlich", "--m", "2", "--form", "E4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "HECKEDIV_DIGITS" in err and repr(bad) in err
+
+
+def test_exact_verbs_ignore_digits_environment(capsys, monkeypatch):
+    _, want = run_cli(capsys, "qexp", "--form", "E4", "--prec", "6")
+    monkeypatch.setenv("HECKEDIV_DIGITS", "abc")
+    code, out = run_cli(capsys, "qexp", "--form", "E4", "--prec", "6")
+    assert code == 0 and out == want
+    monkeypatch.setenv("HECKEDIV_DIGITS", "35")
+    code, out = run_cli(capsys, "bko", "--n", "1", "--form", "E4")
+    assert code == 0 and json.loads(out)["digits"] == 35

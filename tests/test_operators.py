@@ -196,6 +196,18 @@ def test_apply_element_additive_rejects_odd_weight():
         O.hecke_additive_cosets(f.qexp(24), 1, 2, 23)
 
 
+def test_apply_element_empty_element():
+    # the empty element sums no slashes, so there is no additive image with
+    # a precision to state; multiplicatively it is the empty product
+    e4 = F.FormExpression.of(F.Eisenstein(4))
+    empty = A.AlgebraElement.make(1, {})
+    with pytest.raises(UnsupportedParameter):
+        O.apply_element(e4, empty, "additive", prec=10)
+    one = O.apply_element(e4, empty, "multiplicative", prec=10)
+    assert one.weight == 0
+    assert series_of(one) == S(1, 0, [1] + [0] * 13)
+
+
 def test_theta_pairing_equivariance_coefficients():
     # Coeff_q^m of Theta(f|*T(p))/(f|*T(p)) = Coeff_q^pm + p Coeff_q^(m/p);
     # the rational route is built on this identity, so the image comes

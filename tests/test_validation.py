@@ -10,6 +10,7 @@ import pytest
 
 from heckediv import algebra as A, curve as C, forms as F, pairing as P
 from heckediv.curve import POINT_I
+from heckediv.cyclotomic import Cyclo
 from heckediv.errors import UnsupportedParameter
 from heckediv.series import PuiseuxSeries as S
 
@@ -19,6 +20,17 @@ def test_series_json_precision_mismatch():
     data["precision"] = 4
     with pytest.raises(ValueError):
         S.from_json(data)
+
+
+def test_series_json_cyclotomic_coordinate_count():
+    # an element of Q(zeta_5) has phi(5) = 4 coordinates
+    data = S(1, 0, [1, 2]).to_json()
+    good = {"zeta_order": 5, "coeffs": ["1", "2", "0", "0"]}
+    assert S.from_json({**data, "coeffs": [good, "2"]}).coefficient(0) == Cyclo(5, (1, 2, 0, 0))
+    with pytest.raises(ValueError):
+        S.from_json({**data, "coeffs": [{"zeta_order": 5, "coeffs": ["1", "2"]}, "2"]})
+    with pytest.raises(ValueError):
+        Cyclo(5, (1, 2, 0, 0, 0))
 
 
 def test_expression_json_weight_or_level_mismatch():
@@ -61,6 +73,7 @@ data = S(1, 0, [1, 2]).to_json()
 e4 = F.expression_by_name("E4").to_json()
 checks = [
     lambda: S.from_json({**data, "precision": 3}),
+    lambda: S.from_json({**data, "coeffs": [{"zeta_order": 5, "coeffs": ["1", "2"]}, "2"]}),
     lambda: F.expression_from_json({**e4, "weight": 6}),
     lambda: C.point_divisor(1, C.POINT_I) + C.point_divisor(2, C.POINT_I),
     lambda: A.t_n(3, 1) + A.t_n(3, 2),
@@ -83,6 +96,7 @@ def test_checks_survive_python_O():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["ValueError", "ValueError", "UnsupportedParameter",
+    assert out.stdout.split() == ["ValueError", "ValueError", "ValueError",
+                                  "UnsupportedParameter",
                                   "UnsupportedParameter", "UnsupportedParameter",
                                   "UnsupportedParameter"]
