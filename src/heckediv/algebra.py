@@ -9,7 +9,7 @@ Multiplication enumerates products of left-coset representatives, groups
 them by left coset (via an exact canonical key: Hermite form of the row
 lattice plus the P^1(Z/N) class of the unimodular part), labels each group
 by elementary divisors and counts multiplicities.  The count per left coset
-inside one double coset is asserted constant, which is exactly the
+inside one double coset is checked constant, which is exactly the
 well-definedness of the structure constants.
 """
 
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import DeterminantMismatch, NotInDeltaN, UnsupportedParameter
+from .errors import (DeterminantMismatch, InvariantViolation, NotInDeltaN,
+                     UnsupportedParameter)
 
 Mat = tuple[int, int, int, int]
 
@@ -50,7 +51,8 @@ def hnf2(x: Mat) -> Mat:
     """Hermite form (a b; 0 d), a > 0, 0 <= b < d, of the row lattice of x."""
     a, b, c, d = x
     det = mat_det(x)
-    assert det > 0
+    if det <= 0:
+        raise NotInDeltaN(f"{x} has determinant {det}; a Hermite form needs det > 0")
     # gcd of the first column with Bezout rows
     r1, r2 = (a, b), (c, d)
     while r2[0]:
@@ -94,7 +96,8 @@ def left_coset_key(x: Mat, N: int):
     ha, hb, _, hd = h
     # h^{-1} = (hd, -hb; 0, ha) / det
     s = (a * hd, -a * hb + b * ha, c * hd, -c * hb + d * ha)
-    assert all(v % det == 0 for v in s)
+    if any(v % det for v in s):
+        raise InvariantViolation(f"{x} is not an integral multiple of its Hermite form {h}")
     s = tuple(v // det for v in s)
     return (h, p1_label(s[2], s[3], N))
 
@@ -255,8 +258,8 @@ def _multiply_cosets(lab1, lab2, N) -> dict[tuple[int, int], int]:
         counts.setdefault(label, []).append(cnt)
     out = {}
     for label, cnts in counts.items():
-        assert all(c == cnts[0] for c in cnts), \
-            f"inconsistent multiplicities for {label}: {cnts}"
+        if any(c != cnts[0] for c in cnts):
+            raise InvariantViolation(f"inconsistent multiplicities for {label}: {cnts}")
         out[label] = cnts[0]
     return out
 

@@ -9,13 +9,16 @@ parameters in the output so runs are reproducible.  Exit codes: 0 success
 
 The HECKEDIV_DIGITS environment variable sets the default working
 precision (decimal digits) of the `bko` and `rohrlich` verbs; like
-`--digits`, it must be a positive integer.
+`--digits`, it must be a positive integer.  The numeric `rohrlich` sum
+(s > 1) and `niebur` run in doubles: they print at most 17 significant
+digits and the estimated truncation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +35,19 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
+def _spectral_s(text: str, exact_one: bool = False) -> float:
+    """s of a Poincare sum: finite and > 1, or exactly 1 where `exact_one`
+    (the exact s = 1 slice of `rohrlich`)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and (value > 1 or (exact_one and value == 1))):
+        bound = ">= 1" if exact_one else "> 1"
+        raise argparse.ArgumentTypeError(f"s must be a finite number {bound}: {text!r}")
     return value
 
 
@@ -135,17 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("rohrlich", help="R_{N,m}(s; f): exact at s=1, numeric for s>1")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=lambda text: _spectral_s(text, exact_one=True),
+                   default=1.0)
     p.add_argument("--form", required=True)
-    p.add_argument("--C", type=int, default=300)
+    p.add_argument("--C", type=_positive_int, default=300)
     p.add_argument("--digits", type=_positive_int, default=None)
 
     p = add_parser("niebur", help="Niebur-Poincare series value F_{N,-m}(tau, s)")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_spectral_s, required=True)
     p.add_argument("--tau", required=True, help="complex point 're,im'")
-    p.add_argument("--C", type=int, default=300)
+    p.add_argument("--C", type=_positive_int, default=300)
 
     p = add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
@@ -213,8 +230,8 @@ def _run(args) -> tuple[object, int]:
         params = EvalParams(truncation=args.C, s=args.s)
         res = pairing.r_numeric(args.N, args.m, args.s, expr, params)
         return {"N": args.N, "m": args.m, "s": args.s, "exact": False,
-                "value": _mpc_pair(res.value, args.digits),
-                "C": args.C}, 0
+                "value": _mpc_pair(res.value, min(args.digits, 17)),
+                "error": f"{res.error_estimate:.6g}", "C": args.C}, 0
 
     if args.verb == "niebur":
         tau = _parse_tau(args.tau)

@@ -27,7 +27,8 @@ from math import gcd, lcm
 
 from . import forms
 from .algebra import Mat, mat_mul, p1_label, left_coset_reps
-from .errors import NotPolynomialInJ, UnknownDivisor, UnsupportedParameter
+from .errors import (InvariantViolation, NotPolynomialInJ, UnknownDivisor,
+                     UnsupportedParameter)
 from .series import PuiseuxSeries
 
 S_MAT: Mat = (0, -1, 1, 0)
@@ -683,7 +684,8 @@ def _poly_squarefree(dense: list[Fraction]) -> list[Fraction]:
     if len(g) == 1:
         return dense
     q, r = _poly_divmod(dense, g)
-    assert all(c == 0 for c in r)
+    if any(r):
+        raise InvariantViolation("gcd(P, P') leaves a remainder in P")
     return q
 
 

@@ -63,3 +63,9 @@ class ConvergenceBudgetExceeded(HeckeDivError):
 
 class MissingCuspValue(HeckeDivError):
     """A divisor pairing touched a cusp the evaluator has no value for."""
+
+
+class InvariantViolation(HeckeDivError):
+    """An identity that holds for every valid input failed: a defect in
+    the library, reported by name where an assert would vanish under
+    ``python -O``."""

@@ -12,6 +12,12 @@ genus-zero Hauptmoduln eta(tau)^a/eta(N tau)^a.
 :class:`FormExpression` values; ``expression_by_name(name).qexp(prec)`` is
 the expansion with `prec` coefficients from the leading term.
 
+``FormExpression.log_derivative(n)`` is Theta(f)/f read from the atoms,
+without the product expansion: it is additive over a product, Delta(m tau)
+and eta quotients contribute multiples of E2(m tau), E_k its recurrence on
+the O(n) expansion, and j, j - 1728 combine the two.  Atoms without such
+a closed form return None.
+
 Expansion caches are process-wide and only ever append (pure constructors
 behind lru_cache), so concurrent readers are safe.
 """
@@ -24,7 +30,7 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .errors import UnsupportedWeight
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, exact_div, log_derivative_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,17 @@ class EtaQuotientSpec:
         return Fraction(sum(r for _, r in self.exponents), 2)
 
 
+def _eta_log_derivative(exponents, n: int) -> list:
+    """Theta(f)/f for f = prod eta(m tau)^r over the pairs (m, r), m >= 1,
+    to n coefficients from q^0: sum (r m/24) E2(m tau), with
+    E2 = 1 - 24 sum_k sigma_1(k) q^k.  The constant term is the order."""
+    out = [exact_div(sum(m * r for m, r in exponents), 24)] + [0] * (n - 1)
+    for m, r in exponents:
+        for k in range(1, (n - 1) // m + 1):
+            out[m * k] -= r * m * sigma(1, k)
+    return out
+
+
 def eta_quotient_qexp(spec: EtaQuotientSpec, prec: int) -> PuiseuxSeries:
     """Exact expansion of prod eta(m tau)^{r_m} with eta(m tau) =
     q^{m/24} prod (1 - q^{mn})."""
@@ -207,6 +224,11 @@ class Eisenstein:
     def qexp(self, prec: int) -> PuiseuxSeries:
         return eisenstein(self.k, prec)
 
+    def log_derivative(self, n: int) -> list:
+        """Theta(E_k)/E_k to n coefficients from q^0, by the log-derivative
+        recurrence on the expansion of E_k."""
+        return log_derivative_coeffs(eisenstein(self.k, n).coeffs, 0, n)
+
 
 @dataclass(frozen=True)
 class DeltaShift:
@@ -223,6 +245,11 @@ class DeltaShift:
 
     def qexp(self, prec: int) -> PuiseuxSeries:
         return delta(prec).rescale_exponents(self.m).truncate(self.m + prec)
+
+    def log_derivative(self, n: int) -> list | None:
+        """m E2(m tau) to n coefficients from q^0, since Delta = eta^24;
+        None for m < 1, which has no expansion."""
+        return _eta_log_derivative(((self.m, 24),), n) if self.m >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -243,6 +270,18 @@ class JMinus:
     def qexp(self, prec: int) -> PuiseuxSeries:
         return j_function(prec + 1) - self.c
 
+    def log_derivative(self, n: int) -> list | None:
+        """Theta(j - c)/(j - c) to n coefficients from q^0, read from
+        j = E4^3/Delta for c = 0 and j - 1728 = E6^2/Delta for c = 1728.
+        None for any other c."""
+        if self.c == 0:
+            quotient = FormExpression.of((Eisenstein(4), 3), (DeltaShift(1), -1))
+        elif self.c == 1728:
+            quotient = FormExpression.of((Eisenstein(6), 2), (DeltaShift(1), -1))
+        else:
+            return None
+        return quotient.log_derivative(n)
+
 
 @dataclass(frozen=True)
 class EtaQuotient:
@@ -260,6 +299,15 @@ class EtaQuotient:
     def qexp(self, prec: int) -> PuiseuxSeries:
         return eta_quotient_qexp(self.spec, prec)
 
+    def log_derivative(self, n: int) -> list | None:
+        """sum (r m/24) E2(m tau) over the factors eta(m tau)^r, to n
+        coefficients from q^0.  None when the order is not an integer (the
+        expansion lives on a finer grid) or some m < 1."""
+        exps = self.spec.exponents
+        if sum(m * r for m, r in exps) % 24 or any(m < 1 for m, _ in exps):
+            return None
+        return _eta_log_derivative(exps, n)
+
 
 @dataclass(frozen=True)
 class OpaqueSeries:
@@ -270,6 +318,10 @@ class OpaqueSeries:
 
     def qexp(self, prec: int) -> PuiseuxSeries:
         return self.series
+
+    def log_derivative(self, n: int) -> None:
+        """None: a bare expansion has no closed form to read it from."""
+        return None
 
 
 Atom = Eisenstein | DeltaShift | JMinus | EtaQuotient | OpaqueSeries
@@ -324,6 +376,21 @@ class FormExpression:
         if self.shift:
             out = out + self.shift
         return out
+
+    def log_derivative(self, n: int) -> list | None:
+        """Theta(f)/f to n coefficients from q^0 as sum e l(atom) over the
+        atoms, read from their closed forms without the product expansion.
+        None for a shifted expression or when an atom has no closed form;
+        the log-derivative recurrence on ``qexp`` covers those."""
+        if self.shift:
+            return None
+        total = [0] * n
+        for atom, e in self.atoms:
+            l = atom.log_derivative(n)
+            if l is None:
+                return None
+            total = [t + e * x for t, x in zip(total, l)]
+        return total
 
     def __mul__(self, other: "FormExpression") -> "FormExpression":
         if self.shift or other.shift:

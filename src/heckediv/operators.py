@@ -26,7 +26,13 @@ routes compute it as well:
   l = Theta(f)/f, the image g = f|*T(n) has
   Theta(g)/g = sum_{ad=n, (a,N)=1} a sum_k l_{dk} q^(ak),
   and g is rebuilt from its leading term by the recurrence
-  m u_m = sum_{i>=1} H_i u_{m-i} on that series H;
+  m u_m = sum_{i>=1} H_i u_{m-i} on that series H.  l is read from the
+  atoms of f (``FormExpression.log_derivative``: multiples of E2(m tau)
+  for Delta(m tau) and eta quotients, a recurrence on the expansion of
+  E_k, and the two combined for j and j - 1728), so no product
+  expansion is built.  Shifted expressions, opaque series, other j - c
+  and atoms of non-integral order fall back to the log-derivative
+  recurrence on the expansion of f;
 * ``hecke_multiplicative_cosets`` multiplies the twisted translates over
   Q(zeta_d), with windows trimmed to the requested output precision, and
   certifies the product integral and rational.  It is the verification
@@ -49,7 +55,7 @@ from .cyclotomic import Cyclo, _as_rational
 from .errors import (NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, exact_div, log_derivative_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +98,8 @@ def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
     """f|_k (a b; 0 d), i.e. a twist, an exponent rescale, and (unless bare)
     the constant automorphy factor det^(k/2) d^(-k)."""
     a, b, c, d = rep
-    assert c == 0 and a > 0 and d > 0
+    if not (c == 0 and a > 0 and d > 0):
+        raise UnsupportedParameter(f"slash by {rep} needs (a b; 0 d) with a, d > 0")
     g = f.twist(b, d * f.D).rescale_exponents(Fraction(a, d))
     if not bare:
         g = g * Fraction((a * d) ** (k // 2), d ** k)
@@ -198,14 +205,7 @@ def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
     return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
-def _div(x, y):
-    # exact quotient, kept an int when it is one
-    if type(x) is int and type(y) is int and x % y == 0:
-        return x // y
-    return _as_rational(Fraction(x) / y)
-
-
-def _rational_image(f: PuiseuxSeries, pairs, prec: int, span: int) -> PuiseuxSeries:
+def _rational_image(c0, h: int, l: list, prec: int, pairs) -> PuiseuxSeries:
     """The product of bare translates named by `pairs`, computed in Q.
 
     `pairs` is a signed list of ((a, d), e): the pair stands for the d
@@ -214,15 +214,8 @@ def _rational_image(f: PuiseuxSeries, pairs, prec: int, span: int) -> PuiseuxSer
     b turns the log-derivative of the product into the character sum
     H = sum e a sum_k l_{dk} q^(ak).  The product is C q^(h sum e a) times
     a unit u with u_0 = 1, where C = prod (c_0^d (-1)^(h(d-1)))^e and
-    m u_m = sum_{i>=1} H_i u_{m-i}.  Every d/a is at most `span`, and f
-    must know span * (prec - 1) + 1 coefficients.
+    m u_m = sum_{i>=1} H_i u_{m-i}.  l must reach every d/a * (prec - 1).
     """
-    c, h = f.coeffs, f.order
-    c0 = c[0]
-    # l from sum_i c_i l_{m-i} = (h + m) c_m, one pass
-    l = [h]
-    for m in range(1, span * (prec - 1) + 1):
-        l.append(_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
     H = [0] * prec
     lead = Fraction(1)
     for (a, d), e in pairs:
@@ -231,23 +224,29 @@ def _rational_image(f: PuiseuxSeries, pairs, prec: int, span: int) -> PuiseuxSer
         lead *= (Fraction(c0) ** d * (-1 if h * (d - 1) % 2 else 1)) ** e
     u = [_as_rational(lead)]
     for m in range(1, prec):
-        u.append(_div(sum(map(mul, H[1:m + 1], reversed(u))), m))
+        u.append(exact_div(sum(map(mul, H[1:m + 1], reversed(u))), m))
     return PuiseuxSeries(1, h * sum(e * a for (a, _), e in pairs), u)
 
 
-def _rational_input(f: FormExpression, prec: int, span: int, slack: int,
-                    coset_jobs) -> tuple[PuiseuxSeries, int] | None:
-    """The expansion of f for the rational route and the precision of the
-    image, or None when the expansion is not on grid D = 1 over Q.
+def _rational_log_derivative(f: FormExpression, prec: int, span: int, slack: int,
+                             coset_jobs) -> tuple | None:
+    """(c0, h, l, prec) for the rational route: f = c0 q^h (1 + O(q)),
+    l = Theta(f)/f to span * (prec - 1) + 1 coefficients, and the precision
+    of the image; or None when f is not on grid D = 1 over Q.
 
-    The image keeps `prec` coefficients when f knows span * (prec - 1) + 1
-    of them.  A shorter expansion (an opaque series, say) limits it the
-    way the coset route is limited: `coset_jobs` lists the (budget, d/a)
-    of each coset product that route forms, and a product over a window
-    of w coefficients keeps ceil(w a/d) of them.
+    l comes from the atoms of f when they all have closed forms, with
+    c0 = 1 and h = l_0, the order.  Otherwise the log-derivative
+    recurrence runs on the expansion, and a shorter expansion (an opaque
+    series, say) limits the image the way the coset route is limited:
+    `coset_jobs` lists the (budget, d/a) of each coset product that route
+    forms, and a product over a window of w coefficients keeps
+    ceil(w a/d) of them.
     """
     if prec < 1:
         raise PrecisionExhausted("the image must keep at least one coefficient")
+    l = f.log_derivative(span * (prec - 1) + 1)
+    if l is not None:
+        return 1, l[0], l, prec
     series = f.qexp(span * prec + slack)
     if series.precision <= span * (prec - 1):
         expansions = [(f.qexp(budget), s) for budget, s in coset_jobs]
@@ -258,7 +257,8 @@ def _rational_input(f: FormExpression, prec: int, span: int, slack: int,
         raise NonUnitLeading("multiplicative Hecke image of the zero series")
     if series.D != 1 or any(isinstance(c, Cyclo) for c in series.coeffs):
         return None
-    return series, prec
+    l = log_derivative_coeffs(series.coeffs, series.order, span * (prec - 1) + 1)
+    return series.coeffs[0], series.order, l, prec
 
 
 def _tn_pairs(n: int, N: int) -> list:
@@ -280,11 +280,10 @@ def hecke_multiplicative(f: FormExpression, n: int, N: int,
     ncosets = sum(d for (_, d), _ in pairs)
     k = f.weight
     slack = int(abs(expression_order(f)) * n) + 8
-    found = _rational_input(f, prec, n, slack, [(ncosets * prec + slack, n)])
+    found = _rational_log_derivative(f, prec, n, slack, [(ncosets * prec + slack, n)])
     if found is None:
         return hecke_multiplicative_cosets(f, n, N, prec)
-    series, prec = found
-    image = _rational_image(series, pairs, prec, n)
+    image = _rational_image(*found, pairs)
     return FormExpression.of(OpaqueSeries(image, k * ncosets, N))
 
 
@@ -340,12 +339,12 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)
     span = max((s for *_, s in jobs), default=1)
     slack = int(abs(expression_order(f)) * span) + 8
-    found = _rational_input(f, prec + 4, span, slack,
-                            [(budget, s) for _, _, budget, s in jobs])
+    found = _rational_log_derivative(f, prec + 4, span, slack,
+                                     [(budget, s) for _, _, budget, s in jobs])
     if found is None:
         out = _element_cosets(f, u, prec)
     else:
-        out = _rational_image(found[0], _element_pairs(u), found[1], span)
+        out = _rational_image(*found, _element_pairs(u))
     return FormExpression.of(OpaqueSeries(out, weight, N))
 
 

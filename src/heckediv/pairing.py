@@ -38,9 +38,12 @@ class PointEvaluator:
 
 @dataclass(frozen=True)
 class PairingResult:
+    """A divisor sum; `error_estimate` is sum |n_z| times the estimated
+    error of F(z) when the evaluator reports one (None otherwise)."""
     value: complex
     exact: bool
     breakdown: tuple = ()
+    error_estimate: float | None = None
 
     def __repr__(self):
         return f"PairingResult({self.value}, exact={self.exact})"
@@ -127,7 +130,9 @@ def r_at_s1(N: int, m: int, f: forms.FormExpression) -> Fraction:
 
 def r_numeric(N: int, m: int, s, f: forms.FormExpression,
               params: EvalParams | None = None) -> PairingResult:
-    """R_{N,m}(s; f) by numeric Niebur evaluation over div(f).
+    """R_{N,m}(s; f) by numeric Niebur evaluation over div(f), with
+    sum |n_z| times each point's `PointValue.error_estimate` as the
+    result's error estimate.
 
     Refuses divisors that touch cusps: the cusp value of F_{N,-m}(., s)
     at general s is context-dependent, so none is invented here."""
@@ -136,12 +141,19 @@ def r_numeric(N: int, m: int, s, f: forms.FormExpression,
     if D.cusp_part:
         raise MissingCuspValue(
             "div(f) meets a cusp; R_{N,m}(s, .) has no cusp convention here")
-    evaluator = PointEvaluator(
-        interior=lambda z: niebur.niebur_value(N, m, z, params).value,
-        cusp_values={},
-        name=f"F_{N},-{m}(s={s})",
-    )
-    return pair(evaluator, D)
+    errors = []
+
+    def interior(z):
+        pv = niebur.niebur_value(N, m, z, params)
+        errors.append(pv.error_estimate)
+        return pv.value
+
+    evaluator = PointEvaluator(interior=interior, cusp_values={},
+                               name=f"F_{N},-{m}(s={s})")
+    res = pair(evaluator, D)
+    # pair evaluates the points in the order of its breakdown
+    error = sum(abs(c) * e for (_, c, _), e in zip(res.breakdown, errors))
+    return replace(res, error_estimate=float(error))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .cyclotomic import Cyclo, _as_rational, coeff_is_zero, coeff_rational
 from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
@@ -42,6 +43,25 @@ def _coeff_inv(x):
     if x == 0:
         raise ZeroDivisionError("coefficient not invertible")
     return _as_rational(Fraction(1, 1) / x)
+
+
+def exact_div(x, y):
+    """x / y for rational x and y, kept an int when it is one."""
+    if type(x) is int and type(y) is int and x % y == 0:
+        return x // y
+    return _as_rational(Fraction(x) / y)
+
+
+def log_derivative_coeffs(c, h, n: int) -> list:
+    """The coefficients l_0, ..., l_{n-1} of Theta(f)/f for
+    f = q^h (c_0 + c_1 q + ...) with rational c_i, c_0 != 0 and c_0, ...,
+    c_{n-1} known: l_0 = h, and l_m solves the recurrence
+    sum_{i=0}^{m} c_i l_{m-i} = (h + m) c_m, one O(n^2) pass."""
+    c0 = c[0]
+    l = [h]
+    for m in range(1, n):
+        l.append(exact_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
+    return l
 
 
 class PuiseuxSeries:

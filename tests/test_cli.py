@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from heckediv import cli, forms as F
+from heckediv import cli, forms as F, pairing as P
 from heckediv.curve import Divisor
+from heckediv.niebur import EvalParams
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -165,3 +166,38 @@ def test_exact_verbs_ignore_digits_environment(capsys, monkeypatch):
     monkeypatch.setenv("HECKEDIV_DIGITS", "35")
     code, out = run_cli(capsys, "bko", "--n", "1", "--form", "E4")
     assert code == 0 and json.loads(out)["digits"] == 35
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (("niebur", "--m", "1", "--s", "0.5", "--tau", "0,1", "--C", "10"), "0.5"),
+    (("niebur", "--m", "1", "--s", "1", "--tau", "0,1"), "1"),
+    (("niebur", "--m", "1", "--s", "inf", "--tau", "0,1"), "inf"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "0,1", "--C", "0"), "0"),
+    (("rohrlich", "--m", "1", "--form", "E4", "--s", "0.99"), "0.99"),
+    (("rohrlich", "--m", "1", "--form", "E4", "--s", "nan"), "nan"),
+    (("rohrlich", "--m", "1", "--form", "E4", "--s", "1.5", "--C", "0"), "0"),
+])
+def test_poincare_parameters_are_usage_errors(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert repr(bad) in capsys.readouterr().err
+
+
+def test_rohrlich_accepts_s_exactly_one(capsys):
+    code, out = run_cli(capsys, "rohrlich", "--m", "2", "--form", "E4", "--s", "1")
+    assert code == 0 and json.loads(out) == {"N": 1, "m": 2, "s": "1", "exact": True,
+                                             "value": "53280"}
+
+
+def test_rohrlich_numeric_prints_what_the_double_sum_carries(capsys):
+    code, out = run_cli(capsys, "rohrlich", "--m", "1", "--form", "E4",
+                        "--s", "1.5", "--C", "40", "--digits", "40")
+    data = json.loads(out)
+    assert code == 0
+    for part in data["value"]:
+        mantissa = part.split("e")[0].lstrip("-").replace(".", "").lstrip("0")
+        assert len(mantissa) <= 17, part
+    res = P.r_numeric(1, 1, 1.5, F.expression_by_name("E4"), EvalParams(truncation=40))
+    assert data["error"] == f"{res.error_estimate:.6g}"
+    assert res.error_estimate > 0

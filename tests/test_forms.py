@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckediv import forms as F
 from heckediv.errors import UnsupportedWeight
-from heckediv.series import PuiseuxSeries as S
+from heckediv.series import PuiseuxSeries as S, log_derivative_coeffs
 
 
 def brute_delta(prec):
@@ -176,3 +177,57 @@ def test_expression_json_round_trip():
     for expr in cases:
         data = json.loads(json.dumps(expr.to_json()))
         assert F.expression_from_json(data) == expr
+
+
+# ---------------------------------------------------------------------------
+# log-derivatives read from the atoms
+# ---------------------------------------------------------------------------
+
+def _eta(level, exps):
+    return F.EtaQuotient(F.EtaQuotientSpec.make(level, exps))
+
+
+# every atom kind with a closed-form log-derivative
+CLOSED_FORM_ATOMS = (
+    [F.Eisenstein(k) for k in (4, 6, 8, 10, 12, 14)]
+    + [F.DeltaShift(m) for m in (1, 2, 3, 5)]
+    + [F.JMinus(Fraction(0)), F.JMinus(Fraction(1728))]
+    + [_eta(3, {1: 6, 3: 6}), _eta(3, {1: 12, 3: -12}), _eta(2, {1: 24, 2: -24}),
+       _eta(2, {1: 8, 2: 8}), _eta(4, {2: 12}), _eta(4, {1: 8, 4: -8}),
+       _eta(5, {1: 4, 5: 4}), _eta(6, {1: 2, 2: 2, 3: 2, 6: 2})])
+
+
+def _expansion_log_derivative(expr, n):
+    """Theta(f)/f from the full product expansion, by the series kernel
+    (theta times the reciprocal), never from the atoms' closed forms."""
+    ld = expr.qexp(n).log_derivative()
+    return [ld.coefficient(i) for i in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors=st.lists(st.tuples(st.sampled_from(CLOSED_FORM_ATOMS),
+                                  st.integers(-2, 3)), min_size=1, max_size=3),
+       n=st.integers(1, 40))
+def test_log_derivative_from_atoms_matches_the_expansion(factors, n):
+    expr = F.FormExpression.of(*factors)
+    l = expr.log_derivative(n)
+    assert l == _expansion_log_derivative(expr, n)
+    s = expr.qexp(n)
+    assert l == log_derivative_coeffs(s.coeffs, s.order, n)
+
+
+@pytest.mark.parametrize("atom", CLOSED_FORM_ATOMS, ids=repr)
+def test_each_atom_log_derivative_matches_the_expansion(atom):
+    assert atom.log_derivative(30) == _expansion_log_derivative(F.FormExpression.of(atom), 30)
+
+
+def test_atoms_without_a_closed_form_have_no_log_derivative():
+    opaque = F.OpaqueSeries(S(1, 0, [2, 1, 3]), 0, 1)
+    for atom in (opaque, F.JMinus(Fraction(744)), _eta(1, {1: 12})):
+        assert atom.log_derivative(5) is None
+        assert F.FormExpression.of(F.Eisenstein(4), atom).log_derivative(5) is None
+    # eta(tau)^12 eta(tau)^12 is Delta, but each factor lives on the grid (1/2)Z
+    assert F.FormExpression.of(_eta(1, {1: 12}), _eta(1, {1: 12})).log_derivative(5) is None
+    shifted = F.FormExpression.of(_eta(2, {1: 24, 2: -24}), shift=-512)
+    assert shifted.log_derivative(5) is None
+    assert F.FormExpression.of().log_derivative(3) == [0, 0, 0]

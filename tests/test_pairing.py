@@ -83,6 +83,15 @@ def test_r_numeric_on_e4():
     assert abs(res.value - want) < 1e-9
 
 
+def test_r_numeric_carries_the_point_error_estimates():
+    # div(E4) = (1/3) rho, so the estimate is a third of the point's
+    params = EvalParams(truncation=40, digits=14, s=1.5)
+    res = P.r_numeric(1, 1, 1.5, E4, params)
+    want = NB.niebur_value(1, 1, OMEGA, params).error_estimate / 3
+    assert res.error_estimate == pytest.approx(want, rel=1e-12)
+    assert P.bko_pairing(1, E4, 20).error_estimate is None
+
+
 def test_r_numeric_eisenstein_m0():
     params = EvalParams(truncation=150, digits=14, s=2.0)
     res = P.r_numeric(1, 0, 2.0, E4, params)

@@ -26,6 +26,8 @@ FORMS = {
     "E6": (F.FormExpression.of(F.Eisenstein(6)), 1),
     "Delta": (F.FormExpression.of(F.DeltaShift(1)), 1),
     "j-1728": (F.FormExpression.of(F.JMinus(Fraction(1728))), 1),
+    "E4^2 E6": (F.FormExpression.of((F.Eisenstein(4), 2), F.Eisenstein(6)), 1),
+    "Delta E4": (F.FormExpression.of(F.DeltaShift(1), F.Eisenstein(4)), 1),
     "(eta1 eta3)^6": (F.FormExpression.of(_eta(3, {1: 6, 3: 6})), 3),
     "t3": (F.FormExpression.of(_eta(3, {1: 12, 3: -12})), 3),
     "j21-512": (F.FormExpression.of((_eta(2, {1: 24, 2: -24}), 1), shift=-512), 2),
@@ -153,6 +155,22 @@ def test_rational_inputs_skip_the_coset_product(monkeypatch):
     O.hecke_multiplicative(e4, 7, 1, prec=16)
     O.hecke_multiplicative(FORMS["j21-512"][0], 2, 2, prec=16)
     O.apply_element(e4, A.t_n(4, 1), "multiplicative", prec=16)
+
+
+def test_closed_form_atoms_skip_the_product_expansion(monkeypatch):
+    # Theta(f)/f comes from the atoms, so no series is multiplied or
+    # inverted on the way to the image
+    def refuse(*args):
+        raise AssertionError("series arithmetic on the atom route")
+
+    monkeypatch.setattr(S, "__mul__", refuse)
+    monkeypatch.setattr(S, "reciprocal", refuse)
+    j = (F.FormExpression.of(F.JMinus(Fraction(0))), 1)
+    names = ("E4", "E6", "Delta", "j-1728", "(eta1 eta3)^6", "t3")
+    for f, N in [FORMS[name] for name in names] + [j]:
+        for n in (2, 3, 5, 7):
+            O.hecke_multiplicative(f, n, N, prec=12)
+        O.apply_element(f, A.t_n(4, N), "multiplicative", prec=12)
 
 
 def test_equivariance_suite_uses_the_coset_route(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckediv import algebra as A, curve as C, forms as F, pairing as P
+from heckediv import algebra as A, curve as C, forms as F, operators as O, pairing as P
 from heckediv.curve import POINT_I
 from heckediv.cyclotomic import Cyclo
 from heckediv.errors import UnsupportedParameter
@@ -80,6 +80,8 @@ checks = [
     lambda: S(2, 1, [1]).lift_grid(3),
     lambda: P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20),
                                        C.point_divisor(1, C.POINT_I), 2),
+    lambda: A.hnf2((0, 1, 1, 0)),
+    lambda: A.left_coset_key((2, 0, 0, 0), 3),
 ]
 for check in checks:
     try:
@@ -88,6 +90,11 @@ for check in checks:
     except Exception as exc:
         print(type(exc).__name__)
 """
+
+
+def test_slash_needs_an_upper_triangular_matrix():
+    with pytest.raises(UnsupportedParameter):
+        O._slash_upper(S(1, 0, [1, 2]), (1, 0, 1, 1), 0, bare=True)
 
 
 def test_checks_survive_python_O():
@@ -99,4 +106,5 @@ def test_checks_survive_python_O():
     assert out.stdout.split() == ["ValueError", "ValueError", "ValueError",
                                   "UnsupportedParameter",
                                   "UnsupportedParameter", "UnsupportedParameter",
-                                  "UnsupportedParameter"]
+                                  "UnsupportedParameter",
+                                  "NotInDeltaN", "NotInDeltaN"]
