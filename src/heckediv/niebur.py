@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from . import forms
 from .curve import HeegnerPoint, reduce_point
 from .errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, \
@@ -48,12 +46,13 @@ class EvalParams:
 
     def __post_init__(self):
         if self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
+            raise UnsupportedParameter(f"truncation={self.truncation}: must be >= 1")
         if self.digits > 15:
             raise UnsupportedParameter(
                 f"digits={self.digits}: the Poincare sum runs in doubles (at most 15 digits)")
         if not self.s > 1:
-            raise ValueError("s must lie in the absolute-convergence region s > 1")
+            raise UnsupportedParameter(
+                f"s={self.s}: must lie in the absolute-convergence region s > 1")
 
 
 @dataclass(frozen=True)
@@ -231,6 +230,7 @@ def evaluate_series(f: PuiseuxSeries, z, digits: int = 50):
     """Evaluate an integral q-expansion at tau = z by Horner in
     q = e^(2 pi i z); the caller chooses a truncation that already bounds
     the tail."""
+    import mpmath
     if f.D != 1:
         raise ValueError("evaluation needs an integral exponent grid")
     with mpmath.workdps(digits + 15):
@@ -258,6 +258,7 @@ def _series_length_for(n: int, v: float, digits: int) -> int:
 def jn_value(n: int, z, digits: int = 50):
     """High-precision value of j_n (the weight-0 Hecke image of j - 720)
     at a CM point or a complex point of the standard fundamental domain."""
+    import mpmath
     if isinstance(z, HeegnerPoint):
         key, _ = reduce_point(z, 1)
         rep = key.representative()

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import mpmath
-
 from . import curve, forms, niebur, operators
 from .curve import CuspClass, Divisor, HeegnerPoint, JFiberPoint
 from .errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
@@ -74,6 +72,7 @@ def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
 
     Summation happens at the ambient mpmath precision; wrap the call in
     mpmath.workdps when the evaluator returns high-precision values."""
+    import mpmath
     breakdown = []
     total = mpmath.mpc(0)
     for key, coeff in D.interior:
@@ -111,6 +110,7 @@ def jn_evaluator(n: int, digits: int = 50) -> PointEvaluator:
 def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingResult:
     """(j_n, f)_BKO: the divisor of f paired against j_n with the
     24 sigma_1(n) cusp normalization (level 1)."""
+    import mpmath
     if f.level != 1:
         raise ValueError("the BKO pairing is a level-1 statement")
     D = curve.divisor_of_form(f, 1)
@@ -121,7 +121,7 @@ def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingRes
 def r_at_s1(N: int, m: int, f: forms.FormExpression) -> Fraction:
     """The exact s = 1 Rohrlich sum: -Coeff_{q^m}(Theta f / f)."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise UnsupportedParameter(f"m={m}: the s = 1 Rohrlich sum needs m >= 1")
     order = operators.expression_order(f)
     prec = m + int(abs(order)) + 10
     ld = f.qexp(prec).log_derivative()
@@ -186,6 +186,7 @@ def verify_equivariance(p: int, m: int, f: forms.FormExpression, N: int = 1,
 def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
     """F|_0 T(n) as a point evaluator: the sum of F over coset images
     (exact matrix action on Heegner points, Moebius action on complex)."""
+    import mpmath
     from math import gcd as _gcd
     from .algebra import left_coset_reps
     reps = left_coset_reps(N, n)
@@ -223,6 +224,7 @@ def verify_prop_divisor_sums(n: int, F: PointEvaluator, D: Divisor, N: int,
                              digits: int = 60) -> EvalReport:
     """Numeric check of D_F(T(n) D) = D_{F|T(n)}(D) on X_0(N), the curve
     D lives on."""
+    import mpmath
     if N != D.N:
         raise UnsupportedParameter(f"divisor lives on X_0({D.N}), not X_0({N})")
     with mpmath.workdps(digits):

@@ -1,7 +1,11 @@
 """The public API: ``heckediv.__all__`` lists exactly the public names that
-``heckediv/__init__.py`` binds, each once, and each resolves."""
+``heckediv/__init__.py`` binds, each once, and each resolves; importing the
+package loads neither of the numeric backends."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import heckediv
@@ -31,3 +35,16 @@ def test_no_duplicate_exports():
 
 def test_exports_match_bound_names():
     assert set(heckediv.__all__) == _bound_public_names()
+
+
+def test_import_leaves_the_numeric_backends_unloaded():
+    # mpmath and numpy are imported inside the numeric functions that use
+    # them, so the exact layers never pay for loading them
+    src = str(Path(heckediv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, heckediv; "
+            "print(sorted(m for m in ('mpmath', 'numpy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

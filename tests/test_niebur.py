@@ -135,9 +135,9 @@ def test_error_estimates_monotone_in_C():
 
 
 def test_eval_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParameter):
         EvalParams(truncation=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedParameter):
         EvalParams(s=1.0)
     # the sum runs in doubles: no digits beyond 15 to be had
     assert EvalParams(digits=15).digits == 15

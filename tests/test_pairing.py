@@ -5,7 +5,7 @@ import pytest
 
 from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import MissingCuspValue
+from heckediv.errors import MissingCuspValue, UnsupportedParameter
 from heckediv.niebur import EvalParams
 
 E4 = F.FormExpression.of(F.Eisenstein(4))
@@ -74,6 +74,11 @@ def test_r_at_s1_values():
     assert P.r_at_s1(1, 1, E4) == -240
     assert P.r_at_s1(1, 2, E4) == 53280
     assert P.r_at_s1(1, 1, DELTA) == 24
+
+
+def test_r_at_s1_refuses_m_below_one():
+    with pytest.raises(UnsupportedParameter):
+        P.r_at_s1(1, 0, E4)
 
 
 def test_r_numeric_on_e4():
