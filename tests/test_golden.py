@@ -17,9 +17,14 @@ from heckediv import cli, forms as F
 
 QEXP_FORMS = ("E4", "Delta", "j", "j_shifted", "jminus:1728", "jminus:0",
               "eta:2:1=24,2=-24")
+# eta quotients of fractional order (grid 24) and of levels 3 and 6, at a
+# precision where the unit part reaches well past its first terms
+ETA_FORMS = ("eta:1:1=1", "eta:1:1=-1", "eta:3:1=12,3=-12", "eta:6:1=2,2=2,3=2,6=2")
 
 CLI_CASES = {
     **{f"qexp {name}": ("qexp", "--form", name, "--prec", "12") for name in QEXP_FORMS},
+    **{f"qexp {name} prec 60": ("qexp", "--form", name, "--prec", "60")
+       for name in ETA_FORMS},
     "hecke-add normalized": ("hecke-add", "--form", "Delta", "--n", "2", "--prec", "10"),
     "hecke-add classical": ("hecke-add", "--form", "Delta", "--n", "2", "--prec", "10",
                             "--normalization", "classical"),
@@ -69,7 +74,11 @@ GOLDEN_CLI = {
     'hecke-mult refusal': 'ee4f606df2ee35f1a0e7143b99ef5048d27875260e1dba76ab8ccfb125e0c17c',
     'qexp Delta': 'eee7600b61741fa992c9ad443803dc54b76a4667ea7963082b8b044b98fe2073',
     'qexp E4': '1becea867d96e8aa0d7e5a3207d58d6bfa90f50ed7533dad8f3d8e41345732db',
+    'qexp eta:1:1=-1 prec 60': '4f5385be802256e8cd9d9210f83eac03a7381ccde65ef69a0ba55e9cbf5d0c1f',
+    'qexp eta:1:1=1 prec 60': 'bf7c45ea2977584d5c8e32fe62eebf383551bdd44cf4605510b64a880264fdf6',
     'qexp eta:2:1=24,2=-24': '0123a0d60a5531058776d041f662a34da9a460927351f4b3ec5dcfa5d1a45615',
+    'qexp eta:3:1=12,3=-12 prec 60': 'bf662b41c7b1f3357c007ddf263fd2c618211aa4670bebf0ca53158ba9d06c90',
+    'qexp eta:6:1=2,2=2,3=2,6=2 prec 60': '79e6f9d5b1c79fdc044402e18697373e53c703d4e26ee81fe255f5833f04b071',
     'qexp j': 'b6ac2f8bbde2f4ca331d11ad2b5f80b86e2f87f2556f9ce07286ef82619155cc',
     'qexp j_shifted': '29bac7702e937a8c6a98772c04b571c7c0261f10779c86b0ea440ac631005447',
     # jminus:<c> prints --prec coefficients like every other name, so
