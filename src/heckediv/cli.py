@@ -113,43 +113,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("qexp", help="q-expansion of a registered form")
     p.add_argument("--form", required=True)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--prec", type=_positive_int, default=20)
 
     p = add_parser("hecke-add", help="additive Hecke image f|_k T(n)")
     p.add_argument("--form", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, default=1)
+    p.add_argument("--prec", type=_positive_int, default=20)
     p.add_argument("--normalization", choices=("normalized", "classical"),
                    default="normalized")
 
     p = add_parser("hecke-mult", help="multiplicative Hecke image f|_* T(n)")
     p.add_argument("--form", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--prec", type=int, default=20)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, default=1)
+    p.add_argument("--prec", type=_positive_int, default=20)
 
     p = add_parser("algebra-mul", help="product in the Hecke algebra R_0(N)")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
 
     p = add_parser("divisor", help="divisor of a form on X_0(level)")
     p.add_argument("--form", required=True)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=_positive_int, default=1)
 
     p = add_parser("hecke-div", help="T(n) applied to div(form)")
     p.add_argument("--form", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--level", type=_positive_int, default=1)
 
     p = add_parser("bko", help="(j_n, f)_BKO pairing, level 1")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--form", required=True)
     p.add_argument("--digits", type=_positive_int, default=None)
 
     p = add_parser("rohrlich", help="R_{N,m}(s; f): exact at s=1, numeric for s>1")
-    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--N", type=_positive_int, default=1)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=lambda text: _spectral_s(text, exact_one=True),
                    default=1.0)
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_positive_int, default=None)
 
     p = add_parser("niebur", help="Niebur-Poincare series value F_{N,-m}(tau, s)")
-    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--N", type=_positive_int, default=1)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=_spectral_s, required=True)
     p.add_argument("--tau", required=True, help="complex point 're,im'")

@@ -8,15 +8,23 @@ stated for), the weight-0 Hecke images j_n (computed by the additive
 operator's coefficient formula at k = 0), eta quotients, and the
 genus-zero Hauptmoduln eta(tau)^a/eta(N tau)^a.
 
+Eta quotients are built from their log-derivatives: Theta(eta)/eta =
+E2/24, so the unit part of prod eta(m tau)^r has Theta(u)/u =
+sum (r m/24) E2(m tau), and the exp recurrence of the series kernel
+(``series.exp_coeffs``, the inverse of the log recurrence
+``series.log_derivative_coeffs``) expands it in integers.  One divisor-sum
+sieve, :func:`sigma_table`, gives the sigma_1 of E2 and the
+sigma_{k-1} of E_k.
+
 :func:`expression_by_name` parses the form names of the CLI into
 :class:`FormExpression` values; ``expression_by_name(name).qexp(prec)`` is
 the expansion with `prec` coefficients from the leading term.
 
 ``FormExpression.log_derivative(n)`` is Theta(f)/f read from the atoms,
 without the product expansion: it is additive over a product, Delta(m tau)
-and eta quotients contribute multiples of E2(m tau), E_k its recurrence on
-the O(n) expansion, and j, j - 1728 combine the two.  Atoms without such
-a closed form return None.
+and eta quotients contribute multiples of E2(m tau), E_k the log
+recurrence on its O(n) expansion, and j, j - 1728 combine the two.  Atoms
+without such a closed form return None.
 
 Expansion caches are process-wide and only ever append (pure constructors
 behind lru_cache), so concurrent readers are safe.
@@ -29,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import UnsupportedWeight
-from .series import PuiseuxSeries, exact_div, log_derivative_coeffs
+from .errors import PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
+from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -50,18 +58,19 @@ def bernoulli(k: int) -> Fraction:
     return bs[k]
 
 
+def sigma_table(k: int, n: int) -> list:
+    """[sigma_k(0), ..., sigma_k(n - 1)] with sigma_k(0) = 0, by a divisor
+    sieve: each d adds d^k to its multiples, O(n log n) additions."""
+    out = [0] * n
+    for d in range(1, n):
+        dk = d ** k
+        out[d::d] = [x + dk for x in out[d::d]]
+    return out
+
+
 def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n) for n >= 1."""
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-        d += 1
-    return total
+    return sigma_table(k, n + 1)[n]
 
 
 def psl2_index(N: int) -> int:
@@ -91,9 +100,9 @@ def eisenstein(k: int, prec: int) -> PuiseuxSeries:
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 != 0 or k < 4:
         raise UnsupportedWeight(f"Eisenstein weight must be even and >= 4, got {k}")
-    c = -Fraction(2 * k) / bernoulli(k)
-    coeffs = [Fraction(1)] + [c * sigma(k - 1, n) for n in range(1, prec)]
-    return PuiseuxSeries(1, 0, coeffs)
+    # an int factor (k = 4, 6, 8, 10, 14) keeps every coefficient an int
+    c = exact_div(-2 * k, bernoulli(k))
+    return PuiseuxSeries(1, 0, [1] + [c * x for x in sigma_table(k - 1, prec)[1:]])
 
 
 @lru_cache(maxsize=64)
@@ -138,7 +147,7 @@ def jn(n: int, prec: int) -> PuiseuxSeries:
     """j_n = (j - 720)|T(n) at weight 0: q^-n + 24 sigma_1(n) + O(q)."""
     from .operators import hecke_additive_formula
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UnsupportedParameter(f"j_n needs n >= 1, got {n}")
     base = j_shifted(n * (prec + n) + 1)
     return hecke_additive_formula(base, 0, n).truncate(prec - n)
 
@@ -171,22 +180,29 @@ def _eta_log_derivative(exponents, n: int) -> list:
     to n coefficients from q^0: sum (r m/24) E2(m tau), with
     E2 = 1 - 24 sum_k sigma_1(k) q^k.  The constant term is the order."""
     out = [exact_div(sum(m * r for m, r in exponents), 24)] + [0] * (n - 1)
+    s1 = sigma_table(1, n)
     for m, r in exponents:
-        for k in range(1, (n - 1) // m + 1):
-            out[m * k] -= r * m * sigma(1, k)
+        out[m::m] = [x - r * m * s for x, s in zip(out[m::m], s1[1:])]
     return out
 
 
 def eta_quotient_qexp(spec: EtaQuotientSpec, prec: int) -> PuiseuxSeries:
-    """Exact expansion of prod eta(m tau)^{r_m} with eta(m tau) =
-    q^{m/24} prod (1 - q^{mn})."""
-    lead = sum(Fraction(m * r, 24) for m, r in spec.exponents)
-    # each factor is a unit times q^(m r/24); precision prec from the lead term
-    out = PuiseuxSeries.q_power(lead, prec)
-    for m, r in spec.exponents:
-        unit = euler_product(prec).rescale_exponents(m).truncate(prec)
-        out = out * unit ** r
-    return out
+    """Exact expansion of prod eta(m tau)^{r_m}, `prec` coefficients from
+    the leading term q^h, h = sum m r/24, on the grid (1/D) Z of h.
+
+    Since Theta(eta)/eta = E2/24, the unit f/q^h has log-derivative
+    sum (r m/24) E2(m tau); the exp recurrence rebuilds the unit from it
+    on grid 1, in integers, and the unit is then spread onto grid D."""
+    if prec < 1:
+        raise PrecisionExhausted("an eta quotient needs at least one coefficient")
+    if any(m < 1 for m, _ in spec.exponents):
+        raise UnsupportedParameter("eta arguments m must be positive")
+    lead = Fraction(sum(m * r for m, r in spec.exponents), 24)
+    D = lead.denominator
+    n = -(-prec // D)
+    coeffs = [0] * prec
+    coeffs[::D] = exp_coeffs(1, _eta_log_derivative(spec.exponents, n), n)
+    return PuiseuxSeries(D, lead.numerator, coeffs)
 
 
 def ligozat_order(spec: EtaQuotientSpec, N: int, c: int) -> Fraction:

@@ -299,7 +299,7 @@ def harmonic_slice(N: int, m: int, prec: int = 40) -> PuiseuxSeries:
     if N not in GENUS_ZERO_LEVELS:
         raise NonGenusZeroLevel(f"level {N} has no Hauptmodul slice here")
     if m < 1:
-        raise ValueError("m must be positive")
+        raise UnsupportedParameter(f"a harmonic slice needs m >= 1, got {m}")
     t = forms.hauptmodul_qexp(N, prec + m + 2)
     f = t ** m
     for e in range(m - 1, 0, -1):

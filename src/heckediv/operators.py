@@ -25,14 +25,14 @@ routes compute it as well:
   b, the log-derivatives of the translates form a character sum: with
   l = Theta(f)/f, the image g = f|*T(n) has
   Theta(g)/g = sum_{ad=n, (a,N)=1} a sum_k l_{dk} q^(ak),
-  and g is rebuilt from its leading term by the recurrence
-  m u_m = sum_{i>=1} H_i u_{m-i} on that series H.  l is read from the
-  atoms of f (``FormExpression.log_derivative``: multiples of E2(m tau)
-  for Delta(m tau) and eta quotients, a recurrence on the expansion of
-  E_k, and the two combined for j and j - 1728), so no product
-  expansion is built.  Shifted expressions, opaque series, other j - c
-  and atoms of non-integral order fall back to the log-derivative
-  recurrence on the expansion of f;
+  and g is rebuilt from its leading term by the exp recurrence
+  m u_m = sum_{i>=1} H_i u_{m-i} on that series H (``series.exp_coeffs``).
+  l is read from the atoms of f (``FormExpression.log_derivative``:
+  multiples of E2(m tau) for Delta(m tau) and eta quotients, the log
+  recurrence on the expansion of E_k, and the two combined for j and
+  j - 1728), so no product expansion is built.  Shifted expressions,
+  opaque series, other j - c and atoms of non-integral order fall back to
+  the log recurrence on the expansion of f;
 * ``hecke_multiplicative_cosets`` multiplies the twisted translates over
   Q(zeta_d), with windows trimmed to the requested output precision, and
   certifies the product integral and rational.  It is the verification
@@ -48,14 +48,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
 
 from .algebra import AlgebraElement, _is_prime, double_coset_reps, left_coset_reps
 from .cyclotomic import Cyclo, _as_rational
 from .errors import (NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
-from .series import PuiseuxSeries, exact_div, log_derivative_coeffs
+from .series import PuiseuxSeries, exp_coeffs, log_derivative_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +221,7 @@ def _rational_image(c0, h: int, l: list, prec: int, pairs) -> PuiseuxSeries:
         for M in range(a, prec, a):
             H[M] += e * a * l[d * (M // a)]
         lead *= (Fraction(c0) ** d * (-1 if h * (d - 1) % 2 else 1)) ** e
-    u = [_as_rational(lead)]
-    for m in range(1, prec):
-        u.append(exact_div(sum(map(mul, H[1:m + 1], reversed(u))), m))
+    u = exp_coeffs(_as_rational(lead), H, prec)
     return PuiseuxSeries(1, h * sum(e * a for (a, _), e in pairs), u)
 
 

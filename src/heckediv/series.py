@@ -23,6 +23,12 @@ bigint product of the two windows, each cleared to one denominator and
 packed into one ``int``.  A ``Cyclo`` operand, or a narrower window, takes
 the schoolbook loop.  Both give the same values and coefficient types.
 
+Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
+without a series division: :func:`log_derivative_coeffs` (the log
+recurrence, f to Theta(f)/f) and :func:`exp_coeffs` (the exp recurrence,
+Theta(f)/f back to f).  The form constructors build eta quotients with
+the second, and the rational multiplicative Hecke route runs both.
+
 All values are immutable; operations are pure functions, so series may be
 shared freely between threads.
 """
@@ -68,6 +74,19 @@ def log_derivative_coeffs(c, h, n: int) -> list:
     for m in range(1, n):
         l.append(exact_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
     return l
+
+
+def exp_coeffs(c0, l, n: int) -> list:
+    """The inverse of :func:`log_derivative_coeffs`: the coefficients
+    c_0, ..., c_{n-1} of the unit u = c_0 + c_1 q + ... with
+    Theta(q^h u)/(q^h u) = l, for rational c_0 != 0 and l_1, ..., l_{n-1}
+    known.  l_0 (the order h) is not read: c_m solves the exp recurrence
+    m c_m = sum_{i=1}^{m} l_i c_{m-i}, one O(n^2) pass (Knuth, TAOCP
+    vol. 2, 4.7).  Integral values come out as int."""
+    c = [c0]
+    for m in range(1, n):
+        c.append(exact_div(sum(map(mul, l[1:m + 1], reversed(c))), m))
+    return c
 
 
 # Below this width the packing costs more than the schoolbook loop saves on

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from . import algebra, curve, forms, niebur, operators, pairing
 from .curve import HeegnerPoint, POINT_I
 from .niebur import EvalParams
@@ -32,6 +30,7 @@ def _series_report(name, lhs, rhs, through) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 def suite_bko() -> list[EvalReport]:
+    import mpmath
     out = []
     e4 = forms.FormExpression.of(forms.Eisenstein(4))
 
@@ -158,6 +157,7 @@ def suite_equivariance() -> list[EvalReport]:
 # ---------------------------------------------------------------------------
 
 def suite_divisor_hecke() -> list[EvalReport]:
+    import mpmath
     out = []
 
     # Example: T(2)([i] - [inf]) at N = 1, exact canonical keys
@@ -227,6 +227,7 @@ def suite_divisor_hecke() -> list[EvalReport]:
 def _match_roots_to_points(roots, divisor, digits, tol):
     """Pair each rational root of the j-polynomial with an interior point of
     the divisor by evaluating j numerically; cusp parts are ignored."""
+    import mpmath
     with mpmath.workdps(digits + 10):
         interior = list(divisor.interior)
         assignments = []

@@ -1,6 +1,6 @@
 """The public API: ``heckediv.__all__`` lists exactly the public names that
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
-package loads neither of the numeric backends."""
+package or its CLI loads neither of the numeric backends."""
 
 import ast
 import os
@@ -39,11 +39,12 @@ def test_exports_match_bound_names():
 
 def test_import_leaves_the_numeric_backends_unloaded():
     # mpmath and numpy are imported inside the numeric functions that use
-    # them, so the exact layers never pay for loading them
+    # them, so the exact layers and the exact CLI verbs never pay for
+    # loading them
     src = str(Path(heckediv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, heckediv; "
+    code = ("import sys, heckediv, heckediv.cli; "
             "print(sorted(m for m in ('mpmath', 'numpy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)

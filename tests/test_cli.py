@@ -201,3 +201,30 @@ def test_rohrlich_numeric_prints_what_the_double_sum_carries(capsys):
     res = P.r_numeric(1, 1, 1.5, F.expression_by_name("E4"), EvalParams(truncation=40))
     assert data["error"] == f"{res.error_estimate:.6g}"
     assert res.error_estimate > 0
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (("bko", "--n", "0", "--form", "E4"), "0"),
+    (("hecke-add", "--form", "Delta", "--n", "0"), "0"),
+    (("hecke-add", "--form", "Delta", "--n", "-2"), "-2"),
+    (("hecke-add", "--form", "E4", "--n", "3", "--level", "0"), "0"),
+    (("hecke-add", "--form", "E4", "--n", "2", "--prec", "-1"), "-1"),
+    (("hecke-mult", "--form", "E4", "--n", "0"), "0"),
+    (("hecke-mult", "--form", "E4", "--n", "2", "--level", "-2"), "-2"),
+    (("hecke-mult", "--form", "E4", "--n", "2", "--prec", "0"), "0"),
+    (("divisor", "--form", "E4", "--level", "0"), "0"),
+    (("divisor", "--form", "E4", "--level", "-5"), "-5"),
+    (("hecke-div", "--form", "E4", "--n", "0"), "0"),
+    (("hecke-div", "--form", "E4", "--n", "2", "--level", "0"), "0"),
+    (("algebra-mul", "--N", "0", "--u", "T2", "--v", "T2"), "0"),
+    (("qexp", "--form", "E4", "--prec", "0"), "0"),
+    (("qexp", "--form", "Delta", "--prec", "0"), "0"),
+    (("qexp", "--form", "E4", "--prec", "x"), "x"),
+    (("rohrlich", "--N", "0", "--m", "1", "--form", "E4"), "0"),
+    (("niebur", "--N", "0", "--m", "1", "--s", "1.5", "--tau", "0,1"), "0"),
+])
+def test_integer_parameters_are_usage_errors(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert f"not a positive integer: {bad!r}" in capsys.readouterr().err

@@ -38,6 +38,27 @@ def test_eisenstein_sigma_oracle():
     assert F.eisenstein(12, 2).coefficient(1) == Fraction(65520, 691)
 
 
+def test_sigma_sieve_against_trial_division():
+    for k in (0, 1, 3, 11):
+        brute = [0] + [sum(d ** k for d in range(1, n + 1) if n % d == 0)
+                       for n in range(1, 80)]
+        assert F.sigma_table(k, 80) == brute
+        assert [F.sigma(k, n) for n in range(1, 80)] == brute[1:]
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14, 16])
+def test_eisenstein_coefficient_types(k):
+    # int wherever the value is integral: every coefficient when 2k/B_k is
+    # an integer (k = 4, 6, 8, 10, 14), otherwise each Fraction is proper
+    e = F.eisenstein(k, 60)
+    lead = -Fraction(2 * k) / F.bernoulli(k)
+    for n, c in enumerate(e.coeffs[1:], 1):
+        want = lead * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        assert c == want
+        assert type(c) is (int if want.denominator == 1 else Fraction)
+    assert (lead.denominator == 1) == (k in (4, 6, 8, 10, 14))
+
+
 def test_eisenstein_rejects_bad_weights():
     with pytest.raises(UnsupportedWeight):
         F.eisenstein(5, 4)
@@ -83,8 +104,10 @@ def test_eta_quotient_hauptmodul_level2():
 
 
 def test_eta_quotient_single_factor_is_delta():
+    # two routes: the exp recurrence against the pentagonal product squared
     spec = F.EtaQuotientSpec.make(1, {1: 24})
     assert F.eta_quotient_qexp(spec, 10) == F.delta(10)
+    assert F.eta_quotient_qexp(spec, 200) == F.delta(200)
 
 
 def test_eta_quotient_rescaled_delta():

@@ -1,11 +1,15 @@
-"""The series product against an independent dict-based reference.
+"""The series kernels against independent references.
 
-The reference stores a window as {exponent: coefficient} with exact
-``Fraction`` exponents, multiplies term by term, keeps the exponents below
-the product's knowledge bound min(cutoff_a + v_b, cutoff_b + v_a), and
-normalises by hand: strip leading zeros, move to the coarsest grid that
-holds every nonzero exponent, and store integral values as ``int``.  It
-shares no code with ``PuiseuxSeries.__mul__`` or its Kronecker product.
+The product reference stores a window as {exponent: coefficient} with
+exact ``Fraction`` exponents, multiplies term by term, keeps the exponents
+below the product's knowledge bound min(cutoff_a + v_b, cutoff_b + v_a),
+and normalises by hand: strip leading zeros, move to the coarsest grid
+that holds every nonzero exponent, and store integral values as ``int``.
+It shares no code with ``PuiseuxSeries.__mul__`` or its Kronecker product.
+
+The exp recurrence is checked as the inverse of the log recurrence, and
+the eta quotients it builds against the product prod (1 - q^(m n))^r
+expanded factor by factor with binomial series in a dict.
 """
 
 import math
@@ -14,10 +18,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckediv import series
+from heckediv import forms, series
 from heckediv.cyclotomic import Cyclo
-from heckediv.forms import eisenstein
+from heckediv.forms import EtaQuotientSpec, eisenstein, eta_quotient_qexp
 from heckediv.series import KRONECKER_MIN_WIDTH, PuiseuxSeries as S
+from heckediv.series import exp_coeffs, log_derivative_coeffs
 
 
 def _terms(s):
@@ -152,3 +157,116 @@ def test_a_cyclo_operand_keeps_the_schoolbook_product(monkeypatch):
     # a Cyclo term holds a Cyclo, the others stay int
     assert all(isinstance(c, Cyclo) for c in got.coeffs)
     assert got.coeffs[0] == z and got.coeffs[1] == z * 240 + 1
+
+
+# -- the exp recurrence ------------------------------------------------------
+
+def _normal(x):
+    return int(x) if Fraction(x).denominator == 1 else Fraction(x)
+
+
+@st.composite
+def units(draw):
+    """[1, c_1, ..., c_{n-1}]: an int window or one of mixed denominators."""
+    num = st.integers(-2 ** 40, 2 ** 40)
+    if draw(st.booleans()):
+        coeff = num
+    else:
+        coeff = st.builds(Fraction, num, st.sampled_from(DENOMINATORS)).map(_normal)
+    return [1] + draw(st.lists(coeff, max_size=79))
+
+
+@settings(max_examples=120, deadline=None)
+@given(units(), st.sampled_from((0, 3, -7, Fraction(5, 24), Fraction(-1, 2))))
+def test_exp_inverts_the_log_recurrence(c, h):
+    n = len(c)
+    l = log_derivative_coeffs(c, h, n)
+    back = exp_coeffs(1, l, n)
+    assert back == c
+    assert _types(back) == _types(c)
+
+
+def test_exp_ignores_the_order_term():
+    # -24 sigma_1: the unit prod (1 - q^n)^24 of Delta
+    l = [0, -24, -72, -96]
+    want = [1, -24, 252, -1472]
+    assert exp_coeffs(1, l, 4) == exp_coeffs(1, [Fraction(1, 3)] + l[1:], 4) == want
+    assert exp_coeffs(5, l, 1) == [5]
+
+
+# -- eta quotients -----------------------------------------------------------
+
+def _binomial_series(r, a, bound):
+    """{e: c} of (1 - q^a)^r for exponents e < bound."""
+    out = {}
+    for j in range(0, -(-bound // a)):
+        c = (-1) ** j * math.comb(r, j) if r >= 0 else math.comb(-r + j - 1, j)
+        if c:
+            out[a * j] = c
+    return out
+
+
+def _reference_eta(exponents, prec):
+    """(D, order, coeffs) of prod eta(m tau)^r with prec grid coefficients."""
+    lead = Fraction(sum(m * r for m, r in exponents.items()), 24)
+    D = lead.denominator
+    bound = -(-prec // D)  # unit exponents e with e D < prec
+    unit = {0: 1}
+    for m, r in exponents.items():
+        for k in range(1, bound):
+            if m * k >= bound:
+                break
+            factor = _binomial_series(r, m * k, bound)
+            prod = {}
+            for e1, x in unit.items():
+                for e2, y in factor.items():
+                    if e1 + e2 < bound:
+                        prod[e1 + e2] = prod.get(e1 + e2, 0) + x * y
+            unit = prod
+    coeffs = [0] * prec
+    for e, c in unit.items():
+        coeffs[e * D] = c
+    return D, lead.numerator, tuple(coeffs)
+
+
+@st.composite
+def eta_specs(draw):
+    level = draw(st.integers(1, 12))
+    divisors = [m for m in range(1, level + 1) if level % m == 0]
+    exps = {m: draw(st.integers(-24, 24)) for m in divisors}
+    if draw(st.booleans()):
+        # shift r_1 by the residue that makes the order sum m r / 24 integral
+        shift = -sum(m * r for m, r in exps.items()) % 24
+        exps[1] += shift if exps[1] + shift <= 24 else shift - 24
+    return level, {m: r for m, r in exps.items() if r}
+
+
+@settings(max_examples=120, deadline=None)
+@given(eta_specs(), st.integers(1, 60))
+def test_eta_quotient_matches_the_product_reference(spec, prec):
+    level, exps = spec
+    got = eta_quotient_qexp(EtaQuotientSpec.make(level, exps), prec)
+    want = _reference_eta(exps, prec)
+    assert _fields(got) == want
+    assert _types(got.coeffs) == _types(want[2]) == [int] * prec
+
+
+@pytest.mark.parametrize("level,exps", [
+    (1, {1: 1}), (1, {1: -1}), (2, {1: 24, 2: -24}), (3, {1: 12, 3: -12}),
+    (6, {1: 2, 2: 2, 3: 2, 6: 2}), (12, {1: -24, 12: 24}), (4, {}),
+])
+def test_named_eta_quotients_match_the_product_reference(level, exps):
+    for prec in (1, 2, 23, 24, 25, 60):
+        got = eta_quotient_qexp(EtaQuotientSpec.make(level, exps), prec)
+        assert _fields(got) == _reference_eta(exps, prec)
+
+
+def test_eta_quotients_take_no_series_product_or_reciprocal(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("eta quotients are built by the exp recurrence")
+
+    for name in ("__mul__", "__pow__", "reciprocal", "rescale_exponents"):
+        monkeypatch.setattr(S, name, refuse)
+    monkeypatch.setattr(forms, "euler_product", refuse)
+    eta_quotient_qexp(EtaQuotientSpec.make(6, {1: 5, 2: -3, 6: 7}), 50)
+    forms.hauptmodul_qexp(2, 40)

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from heckediv import algebra as A, curve as C, forms as F, operators as O, pairing as P
+from heckediv import algebra as A, curve as C, forms as F, niebur as NB, operators as O, \
+    pairing as P
 from heckediv.curve import POINT_I
 from heckediv.cyclotomic import Cyclo
-from heckediv.errors import UnsupportedParameter
+from heckediv.errors import PrecisionExhausted, UnsupportedParameter
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -63,6 +64,28 @@ def test_divisor_sums_check_the_level():
     D = C.point_divisor(1, POINT_I)
     with pytest.raises(UnsupportedParameter):
         P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20), D, 2)
+
+
+def test_jn_and_harmonic_slices_need_a_positive_index():
+    for bad in (0, -1):
+        with pytest.raises(UnsupportedParameter):
+            F.jn(bad, 10)
+        with pytest.raises(UnsupportedParameter):
+            NB.harmonic_slice(2, bad, 10)
+
+
+@pytest.mark.parametrize("exps", [{1: 1}, {1: -1}, {1: 24, 2: -24}, {1: -24, 2: 24}])
+@pytest.mark.parametrize("prec", [0, -1, -30])
+def test_eta_quotients_refuse_an_empty_window(exps, prec):
+    # refused for either sign of r, as the rational Hecke route refuses it
+    with pytest.raises(PrecisionExhausted):
+        F.eta_quotient_qexp(F.EtaQuotientSpec.make(2, exps), prec)
+
+
+def test_eta_quotients_refuse_a_nonpositive_argument():
+    # m = -1 divides every level, so the parser accepts eta:2:-1=24
+    with pytest.raises(UnsupportedParameter):
+        F.expression_by_name("eta:2:-1=24").qexp(5)
 
 
 _UNDER_O = """
