@@ -140,12 +140,16 @@ def left_coset_reps(N: int, n: int) -> list[Mat]:
     (count sigma_1(n)); for a prime p | N only the p matrices (1 j; 0 p)
     survive the (a, N) = 1 condition.
     """
+    check_hecke_parameter(n, N)
+    return _upper_reps(N, n)
+
+
+def check_hecke_parameter(n: int, N: int, name: str = "T") -> None:
+    """Refuse n < 1, and a composite n sharing a factor with the level."""
     if n < 1:
         raise UnsupportedParameter("Hecke parameter must be positive")
     if gcd(n, N) > 1 and not _is_prime(n):
-        raise UnsupportedParameter(
-            f"composite parameter {n} shares a factor with the level {N}")
-    return _upper_reps(N, n)
+        raise UnsupportedParameter(f"{name}({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
 
 
 def _is_prime(n: int) -> bool:

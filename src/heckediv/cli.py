@@ -5,7 +5,7 @@ rohrlich, niebur, verify.  Exact verbs emit rationals as "num/den" strings
 and never print floating point; numeric verbs embed their evaluation
 parameters in the output so runs are reproducible.  Exit codes: 0 success
 (all checks pass for `verify`), 1 computation error or failed check,
-2 usage error.
+2 usage error (a malformed flag value, such as an unknown `--form` name).
 
 The HECKEDIV_DIGITS environment variable sets the default working
 precision (decimal digits) of the `bko` and `rohrlich` verbs; like
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import algebra, curve, forms, niebur, operators, pairing, verify
 from .errors import HeckeDivError
@@ -171,26 +170,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple[object, int]:
+    expr = getattr(args, "expr", None)
     if args.verb == "qexp":
-        return forms.expression_by_name(args.form).qexp(args.prec).to_json(), 0
+        return expr.qexp(args.prec).to_json(), 0
 
     if args.verb == "hecke-add":
-        expr = forms.expression_by_name(args.form)
+        expr.check_level(args.level)
         k = expr.weight
         series = expr.qexp(max(args.prec * args.n + 8, 16))
-        if args.level == 1:
-            img = operators.hecke_additive_formula(series, k, args.n,
-                                                   normalization=args.normalization)
-        else:
-            img = operators.hecke_additive_cosets(series, k, args.n, args.level)
-            if args.normalization == "classical":
-                img = img * Fraction(args.n) ** (k // 2 - 1)
-        if img.precision > args.prec:
-            img = img.truncate(Fraction(img.order + args.prec, img.D))
-        return img.to_json(), 0
+        img = operators.hecke_additive_formula(series, k, args.n, args.normalization,
+                                               args.level)
+        # the formula's images live on grid 1
+        return img.truncate(img.order + args.prec).to_json(), 0
 
     if args.verb == "hecke-mult":
-        expr = forms.expression_by_name(args.form)
         img = operators.hecke_multiplicative(expr, args.n, args.level,
                                              prec=args.prec)
         atom = img.atoms[0][0]
@@ -205,16 +198,13 @@ def _run(args) -> tuple[object, int]:
         return algebra.algebra_multiply(u, v).to_json(), 0
 
     if args.verb == "divisor":
-        expr = forms.expression_by_name(args.form)
         return curve.divisor_of_form(expr, args.level).to_json(), 0
 
     if args.verb == "hecke-div":
-        expr = forms.expression_by_name(args.form)
         D = curve.divisor_of_form(expr, args.level)
         return curve.hecke_divisor(args.n, D).to_json(), 0
 
     if args.verb == "bko":
-        expr = forms.expression_by_name(args.form)
         res = pairing.bko_pairing(args.n, expr, digits=args.digits)
         exact = pairing.r_at_s1(1, args.n, expr)
         return {"n": args.n, "form": args.form,
@@ -222,7 +212,6 @@ def _run(args) -> tuple[object, int]:
                 "exact_s1": str(exact), "digits": args.digits}, 0
 
     if args.verb == "rohrlich":
-        expr = forms.expression_by_name(args.form)
         if args.s == 1.0:
             val = pairing.r_at_s1(args.N, args.m, expr)
             return {"N": args.N, "m": args.m, "s": "1", "exact": True,
@@ -262,6 +251,11 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             parser.error(f"HECKEDIV_DIGITS: {exc}")
     try:
+        if hasattr(args, "form"):
+            try:
+                args.expr = forms.expression_by_name(args.form)
+            except ValueError as exc:
+                parser.error(f"argument --form: invalid form name {args.form!r}: {exc}")
         payload, code = _run(args)
     except HeckeDivError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)

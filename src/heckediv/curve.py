@@ -554,9 +554,7 @@ def _eta_divisor(spec: forms.EtaQuotientSpec, N: int) -> Divisor:
 def divisor_of_form(expr: forms.FormExpression, N: int) -> Divisor:
     """Exact divisor on X_0(N) of an expression with atomwise known data;
     degree k mu(N) / 12."""
-    if N % expr.level != 0:
-        raise UnsupportedParameter(
-            f"expression of level {expr.level} does not live on X_0({N})")
+    expr.check_level(N)
     if expr.shift:
         return _shifted_divisor(expr, N)
     total = Divisor.make(N, {}, {})

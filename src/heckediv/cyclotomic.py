@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import InvariantViolation, UnsupportedParameter
+
 
 def euler_phi(n: int) -> int:
     result = n
@@ -39,13 +41,15 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InvariantViolation(f"division by {den} is not exact over Z")
         q = c // den[-1]
         out[k] = q
         if q:
             for i, d in enumerate(den):
                 num[k + i] -= q * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InvariantViolation(f"division by {den} leaves the remainder {num}")
     return out
 
 
@@ -134,7 +138,8 @@ class Cyclo:
         """Re-express self in Q(zeta_order); requires self.order | order."""
         if order == self.order:
             return self
-        assert order % self.order == 0
+        if order % self.order:
+            raise UnsupportedParameter(f"Q(zeta_{self.order}) is not in Q(zeta_{order})")
         step = order // self.order
         table = _zeta_power_table(order)
         phi = euler_phi(order)
@@ -231,7 +236,8 @@ class Cyclo:
     def galois(self, k: int):
         """Image under the automorphism zeta -> zeta**k (gcd(k, order) = 1)."""
         n = self.order
-        assert gcd(k, n) == 1
+        if gcd(k, n) != 1:
+            raise UnsupportedParameter(f"zeta -> zeta^{k} is no automorphism of Q(zeta_{n})")
         table = _zeta_power_table(n)
         phi = len(self.coords)
         acc = [0] * phi

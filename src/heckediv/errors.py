@@ -23,7 +23,8 @@ class NotIntegralSeries(HeckeDivError):
 
 
 class UnsupportedWeight(HeckeDivError):
-    """Eisenstein weight outside the supported range (even, >= 4)."""
+    """A weight outside the supported range: an Eisenstein weight that is
+    odd or below 4, or a non-integral total weight."""
 
 
 class UnsupportedWeightParity(HeckeDivError):

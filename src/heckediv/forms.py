@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
 from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs
@@ -162,11 +162,15 @@ class EtaQuotientSpec:
     level: int
     exponents: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        for m, _ in self.exponents:
+            if m < 1:
+                raise UnsupportedParameter(f"eta argument {m} is not positive")
+            if self.level % m:
+                raise ValueError(f"eta argument {m} does not divide level {self.level}")
+
     @staticmethod
     def make(level: int, exponents: dict[int, int]) -> "EtaQuotientSpec":
-        for m in exponents:
-            if level % m != 0:
-                raise ValueError(f"eta argument {m} does not divide level {level}")
         items = tuple(sorted((m, r) for m, r in exponents.items() if r != 0))
         return EtaQuotientSpec(level, items)
 
@@ -195,8 +199,6 @@ def eta_quotient_qexp(spec: EtaQuotientSpec, prec: int) -> PuiseuxSeries:
     on grid 1, in integers, and the unit is then spread onto grid D."""
     if prec < 1:
         raise PrecisionExhausted("an eta quotient needs at least one coefficient")
-    if any(m < 1 for m, _ in spec.exponents):
-        raise UnsupportedParameter("eta arguments m must be positive")
     lead = Fraction(sum(m * r for m, r in spec.exponents), 24)
     D = lead.denominator
     n = -(-prec // D)
@@ -318,9 +320,9 @@ class EtaQuotient:
     def log_derivative(self, n: int) -> list | None:
         """sum (r m/24) E2(m tau) over the factors eta(m tau)^r, to n
         coefficients from q^0.  None when the order is not an integer (the
-        expansion lives on a finer grid) or some m < 1."""
+        expansion lives on a finer grid)."""
         exps = self.spec.exponents
-        if sum(m * r for m, r in exps) % 24 or any(m < 1 for m, _ in exps):
+        if sum(m * r for m, r in exps) % 24:
             return None
         return _eta_log_derivative(exps, n)
 
@@ -341,10 +343,6 @@ class OpaqueSeries:
 
 
 Atom = Eisenstein | DeltaShift | JMinus | EtaQuotient | OpaqueSeries
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -374,21 +372,26 @@ class FormExpression:
         w = sum(a.weight * e for a, e in self.atoms)
         if isinstance(w, Fraction):
             if w.denominator != 1:
-                raise ValueError("non-integral total weight")
+                raise UnsupportedWeight(f"non-integral total weight {w}")
             w = int(w)
         return w
 
     @property
     def level(self) -> int:
-        lev = 1
-        for a, _ in self.atoms:
-            lev = _lcm(lev, a.level)
-        return lev
+        return lcm(1, *[a.level for a, _ in self.atoms])
+
+    def check_level(self, N: int) -> None:
+        """Refuse a level N that the expression does not live at."""
+        if N % self.level != 0:
+            raise UnsupportedParameter(
+                f"expression of level {self.level} does not live on X_0({N})")
 
     def qexp(self, prec: int) -> PuiseuxSeries:
-        out = PuiseuxSeries.one(prec)
-        for a, e in self.atoms:
-            out = out * a.qexp(prec) ** e
+        factors = [a.qexp(prec) ** e for a, e in self.atoms] or [PuiseuxSeries.one(prec)]
+        # the window a product with PuiseuxSeries.one(prec) would keep
+        out = factors[0].truncate(Fraction(factors[0].order, factors[0].D) + max(prec, 1))
+        for s in factors[1:]:
+            out = out * s
         if self.shift:
             out = out + self.shift
         return out

@@ -1,132 +1,158 @@
 """Hecke operators on q-expansions: the additive weight-k representation
 and the multiplicative representation on the group of meromorphic forms.
 
-Two independent routes compute the additive operator:
+Both are computed in Q from one signed list of pairs ((a, d), e), each
+standing for the d translates f((a tau + b)/d), 0 <= b < d, with weight
+(or exponent) e: ``_tn_pairs`` for T(n) at level N, ``_element_pairs``
+for an algebra element, by T(a, d) -> T(1, d/a) (a scalar coset acts as
+the identity) and T(1, m) = sum_{e^2 | m, (e, N) = 1} mu(e) T(m/e^2).
+Summed over b, the translates form a character sum,
+sum_b e(bM/d) = d [d | M]:
 
-* ``hecke_additive_formula`` applies the coefficient formula
-  c(m) -> n^(1-k/2) sum_{0<d|(m,n)} d^(k-1) c(mn/d^2) directly
-  (d runs over all divisors of n when m = 0);
-* ``hecke_additive_cosets`` slashes f over the upper-triangular coset
-  representatives and projects the result back to an integral series;
-  the additive mode of ``apply_element`` takes the same slash sum over
-  the double cosets of an algebra element.
+* additively, a pair contributes e (ad)^(k/2) d^(1-k) sum_{d|M} c_M q^(aM/d);
+  for T(n) this is c(m) -> n^(1-k/2) sum a^(k-1) c(mn/a^2) over
+  a | (m, n), (a, N) = 1, which is U_p at p | N (``hecke_additive_formula``
+  and the additive ``apply_element``);
+* multiplicatively the bare translates are multiplied, without the
+  det^(k/2)/d^k factors (constant for upper-triangular matrices; the bare
+  product maps E4 to E12 - (36882000/691) Delta and makes every scalar
+  coset the exact identity).  With l = Theta(f)/f, the image g has
+  Theta(g)/g = sum e a sum_k l_{dk} q^(ak), and the exp recurrence
+  ``series.exp_coeffs`` rebuilds g from its leading term
+  (``hecke_multiplicative`` and the multiplicative ``apply_element``).  l
+  is read from the atoms of f (``FormExpression.log_derivative``), or by
+  the log recurrence from the expansion of f = c_0 q^h g with g on grid 1,
+  where h may be fractional: the pair (a, d) then adds q^(a h) and the
+  phase e(h (d-1)/2).
 
-They agree on their common domain, which the tests exercise.
-
-The multiplicative operator multiplies the translates f((a tau + b)/d)
-over the same representatives *without* the det^(k/2)/d^k factors.  Those
-factors are constant for upper-triangular matrices, so the two possible
-normalizations differ by a fixed rational scalar; the bare product is the
-one for which E4 maps to E12 - (36882000/691) Delta with constant term 1,
-and it makes every scalar coset T(q,q) act as the exact identity.  Two
-routes compute it as well:
-
-* ``hecke_multiplicative`` and ``apply_element`` stay in Q.  Summed over
-  b, the log-derivatives of the translates form a character sum: with
-  l = Theta(f)/f, the image g = f|*T(n) has
-  Theta(g)/g = sum_{ad=n, (a,N)=1} a sum_k l_{dk} q^(ak),
-  and g is rebuilt from its leading term by the exp recurrence
-  m u_m = sum_{i>=1} H_i u_{m-i} on that series H (``series.exp_coeffs``).
-  l is read from the atoms of f (``FormExpression.log_derivative``:
-  multiples of E2(m tau) for Delta(m tau) and eta quotients, the log
-  recurrence on the expansion of E_k, and the two combined for j and
-  j - 1728), so no product expansion is built.  Shifted expressions,
-  opaque series, other j - c and atoms of non-integral order fall back to
-  the log recurrence on the expansion of f;
-* ``hecke_multiplicative_cosets`` multiplies the twisted translates over
-  Q(zeta_d), with windows trimmed to the requested output precision, and
-  certifies the product integral and rational.  It is the verification
-  oracle of the rational route, which computes the very identity that a
-  log-derivative check would test, and it takes the expansions the
-  rational route cannot: those on a fractional grid or with non-rational
-  coefficients.
-
-Both routes give the same coefficients, types and precision.
+The coset sums over Q(zeta_d) remain only as verification oracles:
+``hecke_additive_cosets``, ``hecke_multiplicative_cosets`` and
+``_element_cosets`` twist, rescale and sum or multiply the translates and
+certify the result integral and rational.  They form no log-derivative
+and no character sum, so they check the identities the Q routes are
+built on; both give the same coefficients, types, precision and refusals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
-from .algebra import AlgebraElement, _is_prime, double_coset_reps, left_coset_reps
-from .cyclotomic import Cyclo, _as_rational
-from .errors import (NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
-                     UnsupportedWeightParity)
+from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, left_coset_reps
+from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
+                     UnsupportedParameter, UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
-from .series import PuiseuxSeries, exp_coeffs, log_derivative_coeffs
+from .series import PuiseuxSeries, _is_rational, exact_div, exp_coeffs, log_derivative_coeffs
 
 
 # ---------------------------------------------------------------------------
 # additive operator
 # ---------------------------------------------------------------------------
 
-def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
-                           normalization: str = "normalized") -> PuiseuxSeries:
-    """The coefficient formula for f|_k T(n) on integral expansions.
+def _tn_pairs(n: int, N: int) -> list:
+    """The pairs ((a, n/a), 1), (a, N) = 1, of the translates in T(n)."""
+    return [((a, n // a), 1) for a in range(1, n + 1) if n % a == 0 and gcd(a, N) == 1]
 
-    `normalization`: "normalized" keeps the n^(1-k/2) prefactor (the
-    convention matching the slash-sum route and the weight-0 divisor-sum
-    identities); "classical" drops it, giving the plain sum of
-    d^(k-1) c(mn/d^2) that most coefficient tables use.
-    """
+
+def _mobius(e: int) -> int:
+    mu, p = 1, 2
+    while p * p <= e:
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if e > 1 else mu
+
+
+def _term_pairs(m: int, N: int) -> list:
+    """The pairs of T(1, m) = sum_{e^2 | m, (e, N) = 1} mu(e) T(m/e^2)."""
+    out = []
+    for e in range(1, isqrt(m) + 1):
+        mu = _mobius(e)
+        if mu and m % (e * e) == 0 and gcd(e, N) == 1:
+            out += [(pair, mu) for pair, _ in _tn_pairs(m // (e * e), N)]
+    return out
+
+
+def _element_pairs(u: AlgebraElement) -> list:
+    """The merged pairs of an algebra element, each T(a, d) as T(1, d/a)."""
+    acc = {}
+    for (a, d), mult in u.terms:
+        for pair, mu in _term_pairs(d // a, u.N):
+            acc[pair] = acc.get(pair, 0) + mu * mult
+    return [(pair, e) for pair, e in acc.items() if e]
+
+
+def _slash_sums(f: PuiseuxSeries, k: int, pairs, ratios, scale=1) -> PuiseuxSeries:
+    """scale * sum over `pairs` of e (ad)^(k/2) d^(1-k) sum_{d|M} c_M q^(aM/d),
+    known below ceil(min c a/d) over the (a, d) in `ratios` (every
+    translate, cancelled or not), c the cutoff of f: where the coset
+    sum's window ends."""
     if k % 2 != 0:
         raise UnsupportedWeightParity(f"odd weight {k}")
     if f.D != 1:
         raise UnsupportedParameter("coefficient formula needs an integral expansion")
-    if f.cutoff <= 0:
-        raise PrecisionExhausted("input knows no coefficients at q^0 or beyond")
+    if not _is_rational(f.coeffs):
+        raise UnsupportedParameter("coefficient formula needs rational coefficients")
+    o, c = f.order, f.cutoff
+    hi = min(-(-c * a // d) for a, d in ratios)
+    lo = min([hi] + [a * -(-o // d) for (a, d), _ in pairs])
+    weights = [((a, d), e * scale * Fraction(a * d) ** (k // 2) * Fraction(d) ** (1 - k))
+               for (a, d), e in pairs]
+    L = lcm(*[w.denominator for _, w in weights])
+    out = [0] * (hi - lo)
+    for (a, d), w in weights:
+        w = int(w * L)
+        for j in range(-(-o // d), -(-hi // a)):
+            out[a * j - lo] += w * f.coeffs[d * j - o]
+    return PuiseuxSeries(1, lo, [exact_div(x, L) for x in out])
+
+
+def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
+                           normalization: str = "normalized", N: int = 1) -> PuiseuxSeries:
+    """f|_k T(n) at level N on an integral rational expansion:
+    c(m) -> n^(1-k/2) sum a^(k-1) c(mn/a^2) over a | (m, n), (a, N) = 1
+    (with (0, n) = n), which is U_p at n = p | N.
+
+    `normalization`: "normalized" keeps the n^(1-k/2) prefactor (the
+    convention matching the slash-sum route and the weight-0 divisor-sum
+    identities); "classical" drops it, giving the plain sum of
+    a^(k-1) c(mn/a^2) that most coefficient tables use.
+    """
     if normalization not in ("normalized", "classical"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    factor = Fraction(n) ** (1 - k // 2) if normalization == "normalized" else Fraction(1)
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    lo = n * f.order if f.order < 0 else -(-f.order // n)
-    hi = -(-f.cutoff // n)  # first m with c(mn) unknown
-    out = []
-    for m in range(lo, hi):
-        g = gcd(abs(m), n)  # gcd(0, n) = n handles the m = 0 convention
-        s = Fraction(0)
-        for d in divisors:
-            if g % d == 0:
-                s += Fraction(d) ** (k - 1) * f.coefficient(m * n // (d * d))
-        out.append(factor * s)
-    return PuiseuxSeries(1, lo, out)
+    check_hecke_parameter(n, N, "additive T")
+    pairs = _tn_pairs(n, N)
+    scale = 1 if normalization == "normalized" else Fraction(n) ** (k // 2 - 1)
+    return _slash_sums(f, k, pairs, [pair for pair, _ in pairs], scale)
 
 
 def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
     """f|_k (a b; 0 d), i.e. a twist, an exponent rescale, and (unless bare)
-    the constant automorphy factor det^(k/2) d^(-k)."""
+    the constant automorphy factor det^(k/2) d^(-k).  Oracle only."""
     a, b, c, d = rep
     if not (c == 0 and a > 0 and d > 0):
         raise UnsupportedParameter(f"slash by {rep} needs (a b; 0 d) with a, d > 0")
     g = f.twist(b, d * f.D).rescale_exponents(Fraction(a, d))
     if not bare:
-        g = g * Fraction((a * d) ** (k // 2), d ** k)
+        g = g * (Fraction(a * d) ** (k // 2) / Fraction(d) ** k)
     return g
 
 
-def _slash_sum(f: PuiseuxSeries, k: int, groups) -> PuiseuxSeries:
-    """sum over (reps, mult) in `groups` of mult * sum_rep f|_k rep,
-    certified to be an integral rational expansion."""
+def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSeries:
+    """f|_k T(n) as the sum of slashes over the coset representatives of
+    level N over Q(zeta_d), certified integral and rational: the
+    verification oracle of :func:`hecke_additive_formula`."""
+    reps = left_coset_reps(N, n)
     if k % 2 != 0:
         raise UnsupportedWeightParity(f"odd weight {k}")
     total = None
-    for reps, mult in groups:
-        for rep in reps:
-            term = _slash_upper(f, rep, k, bare=False)
-            term = term if mult == 1 else term * mult
-            total = term if total is None else total + term
+    for rep in reps:
+        term = _slash_upper(f, rep, k, bare=False)
+        total = term if total is None else total + term
     return total.integral_projection()
-
-
-def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSeries:
-    """f|_k T(n) as a sum of slashes over coset representatives of level N.
-
-    Restricted to parameter sets where all representatives are upper
-    triangular: gcd(n, N) = 1, or n = p | N prime.  The summed series is
-    certified to be an integral rational expansion.
-    """
-    return _slash_sum(f, k, [(left_coset_reps(N, n), 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +184,9 @@ def _atom_order(atom) -> Fraction:
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def _check_multiplicative(n: int, N: int) -> None:
-    if n < 1:
-        raise UnsupportedParameter("Hecke parameter must be positive")
-    if not (gcd(n, N) == 1 or (N % n == 0 and _is_prime(n))):
-        raise UnsupportedParameter(
-            f"multiplicative T({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
-
-
 def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
     """Product of bare slash translates, trimmed so the result keeps `prec`
-    coefficients past its leading exponent."""
+    coefficients past its leading exponent.  Oracle only."""
     factors = [_slash_upper(f, rep, 0, bare=True) for rep in reps]
     orders = [g.leading_exponent() for g in factors]
     final_cut = sum(orders) + prec
@@ -183,132 +201,97 @@ def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
 
 def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
                                 prec: int = 30) -> FormExpression:
-    """f|_* T(n) as the product of twisted slash translates over Q(zeta_d).
-
-    This is the verification oracle for :func:`hecke_multiplicative`: it
-    never forms a log-derivative, so it checks the character-sum identity
-    the rational route is built on rather than restating it.  It is also
-    the route for expansions on a fractional grid or with non-rational
-    coefficients.  The image is an opaque expansion of certified weight
-    k * |I| at level N with `prec` known coefficients."""
-    _check_multiplicative(n, N)
+    """f|_* T(n) as the product of twisted slash translates over Q(zeta_d),
+    certified integral and rational: the verification oracle of
+    :func:`hecke_multiplicative`."""
+    f.check_level(N)
+    check_hecke_parameter(n, N, "multiplicative T")
     reps = left_coset_reps(N, n)
     k = f.weight
-    order = expression_order(f)
-    guard = 8
-    budget = len(reps) * prec + int(abs(order) * n) + guard
-    series = f.qexp(budget)
+    series = f.qexp(len(reps) * prec + int(abs(expression_order(f)) * n) + 8)
     if series.is_zero():
         raise NonUnitLeading("multiplicative Hecke image of the zero series")
     image = _slash_product(series, reps, prec).integral_projection()
     return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
-def _rational_image(c0, h: int, l: list, prec: int, pairs) -> PuiseuxSeries:
-    """The product of bare translates named by `pairs`, computed in Q.
+def _translate_order(h, pairs) -> tuple[int, int]:
+    """(x, s) with s q^x the product of the translates of q^h: the d
+    translates of a pair multiply to q^(a h) e(h (d-1)/2), so x = h sum e a,
+    and the phase e(t/2), t = h sum e (d-1), is s = +-1 when t is integral."""
+    x = Fraction(h * sum(e * a for (a, _), e in pairs))
+    t = Fraction(h * sum(e * (d - 1) for (_, d), e in pairs))
+    if x.denominator != 1:
+        raise NotIntegralSeries(f"the image starts at the non-integral exponent {x}")
+    if t.denominator != 1:
+        raise NotIntegralSeries(f"the image leads with the phase e({t}/2), not +-1")
+    return int(x), -1 if t % 2 else 1
 
-    `pairs` is a signed list of ((a, d), e): the pair stands for the d
-    translates f((a tau + b)/d), 0 <= b < d, taken to the power e.  With
-    f = c_0 q^h (1 + O(q)) on grid D = 1 and l = Theta(f)/f, summing over
-    b turns the log-derivative of the product into the character sum
-    H = sum e a sum_k l_{dk} q^(ak).  The product is C q^(h sum e a) times
-    a unit u with u_0 = 1, where C = prod (c_0^d (-1)^(h(d-1)))^e and
-    m u_m = sum_{i>=1} H_i u_{m-i}.  l must reach every d/a * (prec - 1).
-    """
+
+def _rational_image(c0, h, l: list, prec: int, pairs) -> PuiseuxSeries:
+    """The product of the bare translates of f = c_0 q^h g (g = 1 + O(q)
+    on grid 1, l = Theta(f)/f) named by `pairs`, in Q: s c_0^(sum e d) q^x
+    times the unit u with m u_m = sum_{i>=1} H_i u_{m-i}, where
+    H = sum e a sum_k l_{dk} q^(ak) and (x, s) = _translate_order(h, pairs).
+    l must reach every d/a * (prec - 1); l_0 is not read."""
+    order, sign = _translate_order(h, pairs)
     H = [0] * prec
-    lead = Fraction(1)
     for (a, d), e in pairs:
         for M in range(a, prec, a):
             H[M] += e * a * l[d * (M // a)]
-        lead *= (Fraction(c0) ** d * (-1 if h * (d - 1) % 2 else 1)) ** e
-    u = exp_coeffs(_as_rational(lead), H, prec)
-    return PuiseuxSeries(1, h * sum(e * a for (a, _), e in pairs), u)
+    lead = sign * Fraction(c0) ** sum(e * d for (_, d), e in pairs)
+    u = exp_coeffs(exact_div(lead.numerator, lead.denominator), H, prec)
+    return PuiseuxSeries(1, order, u)
 
 
 def _rational_log_derivative(f: FormExpression, prec: int, span: int, slack: int,
-                             coset_jobs) -> tuple | None:
-    """(c0, h, l, prec) for the rational route: f = c0 q^h (1 + O(q)),
-    l = Theta(f)/f to span * (prec - 1) + 1 coefficients, and the precision
-    of the image; or None when f is not on grid D = 1 over Q.
-
-    l comes from the atoms of f when they all have closed forms, with
-    c0 = 1 and h = l_0, the order.  Otherwise the log-derivative
-    recurrence runs on the expansion, and a shorter expansion (an opaque
-    series, say) limits the image the way the coset route is limited:
-    `coset_jobs` lists the (budget, d/a) of each coset product that route
-    forms, and a product over a window of w coefficients keeps
-    ceil(w a/d) of them.
-    """
+                             coset_jobs) -> tuple:
+    """(c0, h, l, prec): f = c0 q^h g with g_0 = 1 on grid 1,
+    l = Theta(f)/f to span * (prec - 1) + 1 coefficients, and the image's
+    precision.  l comes from the atoms of f, or else from the expansion by
+    the log recurrence on g.  A short expansion limits the image as it
+    limits the coset route: `coset_jobs` lists the (budget, d/a) of each
+    coset product, which keeps ceil(w a/d) of a window of w exponents.
+    Coefficients outside Q, and those of g off grid 1 below the exponent
+    span * prec (where the image would show them), are refused."""
     if prec < 1:
         raise PrecisionExhausted("the image must keep at least one coefficient")
     l = f.log_derivative(span * (prec - 1) + 1)
     if l is not None:
         return 1, l[0], l, prec
-    series = f.qexp(span * prec + slack)
-    if series.precision <= span * (prec - 1):
+    reach = span * prec
+    series = f.qexp(reach + slack)
+    if series.precision < series.D * reach:
         expansions = [(f.qexp(budget), s) for budget, s in coset_jobs]
-        prec = min([prec] + [-(-g.precision // s) for g, s in expansions])
-        series = max((g for g, _ in expansions), key=lambda g: g.precision,
+        prec = min([prec] + [-(-g.precision // (g.D * s)) for g, s in expansions])
+        series = max((g for g, _ in expansions), key=lambda g: Fraction(g.precision, g.D),
                      default=series)
     if series.is_zero():
         raise NonUnitLeading("multiplicative Hecke image of the zero series")
-    if series.D != 1 or any(isinstance(c, Cyclo) for c in series.coeffs):
-        return None
-    l = log_derivative_coeffs(series.coeffs, series.order, span * (prec - 1) + 1)
-    return series.coeffs[0], series.order, l, prec
-
-
-def _tn_pairs(n: int, N: int) -> list:
-    """The pairs ((a, n/a), 1), (a, N) = 1, of the translates in f|*T(n)."""
-    return [((a, n // a), 1) for a in range(1, n + 1) if n % a == 0 and gcd(a, N) == 1]
+    if not _is_rational(series.coeffs):
+        raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
+    D = series.D
+    if any(c for i, c in enumerate(series.coeffs[:D * reach]) if i % D):
+        raise NotIntegralSeries("f/q^h is off the integral grid in the image's window")
+    g = series.coeffs[::D]
+    l = log_derivative_coeffs(g, 0, span * (prec - 1) + 1)
+    return g[0], exact_div(series.order, D), l, prec
 
 
 def hecke_multiplicative(f: FormExpression, n: int, N: int,
                          prec: int = 30) -> FormExpression:
-    """f|_* T(n): the product of slash translates over the determinant-n
-    coset representatives, returned as an opaque expansion of certified
-    weight k * |I| at level N with `prec` known coefficients.
-
-    Expansions on grid D = 1 over Q take the rational route; the rest go
-    to :func:`hecke_multiplicative_cosets`, whose output this matches
-    exactly, coefficient types and precision included."""
-    _check_multiplicative(n, N)
+    """f|_* T(n), the product of the translates over the determinant-n
+    cosets, as an opaque expansion of weight k * |I| at level N with `prec`
+    coefficients, computed in Q."""
+    f.check_level(N)
+    check_hecke_parameter(n, N, "multiplicative T")
     pairs = _tn_pairs(n, N)
     ncosets = sum(d for (_, d), _ in pairs)
     k = f.weight
     slack = int(abs(expression_order(f)) * n) + 8
     found = _rational_log_derivative(f, prec, n, slack, [(ncosets * prec + slack, n)])
-    if found is None:
-        return hecke_multiplicative_cosets(f, n, N, prec)
     image = _rational_image(*found, pairs)
     return FormExpression.of(OpaqueSeries(image, k * ncosets, N))
-
-
-def _mobius(e: int) -> int:
-    mu, p = 1, 2
-    while p * p <= e:
-        if e % p == 0:
-            e //= p
-            if e % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if e > 1 else mu
-
-
-def _element_pairs(u: AlgebraElement) -> list:
-    """One signed pair list for a whole algebra element.  T(a, d) acts as
-    T(1, d/a), since the scalar coset is the identity, and by Moebius
-    inversion f|*T(1, m) = prod_{e^2 | m, (e, N) = 1} (f|*T(m/e^2))^mu(e)."""
-    acc = {}
-    for (a, d), mult in u.terms:
-        m = d // a
-        for e in range(1, isqrt(m) + 1):
-            mu = _mobius(e)
-            if mu and m % (e * e) == 0 and gcd(e, u.N) == 1:
-                for pair, _ in _tn_pairs(m // (e * e), u.N):
-                    acc[pair] = acc.get(pair, 0) + mu * mult
-    return [(pair, e) for pair, e in acc.items() if e]
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +300,12 @@ def _element_pairs(u: AlgebraElement) -> list:
 
 def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
                   prec: int = 30) -> FormExpression:
-    """Apply a formal sum of double cosets: additively (sum of slash-sums)
-    or multiplicatively (product over terms with multiplicity exponents,
-    keeping prec + 4 coefficients)."""
+    """Apply a formal sum of double cosets in Q, from its pair list:
+    additively (the sum of the slash sums) or multiplicatively (the product
+    over terms with multiplicity exponents, keeping prec + 4 coefficients)."""
     if mode not in ("additive", "multiplicative"):
         raise ValueError(f"unknown mode {mode!r}")
+    f.check_level(u.N)
     k = f.weight
     N = u.N
     if mode == "additive":
@@ -329,19 +313,22 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
             raise UnsupportedParameter(
                 "the empty element sums no slashes, so its additive image has no precision")
         budget = max(a * d for (a, d), _ in u.terms) * prec + 8
-        groups = [(double_coset_reps(a, d, N), mult) for (a, d), mult in u.terms]
-        return FormExpression.of(OpaqueSeries(_slash_sum(f.qexp(budget), k, groups), k, N))
+        ratios = [pair for (a, d), _ in u.terms for pair, _ in _tn_pairs(d // a, N)]
+        image = _slash_sums(f.qexp(budget), k, _element_pairs(u), ratios)
+        return FormExpression.of(OpaqueSeries(image, k, N))
 
+    if not u.terms:  # the empty product, whatever f is
+        return FormExpression.of(OpaqueSeries(PuiseuxSeries.one(prec + 4), 0, N))
     jobs = _coset_jobs(f, u, prec)
     weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)
-    span = max((s for *_, s in jobs), default=1)
+    span = max(s for *_, s in jobs)
     slack = int(abs(expression_order(f)) * span) + 8
-    found = _rational_log_derivative(f, prec + 4, span, slack,
-                                     [(budget, s) for _, _, budget, s in jobs])
-    if found is None:
-        out = _element_cosets(f, u, prec)
-    else:
-        out = _rational_image(*found, _element_pairs(u))
+    c0, h, l, image_prec = _rational_log_derivative(
+        f, prec + 4, span, slack, [(budget, s) for _, _, budget, s in jobs])
+    # each double coset's product is certified on its own, as by the oracle
+    for (a, d), _ in u.terms:
+        _translate_order(h, _term_pairs(d // a, N))
+    out = _rational_image(c0, h, l, image_prec, _element_pairs(u))
     return FormExpression.of(OpaqueSeries(out, weight, N))
 
 
@@ -359,9 +346,8 @@ def _coset_jobs(f: FormExpression, u: AlgebraElement, prec: int) -> list:
 
 def _element_cosets(f: FormExpression, u: AlgebraElement, prec: int) -> PuiseuxSeries:
     """f|*u as the product of each term's coset product to the power of its
-    multiplicity, with prec + 4 coefficients.  It is the oracle for the
-    rational route of apply_element, and the route for expansions on a
-    fractional grid or with non-rational coefficients."""
+    multiplicity, with prec + 4 coefficients: the verification oracle of
+    the multiplicative apply_element."""
     out = None
     for reps, mult, budget, _ in _coset_jobs(f, u, prec):
         piece = _slash_product(f.qexp(budget), reps, prec + 4).integral_projection()

@@ -112,7 +112,7 @@ def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingRes
     24 sigma_1(n) cusp normalization (level 1)."""
     import mpmath
     if f.level != 1:
-        raise ValueError("the BKO pairing is a level-1 statement")
+        raise UnsupportedParameter("the BKO pairing is a level-1 statement")
     D = curve.divisor_of_form(f, 1)
     with mpmath.workdps(digits + 10):
         return pair(jn_evaluator(n, digits), D)
@@ -122,6 +122,7 @@ def r_at_s1(N: int, m: int, f: forms.FormExpression) -> Fraction:
     """The exact s = 1 Rohrlich sum: -Coeff_{q^m}(Theta f / f)."""
     if m < 1:
         raise UnsupportedParameter(f"m={m}: the s = 1 Rohrlich sum needs m >= 1")
+    f.check_level(N)
     order = operators.expression_order(f)
     prec = m + int(abs(order)) + 10
     ld = f.qexp(prec).log_derivative()

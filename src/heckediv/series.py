@@ -13,7 +13,9 @@ is unknown.  Two facts are part of the representation contract:
   marking where knowledge ends.
 
 Coefficients are ``int`` (preferred), ``fractions.Fraction`` or
-:class:`~heckediv.cyclotomic.Cyclo`.  Arithmetic never extends a knowledge
+:class:`~heckediv.cyclotomic.Cyclo`; ``Cyclo`` values arise only in the
+coset-sum oracles of :mod:`heckediv.operators` (``twist``), never on a
+production route.  Arithmetic never extends a knowledge
 window, only shrinks it, following the conservative propagation rules:
 products know ``min(cutoff_a + order_b, cutoff_b + order_a)`` grid units.
 

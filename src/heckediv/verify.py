@@ -10,6 +10,7 @@ tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import algebra, curve, forms, niebur, operators, pairing
 from .curve import HeegnerPoint, POINT_I
@@ -105,10 +106,8 @@ def suite_algebra() -> list[EvalReport]:
             for n in range(1, 7):
                 lhs = algebra.algebra_multiply(algebra.t_n(m, N), algebra.t_n(n, N))
                 rhs = None
-                g = 0
-                import math
                 for d in range(1, min(m, n) + 1):
-                    if m % d or n % d or math.gcd(d, N) != 1:
+                    if m % d or n % d or gcd(d, N) != 1:
                         continue
                     term = algebra.algebra_multiply(
                         algebra.t_ad(d, d, N), algebra.t_n(m * n // (d * d), N))
@@ -253,7 +252,7 @@ def suite_p_plication() -> list[EvalReport]:
         # p coprime to N: Theta(J_{N,m}|T(p)) = Theta(J_{N,pm}) + p Theta(J_{N,m/p})
         prec = through * p + m * p + 12
         base = niebur.harmonic_slice(N, m, prec)
-        lhs = operators.hecke_additive_cosets(base, 0, p, N).theta()
+        lhs = operators.hecke_additive_formula(base, 0, p, N=N).theta()
         rhs = niebur.harmonic_slice(N, p * m, through + p * m + 6).theta()
         if m % p == 0:
             rhs = rhs + p * niebur.harmonic_slice(N, m // p, through + 6).theta()
@@ -265,7 +264,7 @@ def suite_p_plication() -> list[EvalReport]:
         #                              - Theta(J_{N/p,m}(p tau))
         prec = through * p + m * p + 12
         base = niebur.harmonic_slice(N, m, prec)
-        lhs = operators.hecke_additive_cosets(base, 0, p, N).theta()
+        lhs = operators.hecke_additive_formula(base, 0, p, N=N).theta()
         rhs = niebur.harmonic_slice(N, p * m, through + p * m + 6).theta()
         if m % p == 0:
             rhs = rhs + p * niebur.harmonic_slice(N // p, m // p, through + 6).theta()

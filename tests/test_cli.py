@@ -228,3 +228,49 @@ def test_integer_parameters_are_usage_errors(capsys, argv, bad):
         cli.main(list(argv))
     assert exc.value.code == 2
     assert f"not a positive integer: {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("divisor", "--form", "eta:2:-1=24", "--level", "2"),
+    ("hecke-div", "--form", "eta:2:-1=24", "--n", "3", "--level", "2"),
+])
+def test_negative_eta_arguments_are_typed_errors(capsys, argv):
+    # -1 divides every level, yet eta(-tau) is no form
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hecke-mult", "--form", "eta:3:1=12,3=-12", "--n", "3", "--level", "1"),
+    ("hecke-add", "--form", "eta:3:1=12,3=-12", "--n", "3", "--level", "1"),
+    ("rohrlich", "--m", "1", "--form", "eta:2:1=24,2=-24", "--N", "1"),
+])
+def test_forms_off_their_level_are_refused(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"
+
+
+@pytest.mark.parametrize("name", ("nosuch", "eta:2:3=24", "eta:2:1=1x"))
+def test_malformed_form_names_are_usage_errors(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qexp", "--form", name])
+    assert exc.value.code == 2
+    assert f"invalid form name {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("hecke-mult", "--form", "eta:1:1=1", "--n", "2"), "UnsupportedWeight"),
+    (("hecke-add", "--form", "eta:1:1=1", "--n", "2"), "UnsupportedWeight"),
+    (("bko", "--n", "1", "--form", "eta:2:1=24,2=-24"), "UnsupportedParameter"),
+])
+def test_half_integral_weight_and_bko_level_are_typed_errors(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["error"] == error
+
+
+def test_hecke_add_refuses_a_fractional_grid_at_every_level(capsys):
+    # the level-1 formula and the level-3 coset sum used to disagree here
+    for level in ("1", "3"):
+        code, out = run_cli(capsys, "hecke-add", "--form", "eta:3:1=8", "--n", "2",
+                            "--level", level)
+        assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"

@@ -185,6 +185,31 @@ def test_registry_names():
         F.expression_by_name("nope")
 
 
+def test_single_atom_expansions_multiply_nothing(monkeypatch):
+    # the first factor is truncated to the window a product with the
+    # constant 1 would keep (jminus:c expands one coefficient too many)
+    names = ("E4", "Delta", "j", "jminus:1728", "eta:2:1=24,2=-24", "eta:1:1=1")
+    for prec in (1, 5, 20):
+        want = {name: S.one(prec) * F.expression_by_name(name).atoms[0][0].qexp(prec)
+                for name in names}
+
+        def refuse(*args):
+            raise AssertionError("a product by the constant 1")
+
+        with monkeypatch.context() as m:
+            m.setattr(S, "__mul__", refuse)
+            got = {name: F.expression_by_name(name).qexp(prec) for name in names}
+        for name in names:
+            assert got[name] == want[name], (name, prec)
+            assert [type(c) for c in got[name].coeffs] == [type(c) for c in want[name].coeffs]
+
+
+def test_a_half_integral_weight_is_a_typed_error():
+    with pytest.raises(UnsupportedWeight):
+        F.expression_by_name("eta:1:1=1").weight
+    assert F.expression_by_name("eta:1:1=1").qexp(3).leading_exponent() == Fraction(1, 24)
+
+
 def test_psl2_index():
     assert [F.psl2_index(n) for n in (1, 2, 3, 4, 5, 6, 12)] == [1, 3, 4, 6, 6, 12, 24]
 

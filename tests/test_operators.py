@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckediv import algebra as A, forms as F, operators as O
-from heckediv.errors import UnsupportedParameter, UnsupportedWeightParity
+from heckediv.cyclotomic import Cyclo
+from heckediv.errors import HeckeDivError, UnsupportedParameter, UnsupportedWeightParity
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -81,6 +84,120 @@ def test_additive_cosets_level2_hauptmodul():
     img = O.hecke_additive_cosets(t, 0, 2, 2)
     for M in range(-1, 10):
         assert img.coefficient(M) == 2 * t.coefficient(2 * M)
+
+
+# -- additive at level N: the formula against the coset oracle ---------------
+
+def _eta(level, exps):
+    return F.FormExpression.of(F.EtaQuotient(F.EtaQuotientSpec.make(level, exps)))
+
+
+# integral expansions with their weights and levels, negative weight included
+ADDITIVE_FORMS = {
+    "E4": (F.FormExpression.of(F.Eisenstein(4)), 4),
+    "Delta": (F.FormExpression.of(F.DeltaShift(1)), 12),
+    "j-1728": (F.FormExpression.of(F.JMinus(Fraction(1728))), 0),
+    "E4/Delta": (F.FormExpression.of(F.Eisenstein(4), (F.DeltaShift(1), -1)), -8),
+    "t2": (_eta(2, {1: 24, 2: -24}), 0),
+    "(eta1 eta3)^6": (_eta(3, {1: 6, 3: 6}), 6),
+    "eta(2t)^12": (_eta(4, {2: 12}), 6),
+    "(eta1 eta2 eta3 eta6)^2": (_eta(6, {1: 2, 2: 2, 3: 2, 6: 2}), 4),
+}
+LEVEL_CASES = [(name, N) for name, (f, _) in ADDITIVE_FORMS.items()
+               for N in range(1, 7) if N % f.level == 0]
+
+
+def additive_outcome(fn, *args):
+    try:
+        s = fn(*args)
+    except HeckeDivError as exc:
+        return type(exc)
+    s = s.atoms[0][0].series if isinstance(s, F.FormExpression) else s
+    return s.D, s.order, [(type(c), c) for c in s.coeffs]
+
+
+@pytest.mark.parametrize("name,N", LEVEL_CASES)
+def test_additive_formula_matches_the_cosets_at_every_level(name, N):
+    # bit for bit, types and window included, at p | N (U_p) and with the
+    # same refusal of a composite n sharing a factor with N
+    f, k = ADDITIVE_FORMS[name]
+    for width in (3, 10, 40):
+        s = f.qexp(width)
+        for n in range(1, 6):
+            want = additive_outcome(O.hecke_additive_cosets, s, k, n, N)
+            assert additive_outcome(O.hecke_additive_formula, s, k, n, "normalized", N) == want
+            if isinstance(want, tuple):
+                classical = O.hecke_additive_cosets(s, k, n, N) * Fraction(n) ** (k // 2 - 1)
+                want = additive_outcome(lambda: classical)
+            assert additive_outcome(O.hecke_additive_formula, s, k, n, "classical", N) == want
+
+
+def test_additive_formula_is_u_p_at_p_dividing_the_level():
+    t = F.hauptmodul_qexp(2, 30)
+    img = O.hecke_additive_formula(t, 0, 2, "classical", 2)
+    assert [img.coefficient(M) for M in range(-1, 14)] == \
+        [t.coefficient(2 * M) for M in range(-1, 14)]
+    with pytest.raises(UnsupportedParameter):
+        O.hecke_additive_formula(t, 0, 4, "classical", 2)
+
+
+def test_additive_formula_refuses_inputs_off_the_rational_grid():
+    # the same refusal at every level: the coset route answered
+    # NotIntegralSeries at level 3 for the fractional grid
+    eta8 = F.expression_by_name("eta:3:1=8").qexp(24)
+    for N in (1, 3):
+        with pytest.raises(UnsupportedParameter):
+            O.hecke_additive_formula(eta8, 4, 2, "normalized", N)
+    with pytest.raises(UnsupportedParameter):
+        O.hecke_additive_formula(F.eisenstein(4, 10) * Cyclo.zeta(3), 4, 2)
+
+
+def slash_sum_over_double_cosets(f, u, prec):
+    """The additive image of u by the slash sum over the representatives
+    of each double coset, over Q(zeta_d), with apply_element's budget."""
+    k = f.weight
+    if not u.terms:
+        raise UnsupportedParameter("empty element")
+    series = f.qexp(max(a * d for (a, d), _ in u.terms) * prec + 8)
+    if k % 2:
+        raise UnsupportedWeightParity(f"odd weight {k}")
+    total = None
+    for (a, d), mult in u.terms:
+        for rep in A.double_coset_reps(a, d, u.N):
+            term = O._slash_upper(series, rep, k, bare=False) * mult
+            total = term if total is None else total + term
+    return total.integral_projection()
+
+
+def test_cancelled_pairs_still_bound_the_additive_window():
+    # T(2, 8) acts as T(1, 4): its pairs cancel those of T(1, 4), yet the
+    # translates q^(M/4) of both still end the slash sum's window
+    e4 = F.FormExpression.of(F.Eisenstein(4))
+    for terms in ({(1, 4): 1, (2, 8): -1}, {(1, 4): 1, (2, 8): -1, (1, 2): 1}):
+        u = A.AlgebraElement.make(1, terms)
+        got = additive_outcome(O.apply_element, e4, u, "additive", 5)
+        assert got == additive_outcome(slash_sum_over_double_cosets, e4, u, 5)
+
+
+@st.composite
+def level_elements(draw):
+    name, N = draw(st.sampled_from(LEVEL_CASES))
+    a_choices = [a for a in (1, 2, 3) if gcd(a, N) == 1]
+    label = st.sampled_from(a_choices).flatmap(
+        lambda a: st.integers(1, 4 if a == 1 else 2).map(lambda m: (a, a * m)))
+    terms = draw(st.dictionaries(label, st.integers(-2, 2).filter(bool), min_size=1, max_size=3))
+    return name, A.AlgebraElement.make(N, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=level_elements(), prec=st.integers(1, 4))
+def test_apply_element_additive_matches_the_double_coset_slash_sum(case, prec):
+    # pairs that cancel between terms still bound the window, as in the
+    # slash sum; T(a, a) acts as the identity
+    name, u = case
+    f, _ = ADDITIVE_FORMS[name]
+    got = additive_outcome(O.apply_element, f, u, "additive", prec)
+    assert got == additive_outcome(slash_sum_over_double_cosets, f, u, prec)
 
 
 # -- multiplicative -----------------------------------------------------------

@@ -3,7 +3,7 @@ coset product over Q(zeta_d), its verification oracle.
 
 The two routes must agree bit for bit: the same coefficients with the
 same Python types, the same leading exponent, precision and weight, and
-the same typed refusals.
+the same typed refusals, on grid 1 and on fractional grids alike.
 """
 
 from fractions import Fraction
@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckediv import algebra as A, forms as F, operators as O, verify as V
-from heckediv.errors import HeckeDivError, NotIntegralSeries, PrecisionExhausted
+from heckediv.cyclotomic import Cyclo
+from heckediv.errors import (HeckeDivError, NotIntegralSeries, PrecisionExhausted,
+                             UnsupportedParameter)
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -48,9 +50,12 @@ def exact(img):
 
 def outcome(fn, *args):
     try:
-        return exact(fn(*args))
+        img = fn(*args)
     except HeckeDivError as exc:
         return type(exc)
+    if isinstance(img, S):
+        return img.D, img.order, [(type(c), c) for c in img.coeffs]
+    return exact(img)
 
 
 @pytest.mark.parametrize("name,n", GRID)
@@ -93,23 +98,80 @@ def test_apply_element_routes_agree(label):
 
 @st.composite
 def opaque_forms(draw):
-    """A bare D = 1 expansion c_0 q^h + ... with rational c_0 != 1 and a
-    window short enough that it, not prec, often limits the image."""
+    """A bare expansion c_0 q^(h/D) (1 + g_1 q + ...) on the grid (1/D)Z,
+    D in {1, 2, 3, 4}, with rational c_0 != 1 and a window short enough
+    that it, not prec, often limits the image; off D = 1, one coefficient
+    may stray off the grid of the leading term, inside the window or
+    past it."""
+    D = draw(st.sampled_from((1, 2, 3, 4)))
     c0 = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4)
               .filter(lambda x: x not in (0, 1)))
-    rest = draw(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=3),
-                         max_size=20))
-    order = draw(st.integers(-2, 2))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    g = draw(st.lists(coeff, max_size=20))
+    rest = [0] * (D * len(g))
+    rest[D - 1::D] = g
+    stray = draw(st.integers(0, 20 * D))
+    if stray % D != D - 1 and stray < len(rest):
+        rest[stray] = draw(coeff.filter(bool))
+    order = draw(st.integers(-2 * D, 2 * D))
     weight = draw(st.sampled_from((0, 4)))
-    return F.FormExpression.of(F.OpaqueSeries(S(1, order, [c0] + rest), weight, 1))
+    return F.FormExpression.of(F.OpaqueSeries(S(D, order, [c0] + rest), weight, 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(f=opaque_forms(), n=st.integers(1, 5), N=st.sampled_from((1, 2, 3)),
        prec=st.integers(1, 10))
 def test_routes_agree_on_short_opaque_series(f, n, N, prec):
     fast = outcome(O.hecke_multiplicative, f, n, N, prec)
     assert fast == outcome(O.hecke_multiplicative_cosets, f, n, N, prec)
+
+
+def apply_mult(f, u, prec):
+    return O.apply_element(f, u, "multiplicative", prec).atoms[0][0].series
+
+
+@st.composite
+def elements(draw, N):
+    """A random element of R_0(N): up to three terms T(a, a m), (a, N) = 1,
+    with multiplicities in [-2, 2]."""
+    a_choices = [a for a in (1, 2, 3) if gcd(a, N) == 1]
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(a_choices), st.integers(1, 4)).map(lambda t: (t[0], t[0] * t[1])),
+        st.integers(-2, 2).filter(bool), min_size=1, max_size=3))
+    return A.AlgebraElement.make(N, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), f=opaque_forms(), N=st.sampled_from((1, 2, 3)), prec=st.integers(1, 6))
+def test_apply_element_agrees_with_the_element_oracle(data, f, N, prec):
+    u = data.draw(elements(N))
+    assert outcome(apply_mult, f, u, prec) == outcome(O._element_cosets, f, u, prec)
+
+
+# eta quotients of non-integral order: their expansions live on the grid
+# (1/D)Z of the order, and their images are integral only for some n
+FRACTIONAL = {
+    "eta^8": (_eta(1, {1: 8}), 1),
+    "eta^12": (_eta(1, {1: 12}), 1),
+    "eta^2": (_eta(1, {1: 2}), 1),
+    "eta(t)eta(2t)": (_eta(2, {1: 1, 2: 1}), 2),
+    "(eta(t)eta(2t))^4": (_eta(2, {1: 4, 2: 4}), 2),
+    "eta^16/eta(3t)^4": (_eta(3, {1: 16, 3: -4}), 3),
+}
+
+
+@pytest.mark.parametrize("name", FRACTIONAL)
+def test_routes_agree_on_fractional_eta_quotients(name):
+    f, N = FRACTIONAL[name]
+    f = F.FormExpression.of(f)
+    for n in range(1, 6):
+        for prec in (1, 4, 10):
+            assert outcome(O.hecke_multiplicative, f, n, N, prec) == \
+                outcome(O.hecke_multiplicative_cosets, f, n, N, prec), (n, prec)
+    for u in (A.t_n(4, N), A.t_ad(3, 3, N) if N != 3 else A.t_ad(2, 2, N),
+              A.AlgebraElement.make(N, {(1, 2): 1, (1, 4): -1})):
+        for prec in (1, 5):
+            assert outcome(apply_mult, f, u, prec) == outcome(O._element_cosets, f, u, prec)
 
 
 def test_routes_agree_when_the_expansion_is_short_for_its_budget():
@@ -137,13 +199,46 @@ def test_both_routes_refuse_an_empty_precision():
             fn(e4, 3, 1, 0)
 
 
-def test_fractional_grid_takes_the_coset_route():
-    # q^(1/2) is no form, yet its T(3) image is integral: the route depends
-    # on the input alone
+def test_fractional_grid_takes_the_rational_route(monkeypatch):
+    # q^(1/2) is no form, yet its T(3) image is integral: q^(1/2 * 4) times
+    # the phase e((1/2)(3 - 1)/2) = -1; at T(2) the exponent 3/2 is refused
+    def refuse(*args):
+        raise AssertionError("coset product on a fractional grid")
+
+    monkeypatch.setattr(O, "_slash_product", refuse)
     half = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 0, 0, 0, 0]), 0, 1))
     assert O.hecke_multiplicative(half, 3, 1, prec=4).atoms[0][0].series == S(1, 2, [-1])
     with pytest.raises(NotIntegralSeries):
         O.hecke_multiplicative(half, 2, 1, prec=4)
+    # a stray q^(1/2 + 7/2) shows at q^(2 + 7/6) in the T(3) image: inside
+    # a window of 2 coefficients, past a window of 1
+    stray = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 0, 0, 0, 0, 0, 5]), 0, 1))
+    with pytest.raises(NotIntegralSeries):
+        O.hecke_multiplicative(stray, 3, 1, prec=2)
+    assert O.hecke_multiplicative(stray, 3, 1, prec=1).atoms[0][0].series == S(1, 2, [-1])
+
+
+def test_each_double_coset_is_certified_on_its_own():
+    # eta^12 = q^(1/2)(...): T(3,3) acts as the identity, so 2 T(3,3) maps
+    # it to eta^24 = Delta, but the oracle certifies each term's product,
+    # and eta^12 itself is no integral series
+    f = F.FormExpression.of(_eta(1, {1: 12}))
+    u = A.AlgebraElement.make(1, {(3, 3): 2})
+    with pytest.raises(NotIntegralSeries):
+        O._element_cosets(f, u, 4)
+    with pytest.raises(NotIntegralSeries):
+        O.apply_element(f, u, "multiplicative", 4)
+
+
+def test_cyclotomic_coefficients_are_refused():
+    # the coset product takes zeta_3 E4 to E4|*T(2), since zeta_3^3 = 1;
+    # the rational route needs coefficients in Q
+    e4 = F.eisenstein(4, 40)
+    f = F.FormExpression.of(F.OpaqueSeries(e4 * Cyclo.zeta(3), 4, 1))
+    assert O.hecke_multiplicative_cosets(f, 2, 1, 8).atoms[0][0].series == \
+        O.hecke_multiplicative(F.expression_by_name("E4"), 2, 1, 8).atoms[0][0].series
+    with pytest.raises(UnsupportedParameter):
+        O.hecke_multiplicative(f, 2, 1, 8)
 
 
 def test_rational_inputs_skip_the_coset_product(monkeypatch):
@@ -155,6 +250,37 @@ def test_rational_inputs_skip_the_coset_product(monkeypatch):
     O.hecke_multiplicative(e4, 7, 1, prec=16)
     O.hecke_multiplicative(FORMS["j21-512"][0], 2, 2, prec=16)
     O.apply_element(e4, A.t_n(4, 1), "multiplicative", prec=16)
+
+
+def test_no_route_reaches_cyclotomic_arithmetic(monkeypatch):
+    # fractional grids, p | N and level > 1, both modes of apply_element
+    # and the level-N formula, with the oracles' answers taken first
+    half = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 2, 0, -1, 0, 3]), 0, 1))
+    eta12 = F.FormExpression.of(_eta(1, {1: 12}))
+    eta44 = F.FormExpression.of(_eta(2, {1: 4, 2: 4}))
+    t2 = FORMS["j21-512"][0]
+    mult = [(half, 3, 1), (eta12, 3, 1), (eta12, 2, 1), (eta44, 3, 2), (eta44, 5, 2),
+            (t2, 2, 2), (t2, 3, 2)]
+    elements = [(eta12, A.t_n(3, 1)), (eta44, A.t_n(3, 2)), (t2, A.t_n(2, 2)),
+                (t2, A.AlgebraElement.make(2, {(1, 2): 1, (3, 3): -1}))]
+    e4 = F.eisenstein(4, 40)
+    formula = [(e4, 4, n, N) for N in (2, 3, 6) for n in (2, 3, 5)]
+    want = ([outcome(O.hecke_multiplicative_cosets, f, n, N, 8) for f, n, N in mult]
+            + [outcome(O._element_cosets, f, u, 6) for f, u in elements]
+            + [outcome(O.hecke_additive_cosets, *args) for args in formula])
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic arithmetic on a production route")
+
+    monkeypatch.setattr(S, "twist", refuse)
+    monkeypatch.setattr(Cyclo, "__init__", refuse)
+    got = ([outcome(O.hecke_multiplicative, f, n, N, 8) for f, n, N in mult]
+           + [outcome(apply_mult, f, u, 6) for f, u in elements]
+           + [outcome(O.hecke_additive_formula, s, k, n, "normalized", N)
+              for s, k, n, N in formula])
+    assert got == want
+    for f, u in elements[2:]:
+        O.apply_element(f, u, "additive", 6)
 
 
 def test_closed_form_atoms_skip_the_product_expansion(monkeypatch):

@@ -83,13 +83,34 @@ def test_eta_quotients_refuse_an_empty_window(exps, prec):
 
 
 def test_eta_quotients_refuse_a_nonpositive_argument():
-    # m = -1 divides every level, so the parser accepts eta:2:-1=24
+    # m = -1 divides every level: the spec itself refuses it, before any
+    # expansion, divisor or log-derivative reads it
     with pytest.raises(UnsupportedParameter):
-        F.expression_by_name("eta:2:-1=24").qexp(5)
+        F.expression_by_name("eta:2:-1=24")
+    for m in (0, -1, -2):
+        with pytest.raises(UnsupportedParameter):
+            F.EtaQuotientSpec.make(2, {m: 24})
+    with pytest.raises(ValueError):
+        F.EtaQuotientSpec.make(2, {3: 24})
+
+
+def test_operators_refuse_a_form_off_its_level():
+    t3 = F.expression_by_name("eta:3:1=12,3=-12")
+    with pytest.raises(UnsupportedParameter):
+        O.hecke_multiplicative(t3, 2, 1, 8)
+    with pytest.raises(UnsupportedParameter):
+        O.hecke_multiplicative_cosets(t3, 2, 1, 8)
+    for mode in ("additive", "multiplicative"):
+        with pytest.raises(UnsupportedParameter):
+            O.apply_element(t3, A.t_n(2, 2), mode, 8)
+    with pytest.raises(UnsupportedParameter):
+        P.r_at_s1(1, 1, F.expression_by_name("eta:2:1=24,2=-24"))
+    assert P.r_at_s1(6, 1, t3) == P.r_at_s1(3, 1, t3)
 
 
 _UNDER_O = """
 from heckediv import algebra as A, curve as C, forms as F, pairing as P
+from heckediv.cyclotomic import Cyclo, _poly_divexact
 from heckediv.series import PuiseuxSeries as S
 assert False, "asserts must be stripped"
 data = S(1, 0, [1, 2]).to_json()
@@ -105,6 +126,10 @@ checks = [
                                        C.point_divisor(1, C.POINT_I), 2),
     lambda: A.hnf2((0, 1, 1, 0)),
     lambda: A.left_coset_key((2, 0, 0, 0), 3),
+    lambda: _poly_divexact([1, 1], [0, 2]),
+    lambda: _poly_divexact([1, 0, 1], [1, 1]),
+    lambda: Cyclo.zeta(3).lift(4),
+    lambda: Cyclo.zeta(3).galois(3),
 ]
 for check in checks:
     try:
@@ -130,4 +155,6 @@ def test_checks_survive_python_O():
                                   "UnsupportedParameter",
                                   "UnsupportedParameter", "UnsupportedParameter",
                                   "UnsupportedParameter",
-                                  "NotInDeltaN", "NotInDeltaN"]
+                                  "NotInDeltaN", "NotInDeltaN",
+                                  "InvariantViolation", "InvariantViolation",
+                                  "UnsupportedParameter", "UnsupportedParameter"]
