@@ -17,7 +17,6 @@ from .algebra import AlgebraElement, algebra_multiply, double_coset_label, \
 from .curve import CanonicalPoint, CuspClass, Divisor, HeegnerPoint, \
     act_matrix, canonical_cusp, cusps, divisor_of_form, hecke_divisor, \
     period, point_divisor, reduce_point, weight0_to_j_polynomial
-from .cyclotomic import Cyclo
 from .forms import DeltaShift, Eisenstein, EtaQuotient, EtaQuotientSpec, \
     FormExpression, JMinus, OpaqueSeries, delta, eisenstein, \
     eta_quotient_qexp, expression_by_name, expression_divisor, j_function, \
@@ -36,7 +35,6 @@ __all__ = [
     "CanonicalPoint", "CuspClass", "Divisor", "HeegnerPoint", "act_matrix",
     "canonical_cusp", "cusps", "divisor_of_form", "hecke_divisor", "period",
     "point_divisor", "reduce_point", "weight0_to_j_polynomial",
-    "Cyclo",
     "DeltaShift", "Eisenstein", "EtaQuotient", "EtaQuotientSpec",
     "FormExpression", "JMinus", "OpaqueSeries", "delta", "eisenstein",
     "eta_quotient_qexp", "expression_by_name", "expression_divisor",

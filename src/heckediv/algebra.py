@@ -195,7 +195,7 @@ class AlgebraElement:
         for (a, d), m in terms.items():
             if m == 0:
                 continue
-            if a <= 0 or d % a != 0 or gcd(a, N) != 1:
+            if a <= 0 or d <= 0 or d % a != 0 or gcd(a, N) != 1:
                 raise UnsupportedParameter(
                     f"label ({a},{d}) violates a | d, (a,N)=1 at level {N}")
             clean[(a, d)] = m
@@ -231,6 +231,8 @@ def t_ad(a: int, d: int, N: int) -> AlgebraElement:
 
 def t_n(n: int, N: int) -> AlgebraElement:
     """T(n) = sum of T(a, d) over ad = n, a | d, (a, N) = 1."""
+    if n < 1:
+        raise UnsupportedParameter("Hecke parameter must be positive")
     terms = {}
     for a in range(1, n + 1):
         if n % a == 0:

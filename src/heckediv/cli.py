@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import algebra, curve, forms, niebur, operators, pairing, verify
@@ -70,22 +71,31 @@ def _emit(payload, fmt: str) -> None:
         print(payload)
 
 
-def _parse_element(text: str, N: int) -> algebra.AlgebraElement:
-    text = text.strip()
-    if text.startswith("T(") and text.endswith(")"):
-        inside = text[2:-1]
-        if "," in inside:
-            a, d = inside.split(",")
-            return algebra.t_ad(int(a), int(d), N)
-        return algebra.t_n(int(inside), N)
-    if text.startswith("T"):
-        return algebra.t_n(int(text[1:]), N)
-    raise ValueError(f"cannot parse Hecke element {text!r}; use Tn or T(a,d)")
+_HECKE_LABEL = re.compile(r"T(-?\d+)|T\(\s*(-?\d+)\s*(?:,\s*(-?\d+)\s*)?\)")
 
 
-def _parse_tau(text: str) -> complex:
-    re_s, im_s = text.split(",")
-    return complex(float(re_s), float(im_s))
+def _hecke_label(text: str) -> tuple[int, ...]:
+    """(n,) or (a, d) of a Hecke element written Tn, T(n) or T(a,d); whether
+    they label an element at the level is checked later, as a typed error."""
+    match = _HECKE_LABEL.fullmatch(text.strip())
+    if match is None:
+        raise argparse.ArgumentTypeError(f"not a Hecke element Tn, T(n) or T(a,d): {text!r}")
+    return tuple(int(g) for g in match.groups() if g is not None)
+
+
+def _element(label: tuple[int, ...], N: int) -> algebra.AlgebraElement:
+    return algebra.t_n(label[0], N) if len(label) == 1 else algebra.t_ad(*label, N)
+
+
+def _upper_half_plane_point(text: str) -> complex:
+    """'re,im' with finite re and im > 0."""
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError:
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y) and y > 0):
+        raise argparse.ArgumentTypeError(f"tau must be 're,im' with finite re and im > 0: {text!r}")
+    return complex(x, y)
 
 
 def _mpc_pair(value, digits: int) -> list[str]:
@@ -130,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("algebra-mul", help="product in the Hecke algebra R_0(N)")
     p.add_argument("--N", type=_positive_int, required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
+    p.add_argument("--u", type=_hecke_label, required=True)
+    p.add_argument("--v", type=_hecke_label, required=True)
 
     p = add_parser("divisor", help="divisor of a form on X_0(level)")
     p.add_argument("--form", required=True)
@@ -160,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=_positive_int, default=1)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=_spectral_s, required=True)
-    p.add_argument("--tau", required=True, help="complex point 're,im'")
+    p.add_argument("--tau", type=_upper_half_plane_point, required=True,
+                   help="complex point 're,im', im > 0")
     p.add_argument("--C", type=_positive_int, default=300)
 
     p = add_parser("verify", help="run a verification suite")
@@ -193,8 +204,8 @@ def _run(args) -> tuple[object, int]:
         return payload, 0
 
     if args.verb == "algebra-mul":
-        u = _parse_element(args.u, args.N)
-        v = _parse_element(args.v, args.N)
+        u = _element(args.u, args.N)
+        v = _element(args.v, args.N)
         return algebra.algebra_multiply(u, v).to_json(), 0
 
     if args.verb == "divisor":
@@ -223,9 +234,8 @@ def _run(args) -> tuple[object, int]:
                 "error": f"{res.error_estimate:.6g}", "C": args.C}, 0
 
     if args.verb == "niebur":
-        tau = _parse_tau(args.tau)
         params = EvalParams(truncation=args.C, s=args.s)
-        pv = niebur.niebur_value(args.N, args.m, tau, params)
+        pv = niebur.niebur_value(args.N, args.m, args.tau, params)
         return {"value": _mpc_pair(pv.value, 17),
                 "error": f"{pv.error_estimate:.6g}", "C": args.C}, 0
 

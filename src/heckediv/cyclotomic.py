@@ -6,10 +6,16 @@ cyclotomic polynomial after every multiplication.  Reduction keeps the
 representation canonical, so rationality tests are exact: an element is
 rational iff every coordinate past the constant one vanishes.
 
-Series code stores plain rationals as `int` (preferred, fast) or
-`fractions.Fraction`; a `Cyclo` value appears only when a genuine root of
-unity is present.  Arithmetic between mixed orders lifts both operands to
-the lcm order via zeta_d = zeta_n**(n/d).
+Plain rationals stay `int` (preferred, fast) or `fractions.Fraction`; a
+`Cyclo` value appears only when a genuine root of unity is present.
+Arithmetic demotes every rational result back to `int`/`Fraction`, so a
+`Cyclo` it returns is never zero, and a `Cyclo` is always truthy: series
+code tests coefficients for zero by truthiness.  Arithmetic between mixed
+orders lifts both operands to the lcm order via zeta_d = zeta_n**(n/d).
+
+Only the coset-sum oracles of :mod:`heckediv.operators` use this field:
+their twisted slash translates carry Q(zeta_d) coefficients, and the
+oracles certify their sums and products rational before returning them.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InvariantViolation, UnsupportedParameter
+from .series import _as_rational
 
 
 def euler_phi(n: int) -> int:
@@ -85,13 +92,6 @@ def _zeta_power_table(n: int) -> tuple[tuple[int, ...], ...]:
             nxt = [a + lead * t for a, t in zip(nxt, top)]
         cur = nxt[:phi]
     return tuple(table)
-
-
-def _as_rational(x):
-    """Normalize a rational coefficient: Fraction with denominator 1 -> int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 class Cyclo:
@@ -233,34 +233,6 @@ class Cyclo:
                 terms.append(zk if c == 1 else f"{c}*{zk}")
         return " + ".join(terms) if terms else "0"
 
-    def galois(self, k: int):
-        """Image under the automorphism zeta -> zeta**k (gcd(k, order) = 1)."""
-        n = self.order
-        if gcd(k, n) != 1:
-            raise UnsupportedParameter(f"zeta -> zeta^{k} is no automorphism of Q(zeta_{n})")
-        table = _zeta_power_table(n)
-        phi = len(self.coords)
-        acc = [0] * phi
-        for i, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            for j, t in enumerate(table[(i * k) % n]):
-                if t:
-                    acc[j] += c * t
-        return Cyclo(n, acc)._demote()
-
-    def inv(self):
-        """Multiplicative inverse: product of conjugates over the norm."""
-        n = self.order
-        conj = 1
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                conj = conj * self.galois(k)
-        norm_r = coeff_rational(self * conj)
-        if norm_r is None or norm_r == 0:
-            raise ZeroDivisionError("cyclotomic element not invertible")
-        return conj * (Fraction(1, 1) / norm_r)
-
     # -- predicates ---------------------------------------------------
 
     def is_rational(self) -> bool:
@@ -268,10 +240,6 @@ class Cyclo:
 
     def rational_part(self):
         return _as_rational(self.coords[0])
-
-
-def coeff_is_zero(x) -> bool:
-    return not isinstance(x, Cyclo) and x == 0
 
 
 def coeff_rational(x):

@@ -205,12 +205,17 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
 
 def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> PointValue:
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
-    estimate K * C^(2-2s) from the doubling check."""
+    estimate K * C^(2-2s) from the doubling check.  Needs m >= 0 and a
+    finite tau in the upper half-plane (UnsupportedParameter otherwise)."""
+    if m < 0:
+        raise UnsupportedParameter(f"m={m}: F_(N,-m) needs m >= 0")
     if isinstance(tau, HeegnerPoint):
         tau = tau.approx()
+    u, v = float(tau.real), float(tau.imag)
+    if not (math.isfinite(u) and math.isfinite(v) and v > 0):
+        raise UnsupportedParameter(f"tau={tau}: needs a finite point with Im tau > 0")
     C, s = params.truncation, params.s
-    value, partials = _niebur_sum_fast(N, m, float(tau.real), float(tau.imag),
-                                       float(s), C)
+    value, partials = _niebur_sum_fast(N, m, u, v, float(s), C)
     # empirical tail constant: the largest K with |S(2c) - S(c)| =
     # K (c^(2-2s) - (2c)^(2-2s)) over the power-of-two checkpoints
     k_emp = 0.0

@@ -27,10 +27,16 @@ sum_b e(bM/d) = d [d | M]:
 
 The coset sums over Q(zeta_d) remain only as verification oracles:
 ``hecke_additive_cosets``, ``hecke_multiplicative_cosets`` and
-``_element_cosets`` twist, rescale and sum or multiply the translates and
-certify the result integral and rational.  They form no log-derivative
-and no character sum, so they check the identities the Q routes are
-built on; both give the same coefficients, types, precision and refusals.
+``_element_cosets`` sum or multiply the twisted translates of
+``_slash_upper`` and certify the result integral and rational
+(``_certified``).  These translates are the only place where an element of
+Q(zeta_d) enters a series.  The oracles form no log-derivative and no
+character sum, so they check the identities the Q routes are built on;
+both give the same coefficients, types, precision and refusals.
+
+Expansion budgets count exponents past the leading one, so an expansion on
+the grid (1/D)Z is asked for D times as many coefficients (``_expansion``),
+in both routes alike.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, left_coset_reps
+from .cyclotomic import Cyclo, coeff_rational
 from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
                      UnsupportedParameter, UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries
@@ -130,15 +137,43 @@ def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
 
 
 def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
-    """f|_k (a b; 0 d), i.e. a twist, an exponent rescale, and (unless bare)
+    """f|_k (a b; 0 d), i.e. the twist that multiplies the coefficient of
+    q^(m/D) by zeta_(dD)^(bm), an exponent rescale by a/d, and (unless bare)
     the constant automorphy factor det^(k/2) d^(-k).  Oracle only."""
     a, b, c, d = rep
     if not (c == 0 and a > 0 and d > 0):
         raise UnsupportedParameter(f"slash by {rep} needs (a b; 0 d) with a, d > 0")
-    g = f.twist(b, d * f.D).rescale_exponents(Fraction(a, d))
+    n = d * f.D
+    if b % n:
+        roots = [Cyclo.zeta(n, r) for r in range(n)]
+        twisted = []
+        for i, x in enumerate(f.coeffs):
+            z = roots[b * (f.order + i) % n]
+            twisted.append(x if not x or z == 1 else z * x)
+        f = PuiseuxSeries(f.D, f.order, twisted)
+    g = f.rescale_exponents(Fraction(a, d))
     if not bare:
         g = g * (Fraction(a * d) ** (k // 2) / Fraction(d) ** k)
     return g
+
+
+def _certified(s: PuiseuxSeries) -> PuiseuxSeries:
+    """An oracle's sum or product s on grid 1, certified to lie in
+    Q((q)): NotIntegralSeries if a non-integral exponent carries a nonzero
+    coefficient or a coefficient is irrational.  Oracle only."""
+    lo = -(-s.order // s.D)
+    out = [0] * (-(-s.cutoff // s.D) - lo)
+    for i, c in enumerate(s.coeffs):
+        if not c:
+            continue
+        m = s.order + i
+        if m % s.D:
+            raise NotIntegralSeries(f"nonzero coefficient at exponent {m}/{s.D}")
+        r = coeff_rational(c)
+        if r is None:
+            raise NotIntegralSeries(f"irrational coefficient {c!r} at exponent {m // s.D}")
+        out[m // s.D - lo] = r
+    return PuiseuxSeries(1, lo, out)
 
 
 def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSeries:
@@ -152,7 +187,7 @@ def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSe
     for rep in reps:
         term = _slash_upper(f, rep, k, bare=False)
         total = term if total is None else total + term
-    return total.integral_projection()
+    return _certified(total)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +219,13 @@ def _atom_order(atom) -> Fraction:
     raise TypeError(f"unknown atom {atom!r}")
 
 
+def _expansion(f: FormExpression, budget: int) -> PuiseuxSeries:
+    """f.qexp known `budget` exponents past its order where the atoms allow:
+    an expansion on the grid (1/D)Z is asked for D * budget coefficients."""
+    series = f.qexp(budget)
+    return series if series.D == 1 else f.qexp(series.D * budget)
+
+
 def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
     """Product of bare slash translates, trimmed so the result keeps `prec`
     coefficients past its leading exponent.  Oracle only."""
@@ -208,10 +250,10 @@ def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
     check_hecke_parameter(n, N, "multiplicative T")
     reps = left_coset_reps(N, n)
     k = f.weight
-    series = f.qexp(len(reps) * prec + int(abs(expression_order(f)) * n) + 8)
+    series = _expansion(f, len(reps) * prec + int(abs(expression_order(f)) * n) + 8)
     if series.is_zero():
         raise NonUnitLeading("multiplicative Hecke image of the zero series")
-    image = _slash_product(series, reps, prec).integral_projection()
+    image = _certified(_slash_product(series, reps, prec))
     return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
@@ -260,9 +302,9 @@ def _rational_log_derivative(f: FormExpression, prec: int, span: int, slack: int
     if l is not None:
         return 1, l[0], l, prec
     reach = span * prec
-    series = f.qexp(reach + slack)
+    series = _expansion(f, reach + slack)
     if series.precision < series.D * reach:
-        expansions = [(f.qexp(budget), s) for budget, s in coset_jobs]
+        expansions = [(_expansion(f, budget), s) for budget, s in coset_jobs]
         prec = min([prec] + [-(-g.precision // (g.D * s)) for g, s in expansions])
         series = max((g for g, _ in expansions), key=lambda g: Fraction(g.precision, g.D),
                      default=series)
@@ -350,7 +392,7 @@ def _element_cosets(f: FormExpression, u: AlgebraElement, prec: int) -> PuiseuxS
     the multiplicative apply_element."""
     out = None
     for reps, mult, budget, _ in _coset_jobs(f, u, prec):
-        piece = _slash_product(f.qexp(budget), reps, prec + 4).integral_projection()
+        piece = _certified(_slash_product(_expansion(f, budget), reps, prec + 4))
         piece = piece ** mult
         out = piece if out is None else out * piece
     return out

@@ -12,18 +12,21 @@ is unknown.  Two facts are part of the representation contract:
   series is stored with an empty coefficient tuple and ``order == cutoff``
   marking where knowledge ends.
 
-Coefficients are ``int`` (preferred), ``fractions.Fraction`` or
-:class:`~heckediv.cyclotomic.Cyclo`; ``Cyclo`` values arise only in the
-coset-sum oracles of :mod:`heckediv.operators` (``twist``), never on a
-production route.  Arithmetic never extends a knowledge
+Coefficients are ``int`` (preferred) or ``fractions.Fraction``, and so
+are scalar operands; a coefficient is zero exactly when it is falsy.  The
+kernel knows no other field.  The coset-sum oracles of
+:mod:`heckediv.operators`, the only code that puts elements of Q(zeta_d)
+into a series, twist their translates and certify their results
+themselves; such coefficients pass through the constructor and the
+schoolbook loops unchanged.  Arithmetic never extends a knowledge
 window, only shrinks it, following the conservative propagation rules:
 products know ``min(cutoff_a + order_b, cutoff_b + order_a)`` grid units.
 
-Two rational windows (``int``/``Fraction`` coefficients) at least
-``KRONECKER_MIN_WIDTH`` wide multiply by Kronecker substitution: one
-bigint product of the two windows, each cleared to one denominator and
-packed into one ``int``.  A ``Cyclo`` operand, or a narrower window, takes
-the schoolbook loop.  Both give the same values and coefficient types.
+Two rational windows at least ``KRONECKER_MIN_WIDTH`` wide multiply by
+Kronecker substitution: one bigint product of the two windows, each
+cleared to one denominator and packed into one ``int``.  A narrower
+window, or one holding another coefficient type, takes the schoolbook
+loop.  Both give the same values and coefficient types.
 
 Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
 without a series division: :func:`log_derivative_coeffs` (the log
@@ -42,18 +45,21 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .cyclotomic import Cyclo, _as_rational, coeff_is_zero, coeff_rational
-from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
-                     UnsupportedParameter)
+from .errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _as_rational(x):
+    """Normalize a rational coefficient: Fraction with denominator 1 -> int."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
 def _coeff_inv(x):
-    if isinstance(x, Cyclo):
-        return x.inv()
     if x == 0:
         raise ZeroDivisionError("coefficient not invertible")
     return _as_rational(Fraction(1, 1) / x)
@@ -155,10 +161,10 @@ class PuiseuxSeries:
         coeffs = list(coeffs)
         # strip leading known zeros so the leading coefficient is nonzero
         i = 0
-        while i < len(coeffs) and coeff_is_zero(coeffs[i]):
+        while i < len(coeffs) and not coeffs[i]:
             i += 1
         order += i
-        coeffs = [_as_rational(c) if not isinstance(c, Cyclo) else c for c in coeffs[i:]]
+        coeffs = [_as_rational(c) for c in coeffs[i:]]
         if not coeffs:
             D, order = self._reduced_zero(D, order)
         else:
@@ -181,7 +187,7 @@ class PuiseuxSeries:
     def _reduced_grid(D, order, coeffs):
         g = D
         for i, c in enumerate(coeffs):
-            if not coeff_is_zero(c):
+            if c:
                 g = gcd(g, order + i)
                 if g == 1:
                     return D, order, coeffs
@@ -190,7 +196,7 @@ class PuiseuxSeries:
         new_cutoff = _ceil_div(cutoff, g)
         reduced = [0] * (new_cutoff - new_order)
         for i, c in enumerate(coeffs):
-            if not coeff_is_zero(c):
+            if c:
                 reduced[(order + i) // g - new_order] = c
         return D // g, new_order, reduced
 
@@ -247,7 +253,7 @@ class PuiseuxSeries:
 
         parts = []
         for i, c in enumerate(self.coeffs):
-            if coeff_is_zero(c):
+            if not c:
                 continue
             n = self.order + i
             if n == 0:
@@ -327,9 +333,9 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.D, self.order, [-c for c in self.coeffs])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             # exact scalars know every coefficient; cover our window
-            if coeff_is_zero(other):
+            if not other:
                 return self
             cut = _ceil_div(self.cutoff, self.D)
             if cut <= 0:
@@ -360,8 +366,8 @@ class PuiseuxSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            if coeff_is_zero(other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return PuiseuxSeries(self.D, self.cutoff, [])
             return PuiseuxSeries(self.D, self.order, [c * other for c in self.coeffs])
         if not isinstance(other, PuiseuxSeries):
@@ -376,12 +382,12 @@ class PuiseuxSeries:
             return PuiseuxSeries(a.D, lo, _kronecker_product(a.coeffs, b.coeffs, width))
         out = [0] * width
         for i, x in enumerate(a.coeffs):
-            if coeff_is_zero(x):
+            if not x:
                 continue
             jmax = min(len(b.coeffs), width - i)
             for j in range(jmax):
                 y = b.coeffs[j]
-                if not coeff_is_zero(y):
+                if y:
                     out[i + j] = out[i + j] + x * y
         return PuiseuxSeries(a.D, lo, out)
 
@@ -396,13 +402,13 @@ class PuiseuxSeries:
         for k in range(1, len(a)):
             s = 0
             for i in range(1, k + 1):
-                if i < len(a) and not coeff_is_zero(a[i]) and not coeff_is_zero(out[k - i]):
+                if i < len(a) and a[i] and out[k - i]:
                     s = s + a[i] * out[k - i]
-            out[k] = -inv0 * s if not coeff_is_zero(s) else 0
+            out[k] = -inv0 * s if s else 0
         return PuiseuxSeries(self.D, -self.order, out)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
+        if isinstance(other, (int, Fraction)):
             return self * _coeff_inv(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
@@ -434,7 +440,7 @@ class PuiseuxSeries:
         out = []
         for i, c in enumerate(self.coeffs):
             n = self.order + i
-            if coeff_is_zero(c) or n == 0:
+            if not c or n == 0:
                 out.append(0)
             elif n % self.D == 0:
                 out.append(c * (n // self.D))
@@ -461,48 +467,6 @@ class PuiseuxSeries:
         for i, c in enumerate(self.coeffs):
             out[i * P] = c
         return PuiseuxSeries(newD, self.order * P, out)
-
-    def twist(self, j: int, n: int) -> "PuiseuxSeries":
-        """Multiply the coefficient at grid numerator m by zeta_n**(j*m)."""
-        if j % n == 0:
-            return self
-        roots = [Cyclo.zeta(n, r) for r in range(n)]
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if coeff_is_zero(c):
-                out.append(0)
-            else:
-                z = roots[(j * (self.order + i)) % n]
-                out.append(c if z == 1 else z * c)
-        return PuiseuxSeries(self.D, self.order, out)
-
-    def integral_projection(self) -> "PuiseuxSeries":
-        """Certify the series lies in Q[[q]][q^-1] and return it on grid D=1.
-
-        Raises NotIntegralSeries if a non-integral exponent carries a nonzero
-        coefficient or a coefficient has irrational cyclotomic content.
-        """
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if coeff_is_zero(c):
-                continue
-            n = self.order + i
-            if n % self.D != 0:
-                raise NotIntegralSeries(
-                    f"nonzero coefficient at exponent {n}/{self.D}")
-            r = coeff_rational(c)
-            if r is None:
-                raise NotIntegralSeries(
-                    f"irrational coefficient {c!r} at exponent {n // self.D}")
-            out[n // self.D] = r
-        new_cut = _ceil_div(self.cutoff, self.D)
-        if not out:
-            return PuiseuxSeries(1, new_cut, [])
-        lo = min(out)
-        coeffs = [0] * (new_cut - lo)
-        for e, c in out.items():
-            coeffs[e - lo] = c
-        return PuiseuxSeries(1, lo, coeffs)
 
     # -- comparisons for tests ----------------------------------------------
 
@@ -549,12 +513,17 @@ class PuiseuxSeries:
             "D": self.D,
             "order": self.order,
             "precision": self.precision,
-            "coeffs": [_coeff_json(c) for c in self.coeffs],
+            "coeffs": [_rat_str(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PuiseuxSeries":
-        coeffs = [_coeff_unjson(c) for c in data["coeffs"]]
+        """The series of :meth:`to_json`.  Coefficients are rationals
+        written "num" or "num/den"; anything else is refused with
+        ValueError, as is a precision that miscounts them."""
+        if not all(isinstance(c, str) for c in data["coeffs"]):
+            raise ValueError("series coefficients must be rational strings 'num' or 'num/den'")
+        coeffs = [_as_rational(Fraction(c)) for c in data["coeffs"]]
         if len(coeffs) != data["precision"]:
             raise ValueError(f"series data lists {len(coeffs)} coefficients "
                              f"but records precision {data['precision']}")
@@ -566,20 +535,3 @@ def _rat_str(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _rat_unstr(s: str):
-    return _as_rational(Fraction(s))
-
-
-def _coeff_json(c):
-    if isinstance(c, Cyclo):
-        return {"zeta_order": c.order, "coeffs": [_rat_str(x) for x in c.coords]}
-    return _rat_str(c)
-
-
-def _coeff_unjson(c):
-    if isinstance(c, dict):
-        return Cyclo(c["zeta_order"], [_rat_unstr(x) for x in c["coeffs"]])
-    return _rat_unstr(c)
-

@@ -1,6 +1,7 @@
 """The public API: ``heckediv.__all__`` lists exactly the public names that
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
-package or its CLI loads neither of the numeric backends."""
+package or its CLI loads neither of the numeric backends; and only the
+coset-sum oracles' module imports the cyclotomic field."""
 
 import ast
 import os
@@ -49,3 +50,27 @@ def test_import_leaves_the_numeric_backends_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _imports_cyclotomic(tree) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "cyclotomic":
+                return True
+            if module in ("", "heckediv") and any(a.name == "cyclotomic" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "heckediv.cyclotomic" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_oracles_import_the_cyclotomic_field():
+    # Q(zeta_d) enters a series only in the twisted translates of the
+    # coset-sum oracles in operators.py; the kernel and every other layer
+    # compute in Q
+    package = Path(heckediv.__file__).parent
+    importers = sorted(path.name for path in package.glob("*.py")
+                       if _imports_cyclotomic(ast.parse(path.read_text())))
+    assert importers == ["operators.py"]

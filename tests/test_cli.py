@@ -176,6 +176,11 @@ def test_exact_verbs_ignore_digits_environment(capsys, monkeypatch):
     (("rohrlich", "--m", "1", "--form", "E4", "--s", "0.99"), "0.99"),
     (("rohrlich", "--m", "1", "--form", "E4", "--s", "nan"), "nan"),
     (("rohrlich", "--m", "1", "--form", "E4", "--s", "1.5", "--C", "0"), "0"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "0,-1"), "0,-1"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "0,0"), "0,0"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "0"), "0"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "inf,1"), "inf,1"),
+    (("niebur", "--m", "1", "--s", "1.5", "--tau", "0,nan"), "0,nan"),
 ])
 def test_poincare_parameters_are_usage_errors(capsys, argv, bad):
     with pytest.raises(SystemExit) as exc:
@@ -274,3 +279,30 @@ def test_hecke_add_refuses_a_fractional_grid_at_every_level(capsys):
         code, out = run_cli(capsys, "hecke-add", "--form", "eta:3:1=8", "--n", "2",
                             "--level", level)
         assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"
+
+
+def test_niebur_refuses_a_negative_m(capsys):
+    code, out = run_cli(capsys, "niebur", "--m", "-1", "--s", "1.5", "--tau", "0,1")
+    assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"
+
+
+@pytest.mark.parametrize("text,code", [
+    ("xyz", 2), ("T(2,x)", 2), ("T()", 2), ("T(1,2,3)", 2), ("Tx", 2), ("2", 2),
+    ("T(2,3)", 1), ("T0", 1), ("T(1,-2)", 1),
+    ("T2", 0), ("T(2)", 0), ("T(1,2)", 0), (" T(3, 3) ", 0),
+])
+def test_algebra_mul_parses_its_elements(capsys, text, code):
+    # malformed text is a usage error; a well-formed label that is no
+    # element at level 2 is a typed error
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["algebra-mul", "--N", "2", "--u", text, "--v", "T2"])
+        assert exc.value.code == 2
+        assert f"not a Hecke element Tn, T(n) or T(a,d): {text!r}" in capsys.readouterr().err
+        return
+    got, out = run_cli(capsys, "algebra-mul", "--N", "2", "--u", text, "--v", "T2")
+    assert got == code
+    if code == 1:
+        assert json.loads(out)["error"] == "UnsupportedParameter"
+    else:
+        assert json.loads(out)["N"] == 2

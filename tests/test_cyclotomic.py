@@ -1,7 +1,4 @@
 import random
-from fractions import Fraction
-
-import pytest
 
 from heckediv.cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi
 
@@ -50,28 +47,21 @@ def test_mixed_order_arithmetic():
     assert (Cyclo.zeta(4) + Cyclo.zeta(3)) - Cyclo.zeta(3) == Cyclo.zeta(4)
 
 
-def test_inverse_and_galois():
-    rng = random.Random(7)
-    for n in (3, 4, 5, 6, 8):
-        phi = euler_phi(n)
-        for _ in range(10):
-            coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(phi)]
-            x = Cyclo(n, coords)
-            if x.is_rational() and x.rational_part() == 0:
-                continue
-            y = x.inv() if isinstance(x, Cyclo) else Fraction(1) / x
-            assert x * y == 1
-
-
-def test_galois_is_homomorphism():
-    z5 = Cyclo.zeta(5)
-    x = 2 + 3 * z5
-    y = z5 * z5 - 1
-    assert (x * y).galois(2) == x.galois(2) * y.galois(2)
-
-
 def test_rationality_detection():
     z4 = Cyclo.zeta(4)
     assert not isinstance(z4 * z4, Cyclo)  # -1 demotes
     v = z4 + (-1) * z4
     assert v == 0
+
+
+def test_zero_test_by_truthiness():
+    # the series kernel tests coefficients for zero by truthiness: every
+    # value that arithmetic returns is falsy exactly when it equals 0
+    rng = random.Random(3)
+    for n in (3, 4, 5, 12):
+        zs = [Cyclo.zeta(n, k) for k in range(n)]
+        for _ in range(40):
+            x, y = rng.choice(zs), rng.choice(zs)
+            c = rng.randint(-2, 2)
+            for r in (x + c * y, x * y - y * x, x * (y - y) + c, (x + y) * (x - y)):
+                assert bool(r) == (r != 0), r

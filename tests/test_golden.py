@@ -13,9 +13,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from heckediv import cli, forms as F
+from heckediv import cli, forms as F, operators as O
 from heckediv.cyclotomic import Cyclo
-from heckediv.series import PuiseuxSeries
 
 QEXP_FORMS = ("E4", "Delta", "j", "j_shifted", "jminus:1728", "jminus:0",
               "eta:2:1=24,2=-24")
@@ -130,11 +129,12 @@ def test_cli_golden(case):
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_golden_without_cyclotomic_arithmetic(case, monkeypatch):
-    # every exact verb computes in Q: no twist, and no element of Q(zeta_d)
+    # every exact verb computes in Q: no twisted translate (a twist by
+    # zeta_2 = -1 makes no Cyclo), and no element of Q(zeta_d)
     def refuse(*args):
         raise AssertionError("cyclotomic arithmetic behind an exact verb")
 
-    monkeypatch.setattr(PuiseuxSeries, "twist", refuse)
+    monkeypatch.setattr(O, "_slash_upper", refuse)
     monkeypatch.setattr(Cyclo, "__init__", refuse)
     assert cli_digest(CLI_CASES[case]) == GOLDEN_CLI[case]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckediv import operators as O
 from heckediv.cyclotomic import Cyclo
 from heckediv.errors import NonUnitLeading, NotIntegralSeries, PrecisionExhausted
 from heckediv.series import PuiseuxSeries as S
@@ -103,7 +104,7 @@ def test_log_derivative_additive_on_products():
         assert lhs.agrees_with(rhs)
 
 
-# -- rescale / twist ----------------------------------------------------------
+# -- rescale ----------------------------------------------------------
 
 def test_rescale_monomial_relabeling():
     f = S(1, -1, [1, 24, 0, 0])
@@ -126,27 +127,39 @@ def test_rescale_j_cubing():
     assert r.coefficient(3) == 196884
 
 
+# -- the oracles' twist and certificate -----------------------------------------
+#
+# The kernel knows no Q(zeta_d): the coset-sum oracles of heckediv.operators
+# twist their translates (_slash_upper) and certify their results
+# (_certified) themselves.
+
+
+def translate(f, b, d):
+    """f((tau + b)/d), the bare slash translate of the oracles."""
+    return O._slash_upper(f, (1, b, 0, d), 0, bare=True)
+
+
 def test_twist_examples():
-    assert S.q_power(1, 2).twist(1, 2).coefficient(1) == -1
-    half = S.q_power(Fraction(1, 2), 2).twist(1, 2)
+    # q at (tau + 1)/2 is e(1/2) q^(1/2); q^(1/2) at tau + 1 is e(1/2) q^(1/2)
+    assert translate(S.q_power(1, 2), 1, 2).coefficient(Fraction(1, 2)) == -1
+    half = translate(S.q_power(Fraction(1, 2), 2), 1, 1)
     assert half.coefficient(Fraction(1, 2)) == -1
 
 
 def test_twist_zero_is_identity_and_cycles():
     rng = random.Random(5)
-    f = S(2, -3, [1] + [rng.randint(-5, 5) for _ in range(9)])
-    assert f.twist(0, 3) == f
+    f = S(3, -4, [1] + [rng.randint(-5, 5) for _ in range(9)])
+    assert translate(f, 0, 1) == f and translate(f, 3, 1) == f
     g = f
     for _ in range(3):
-        g = g.twist(1, 3)
+        g = translate(g, 1, 1)
     assert g == f
 
 
 def test_galois_orbit_product_is_rational_grid():
     from heckediv.forms import delta
-    g = delta(10).rescale_exponents(Fraction(1, 2))
-    prod = g.twist(0, 2) * g.twist(1, 2)
-    proj = prod.integral_projection()
+    prod = translate(delta(10), 0, 2) * translate(delta(10), 1, 2)
+    proj = O._certified(prod)
     assert proj.D == 1 and proj.leading_exponent() == 1
 
 
@@ -157,32 +170,29 @@ def test_galois_orbit_projection_never_fails():
             base = S(1, rng.randint(-2, 2),
                      [rng.randint(-4, 4) + 5] +
                      [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)])
-            g = base.rescale_exponents(Fraction(1, n))
             prod = None
             for j in range(n):
-                t = g.twist(j, n)
+                t = translate(base, j, n)
                 prod = t if prod is None else prod * t
-            proj = prod.integral_projection()  # must not raise
+            proj = O._certified(prod)  # must not raise
             assert proj.D == 1
 
 
-# -- integral projection -------------------------------------------------------
-
 def test_projection_drops_known_zero_half_powers():
     f = S(2, 0, [1, 0, 5])
-    p = f.integral_projection()
+    p = O._certified(f)
     assert p.coefficient(0) == 1 and p.coefficient(1) == 5
 
 
 def test_projection_rejects_genuine_half_power():
     with pytest.raises(NotIntegralSeries):
-        S.q_power(Fraction(1, 2), 3).integral_projection()
+        O._certified(S.q_power(Fraction(1, 2), 3))
 
 
 def test_projection_rejects_irrational_coefficient():
     f = S(1, 0, [Cyclo.zeta(3), 1, 0])
     with pytest.raises(NotIntegralSeries):
-        f.integral_projection()
+        O._certified(f)
 
 
 # -- precision bookkeeping ------------------------------------------------------
@@ -226,8 +236,14 @@ def test_equal_through_demands_coverage():
 
 # -- JSON ---------------------------------------------------
 
-def test_json_round_trip_rational_and_cyclotomic():
-    f = S(2, -3, [Fraction(-36882000, 691), 2, Cyclo.zeta(5) + 1, 0, 7])
+def test_json_round_trip_rational_refuses_cyclotomic():
+    f = S(2, -3, [Fraction(-36882000, 691), 2, 0, 0, 7])
     data = json.loads(json.dumps(f.to_json()))
     assert S.from_json(data) == f
     assert data["coeffs"][0] == "-36882000/691"
+    # the wire format carries rationals only: the retired Q(zeta_5) entry
+    # is refused like any other non-string coefficient
+    cyclo = {"zeta_order": 5, "coeffs": ["1", "1", "0", "0"]}
+    for bad in (cyclo, 2, None):
+        with pytest.raises(ValueError):
+            S.from_json({**data, "coeffs": data["coeffs"][:2] + [bad] + data["coeffs"][3:]})

@@ -1,6 +1,7 @@
 """Input and wire-data validation raises typed errors, never bare asserts,
 so every check also holds under ``python -O``."""
 
+import math
 import os
 import subprocess
 import sys
@@ -24,12 +25,12 @@ def test_series_json_precision_mismatch():
 
 
 def test_series_json_cyclotomic_coordinate_count():
-    # an element of Q(zeta_5) has phi(5) = 4 coordinates
+    # an element of Q(zeta_5) has phi(5) = 4 coordinates; the series wire
+    # format carries rationals only, so it refuses even a well-formed one
     data = S(1, 0, [1, 2]).to_json()
-    good = {"zeta_order": 5, "coeffs": ["1", "2", "0", "0"]}
-    assert S.from_json({**data, "coeffs": [good, "2"]}).coefficient(0) == Cyclo(5, (1, 2, 0, 0))
-    with pytest.raises(ValueError):
-        S.from_json({**data, "coeffs": [{"zeta_order": 5, "coeffs": ["1", "2"]}, "2"]})
+    for coords in (["1", "2", "0", "0"], ["1", "2"]):
+        with pytest.raises(ValueError):
+            S.from_json({**data, "coeffs": [{"zeta_order": 5, "coeffs": coords}, "2"]})
     with pytest.raises(ValueError):
         Cyclo(5, (1, 2, 0, 0, 0))
 
@@ -129,7 +130,6 @@ checks = [
     lambda: _poly_divexact([1, 1], [0, 2]),
     lambda: _poly_divexact([1, 0, 1], [1, 1]),
     lambda: Cyclo.zeta(3).lift(4),
-    lambda: Cyclo.zeta(3).galois(3),
 ]
 for check in checks:
     try:
@@ -138,6 +138,23 @@ for check in checks:
     except Exception as exc:
         print(type(exc).__name__)
 """
+
+
+@pytest.mark.parametrize("m,tau", [
+    (-1, 1j), (1, -1j), (1, 0j), (-1, complex(0.3, 0.8)),
+    (1, complex(0, math.inf)), (1, complex(0, math.nan)), (1, complex(math.nan, 1)),
+])
+def test_niebur_value_refuses_points_off_the_upper_half_plane(m, tau):
+    # these used to return NaN silently or stall in the Bessel series
+    with pytest.raises(UnsupportedParameter):
+        NB.niebur_value(1, m, tau, NB.EvalParams(truncation=4))
+
+
+def test_hecke_elements_need_positive_labels():
+    for bad in (lambda: A.t_n(0, 1), lambda: A.t_n(-2, 1), lambda: A.t_ad(1, 0, 1),
+                lambda: A.t_ad(1, -2, 1)):
+        with pytest.raises(UnsupportedParameter):
+            bad()
 
 
 def test_slash_needs_an_upper_triangular_matrix():
@@ -157,4 +174,4 @@ def test_checks_survive_python_O():
                                   "UnsupportedParameter",
                                   "NotInDeltaN", "NotInDeltaN",
                                   "InvariantViolation", "InvariantViolation",
-                                  "UnsupportedParameter", "UnsupportedParameter"]
+                                  "UnsupportedParameter"]
