@@ -26,16 +26,23 @@ and eta quotients contribute multiples of E2(m tau), E_k the log
 recurrence on its O(n) expansion, and j, j - 1728 combine the two.  Atoms
 without such a closed form return None.
 
-Expansion caches are process-wide and only ever append (pure constructors
-behind lru_cache), so concurrent readers are safe.
+Expansion caches are process-wide pure constructors behind lru_cache.
+Coefficient prefixes that a longer request only extends (the sigma_k
+tables and the log-derivatives Theta(E_k)/E_k) live in one grow-only
+store of immutable tuples, keyed by what they are the prefix of: a call
+reads its first n entries and computes only the rows that are missing,
+and a stored prefix is replaced only by a longer one, so concurrent
+readers are safe.  ``_prefixes.cache_clear()`` empties the store with
+the other caches.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
 from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs
@@ -58,14 +65,56 @@ def bernoulli(k: int) -> Fraction:
     return bs[k]
 
 
-def sigma_table(k: int, n: int) -> list:
-    """[sigma_k(0), ..., sigma_k(n - 1)] with sigma_k(0) = 0, by a divisor
-    sieve: each d adds d^k to its multiples, O(n log n) additions."""
-    out = [0] * n
-    for d in range(1, n):
-        dk = d ** k
-        out[d::d] = [x + dk for x in out[d::d]]
+@lru_cache(maxsize=None)
+def _prefixes() -> dict:
+    """The process-wide store of coefficient prefixes, key -> tuple.  It
+    sits behind lru_cache so that ``_prefixes.cache_clear()`` empties it
+    as it empties every other cache of the library."""
+    return {}
+
+
+# guards the compare-and-store of _prefix; the extension runs outside it
+_PREFIX_LOCK = threading.Lock()
+
+
+def _prefix(key, n: int, extend) -> list:
+    """The first n entries of the stored prefix `key` as a fresh list.
+    When fewer are stored, ``extend(known, n)`` computes the missing rows
+    after the stored tuple `known` and returns all n of them.  A stored
+    prefix is only ever replaced by a longer one, so a reader never sees
+    one shrink; two threads extending at once each compute their rows."""
+    store = _prefixes()
+    known = store.get(key, ())
+    if len(known) < n:
+        known = tuple(extend(known, n))
+        with _PREFIX_LOCK:
+            if len(known) > len(store.get(key, ())):
+                store[key] = known
+    return list(known[:max(n, 0)])
+
+
+def _sigma_rows(k: int, lo: int, n: int) -> list:
+    """[sigma_k(lo), ..., sigma_k(n - 1)] with sigma_k(0) = 0, by a divisor
+    sieve over the window that pairs each divisor d <= sqrt(m) of m with
+    its cofactor e = m/d >= d: one slice per d, (n/2) log n additions."""
+    out = [0] * (n - lo)
+    powers = [e ** k for e in range(n)]
+    for d in range(1, isqrt(max(n - 1, 0)) + 1):
+        e = max(d, -(-lo // d))  # the first cofactor whose multiple is in the window
+        dk = powers[d]
+        first = d * e - lo
+        out[first::d] = [x + dk + pe for x, pe in zip(out[first::d], powers[e:])]
+        if e == d:
+            out[first] -= dk  # d^2 counts its divisor d once
     return out
+
+
+def sigma_table(k: int, n: int) -> list:
+    """[sigma_k(0), ..., sigma_k(n - 1)] with sigma_k(0) = 0, the first n
+    entries of a stored prefix: a longer table sieves only the rows that
+    are missing."""
+    return _prefix(("sigma", k), n,
+                   lambda known, n: known + tuple(_sigma_rows(k, len(known), n)))
 
 
 def sigma(k: int, n: int) -> int:
@@ -95,14 +144,19 @@ def psl2_index(N: int) -> int:
 # q-expansions of the classical atoms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def eisenstein(k: int, prec: int) -> PuiseuxSeries:
-    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+def _eisenstein_coeffs(k: int, prec: int) -> list:
+    """The first `prec` coefficients of E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 != 0 or k < 4:
         raise UnsupportedWeight(f"Eisenstein weight must be even and >= 4, got {k}")
     # an int factor (k = 4, 6, 8, 10, 14) keeps every coefficient an int
     c = exact_div(-2 * k, bernoulli(k))
-    return PuiseuxSeries(1, 0, [1] + [c * x for x in sigma_table(k - 1, prec)[1:]])
+    return [1] + [c * x for x in sigma_table(k - 1, prec)[1:]]
+
+
+@lru_cache(maxsize=64)
+def eisenstein(k: int, prec: int) -> PuiseuxSeries:
+    """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
+    return PuiseuxSeries(1, 0, _eisenstein_coeffs(k, prec))
 
 
 @lru_cache(maxsize=64)
@@ -244,8 +298,11 @@ class Eisenstein:
 
     def log_derivative(self, n: int) -> list:
         """Theta(E_k)/E_k to n coefficients from q^0, by the log-derivative
-        recurrence on the expansion of E_k."""
-        return log_derivative_coeffs(eisenstein(self.k, n).coeffs, 0, n)
+        recurrence on the expansion of E_k.  The first n entries of a
+        stored prefix: a longer request resumes the recurrence where the
+        stored rows end."""
+        return _prefix(self, n, lambda known, n: log_derivative_coeffs(
+            _eisenstein_coeffs(self.k, n), 0, n, known))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,12 @@ def _inverse_table(c: int) -> np.ndarray:
     return table
 
 
+# the most d-window elements one row may hold: the c = N window grows as
+# 8000 v^0.75 and passes this bound near Im tau = 670, and a point that
+# far up is refused before any array is allocated
+MAX_ROW_WINDOW = 1 << 20
+
+
 def _row_halfwidth(c: int, v: float) -> int:
     """Half-width of the symmetric d-window for one value of c, rounded to
     a whole number of residue blocks.
@@ -205,16 +211,24 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
 
 def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> PointValue:
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
-    estimate K * C^(2-2s) from the doubling check.  Needs m >= 0 and a
-    finite tau in the upper half-plane (UnsupportedParameter otherwise)."""
+    estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
+    and a finite tau in the upper half-plane whose c = N row fits in
+    MAX_ROW_WINDOW (UnsupportedParameter otherwise)."""
     if m < 0:
         raise UnsupportedParameter(f"m={m}: F_(N,-m) needs m >= 0")
+    if N < 1:
+        raise UnsupportedParameter(f"N={N}: the level must be >= 1")
     if isinstance(tau, HeegnerPoint):
         tau = tau.approx()
     u, v = float(tau.real), float(tau.imag)
     if not (math.isfinite(u) and math.isfinite(v) and v > 0):
         raise UnsupportedParameter(f"tau={tau}: needs a finite point with Im tau > 0")
     C, s = params.truncation, params.s
+    window = 2 * _row_halfwidth(N, v) + 1
+    if window > MAX_ROW_WINDOW:
+        raise UnsupportedParameter(
+            f"tau={tau}: Im tau = {v:g} needs a d-window of {window} elements at c = {N}, "
+            f"more than the {MAX_ROW_WINDOW} a row may hold")
     value, partials = _niebur_sum_fast(N, m, u, v, float(s), C)
     # empirical tail constant: the largest K with |S(2c) - S(c)| =
     # K (c^(2-2s) - (2c)^(2-2s)) over the power-of-two checkpoints

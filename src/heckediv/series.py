@@ -32,7 +32,11 @@ Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
 without a series division: :func:`log_derivative_coeffs` (the log
 recurrence, f to Theta(f)/f) and :func:`exp_coeffs` (the exp recurrence,
 Theta(f)/f back to f).  The form constructors build eta quotients with
-the second, and the rational multiplicative Hecke route runs both.
+the second, and the rational multiplicative Hecke route runs both.  Row
+m of the log recurrence reads only c_0, ..., c_m and the rows before it,
+so a known prefix of Theta(f)/f resumes it: the store of
+:mod:`heckediv.forms` keeps Theta(E_k)/E_k that way and computes only the
+rows a longer request adds.
 
 All values are immutable; operations are pure functions, so series may be
 shared freely between threads.
@@ -72,14 +76,18 @@ def exact_div(x, y):
     return _as_rational(Fraction(x) / y)
 
 
-def log_derivative_coeffs(c, h, n: int) -> list:
+def log_derivative_coeffs(c, h, n: int, prefix=()) -> list:
     """The coefficients l_0, ..., l_{n-1} of Theta(f)/f for
     f = q^h (c_0 + c_1 q + ...) with rational c_i, c_0 != 0 and c_0, ...,
     c_{n-1} known: l_0 = h, and l_m solves the recurrence
-    sum_{i=0}^{m} c_i l_{m-i} = (h + m) c_m, one O(n^2) pass."""
+    sum_{i=0}^{m} c_i l_{m-i} = (h + m) c_m, one O(n^2) pass.
+
+    A known `prefix` l_0, ..., l_{p-1} (p <= n, as an earlier call
+    returned it) resumes the pass at m = p: only the missing rows are
+    computed, and the result equals the one-pass result."""
     c0 = c[0]
-    l = [h]
-    for m in range(1, n):
+    l = list(prefix) or [h]
+    for m in range(len(l), n):
         l.append(exact_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
     return l
 

@@ -329,7 +329,3 @@ def run_suite(name: str) -> list[EvalReport]:
     if name not in _SUITE_FN:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FN[name]()
-
-
-def run_all() -> dict[str, list[EvalReport]]:
-    return {name: run_suite(name) for name in SUITES}

@@ -1,7 +1,9 @@
 """The public API: ``heckediv.__all__`` lists exactly the public names that
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
-package or its CLI loads neither of the numeric backends; and only the
-coset-sum oracles' module imports the cyclotomic field."""
+package or its CLI loads neither of the numeric backends; only the
+coset-sum oracles' module imports the cyclotomic field; and calling
+``cache_clear()`` on every module-level object that has one leaves no
+cache warm."""
 
 import ast
 import os
@@ -9,7 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import heckediv
+from heckediv import algebra, curve, forms, niebur, operators, pairing, series
 
 
 def _bound_public_names() -> set:
@@ -74,3 +79,37 @@ def test_only_the_oracles_import_the_cyclotomic_field():
     importers = sorted(path.name for path in package.glob("*.py")
                        if _imports_cyclotomic(ast.parse(path.read_text())))
     assert importers == ["operators.py"]
+
+
+CACHED_MODULES = (series, forms, operators, algebra, curve, niebur, pairing)
+
+
+def _clear_every_cache():
+    # what a cold session starts from: every module-level object with a
+    # cache_clear, called as it stands (a class with a cache_clear method
+    # would fail here with a TypeError)
+    for mod in CACHED_MODULES:
+        for obj in vars(mod).values():
+            clear = getattr(obj, "cache_clear", None)
+            if clear is not None:
+                clear()
+
+
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_clearing_every_cache_makes_the_next_call_recompute(monkeypatch, n):
+    runs = []
+    real = forms.log_derivative_coeffs
+
+    def spy(c, h, m, prefix=()):
+        runs.append((len(prefix), m))
+        return real(c, h, m, prefix)
+
+    monkeypatch.setattr(forms, "log_derivative_coeffs", spy)
+    e4 = forms.Eisenstein(4)
+    want = e4.log_derivative(n)
+    runs.clear()
+    assert e4.log_derivative(n) == want
+    assert runs == []  # warm: read from the store
+    _clear_every_cache()
+    assert e4.log_derivative(n) == want
+    assert runs == [(0, n)]  # cold again: the whole recurrence, from q^0

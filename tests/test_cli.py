@@ -306,3 +306,16 @@ def test_algebra_mul_parses_its_elements(capsys, text, code):
         assert json.loads(out)["error"] == "UnsupportedParameter"
     else:
         assert json.loads(out)["N"] == 2
+
+
+def test_niebur_refuses_a_point_past_the_window_bound(capsys, monkeypatch):
+    from heckediv import niebur
+
+    def no_row(*args):
+        raise AssertionError("a row was summed for a point past the window bound")
+
+    monkeypatch.setattr(niebur, "_niebur_sum_fast", no_row)
+    code, out = run_cli(capsys, "niebur", "--m", "0", "--s", "1.5", "--tau", "0,1e6")
+    data = json.loads(out)
+    assert code == 1 and data["error"] == "UnsupportedParameter"
+    assert "d-window" in data["message"]

@@ -279,3 +279,182 @@ def test_atoms_without_a_closed_form_have_no_log_derivative():
     shifted = F.FormExpression.of(_eta(2, {1: 24, 2: -24}), shift=-512)
     assert shifted.log_derivative(5) is None
     assert F.FormExpression.of().log_derivative(3) == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the grow-only prefix store behind sigma_table and Theta(E_k)/E_k
+# ---------------------------------------------------------------------------
+
+def _trial_sigma(k, n):
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def _brute_eisenstein(k, n):
+    c = -Fraction(2 * k) / F.bernoulli(k)
+    return [1] + [c * _trial_sigma(k - 1, i) for i in range(1, n)]
+
+
+def _brute_eta_unit(exponents, n):
+    """prod (1 - q^(m j))^r to n terms, one factor (1 - q^j) at a time."""
+    u = [1] + [0] * (n - 1)
+    for m, r in exponents:
+        for j in range(m, n, m):
+            for _ in range(abs(r)):
+                if r > 0:
+                    for i in range(n - 1, j - 1, -1):
+                        u[i] -= u[i - j]
+                else:
+                    for i in range(j, n):
+                        u[i] += u[i - j]
+    return u
+
+
+def _one_pass_log_derivative(atom, n):
+    """Theta(f)/f to n coefficients by one uncached pass of the log
+    recurrence over an expansion built without the store: E_k from trial
+    division, Delta(m tau) and eta quotients factor by factor, and
+    j = E4^3/Delta, j - 1728 = E6^2/Delta by the series kernel."""
+    if isinstance(atom, F.Eisenstein):
+        return log_derivative_coeffs(_brute_eisenstein(atom.k, n), 0, n)
+    if isinstance(atom, F.DeltaShift):
+        return log_derivative_coeffs(_brute_eta_unit(((atom.m, 24),), n), atom.m, n)
+    if isinstance(atom, F.EtaQuotient):
+        exps = atom.spec.exponents
+        order = sum(m * r for m, r in exps) // 24
+        return log_derivative_coeffs(_brute_eta_unit(exps, n), order, n)
+    k, power = (4, 3) if atom.c == 0 else (6, 2)
+    s = S(1, 0, _brute_eisenstein(k, n)) ** power / S(1, 1, _brute_eta_unit(((1, 24),), n))
+    return log_derivative_coeffs(s.coeffs, s.order, n)
+
+
+STORE_ATOMS = (
+    [F.Eisenstein(k) for k in (4, 6, 8, 10, 12, 14, 16)]
+    + [F.DeltaShift(m) for m in (1, 2, 3)]
+    + [_eta(3, {1: 6, 3: 6}), _eta(2, {1: 24, 2: -24}), _eta(6, {1: 2, 2: 2, 3: 2, 6: 2})]
+    + [F.JMinus(Fraction(0)), F.JMinus(Fraction(1728))])
+
+_ONE_PASS = {}
+
+
+def _assert_one_pass(atom, n):
+    if (atom, n) not in _ONE_PASS:
+        _ONE_PASS[atom, n] = _one_pass_log_derivative(atom, n)
+    want = _ONE_PASS[atom, n]
+    got = atom.log_derivative(n)
+    assert got == want, (atom, n)
+    assert [type(x) for x in got] == [type(x) for x in want], (atom, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(STORE_ATOMS), st.integers(1, 60)),
+                min_size=1, max_size=8))
+def test_stored_log_derivatives_equal_one_pass(requests):
+    # lengths rise, fall and repeat in any order, on atoms sharing the store
+    F._prefixes.cache_clear()
+    for atom, n in requests:
+        _assert_one_pass(atom, n)
+
+
+@pytest.mark.parametrize("atom", STORE_ATOMS, ids=repr)
+def test_rising_falling_and_repeated_lengths(atom):
+    F._prefixes.cache_clear()
+    for n in (5, 5, 31, 12, 1, 47, 47, 2):
+        _assert_one_pass(atom, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((0, 1, 3, 5, 11, 15)), st.lists(st.integers(0, 90), min_size=1, max_size=6))
+def test_stored_sigma_tables_equal_trial_division(k, lengths):
+    F._prefixes.cache_clear()
+    for n in lengths:
+        assert F.sigma_table(k, n) == [_trial_sigma(k, i) for i in range(n)]
+
+
+def test_the_store_extends_only_the_missing_rows(monkeypatch):
+    F._prefixes.cache_clear()
+    F.eisenstein.cache_clear()
+    resumed = []
+    real = F.log_derivative_coeffs
+
+    def spy(c, h, n, prefix=()):
+        resumed.append((len(prefix), n, len(c)))
+        return real(c, h, n, prefix)
+
+    monkeypatch.setattr(F, "log_derivative_coeffs", spy)
+    e6 = F.Eisenstein(6)
+    for n in (10, 4, 10, 25, 25, 3):
+        assert len(e6.log_derivative(n)) == n
+    # a cold call computes exactly the n rows asked for, a longer one only
+    # the missing rows, a shorter or equal one nothing
+    assert resumed == [(0, 10, 10), (10, 25, 25)]
+    assert len(F._prefixes()[e6]) == 25
+    assert len(F._prefixes()[("sigma", 5)]) == 25
+    # the extension reads the stored sigma_5, not a cached expansion of E6
+    assert F.eisenstein.cache_info().currsize == 0
+
+
+def test_a_returned_list_is_the_callers_own():
+    F._prefixes.cache_clear()
+    e4 = F.Eisenstein(4)
+    got = e4.log_derivative(12)
+    want = list(got)
+    got[3] = 999
+    got.append(7)
+    assert e4.log_derivative(12) == want
+    s1 = F.sigma_table(1, 20)
+    s1[5] = -1
+    del s1[10:]
+    assert F.sigma_table(1, 20) == [0] + [_trial_sigma(1, i) for i in range(1, 20)]
+    assert all(type(v) is tuple for v in F._prefixes().values())
+
+
+def test_clearing_the_store_drops_every_prefix():
+    F.Eisenstein(8).log_derivative(9)
+    assert F._prefixes()
+    F._prefixes.cache_clear()
+    assert F._prefixes() == {}
+
+
+def test_threads_sharing_the_store_never_shrink_a_prefix():
+    # more threads than cores, switching often, each asking for rising
+    # lengths interleaved with the others' so that extensions race: every
+    # result equals the one-pass reference, no thread sees a stored prefix
+    # shrink, and the prefixes end as long as the longest request (a
+    # shorter prefix stored over a longer one would break both)
+    import sys
+    import threading
+
+    F._prefixes.cache_clear()
+    e4 = F.Eisenstein(4)
+    longest = 300
+    want = _one_pass_log_derivative(e4, longest)
+    sigma = [_trial_sigma(3, i) for i in range(longest)]
+    plans = [list(range(i + 1, longest + 1, 6)) for i in range(6)]
+    errors = []
+
+    def work(plan):
+        seen = {e4: 0, ("sigma", 3): 0}
+        try:
+            for n in plan:
+                assert e4.log_derivative(n) == want[:n]
+                assert F.sigma_table(3, n) == sigma[:n]
+                for key in seen:
+                    now = len(F._prefixes().get(key, ()))
+                    assert now >= seen[key], (key, seen[key], now)
+                    seen[key] = now
+        except AssertionError as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(plan,)) for plan in plans]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(F._prefixes()[e4]) == len(F._prefixes()[("sigma", 3)]) == longest

@@ -439,3 +439,32 @@ def test_phi_np_matches_oracle(m, s, v):
             NB._phi_np(m, arr, s)
         return
     assert np.array_equal(NB._phi_np(m, arr, s), want)
+
+
+def _no_row(*args):
+    raise AssertionError("a row was summed for a point past the window bound")
+
+
+@pytest.mark.parametrize("N,m,tau", [(1, 0, complex(0, 1e6)), (1, 1, complex(0.3, 1e3)),
+                                     (3, 0, complex(0, 700.0)), (1, 0, complex(0, 1e300))])
+def test_a_window_past_the_bound_is_refused_before_any_row(monkeypatch, N, m, tau):
+    # the check reads the window size from _row_halfwidth alone; the sum
+    # that would allocate the row is never reached
+    monkeypatch.setattr(NB, "_niebur_sum_fast", _no_row)
+    assert 2 * NB._row_halfwidth(N, tau.imag) + 1 > NB.MAX_ROW_WINDOW
+    with pytest.raises(UnsupportedParameter, match="d-window"):
+        NB.niebur_value(N, m, tau, EvalParams(truncation=2))
+
+
+def test_points_up_to_im_tau_100_stay_inside_the_window_bound():
+    for v in (1.0, 10.0, 100.0):
+        for N in (1, 2, 3, 5):
+            assert 2 * NB._row_halfwidth(N, v) + 1 <= NB.MAX_ROW_WINDOW
+    got = NB.niebur_value(1, 0, complex(0.1, 100.0), EvalParams(truncation=2))
+    assert math.isfinite(got.value.real) and got.value.real > 100.0 ** 1.5
+
+
+@pytest.mark.parametrize("N", (0, -1))
+def test_a_level_below_one_is_refused(N):
+    with pytest.raises(UnsupportedParameter, match="level"):
+        NB.niebur_value(N, 0, 1j)

@@ -7,9 +7,17 @@ and normalises by hand: strip leading zeros, move to the coarsest grid
 that holds every nonzero exponent, and store integral values as ``int``.
 It shares no code with ``PuiseuxSeries.__mul__`` or its Kronecker product.
 
-The exp recurrence is checked as the inverse of the log recurrence, and
-the eta quotients it builds against the product prod (1 - q^(m n))^r
-expanded factor by factor with binomial series in a dict.
+Sums, reciprocals and powers are checked against the same dict terms:
+sums term by term below the smaller knowledge bound, reciprocals by the
+geometric series sum_j t^j of 1/(1 - t), powers as successive reference
+products, each with the order, grid, cutoff, values and coefficient types
+of the result.
+
+The exp recurrence is checked as the inverse of the log recurrence, the
+log recurrence resumed from a prefix against one pass, and the eta
+quotients the exp recurrence builds against the product
+prod (1 - q^(m n))^r expanded factor by factor with binomial series in a
+dict.
 """
 
 import math
@@ -20,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckediv import forms, series
 from heckediv.cyclotomic import Cyclo
+from heckediv.errors import NonUnitLeading
 from heckediv.forms import EtaQuotientSpec, eisenstein, eta_quotient_qexp
 from heckediv.series import KRONECKER_MIN_WIDTH, PuiseuxSeries as S
 from heckediv.series import exp_coeffs, log_derivative_coeffs
@@ -29,16 +38,28 @@ def _terms(s):
     return {Fraction(s.order + i, s.D): c for i, c in enumerate(s.coeffs)}
 
 
+def _dict_product(x, y, bound):
+    """{e: c} of the product of two term dicts below the exponent `bound`."""
+    prod = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            if e1 + e2 < bound:
+                prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+    return prod
+
+
 def _reference_product(a, b):
     """(D, order, coeffs) of a * b, computed from the terms of a and b."""
     bound = min(Fraction(a.cutoff, a.D) + Fraction(b.order, b.D),
                 Fraction(b.cutoff, b.D) + Fraction(a.order, a.D))
-    prod = {}
-    for e1, x in _terms(a).items():
-        for e2, y in _terms(b).items():
-            if e1 + e2 < bound:
-                prod[e1 + e2] = prod.get(e1 + e2, 0) + x * y
-    nonzero = {e: c for e, c in prod.items() if isinstance(c, Cyclo) or c != 0}
+    return _normalised(_dict_product(_terms(a), _terms(b), bound), bound)
+
+
+def _normalised(terms, bound):
+    """(D, order, coeffs) of the series whose {exponent: coefficient} terms
+    are known below the exponent `bound`: leading zeros stripped, on the
+    coarsest grid that holds every nonzero exponent, integral values as int."""
+    nonzero = {e: c for e, c in terms.items() if isinstance(c, Cyclo) or c != 0}
     if not nonzero:
         return 1, math.ceil(bound), ()
     D = math.lcm(*[e.denominator for e in nonzero])
@@ -51,6 +72,58 @@ def _reference_product(a, b):
             c = int(c)
         coeffs.append(c)
     return D, order, tuple(coeffs)
+
+
+def _reference_sum(a, b):
+    """(D, order, coeffs) of a + b: the terms of both, known below the
+    smaller of the two knowledge bounds."""
+    bound = min(Fraction(a.cutoff, a.D), Fraction(b.cutoff, b.D))
+    total = {}
+    for e, c in list(_terms(a).items()) + list(_terms(b).items()):
+        if e < bound:
+            total[e] = total.get(e, 0) + c
+    return _normalised(total, bound)
+
+
+def _reference_scalar_sum(a, c):
+    """(D, order, coeffs) of a + c for a rational c, which knows every
+    coefficient: c joins the constant term when a knows it."""
+    bound = Fraction(a.cutoff, a.D)
+    if not c or bound <= 0:
+        return _fields(a)
+    terms = _terms(a)
+    terms[Fraction(0)] = terms.get(Fraction(0), 0) + c
+    return _normalised(terms, bound)
+
+
+def _reference_reciprocal(a):
+    """(D, order, coeffs) of 1/a for a = a_0 q^v (1 - t), by the geometric
+    series a_0^-1 q^-v sum_j t^j in dict products; it knows as many grid
+    coefficients as a does."""
+    terms = _terms(a)
+    v = Fraction(a.order, a.D)
+    a0 = Fraction(terms[v])
+    width = Fraction(a.cutoff, a.D) - v
+    t = {e - v: -c / a0 for e, c in terms.items() if e != v and c}
+    total, power = {Fraction(0): Fraction(1)}, {Fraction(0): Fraction(1)}
+    while power:
+        power = _dict_product(power, t, width)
+        for e, c in power.items():
+            total[e] = total.get(e, 0) + c
+    return _normalised({e - v: c / a0 for e, c in total.items()}, width - v)
+
+
+def _reference_power(a, k):
+    """(D, order, coeffs) of a^k: 1 known to max(precision, 1) integral
+    exponents for k = 0, else |k| - 1 successive reference products of
+    a (or of the reference reciprocal for k < 0)."""
+    if k == 0:
+        return _normalised({Fraction(0): 1}, max(a.precision, 1))
+    base = S(*_reference_reciprocal(a)) if k < 0 else a
+    out = base
+    for _ in range(abs(k) - 1):
+        out = S(*_reference_product(out, base))
+    return _fields(out)
 
 
 def _fields(s):
@@ -72,15 +145,15 @@ DENOMINATORS = (1, 1, 2, 3, 7, 691, 3617, 2 ** 61 - 1)
 
 
 @st.composite
-def windows(draw):
-    bits = draw(st.sampled_from((3, 64, 2000)))
+def windows(draw, max_size=64, heights=(3, 64, 2000)):
+    bits = draw(st.sampled_from(heights))
     big = 2 ** bits
     num = st.one_of(st.just(0), st.integers(-big, big))
     if draw(st.booleans()):
         coeff = num
     else:
         coeff = st.builds(Fraction, num, st.sampled_from(DENOMINATORS))
-    coeffs = draw(st.lists(coeff, min_size=1, max_size=64))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=max_size))
     D = draw(st.sampled_from((1, 1, 2, 3, 6)))
     order = draw(st.integers(-40, 40))
     return S(D, order, coeffs)
@@ -159,6 +232,63 @@ def test_a_cyclo_operand_keeps_the_schoolbook_product(monkeypatch):
     assert got.coeffs[0] == z and got.coeffs[1] == z * 240 + 1
 
 
+# -- sums, reciprocals and powers ---------------------------------------------
+
+def _assert_fields(got, want):
+    assert _fields(got) == want
+    assert got.cutoff == want[1] + len(want[2])
+    assert _types(got.coeffs) == _types(want[2])
+
+
+SCALARS = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                    st.builds(Fraction, st.integers(-99, 99), st.sampled_from(DENOMINATORS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows(), windows())
+def test_sum_matches_the_dict_reference(a, b):
+    want = _reference_sum(a, b)
+    _assert_fields(a + b, want)
+    _assert_fields(b + a, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), SCALARS)
+def test_scalar_sum_matches_the_dict_reference(a, c):
+    want = _reference_scalar_sum(a, c)
+    _assert_fields(a + c, want)
+    _assert_fields(c + a, want)
+
+
+def test_sums_that_cancel_keep_the_smaller_knowledge_bound():
+    a = S(2, -3, [Fraction(1, 3), 0, 4, 5])
+    _assert_fields(a - a, _reference_sum(a, -a))
+    _assert_fields(a + (-a).truncate(0), _reference_sum(a, (-a).truncate(0)))
+    _assert_fields(S(1, 4, []) + a, _reference_sum(S(1, 4, []), a))
+    # a constant beyond the knowledge bound leaves the window alone
+    _assert_fields(S(1, -5, [2, 3]) + 7, _fields(S(1, -5, [2, 3])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows(max_size=20, heights=(3, 64)))
+def test_reciprocal_matches_the_geometric_series(a):
+    if a.is_zero():
+        with pytest.raises(NonUnitLeading):
+            a.reciprocal()
+        return
+    _assert_fields(a.reciprocal(), _reference_reciprocal(a))
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows(max_size=12, heights=(3, 64)), st.integers(-3, 4))
+def test_power_matches_the_dict_reference(a, k):
+    if a.is_zero() and k < 0:
+        with pytest.raises(NonUnitLeading):
+            a ** k
+        return
+    _assert_fields(a ** k, _reference_power(a, k))
+
+
 # -- the exp recurrence ------------------------------------------------------
 
 def _normal(x):
@@ -184,6 +314,22 @@ def test_exp_inverts_the_log_recurrence(c, h):
     back = exp_coeffs(1, l, n)
     assert back == c
     assert _types(back) == _types(c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(units(), st.sampled_from((0, 3, -7, Fraction(5, 24), Fraction(-1, 2))), st.data())
+def test_the_log_recurrence_resumes_from_a_prefix(c, h, data):
+    n = len(c)
+    whole = log_derivative_coeffs(c, h, n)
+    p = data.draw(st.integers(1, n))
+    # the prefix an earlier, shorter call returned, as a list and a tuple
+    earlier = log_derivative_coeffs(c[:p], h, p)
+    assert earlier == whole[:p]
+    for prefix in (earlier, tuple(earlier)):
+        got = log_derivative_coeffs(c, h, n, prefix)
+        assert got == whole
+        assert _types(got) == _types(whole)
+    assert earlier == whole[:p]  # the prefix is read, never extended in place
 
 
 def test_exp_ignores_the_order_term():
