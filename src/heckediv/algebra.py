@@ -21,6 +21,7 @@ from math import gcd
 
 from .errors import (DeterminantMismatch, InvariantViolation, NotInDeltaN,
                      UnsupportedParameter)
+from .forms import prime_factors
 
 Mat = tuple[int, int, int, int]
 
@@ -148,19 +149,8 @@ def check_hecke_parameter(n: int, N: int, name: str = "T") -> None:
     """Refuse n < 1, and a composite n sharing a factor with the level."""
     if n < 1:
         raise UnsupportedParameter("Hecke parameter must be positive")
-    if gcd(n, N) > 1 and not _is_prime(n):
+    if gcd(n, N) > 1 and prime_factors(n) != [n]:
         raise UnsupportedParameter(f"{name}({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 def double_coset_label(alpha: Mat, N: int) -> tuple[int, int]:

@@ -14,8 +14,13 @@ fundamental-domain convention is -1/2 <= Re z < 1/2, |z| >= 1 with the
 |z| = 1 boundary tie broken towards Re z <= 0, i.e. the classical
 -A < B <= A <= C (B >= 0 when A = C) reduction.
 
-Cusps are classified by the T-orbit of the bottom row of a lift to
-SL_2(Z) in P^1(Z/N); widths come from conjugating the stabilizer.
+A cusp a/c in lowest terms has the closed-form class invariant
+(d, a (c/d) mod gcd(d, N/d)) with d = gcd(c, N) (Cremona, *Algorithms for
+Modular Elliptic Curves*, 2nd ed., ch. 2): two cusps are Gamma_0(N)-
+equivalent exactly when their invariants agree, and every d | N with every
+unit x mod gcd(d, N/d) occurs once.  The class (d, x) is represented by
+a/d with the least such a >= 1 (0/1 for d = 1, infinity for d = N), of
+width N / gcd(d^2, N).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ U_MAT: Mat = (0, -1, 1, 1)  # ST, fixes omega = exp(2 pi i / 3)
 # Heegner points and reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeegnerPoint:
     """z = (-B + sqrt(B^2 - 4AC)) / (2A) in the upper half-plane."""
     A: int
@@ -159,7 +164,7 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
     return u0, v0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalPoint:
     """Exact key of a Gamma_0(N)-class of CM points."""
     N: int
@@ -182,7 +187,7 @@ class CanonicalPoint:
         return f"[{self.form[0]},{self.form[1]},{self.form[2]};{self.label[0]}:{self.label[1]}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JFiberPoint:
     """Symbolic level-1 point j^{-1}(value); resolved numerically only when
     coordinates are required."""
@@ -227,7 +232,7 @@ def period(z: HeegnerPoint, N: int) -> int:
 # cusps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CuspClass:
     """Canonical cusp a/c of X_0(N) ((1, 0) is the infinite cusp)."""
     a: int
@@ -242,75 +247,54 @@ class CuspClass:
         return repr(self)
 
 
-def _cusp_orbit_key(a: int, c: int, N: int) -> tuple[int, int]:
-    """Exact Gamma_0(N)-invariant of the cusp a/c: the minimal P^1(Z/N)
-    label of the bottom row of a lift, over its T-translates."""
-    g = gcd(abs(a), abs(c))
-    if g:
-        a, c = a // g, c // g
-    if c < 0 or (c == 0 and a < 0):
-        a, c = -a, -c
-    u, _v = _bezout(a, c)
-    d = u  # (a, -v; c, u) lies in SL_2(Z)
-    best = None
-    for j in range(N):
-        lab = p1_label(c % N, (d + j * c) % N, N)
-        if best is None or lab < best:
-            best = lab
-    return best
-
-
 def cusp_width(c: int, N: int) -> int:
     """Width of the cusp a/c: least h > 0 with sigma T^h sigma^{-1} in
     Gamma_0(N); the conjugate has lower-left entry -c^2 h."""
-    h = 1
-    while (c * c * h) % N != 0:
-        h += 1
-    return h
+    return N // gcd(c * c, N)
+
+
+def _cusp_class(d: int, x: int, N: int) -> CuspClass:
+    """The representative of the cusp class (d, x), d | N and x a unit
+    mod gcd(d, N/d): a/d with the least a >= 1 congruent to x and coprime
+    to d; 0/1 for d = 1 and infinity for d = N."""
+    if d == N:
+        return CuspClass(1, 0, 1)
+    if d == 1:
+        return CuspClass(0, 1, N)
+    g = gcd(d, N // d)
+    a = x or 1
+    while gcd(a, d) != 1:
+        a += g
+    return CuspClass(a, d, cusp_width(d, N))
 
 
 @lru_cache(maxsize=None)
 def cusps(N: int) -> tuple[CuspClass, ...]:
-    """A complete system of inequivalent cusps of X_0(N) with widths.
-
-    Representatives a/c with c | N and a mod gcd(c, N/c); the class of
-    (1, 0) (equivalently c = N) is displayed as the infinite cusp.
-    """
-    inf_key = _cusp_orbit_key(1, 0, N)
+    """A complete system of inequivalent cusps of X_0(N) with widths: one
+    representative per class (d, x), d | N, x in (Z/gcd(d, N/d))^*."""
     out = []
-    seen = set()
-    for c in sorted(d for d in range(1, N + 1) if N % d == 0):
-        g = gcd(c, N // c)
-        for a0 in range(g if g > 1 else 1):
-            if g > 1 and gcd(a0, g) != 1:
-                continue
-            if c == 1:
-                a = 0
-            else:
-                a = a0 if a0 else 1
-                while gcd(a, c) != 1:
-                    a += g
-            key = _cusp_orbit_key(a, c, N)
-            if key in seen:
-                continue
-            seen.add(key)
-            if key == inf_key:
-                out.append(CuspClass(1, 0, cusp_width(N, N)))
-            else:
-                out.append(CuspClass(a, c, cusp_width(c, N)))
+    for d in range(1, N + 1):
+        if N % d == 0:
+            g = gcd(d, N // d)
+            out += [_cusp_class(d, x, N) for x in range(g) if gcd(x, g) == 1]
     return tuple(sorted(out, key=lambda cc: (cc.c, cc.a)))
-
-
-@lru_cache(maxsize=None)
-def _cusp_table(N: int) -> dict:
-    return {_cusp_orbit_key(cc.a, cc.c, N): cc for cc in cusps(N)}
 
 
 def canonical_cusp(a: int, c: int, N: int) -> CuspClass:
     """Canonical representative of the cusp a/c (use (1, 0) for infinity)."""
     if c == 0:
-        a, c = 1, 0
-    return _cusp_table(N)[_cusp_orbit_key(a, c, N)]
+        return _cusp_class(N, 0, N)
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    d = gcd(c, N)
+    return _cusp_class(d, a * (c // d) % gcd(d, N // d), N)
+
+
+def act_cusp(m: Mat, cusp: CuspClass, N: int) -> CuspClass:
+    """Canonical representative of the image of a cusp under an integer
+    matrix of positive determinant."""
+    a, b, c, d = m
+    return canonical_cusp(a * cusp.a + b * cusp.c, c * cusp.a + d * cusp.c, N)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +304,7 @@ def canonical_cusp(a: int, c: int, N: int) -> CuspClass:
 PointKey = CanonicalPoint | JFiberPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Divisor:
     """Finite Q-combination of canonical points of X_0(N)."""
     N: int
@@ -475,10 +459,7 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
             inter[img] = inter.get(img, Fraction(0)) + v
     for cc, v in D.cusp_part:
         for m in reps:
-            a2 = m[0] * cc.a + m[1] * cc.c
-            c2 = m[2] * cc.a + m[3] * cc.c
-            g = gcd(abs(a2), abs(c2))
-            img = canonical_cusp(a2 // g, c2 // g, N)
+            img = act_cusp(m, cc, N)
             cp[img] = cp.get(img, Fraction(0)) + v
     for z, v in D.numeric:
         for m in reps:
@@ -624,7 +605,7 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
 
     Numeric root-finding (on the exact square-free part, so multiple roots
     cannot stall it) only guides the search; every root is verified by
-    exact synthetic division before it is accepted.  A rational root p/q
+    exact division by (x - r) before it is accepted.  A rational root p/q
     of the primitive integer square-free part, with leading coefficient L,
     has q | L, so it is nint(L x)/L for any approximation x closer than
     1/(2L).  The working precision is set so that every simple rational
@@ -655,24 +636,13 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
                  for r in approx if 2 * L * abs(mpmath.im(r)) < 1]
     for cand in cands:
         while len(dense) > 1:
-            quot, rem = _synthetic_division(dense, cand)
-            if rem != 0:
+            quot, rem = _poly_divmod(dense, [-cand, 1])
+            if any(rem):
                 break
             dense = quot
             roots[cand] = roots.get(cand, 0) + 1
     residual = {i: c for i, c in enumerate(dense) if c != 0}
     return roots, residual
-
-
-def _synthetic_division(dense: list[Fraction], r: Fraction):
-    """Divide sum dense[i] x^i by (x - r); returns (quotient, remainder)."""
-    n = len(dense)
-    quot = [Fraction(0)] * (n - 1)
-    carry = Fraction(dense[-1])
-    for i in range(n - 2, -1, -1):
-        quot[i] = carry
-        carry = dense[i] + carry * r
-    return quot, carry
 
 
 def _poly_squarefree(dense: list[Fraction]) -> list[Fraction]:

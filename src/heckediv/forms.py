@@ -122,20 +122,22 @@ def sigma(k: int, n: int) -> int:
     return sigma_table(k, n + 1)[n]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, in increasing order,
+    by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def psl2_index(N: int) -> int:
     """Index of the image of Gamma_0(N) in PSL_2(Z): N * prod(1 + 1/p)."""
     idx = N
-    m, p = N, 2
-    seen = []
-    while p * p <= m:
-        if m % p == 0:
-            seen.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        seen.append(m)
-    for p in seen:
+    for p in set(prime_factors(N)):
         idx += idx // p
     return idx
 
@@ -293,6 +295,10 @@ class Eisenstein:
     def level(self) -> int:
         return 1
 
+    @property
+    def order(self) -> Fraction:
+        return Fraction(0)
+
     def qexp(self, prec: int) -> PuiseuxSeries:
         return eisenstein(self.k, prec)
 
@@ -318,6 +324,10 @@ class DeltaShift:
     def level(self) -> int:
         return self.m
 
+    @property
+    def order(self) -> Fraction:
+        return Fraction(self.m)
+
     def qexp(self, prec: int) -> PuiseuxSeries:
         return delta(prec).rescale_exponents(self.m).truncate(self.m + prec)
 
@@ -341,6 +351,10 @@ class JMinus:
     @property
     def level(self) -> int:
         return 1
+
+    @property
+    def order(self) -> Fraction:
+        return Fraction(-1)
 
     def qexp(self, prec: int) -> PuiseuxSeries:
         return j_function(prec + 1) - self.c
@@ -371,6 +385,10 @@ class EtaQuotient:
     def level(self) -> int:
         return self.spec.level
 
+    @property
+    def order(self) -> Fraction:
+        return Fraction(sum(m * r for m, r in self.spec.exponents), 24)
+
     def qexp(self, prec: int) -> PuiseuxSeries:
         return eta_quotient_qexp(self.spec, prec)
 
@@ -378,10 +396,9 @@ class EtaQuotient:
         """sum (r m/24) E2(m tau) over the factors eta(m tau)^r, to n
         coefficients from q^0.  None when the order is not an integer (the
         expansion lives on a finer grid)."""
-        exps = self.spec.exponents
-        if sum(m * r for m, r in exps) % 24:
+        if self.order.denominator != 1:
             return None
-        return _eta_log_derivative(exps, n)
+        return _eta_log_derivative(self.spec.exponents, n)
 
 
 @dataclass(frozen=True)
@@ -390,6 +407,10 @@ class OpaqueSeries:
     series: PuiseuxSeries
     weight: int
     level: int
+
+    @property
+    def order(self) -> Fraction:
+        return self.series.leading_exponent()
 
     def qexp(self, prec: int) -> PuiseuxSeries:
         return self.series
@@ -436,6 +457,12 @@ class FormExpression:
     @property
     def level(self) -> int:
         return lcm(1, *[a.level for a, _ in self.atoms])
+
+    @property
+    def order(self) -> Fraction:
+        """Leading q-exponent of the expression, computed symbolically."""
+        order = sum((e * a.order for a, e in self.atoms), Fraction(0))
+        return Fraction(0) if self.shift and order > 0 else order
 
     def check_level(self, N: int) -> None:
         """Refuse a level N that the expression does not live at."""

@@ -48,7 +48,7 @@ from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, l
 from .cyclotomic import Cyclo, coeff_rational
 from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
                      UnsupportedParameter, UnsupportedWeightParity)
-from .forms import FormExpression, OpaqueSeries
+from .forms import FormExpression, OpaqueSeries, prime_factors
 from .series import PuiseuxSeries, _is_rational, exact_div, exp_coeffs, log_derivative_coeffs
 
 
@@ -61,25 +61,13 @@ def _tn_pairs(n: int, N: int) -> list:
     return [((a, n // a), 1) for a in range(1, n + 1) if n % a == 0 and gcd(a, N) == 1]
 
 
-def _mobius(e: int) -> int:
-    mu, p = 1, 2
-    while p * p <= e:
-        if e % p == 0:
-            e //= p
-            if e % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if e > 1 else mu
-
-
 def _term_pairs(m: int, N: int) -> list:
     """The pairs of T(1, m) = sum_{e^2 | m, (e, N) = 1} mu(e) T(m/e^2)."""
     out = []
     for e in range(1, isqrt(m) + 1):
-        mu = _mobius(e)
-        if mu and m % (e * e) == 0 and gcd(e, N) == 1:
-            out += [(pair, mu) for pair, _ in _tn_pairs(m // (e * e), N)]
+        primes = prime_factors(e)
+        if len(set(primes)) == len(primes) and m % (e * e) == 0 and gcd(e, N) == 1:
+            out += [(pair, (-1) ** len(primes)) for pair, _ in _tn_pairs(m // (e * e), N)]
     return out
 
 
@@ -194,31 +182,6 @@ def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSe
 # multiplicative operator
 # ---------------------------------------------------------------------------
 
-def expression_order(expr: FormExpression) -> Fraction:
-    """Leading q-exponent of the expression, computed symbolically."""
-    order = Fraction(0)
-    for atom, e in expr.atoms:
-        order += e * _atom_order(atom)
-    if expr.shift and order > 0:
-        order = Fraction(0)
-    return order
-
-
-def _atom_order(atom) -> Fraction:
-    from . import forms
-    if isinstance(atom, forms.Eisenstein):
-        return Fraction(0)
-    if isinstance(atom, forms.DeltaShift):
-        return Fraction(atom.m)
-    if isinstance(atom, forms.JMinus):
-        return Fraction(-1)
-    if isinstance(atom, forms.EtaQuotient):
-        return sum(Fraction(m * r, 24) for m, r in atom.spec.exponents)
-    if isinstance(atom, forms.OpaqueSeries):
-        return atom.series.leading_exponent()
-    raise TypeError(f"unknown atom {atom!r}")
-
-
 def _expansion(f: FormExpression, budget: int) -> PuiseuxSeries:
     """f.qexp known `budget` exponents past its order where the atoms allow:
     an expansion on the grid (1/D)Z is asked for D * budget coefficients."""
@@ -250,7 +213,7 @@ def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
     check_hecke_parameter(n, N, "multiplicative T")
     reps = left_coset_reps(N, n)
     k = f.weight
-    series = _expansion(f, len(reps) * prec + int(abs(expression_order(f)) * n) + 8)
+    series = _expansion(f, len(reps) * prec + int(abs(f.order) * n) + 8)
     if series.is_zero():
         raise NonUnitLeading("multiplicative Hecke image of the zero series")
     image = _certified(_slash_product(series, reps, prec))
@@ -330,7 +293,7 @@ def hecke_multiplicative(f: FormExpression, n: int, N: int,
     pairs = _tn_pairs(n, N)
     ncosets = sum(d for (_, d), _ in pairs)
     k = f.weight
-    slack = int(abs(expression_order(f)) * n) + 8
+    slack = int(abs(f.order) * n) + 8
     found = _rational_log_derivative(f, prec, n, slack, [(ncosets * prec + slack, n)])
     image = _rational_image(*found, pairs)
     return FormExpression.of(OpaqueSeries(image, k * ncosets, N))
@@ -364,7 +327,7 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     jobs = _coset_jobs(f, u, prec)
     weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)
     span = max(s for *_, s in jobs)
-    slack = int(abs(expression_order(f)) * span) + 8
+    slack = int(abs(f.order) * span) + 8
     c0, h, l, image_prec = _rational_log_derivative(
         f, prec + 4, span, slack, [(budget, s) for _, _, budget, s in jobs])
     # each double coset's product is certified on its own, as by the oracle
@@ -377,7 +340,7 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
 def _coset_jobs(f: FormExpression, u: AlgebraElement, prec: int) -> list:
     """(representatives, multiplicity, expansion budget, d/a) of each term
     of u."""
-    order = expression_order(f)
+    order = f.order
     jobs = []
     for (a, d), mult in u.terms:
         reps = double_coset_reps(a, d, u.N)

@@ -123,8 +123,7 @@ def r_at_s1(N: int, m: int, f: forms.FormExpression) -> Fraction:
     if m < 1:
         raise UnsupportedParameter(f"m={m}: the s = 1 Rohrlich sum needs m >= 1")
     f.check_level(N)
-    order = operators.expression_order(f)
-    prec = m + int(abs(order)) + 10
+    prec = m + int(abs(f.order)) + 10
     ld = f.qexp(prec).log_derivative()
     return -Fraction(ld.coefficient(m))
 
@@ -169,7 +168,7 @@ def verify_equivariance(p: int, m: int, f: forms.FormExpression, N: int = 1,
 
     The image comes from the coset product: the rational route of
     hecke_multiplicative computes it from this very identity."""
-    order = operators.expression_order(f)
+    order = f.order
     sig = forms.sigma(1, p)
     img = operators.hecke_multiplicative_cosets(
         f, p, N, prec=m + int(abs(order)) * sig + 8)
@@ -188,7 +187,6 @@ def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
     """F|_0 T(n) as a point evaluator: the sum of F over coset images
     (exact matrix action on Heegner points, Moebius action on complex)."""
     import mpmath
-    from math import gcd as _gcd
     from .algebra import left_coset_reps
     reps = left_coset_reps(N, n)
 
@@ -207,11 +205,7 @@ def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
         try:
             val = mpmath.mpc(0)
             for mat in reps:
-                a2 = mat[0] * cusp.a + mat[1] * cusp.c
-                c2 = mat[2] * cusp.a + mat[3] * cusp.c
-                g = _gcd(abs(a2), abs(c2))
-                img = curve.canonical_cusp(a2 // g, c2 // g, N)
-                val += mpmath.mpc(F.at_cusp(img))
+                val += mpmath.mpc(F.at_cusp(curve.act_cusp(mat, cusp, N)))
             cusp_values[cusp] = val
         except MissingCuspValue:
             continue

@@ -10,7 +10,10 @@ is unknown.  Two facts are part of the representation contract:
   known zeros, it does not lose information);
 * a nonzero series has a nonzero leading coefficient.  The zero-to-precision
   series is stored with an empty coefficient tuple and ``order == cutoff``
-  marking where knowledge ends.
+  marking where knowledge ends;
+* a series is stored on the coarsest grid that holds its nonzero
+  exponents and its cutoff, so normalising never claims an exponent
+  beyond the known window.
 
 Coefficients are ``int`` (preferred) or ``fractions.Fraction``, and so
 are scalar operands; a coefficient is zero exactly when it is falsy.  The
@@ -173,10 +176,7 @@ class PuiseuxSeries:
             i += 1
         order += i
         coeffs = [_as_rational(c) for c in coeffs[i:]]
-        if not coeffs:
-            D, order = self._reduced_zero(D, order)
-        else:
-            D, order, coeffs = self._reduced_grid(D, order, coeffs)
+        D, order, coeffs = self._reduced_grid(D, order, coeffs)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -185,28 +185,16 @@ class PuiseuxSeries:
         raise AttributeError("PuiseuxSeries is immutable")
 
     @staticmethod
-    def _reduced_zero(D, cutoff):
-        # zero series: only the knowledge boundary matters
-        if D == 1:
-            return 1, cutoff
-        return 1, _ceil_div(cutoff, D)
-
-    @staticmethod
     def _reduced_grid(D, order, coeffs):
-        g = D
+        # the coarsest grid that holds every nonzero exponent and the
+        # cutoff: a coarser grid would claim exponents beyond the window
+        g = gcd(D, order + len(coeffs))
         for i, c in enumerate(coeffs):
             if c:
                 g = gcd(g, order + i)
                 if g == 1:
                     return D, order, coeffs
-        cutoff = order + len(coeffs)
-        new_order = _ceil_div(order, g)
-        new_cutoff = _ceil_div(cutoff, g)
-        reduced = [0] * (new_cutoff - new_order)
-        for i, c in enumerate(coeffs):
-            if c:
-                reduced[(order + i) // g - new_order] = c
-        return D // g, new_order, reduced
+        return D // g, order // g, coeffs[::g]
 
     # -- basic protocol ------------------------------------------------
 
@@ -506,13 +494,7 @@ class PuiseuxSeries:
             raise PrecisionExhausted(
                 f"comparison through q^{through} needs more precision "
                 f"(cutoffs {Fraction(a.cutoff, a.D)}, {Fraction(b.cutoff, b.D)})")
-        lo = min(a.order, b.order)
-        for n in range(lo, hi):
-            ca = a.coeffs[n - a.order] if 0 <= n - a.order < len(a.coeffs) else 0
-            cb = b.coeffs[n - b.order] if 0 <= n - b.order < len(b.coeffs) else 0
-            if not (ca == cb):
-                return False
-        return True
+        return a.agrees_with(b, through)
 
     # -- JSON wire format -----------------------------------------------------
 

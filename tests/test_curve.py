@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckediv import algebra as A, curve as C, forms as F, operators as O
 from heckediv.curve import HeegnerPoint as H, POINT_I, OMEGA
@@ -35,6 +37,57 @@ def test_cusp_canonicalization():
     assert C.canonical_cusp(1, 1, 4) == C.canonical_cusp(0, 1, 4)
     assert C.canonical_cusp(3, 2, 4) == C.canonical_cusp(1, 2, 4)
     assert C.canonical_cusp(1, 4, 4) == C.canonical_cusp(1, 0, 4)
+
+
+# Brute-force reference, independent of the closed-form invariant: the
+# Gamma_0(N)-class of a/c read off the T-orbit of the bottom row (c, d) of
+# a lift (a b; c d) in SL_2(Z), as the least P^1(Z/N) label over the N
+# translates (c, d + j c).
+
+def orbit_key(a, c, N):
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    if c < 0 or (c == 0 and a < 0):
+        a, c = -a, -c
+    d = pow(a, -1, c) if c else 1  # (a b; c d) in SL_2(Z)
+    return min(A.p1_label(c % N, (d + j * c) % N, N) for j in range(N))
+
+
+def reference_cusps(N):
+    """One cusp per orbit key, a/c with c | N and the least admissible a,
+    the class of 1/N shown as infinity: the system the scan used to build."""
+    inf_key = orbit_key(1, 0, N)
+    out, seen = [], set()
+    for c in (c for c in range(1, N + 1) if N % c == 0):
+        g = gcd(c, N // c)
+        for a0 in (x for x in range(g) if gcd(x, g) == 1):
+            a = 0 if c == 1 else (a0 or 1)
+            while c > 1 and gcd(a, c) != 1:
+                a += g
+            key = orbit_key(a, c, N)
+            if key not in seen:
+                seen.add(key)
+                width = min(h for h in range(1, N + 1) if c * c * h % N == 0)
+                out.append((1, 0, 1) if key == inf_key else (a, c, width))
+    return sorted(out, key=lambda t: (t[1], t[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 60), data=st.data())
+def test_cusp_invariant_matches_the_orbit_scan(N, data):
+    side = st.integers(-2 * N, 2 * N)
+    pairs = data.draw(st.lists(st.tuples(side, side).filter(lambda p: gcd(*p) == 1),
+                               min_size=2, max_size=10))
+    canon = [C.canonical_cusp(a, c, N) for a, c in pairs]
+    scan = [orbit_key(a, c, N) for a, c in pairs]
+    # the same partition, and each answer lies in the class it names
+    assert len(set(zip(canon, scan))) == len(set(canon)) == len(set(scan))
+    assert [orbit_key(cc.a, cc.c, N) for cc in canon] == scan
+
+
+def test_cusps_match_the_orbit_scan():
+    for N in range(1, 121):
+        assert [(cc.a, cc.c, cc.width) for cc in C.cusps(N)] == reference_cusps(N), N
 
 
 # -- matrix action and reduction -------------------------------------------------

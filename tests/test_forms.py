@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckediv import forms as F
-from heckediv.errors import UnsupportedWeight
+from heckediv.errors import NonUnitLeading, UnsupportedWeight
 from heckediv.series import PuiseuxSeries as S, log_derivative_coeffs
 
 
@@ -212,6 +213,43 @@ def test_a_half_integral_weight_is_a_typed_error():
 
 def test_psl2_index():
     assert [F.psl2_index(n) for n in (1, 2, 3, 4, 5, 6, 12)] == [1, 3, 4, 6, 6, 12, 24]
+
+
+def test_prime_factors_by_trial_division():
+    def is_prime(p):
+        return p > 1 and all(p % q for q in range(2, p))
+    for n in range(1, 2001):
+        ps = F.prime_factors(n)
+        assert ps == sorted(ps) and all(is_prime(p) for p in ps), n
+        assert prod(ps) == n, n
+
+
+def test_moebius_from_prime_factors():
+    # mu(n) = 0 when a square > 1 divides n, else (-1)^(number of primes):
+    # the value operators reads off prime_factors; the definition is the
+    # Dirichlet inverse of 1, sum_{d | n} mu(d) = [n = 1]
+    def mu(n):
+        ps = F.prime_factors(n)
+        return (-1) ** len(ps) if len(set(ps)) == len(ps) else 0
+    for n in range(1, 2001):
+        assert sum(mu(d) for d in range(1, n + 1) if n % d == 0) == (n == 1), n
+        assert (mu(n) == 0) == any(n % (k * k) == 0 for k in range(2, isqrt(n) + 1)), n
+
+
+def test_each_atom_knows_its_order():
+    atoms = [F.Eisenstein(4), F.DeltaShift(3), F.JMinus(Fraction(1728)),
+             F.EtaQuotient(F.EtaQuotientSpec.make(6, {1: 2, 6: 3})),
+             F.OpaqueSeries(S(2, 3, [5, 1]), 2, 1)]
+    for atom in atoms:
+        assert atom.order == atom.qexp(8).leading_exponent(), atom
+    expr = F.FormExpression.of((atoms[0], 2), (atoms[1], -1), atoms[3])
+    assert expr.order == expr.qexp(12).leading_exponent() == Fraction(-3) + Fraction(20, 24)
+    # a shift lifts a positive order to the constant term
+    haupt = F.EtaQuotient(F.hauptmodul_spec(2))
+    assert F.FormExpression.of(haupt, shift=5).order == -1
+    assert F.FormExpression.of((haupt, -1), shift=5).order == 0
+    with pytest.raises(NonUnitLeading):
+        F.FormExpression.of(F.OpaqueSeries(S(1, 4, []), 0, 1)).order
 
 
 def test_expression_json_round_trip():

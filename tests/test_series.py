@@ -226,6 +226,22 @@ def test_coefficient_beyond_cutoff_raises():
         f.coefficient(5)
 
 
+def test_a_coarser_grid_claims_no_unknown_exponent():
+    # 1 + q + O(q^(3/2)) knows nothing at q^(3/2); grid 1 would claim it
+    with pytest.raises(PrecisionExhausted):
+        S(2, 0, [1, 0, 1]).coefficient(Fraction(3, 2))
+    # (1 + x + x^2)(1 - x) = 1 - x^3 for x = q^(1/2): the product knows
+    # 1 + O(q^(3/2)), and its window agrees with 1 - q^(3/2)
+    prod = S(2, 0, [1, 1, 1]) * S(2, 0, [1, -1, 0])
+    with pytest.raises(PrecisionExhausted):
+        prod.coefficient(Fraction(3, 2))
+    assert prod.agrees_with(S(2, 0, [1, 0, 0, -1]))
+    assert prod.cutoff == 3 and prod.D == 2
+    # a zero series keeps the grid of its cutoff
+    assert [(z.D, z.cutoff) for z in (S(2, 3, []), S(2, 4, []))] == [(2, 3), (1, 2)]
+    assert S(2, 0, [1, 0, 1, 0]) == S(1, 0, [1, 1])
+
+
 def test_equal_through_demands_coverage():
     a = S.one(3)
     b = S.one(10)

@@ -4,7 +4,8 @@ The product reference stores a window as {exponent: coefficient} with
 exact ``Fraction`` exponents, multiplies term by term, keeps the exponents
 below the product's knowledge bound min(cutoff_a + v_b, cutoff_b + v_a),
 and normalises by hand: strip leading zeros, move to the coarsest grid
-that holds every nonzero exponent, and store integral values as ``int``.
+that holds every nonzero exponent and the bound, and store integral
+values as ``int``.
 It shares no code with ``PuiseuxSeries.__mul__`` or its Kronecker product.
 
 Sums, reciprocals and powers are checked against the same dict terms:
@@ -58,13 +59,14 @@ def _reference_product(a, b):
 def _normalised(terms, bound):
     """(D, order, coeffs) of the series whose {exponent: coefficient} terms
     are known below the exponent `bound`: leading zeros stripped, on the
-    coarsest grid that holds every nonzero exponent, integral values as int."""
+    coarsest grid that holds every nonzero exponent and `bound`, integral
+    values as int."""
     nonzero = {e: c for e, c in terms.items() if isinstance(c, Cyclo) or c != 0}
+    D = math.lcm(bound.denominator, *[e.denominator for e in nonzero])
+    cutoff = int(bound * D)
     if not nonzero:
-        return 1, math.ceil(bound), ()
-    D = math.lcm(*[e.denominator for e in nonzero])
+        return D, cutoff, ()
     order = int(min(nonzero) * D)
-    cutoff = math.ceil(bound * D)
     coeffs = []
     for n in range(order, cutoff):
         c = nonzero.get(Fraction(n, D), 0)
