@@ -1,28 +1,29 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Exact sums in cyclotomic fields Q(zeta_n): roots of unity, sums and
+rational scalar multiples, with no product of two elements.
 
 Elements are stored as dense coordinate vectors of length phi(n) in the
 power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
-cyclotomic polynomial after every multiplication.  Reduction keeps the
-representation canonical, so rationality tests are exact: an element is
-rational iff every coordinate past the constant one vanishes.
+cyclotomic polynomial; the powers zeta_n**k, k < n, come reduced from one
+table.  Reduction keeps the representation canonical, so rationality
+tests are exact: an element is rational iff every coordinate past the
+constant one vanishes.
 
 Plain rationals stay `int` (preferred, fast) or `fractions.Fraction`; a
 `Cyclo` value appears only when a genuine root of unity is present.
 Arithmetic demotes every rational result back to `int`/`Fraction`, so a
 `Cyclo` it returns is never zero, and a `Cyclo` is always truthy: series
-code tests coefficients for zero by truthiness.  Arithmetic between mixed
-orders lifts both operands to the lcm order via zeta_d = zeta_n**(n/d).
+code tests coefficients for zero by truthiness.  Sums of mixed orders
+lift both operands to the lcm order via zeta_d = zeta_n**(n/d).
 
-Only the coset-sum oracles of :mod:`heckediv.operators` use this field:
-their twisted slash translates carry Q(zeta_d) coefficients, and the
-oracles certify their sums and products rational before returning them.
+Only :func:`heckediv.operators.hecke_additive_cosets` uses this field: it
+sums twisted translates and certifies the sum rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation, UnsupportedParameter
 from .series import _as_rational
@@ -74,17 +75,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _zeta_power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n**k reduced mod Phi_n, for k = 0 .. max(2*phi(n)-2, n-1).
-
-    Products of two reduced elements need exponents below 2*phi(n)-1;
-    order lifting needs exponents below n.
-    """
+    """zeta_n**k reduced mod Phi_n, for k = 0 .. n-1."""
     phi = euler_phi(n)
     minpoly = cyclotomic_polynomial(n)
     top = [-c for c in minpoly[:-1]]  # x^phi = top(x)
     table = []
     cur = [1] + [0] * (phi - 1)
-    for _ in range(max(2 * phi - 1, n)):
+    for _ in range(n):
         table.append(tuple(cur))
         nxt = [0] + cur[:-1]
         lead = cur[-1]
@@ -124,11 +121,6 @@ class Cyclo:
             return -1
         return Cyclo(n, _zeta_power_table(n)[k])._demote()
 
-    @staticmethod
-    def from_rational(order: int, x):
-        phi = euler_phi(order)
-        return Cyclo(order, (x,) + (0,) * (phi - 1))
-
     def _demote(self):
         if all(c == 0 for c in self.coords[1:]):
             return _as_rational(self.coords[0])
@@ -154,12 +146,10 @@ class Cyclo:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _pair(self, other):
-        """Lift self and other (Cyclo or rational) to a common order."""
-        if isinstance(other, Cyclo):
-            n = self.order * other.order // gcd(self.order, other.order)
-            return self.lift(n), other.lift(n)
-        return self, Cyclo.from_rational(self.order, other)
+    def _pair(self, other: "Cyclo"):
+        """Lift self and other to their lcm order."""
+        n = lcm(self.order, other.order)
+        return self.lift(n), other.lift(n)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,41 +162,12 @@ class Cyclo:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclo(self.order, tuple(-c for c in self.coords))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return 0
-            return Cyclo(self.order, tuple(c * other for c in self.coords))._demote()
-        if not isinstance(other, Cyclo):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self._pair(other)
-        phi = len(a.coords)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y:
-                    conv[i + j] += x * y
-        table = _zeta_power_table(a.order)
-        acc = list(conv[:phi])
-        for k in range(phi, len(conv)):
-            c = conv[k]
-            if c == 0:
-                continue
-            for i, t in enumerate(table[k]):
-                if t:
-                    acc[i] += c * t
-        return Cyclo(a.order, acc)._demote()
+        if other == 0:
+            return 0
+        return Cyclo(self.order, tuple(c * other for c in self.coords))._demote()
 
     __rmul__ = __mul__
 

@@ -25,14 +25,13 @@ sum_b e(bM/d) = d [d | M]:
   where h may be fractional: the pair (a, d) then adds q^(a h) and the
   phase e(h (d-1)/2).
 
-The coset sums over Q(zeta_d) remain only as verification oracles:
-``hecke_additive_cosets``, ``hecke_multiplicative_cosets`` and
-``_element_cosets`` sum or multiply the twisted translates of
-``_slash_upper`` and certify the result integral and rational
-(``_certified``).  These translates are the only place where an element of
-Q(zeta_d) enters a series.  The oracles form no log-derivative and no
-character sum, so they check the identities the Q routes are built on;
-both give the same coefficients, types, precision and refusals.
+The coset products and sums remain as verification oracles, with no
+log-derivative and no character sum; both routes give the same
+coefficients, types, precision and refusals.  ``hecke_multiplicative_cosets``
+and ``_element_cosets`` multiply the translates in Q, as norms of the
+d-dissection (``_coset_product``).  ``hecke_additive_cosets`` sums the
+twisted translates of ``_slash_upper``, the only place where Q(zeta_d)
+enters a series, and certifies the sum rational (``_certified``).
 
 Expansion budgets count exponents past the leading one, so an expansion on
 the grid (1/D)Z is asked for D times as many coefficients (``_expansion``),
@@ -42,7 +41,7 @@ in both routes alike.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, left_coset_reps
 from .cyclotomic import Cyclo, coeff_rational
@@ -61,14 +60,17 @@ def _tn_pairs(n: int, N: int) -> list:
     return [((a, n // a), 1) for a in range(1, n + 1) if n % a == 0 and gcd(a, N) == 1]
 
 
+def _mobius(e: int) -> int:
+    """mu(e), read off the prime factors of e."""
+    primes = prime_factors(e)
+    return (-1) ** len(primes) if len(set(primes)) == len(primes) else 0
+
+
 def _term_pairs(m: int, N: int) -> list:
     """The pairs of T(1, m) = sum_{e^2 | m, (e, N) = 1} mu(e) T(m/e^2)."""
-    out = []
-    for e in range(1, isqrt(m) + 1):
-        primes = prime_factors(e)
-        if len(set(primes)) == len(primes) and m % (e * e) == 0 and gcd(e, N) == 1:
-            out += [(pair, (-1) ** len(primes)) for pair, _ in _tn_pairs(m // (e * e), N)]
-    return out
+    return [(pair, _mobius(e)) for e in range(1, isqrt(m) + 1)
+            if m % (e * e) == 0 and gcd(e, N) == 1 and _mobius(e)
+            for pair, _ in _tn_pairs(m // (e * e), N)]
 
 
 def _element_pairs(u: AlgebraElement) -> list:
@@ -124,13 +126,15 @@ def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
     return _slash_sums(f, k, pairs, [pair for pair, _ in pairs], scale)
 
 
-def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
-    """f|_k (a b; 0 d), i.e. the twist that multiplies the coefficient of
-    q^(m/D) by zeta_(dD)^(bm), an exponent rescale by a/d, and (unless bare)
-    the constant automorphy factor det^(k/2) d^(-k).  Oracle only."""
+def _slash_upper(f: PuiseuxSeries, rep, k: int) -> PuiseuxSeries:
+    """f|_k (a b; 0 d) for rational f: the twist that multiplies the
+    coefficient of q^(m/D) by zeta_(dD)^(bm), an exponent rescale by a/d,
+    and the constant automorphy factor det^(k/2) d^(-k).  Oracle only."""
     a, b, c, d = rep
     if not (c == 0 and a > 0 and d > 0):
         raise UnsupportedParameter(f"slash by {rep} needs (a b; 0 d) with a, d > 0")
+    if not _is_rational(f.coeffs):
+        raise UnsupportedParameter("the twist needs rational coefficients")
     n = d * f.D
     if b % n:
         roots = [Cyclo.zeta(n, r) for r in range(n)]
@@ -139,10 +143,7 @@ def _slash_upper(f: PuiseuxSeries, rep, k: int, bare: bool) -> PuiseuxSeries:
             z = roots[b * (f.order + i) % n]
             twisted.append(x if not x or z == 1 else z * x)
         f = PuiseuxSeries(f.D, f.order, twisted)
-    g = f.rescale_exponents(Fraction(a, d))
-    if not bare:
-        g = g * (Fraction(a * d) ** (k // 2) / Fraction(d) ** k)
-    return g
+    return f.rescale_exponents(Fraction(a, d)) * (Fraction(a * d) ** (k // 2) / Fraction(d) ** k)
 
 
 def _certified(s: PuiseuxSeries) -> PuiseuxSeries:
@@ -173,7 +174,7 @@ def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSe
         raise UnsupportedWeightParity(f"odd weight {k}")
     total = None
     for rep in reps:
-        term = _slash_upper(f, rep, k, bare=False)
+        term = _slash_upper(f, rep, k)
         total = term if total is None else total + term
     return _certified(total)
 
@@ -189,35 +190,74 @@ def _expansion(f: FormExpression, budget: int) -> PuiseuxSeries:
     return series if series.D == 1 else f.qexp(series.D * budget)
 
 
-def _slash_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
-    """Product of bare slash translates, trimmed so the result keeps `prec`
-    coefficients past its leading exponent.  Oracle only."""
-    factors = [_slash_upper(f, rep, 0, bare=True) for rep in reps]
-    orders = [g.leading_exponent() for g in factors]
-    final_cut = sum(orders) + prec
-    out = None
-    tail = sum(orders)
-    for g, o in zip(factors, orders):
-        tail -= o
-        out = g if out is None else out * g
-        out = out.truncate(final_cut - tail)
-    return out
+def _dissection_norm(g, d: int, n: int) -> PuiseuxSeries:
+    """The norm N_d(g)(y) = prod_{b<d} g(zeta_d^b x), y = x^d, to n
+    coefficients: det M, M_ij = P_(i-j) (i >= j), y P_(i-j+d) (i < j), for
+    the d-dissection P_j = sum_k g_(dk+j) y^k (Cohen, GTM 138, 4.3).  Mod y,
+    M is lower triangular with diagonal g_0 != 0, so elimination over
+    Q[[y]] has unit pivots.  y^m reads only g_0, ..., g_(dm), so zeros pad
+    g.  Oracle only."""
+    g = list(g[:d * (n - 1) + 1]) + [0] * (d * n)
+    M = [[PuiseuxSeries(1, int(i < j), g[(i - j) % d::d][:n]) for j in range(d)]
+         for i in range(d)]
+    for c in range(d):
+        inv = M[c][c].reciprocal()
+        for r in range(c + 1, d):
+            factor = M[r][c] * inv
+            M[r][c + 1:] = [x - factor * y for x, y in zip(M[r][c + 1:], M[c][c + 1:])]
+    return prod(M[c][c] for c in range(d)).truncate(n)
+
+
+def _norm_pairs(reps) -> dict:
+    """{(a, d): e}: the translates g((a tau + b)/d) over the Hermite-form
+    `reps` of double cosets multiply to prod N_d(g)(q^a)^e.  Without their
+    content, the b of (a, d) are all those prime to t = gcd(a, d), and
+    those with e | b give N_(d/e)(g)(q^(a/e)): Moebius inversion."""
+    pairs = {}
+    for a, d in {(a // gcd(a, b, d), d // gcd(a, b, d)) for a, b, _, d in reps}:
+        t = gcd(a, d)
+        for e in range(1, t + 1):
+            if t % e == 0:
+                pairs[a // e, d // e] = pairs.get((a // e, d // e), 0) + _mobius(e)
+    return {pair: e for pair, e in pairs.items() if e}
+
+
+def _coset_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
+    """The product of the translates f((a tau + b)/d) over `reps` in Q, to
+    min(prec, ceil(w min(a/d) / D)) coefficients for f = c_0 q^h g known
+    through w units of the grid (1/D)Z.  NotIntegralSeries unless the
+    leading terms c_0 e(h b/d) q^(h a/d) multiply to +-c_0^|reps| q^x, x
+    integral, and g is on grid 1 where the image shows it.  Oracle only."""
+    h, D = f.leading_exponent(), f.D
+    if prec < 1:
+        raise PrecisionExhausted("the image must keep at least one coefficient")
+    if not _is_rational(f.coeffs):
+        raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
+    x = sum(h * Fraction(a, d) for a, _, _, d in reps)
+    t = sum(h * Fraction(b, d) for _, b, _, d in reps)
+    if x.denominator != 1 or (2 * t).denominator != 1:
+        raise NotIntegralSeries(f"the translates lead with e({t}) q^{x}, not +-q^m")
+    ratio = min(Fraction(a, d) for a, _, _, d in reps)
+    if any(c for i, c in enumerate(f.coeffs) if i % D and ratio * i < D * prec):
+        raise NotIntegralSeries("f/q^h is off the integral grid in the image's window")
+    prec = min(prec, -(-ratio * f.precision // D))
+    out = PuiseuxSeries.one(prec)
+    for (a, d), e in _norm_pairs(reps).items():
+        out = out * _dissection_norm(f.coeffs[::D], d, -(-prec // a)).rescale_exponents(a) ** e
+    return PuiseuxSeries(1, int(x), [(-1) ** int(2 * t % 2) * c for c in out.coeffs])
 
 
 def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
                                 prec: int = 30) -> FormExpression:
-    """f|_* T(n) as the product of twisted slash translates over Q(zeta_d),
-    certified integral and rational: the verification oracle of
+    """f|_* T(n) as the product of the translates over the coset
+    representatives, multiplied as norms in Q: the verification oracle of
     :func:`hecke_multiplicative`."""
     f.check_level(N)
     check_hecke_parameter(n, N, "multiplicative T")
     reps = left_coset_reps(N, n)
-    k = f.weight
     series = _expansion(f, len(reps) * prec + int(abs(f.order) * n) + 8)
-    if series.is_zero():
-        raise NonUnitLeading("multiplicative Hecke image of the zero series")
-    image = _certified(_slash_product(series, reps, prec))
-    return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
+    image = _coset_product(series, reps, prec)
+    return FormExpression.of(OpaqueSeries(image, f.weight * len(reps), N))
 
 
 def _translate_order(h, pairs) -> tuple[int, int]:
@@ -355,7 +395,6 @@ def _element_cosets(f: FormExpression, u: AlgebraElement, prec: int) -> PuiseuxS
     the multiplicative apply_element."""
     out = None
     for reps, mult, budget, _ in _coset_jobs(f, u, prec):
-        piece = _certified(_slash_product(_expansion(f, budget), reps, prec + 4))
-        piece = piece ** mult
+        piece = _coset_product(_expansion(f, budget), reps, prec + 4) ** mult
         out = piece if out is None else out * piece
     return out

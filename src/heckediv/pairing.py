@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from . import curve, forms, niebur, operators
 from .curve import CuspClass, Divisor, HeegnerPoint, JFiberPoint
@@ -160,25 +161,24 @@ def r_numeric(N: int, m: int, s, f: forms.FormExpression,
 # equivariance checks
 # ---------------------------------------------------------------------------
 
-def verify_equivariance(p: int, m: int, f: forms.FormExpression, N: int = 1,
+def verify_equivariance(n: int, m: int, f: forms.FormExpression, N: int = 1,
                         label: str | None = None) -> EvalReport:
-    """Exact check of the s = 1 equivariance
-    Coeff_{q^m} Theta(f|*T(p))/(f|*T(p)) =
-    Coeff_{q^pm} Theta(f)/f + p Coeff_{q^(m/p)} Theta(f)/f.
+    """Exact check of the s = 1 equivariance l'_m = sum a l_(dm/a) over
+    ad = n, (a, N) = 1, a | m, with l = Theta(f)/f and l' that of f|*T(n):
+    l_(pm) + p l_(m/p) at a prime p not dividing N, l_(pm) at p | N (U_p).
 
     The image comes from the coset product: the rational route of
     hecke_multiplicative computes it from this very identity."""
     order = f.order
-    sig = forms.sigma(1, p)
+    sig = forms.sigma(1, n)
     img = operators.hecke_multiplicative_cosets(
-        f, p, N, prec=m + int(abs(order)) * sig + 8)
+        f, n, N, prec=m + int(abs(order)) * sig + 8)
     g = img.atoms[0][0].series
     lhs = Fraction(g.log_derivative().coefficient(m))
-    base = f.qexp(p * m + int(abs(order)) + 10).log_derivative()
-    rhs = Fraction(base.coefficient(p * m))
-    if m % p == 0:
-        rhs += p * Fraction(base.coefficient(m // p))
-    name = label or f"equivariance p={p} m={m} N={N}"
+    base = f.qexp(n * m + int(abs(order)) + 10).log_derivative()
+    rhs = sum(a * Fraction(base.coefficient(n // a * (m // a)))
+              for a in range(1, n + 1) if n % a == 0 and m % a == 0 and gcd(a, N) == 1)
+    name = label or f"equivariance n={n} m={m} N={N}"
     return EvalReport(name=name, lhs=str(lhs), rhs=str(rhs), exact=True,
                       tolerance=None, passed=(lhs == rhs))
 

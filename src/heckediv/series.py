@@ -17,19 +17,18 @@ is unknown.  Two facts are part of the representation contract:
 
 Coefficients are ``int`` (preferred) or ``fractions.Fraction``, and so
 are scalar operands; a coefficient is zero exactly when it is falsy.  The
-kernel knows no other field.  The coset-sum oracles of
+kernel multiplies no other field.  The additive coset oracle of
 :mod:`heckediv.operators`, the only code that puts elements of Q(zeta_d)
-into a series, twist their translates and certify their results
-themselves; such coefficients pass through the constructor and the
-schoolbook loops unchanged.  Arithmetic never extends a knowledge
-window, only shrinks it, following the conservative propagation rules:
-products know ``min(cutoff_a + order_b, cutoff_b + order_a)`` grid units.
+into a series, twists its translates and certifies their sum itself;
+such coefficients pass through the constructor, sums and scalar
+multiples unchanged.  Arithmetic never extends a knowledge window, only
+shrinks it, following the conservative propagation rules: products know
+``min(cutoff_a + order_b, cutoff_b + order_a)`` grid units.
 
-Two rational windows at least ``KRONECKER_MIN_WIDTH`` wide multiply by
-Kronecker substitution: one bigint product of the two windows, each
-cleared to one denominator and packed into one ``int``.  A narrower
-window, or one holding another coefficient type, takes the schoolbook
-loop.  Both give the same values and coefficient types.
+Two windows at least ``KRONECKER_MIN_WIDTH`` wide multiply by Kronecker
+substitution: one bigint product of the two windows, each cleared to one
+denominator and packed into one ``int``.  A narrower window takes the
+schoolbook loop.  Both give the same values and coefficient types.
 
 Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
 without a series division: :func:`log_derivative_coeffs` (the log
@@ -374,7 +373,7 @@ class PuiseuxSeries:
         if a.is_zero() or b.is_zero():
             return PuiseuxSeries(a.D, hi, [])
         width = hi - lo
-        if width >= KRONECKER_MIN_WIDTH and _is_rational(a.coeffs) and _is_rational(b.coeffs):
+        if width >= KRONECKER_MIN_WIDTH:
             return PuiseuxSeries(a.D, lo, _kronecker_product(a.coeffs, b.coeffs, width))
         out = [0] * width
         for i, x in enumerate(a.coeffs):

@@ -165,7 +165,7 @@ def slash_sum_over_double_cosets(f, u, prec):
     total = None
     for (a, d), mult in u.terms:
         for rep in A.double_coset_reps(a, d, u.N):
-            term = O._slash_upper(series, rep, k, bare=False) * mult
+            term = O._slash_upper(series, rep, k) * mult
             total = term if total is None else total + term
     return O._certified(total)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -121,6 +122,36 @@ def test_equivariance_full_grid():
         for p in (2, 3, 5):
             for m in (1, 2, 3):
                 assert P.verify_equivariance(p, m, f, 1).passed, (f, p, m)
+
+
+def _eta(level, exps):
+    return F.EtaQuotient(F.EtaQuotientSpec.make(level, exps))
+
+
+# forms of level 1, 2 and 3, of orders -1, 0 and 1
+LEVEL_FORMS = {
+    1: (E4, DELTA, JM1728),
+    2: (F.FormExpression.of((_eta(2, {1: 24, 2: -24}), 1), shift=-512),
+        F.FormExpression.of(_eta(2, {1: 8, 2: 8}))),
+    3: (F.FormExpression.of(_eta(3, {1: 6, 3: 6})), F.FormExpression.of(_eta(3, {1: 12, 3: -12}))),
+}
+
+
+def test_equivariance_for_composite_n_and_p_dividing_the_level():
+    # the right side sum a l_(dm/a) over ad = n, (a, N) = 1, a | m: the
+    # two-term l_(pm) + p l_(m/p) holds only for a prime p not dividing N,
+    # and reported these correct images as failures
+    r = P.verify_equivariance(4, 2, E4)
+    assert r.passed and r.lhs == "-8041801037378592960"
+    r = P.verify_equivariance(2, 2, LEVEL_FORMS[2][0], 2)
+    assert r.passed and r.lhs == "-82226315288"
+    for N, fs in LEVEL_FORMS.items():
+        for n in range(1, 8):
+            if math.gcd(n, N) > 1 and F.prime_factors(n) != [n]:
+                continue
+            for f in fs:
+                for m in range(1, 5):
+                    assert P.verify_equivariance(n, m, f, N).passed, (N, n, m, f)
 
 
 def test_divisor_sum_identity_j1():

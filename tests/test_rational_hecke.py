@@ -1,14 +1,20 @@
 """The rational route of the multiplicative Hecke operator against the
-coset product over Q(zeta_d), its verification oracle.
+coset product, its verification oracle, and the oracle against
+references of its own.
 
-The two routes must agree bit for bit: the same coefficients with the
-same Python types, the same leading exponent, precision and weight, and
-the same typed refusals, on grid 1 and on fractional grids alike.
+The oracle multiplies the translates as norms of the d-dissection, with
+no log-derivative and no character sum.  The two routes must agree bit
+for bit: the same coefficients with the same Python types, the same
+leading exponent, precision and weight, and the same typed refusals, on
+grid 1 and on fractional grids alike.  The norm is checked against the
+product of the translates evaluated numerically, and both routes against
+the closed form of Delta|*T(n).
 """
 
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -210,7 +216,7 @@ def test_fractional_grid_takes_the_rational_route(monkeypatch):
     def refuse(*args):
         raise AssertionError("coset product on a fractional grid")
 
-    monkeypatch.setattr(O, "_slash_product", refuse)
+    monkeypatch.setattr(O, "_coset_product", refuse)
     half = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 0, 0, 0, 0]), 0, 1))
     assert O.hecke_multiplicative(half, 3, 1, prec=4).atoms[0][0].series == S(1, 2, [-1])
     with pytest.raises(NotIntegralSeries):
@@ -221,6 +227,16 @@ def test_fractional_grid_takes_the_rational_route(monkeypatch):
     with pytest.raises(NotIntegralSeries):
         O.hecke_multiplicative(stray, 3, 1, prec=2)
     assert O.hecke_multiplicative(stray, 3, 1, prec=1).atoms[0][0].series == S(1, 2, [-1])
+
+
+def test_a_stray_coefficient_is_refused_where_the_image_shows_it():
+    # q^(1/2 + 7/2) shows at q^(2 + 7/6) in the T(3) image: inside a window
+    # of 2 coefficients, past a window of 1, in both routes
+    stray = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 0, 0, 0, 0, 0, 5]), 0, 1))
+    for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets):
+        with pytest.raises(NotIntegralSeries):
+            fn(stray, 3, 1, 2)
+        assert fn(stray, 3, 1, 1).atoms[0][0].series == S(1, 2, [-1])
 
 
 def test_each_double_coset_is_certified_on_its_own():
@@ -236,22 +252,23 @@ def test_each_double_coset_is_certified_on_its_own():
 
 
 def test_cyclotomic_coefficients_are_refused():
-    # the coset product takes zeta_3 E4 to E4|*T(2), since zeta_3^3 = 1;
-    # the rational route needs coefficients in Q
+    # both routes multiply in Q: zeta_3 E4 is refused by each, though its
+    # image would be E4|*T(2), since zeta_3^3 = 1
     e4 = F.eisenstein(4, 40)
     zeta3_e4 = S(e4.D, e4.order, [Cyclo.zeta(3) * c for c in e4.coeffs])
     f = F.FormExpression.of(F.OpaqueSeries(zeta3_e4, 4, 1))
-    assert O.hecke_multiplicative_cosets(f, 2, 1, 8).atoms[0][0].series == \
-        O.hecke_multiplicative(F.expression_by_name("E4"), 2, 1, 8).atoms[0][0].series
+    for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets):
+        with pytest.raises(UnsupportedParameter):
+            fn(f, 2, 1, 8)
     with pytest.raises(UnsupportedParameter):
-        O.hecke_multiplicative(f, 2, 1, 8)
+        O._element_cosets(f, A.t_n(2, 1), 4)
 
 
 def test_rational_inputs_skip_the_coset_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("coset product on a D = 1 rational expansion")
 
-    monkeypatch.setattr(O, "_slash_product", refuse)
+    monkeypatch.setattr(O, "_coset_product", refuse)
     e4, _ = FORMS["E4"]
     O.hecke_multiplicative(e4, 7, 1, prec=16)
     O.hecke_multiplicative(FORMS["j21-512"][0], 2, 2, prec=16)
@@ -288,6 +305,83 @@ def test_no_route_reaches_cyclotomic_arithmetic(monkeypatch):
     assert got == want
     for f, u in elements[2:]:
         O.apply_element(f, u, "additive", 6)
+
+
+def test_the_coset_oracles_multiply_in_q(monkeypatch):
+    # fractional grids, p | N and level > 1, refusals included: neither
+    # multiplicative oracle forms a twisted translate or an element of
+    # Q(zeta_d)
+    half = F.FormExpression.of(F.OpaqueSeries(S(2, 1, [1, 0, 2, 0, -1, 0, 3]), 0, 1))
+    eta12 = F.FormExpression.of(_eta(1, {1: 12}))
+    eta44 = F.FormExpression.of(_eta(2, {1: 4, 2: 4}))
+    t2 = FORMS["j21-512"][0]
+    e4, _ = FORMS["E4"]
+    mult = [(half, 3, 1), (eta12, 3, 1), (eta12, 2, 1), (eta44, 3, 2), (eta44, 5, 2),
+            (t2, 2, 2), (t2, 3, 2), (e4, 7, 1), (e4, 6, 1)]
+    elements = [(eta12, A.t_n(3, 1)), (eta44, A.t_n(3, 2)), (t2, A.t_n(2, 2)),
+                (t2, A.AlgebraElement.make(2, {(1, 2): 1, (3, 3): -1})),
+                (e4, ELEMENTS["T(1,4) - T(2)"])]
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic arithmetic in a multiplicative oracle")
+
+    monkeypatch.setattr(O, "_slash_upper", refuse)
+    monkeypatch.setattr(Cyclo, "__init__", refuse)
+    got = ([outcome(O.hecke_multiplicative_cosets, f, n, N, 8) for f, n, N in mult]
+           + [outcome(O._element_cosets, f, u, 6) for f, u in elements])
+    assert got == ([outcome(O.hecke_multiplicative, f, n, N, 8) for f, n, N in mult]
+                   + [outcome(apply_mult, f, u, 6) for f, u in elements])
+    assert sum(not isinstance(x, type) for x in got) >= 10
+
+
+def _delta_power(s, prec):
+    """Delta^s = q^s prod_{m>=1} (1 - q^m)^(24 s) to `prec` coefficients,
+    expanded factor by factor in a list of ints (Jacobi's product)."""
+    out = [1] + [0] * (prec - 1)
+    for m in range(1, prec):
+        for _ in range(24 * s):
+            for i in range(prec - 1, m - 1, -1):
+                out[i] -= out[i - m]
+    return S(1, s, out)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_delta_image_is_a_signed_power_of_delta(n):
+    # the image is a level-1 cusp form of weight 12 sigma(n) and order
+    # sigma(n) at infinity, so a multiple of Delta^sigma(n); its leading
+    # coefficient is the phase prod_{ad=n} e((d-1)/2) of the translates
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    s = sum(divisors)
+    sign = (-1) ** sum(d - 1 for d in divisors)
+    want = S(1, s, [sign * c for c in _delta_power(s, 10).coeffs])
+    f, _ = FORMS["Delta"]
+    for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets):
+        img = fn(f, n, 1, 10)
+        assert img.weight == 12 * s and img.level == 1
+        assert img.atoms[0][0].series == want, fn
+
+
+def _mp(c):
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                  min_size=1, max_size=9).filter(lambda g: g[0] != 0),
+       d=st.integers(1, 7))
+def test_dissection_norm_is_the_product_of_the_twists(g, d):
+    # N_d(g)(x^d) = prod_{b<d} g(zeta_d^b x), a polynomial of degree at
+    # most deg g in y = x^d, so len(g) coefficients hold all of it
+    norm = O._dissection_norm(g, d, len(g))
+    assert norm.precision == len(g) and norm.order == 0
+    with mpmath.workdps(50):
+        for x in (mpmath.mpc(0.3, 0.2), mpmath.mpc(-0.7, 0.5), mpmath.mpc(1.1, -0.4)):
+            lhs = sum(_mp(Fraction(norm.coefficient(j))) * x ** (d * j) for j in range(len(g)))
+            rhs = mpmath.mpf(1)
+            for b in range(d):
+                z = mpmath.expjpi(mpmath.mpf(2 * b) / d) * x
+                rhs *= sum(_mp(c) * z ** k for k, c in enumerate(g))
+            assert abs(lhs - rhs) <= mpmath.mpf(10) ** -40 * max(1, abs(rhs))
 
 
 def test_closed_form_atoms_skip_the_product_expansion(monkeypatch):

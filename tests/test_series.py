@@ -6,7 +6,8 @@ import pytest
 
 from heckediv import operators as O
 from heckediv.cyclotomic import Cyclo
-from heckediv.errors import NonUnitLeading, NotIntegralSeries, PrecisionExhausted
+from heckediv.errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
+                             UnsupportedParameter)
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -127,16 +128,16 @@ def test_rescale_j_cubing():
     assert r.coefficient(3) == 196884
 
 
-# -- the oracles' twist and certificate -----------------------------------------
+# -- the additive oracle's twist and certificate --------------------------------
 #
-# The kernel knows no Q(zeta_d): the coset-sum oracles of heckediv.operators
-# twist their translates (_slash_upper) and certify their results
-# (_certified) themselves.
+# The kernel multiplies no Q(zeta_d): the additive coset oracle of
+# heckediv.operators twists its translates (_slash_upper) and certifies
+# their sum (_certified) itself.
 
 
 def translate(f, b, d):
-    """f((tau + b)/d), the bare slash translate of the oracles."""
-    return O._slash_upper(f, (1, b, 0, d), 0, bare=True)
+    """f((tau + b)/d), the weight-0 slash translate of the additive oracle."""
+    return O._slash_upper(f, (1, b, 0, d), 0)
 
 
 def test_twist_examples():
@@ -150,17 +151,23 @@ def test_twist_zero_is_identity_and_cycles():
     rng = random.Random(5)
     f = S(3, -4, [1] + [rng.randint(-5, 5) for _ in range(9)])
     assert translate(f, 0, 1) == f and translate(f, 3, 1) == f
-    g = f
-    for _ in range(3):
-        g = translate(g, 1, 1)
-    assert g == f
+    # the twist depends on b mod 3 only, and the three twists sum to three
+    # times the part of f on grid 1
+    assert translate(f, 4, 1) == translate(f, 1, 1)
+    assert translate(f, -1, 1) == translate(f, 2, 1)
+    total = translate(f, 0, 1) + translate(f, 1, 1) + translate(f, 2, 1)
+    assert total == S(3, -4, [3 * c if (i - 4) % 3 == 0 else 0 for i, c in enumerate(f.coeffs)])
+    # Q(zeta_d) has sums but no products: a twisted series is not twisted again
+    with pytest.raises(UnsupportedParameter):
+        translate(translate(f, 1, 1), 1, 1)
 
 
-def test_galois_orbit_product_is_rational_grid():
+def test_galois_orbit_sum_is_rational_grid():
+    # Delta(tau/2) + Delta((tau + 1)/2) = 2 sum tau(2m) q^m
     from heckediv.forms import delta
-    prod = translate(delta(10), 0, 2) * translate(delta(10), 1, 2)
-    proj = O._certified(prod)
-    assert proj.D == 1 and proj.leading_exponent() == 1
+    total = translate(delta(10), 0, 2) + translate(delta(10), 1, 2)
+    proj = O._certified(total)
+    assert proj.D == 1 and proj.leading_exponent() == 1 and proj.coefficient(1) == -48
 
 
 def test_galois_orbit_projection_never_fails():
@@ -170,11 +177,11 @@ def test_galois_orbit_projection_never_fails():
             base = S(1, rng.randint(-2, 2),
                      [rng.randint(-4, 4) + 5] +
                      [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(6)])
-            prod = None
+            total = None
             for j in range(n):
                 t = translate(base, j, n)
-                prod = t if prod is None else prod * t
-            proj = O._certified(prod)  # must not raise
+                total = t if total is None else total + t
+            proj = O._certified(total)  # must not raise
             assert proj.D == 1
 
 

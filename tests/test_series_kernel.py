@@ -217,21 +217,21 @@ def test_wide_rational_windows_take_the_kronecker_product(monkeypatch):
     assert calls == [KRONECKER_MIN_WIDTH]
 
 
-def test_a_cyclo_operand_keeps_the_schoolbook_product(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("Cyclo windows must not be packed")
-
-    monkeypatch.setattr(series, "_kronecker_product", refuse)
+def test_a_cyclo_operand_sums_and_scales():
+    # the additive coset oracle adds twisted translates and scales them by
+    # the automorphy factor; the kernel multiplies no Cyclo window.  In a
+    # sum every slot with a Cyclo term holds a Cyclo and the others stay
+    # int; a zero scalar leaves the zero series with the cutoff kept
     z = Cyclo.zeta(3, 1)
     a = S(1, 0, [z] + [1] * 39)
-    b = eisenstein(4, 40)
-    got = a * b
-    want = _reference_product(a, b)
-    assert _fields(got) == want
-    # the schoolbook loop adds Cyclo terms onto int zeros: every slot with
-    # a Cyclo term holds a Cyclo, the others stay int
-    assert all(isinstance(c, Cyclo) for c in got.coeffs)
-    assert got.coeffs[0] == z and got.coeffs[1] == z * 240 + 1
+    got = a + eisenstein(4, 40)
+    assert _fields(got) == _reference_sum(a, eisenstein(4, 40))
+    assert isinstance(got.coeffs[0], Cyclo) and got.coeffs[0] == z + 1
+    assert all(type(c) is int for c in got.coeffs[1:])
+    half = a * Fraction(1, 2)
+    assert half.coeffs == (z * Fraction(1, 2),) + (Fraction(1, 2),) * 39
+    assert isinstance(half.coeffs[0], Cyclo)
+    assert a * 0 == S(1, 40, [])
 
 
 # -- sums, reciprocals and powers ---------------------------------------------

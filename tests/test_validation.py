@@ -159,7 +159,7 @@ def test_hecke_elements_need_positive_labels():
 
 def test_slash_needs_an_upper_triangular_matrix():
     with pytest.raises(UnsupportedParameter):
-        O._slash_upper(S(1, 0, [1, 2]), (1, 0, 1, 1), 0, bare=True)
+        O._slash_upper(S(1, 0, [1, 2]), (1, 0, 1, 1), 0)
 
 
 def test_checks_survive_python_O():
