@@ -271,7 +271,8 @@ def ligozat_order(spec: EtaQuotientSpec, N: int, c: int) -> Fraction:
     q-exponent of the expansion.
     """
     if N % spec.level != 0:
-        raise ValueError("eta quotient level must divide N")
+        raise UnsupportedParameter(
+            f"eta quotient of level {spec.level} does not live on X_0({N})")
     total = Fraction(0)
     for m, r in spec.exponents:
         g = gcd(c, m)

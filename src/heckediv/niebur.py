@@ -251,7 +251,7 @@ def evaluate_series(f: PuiseuxSeries, z, digits: int = 50):
     the tail."""
     import mpmath
     if f.D != 1:
-        raise ValueError("evaluation needs an integral exponent grid")
+        raise UnsupportedParameter("evaluation needs an integral exponent grid")
     with mpmath.workdps(digits + 15):
         zc = mpmath.mpc(z)
         q = mpmath.expjpi(2 * zc)
@@ -274,9 +274,24 @@ def _series_length_for(n: int, v: float, digits: int) -> int:
     return L
 
 
+def _sl2z_reduced(z):
+    """The SL_2(Z)-image of z (an mpc with Im z > 0) in the standard
+    fundamental domain |Re z| <= 1/2, |z| >= 1: translate, then invert
+    while |z| < 1.  Each inversion raises Im z, so the loop ends."""
+    import mpmath
+    while True:
+        z -= mpmath.nint(z.real)
+        if abs(z) >= 1:
+            return z
+        z = -1 / z
+
+
 def jn_value(n: int, z, digits: int = 50):
     """High-precision value of j_n (the weight-0 Hecke image of j - 720)
-    at a CM point or a complex point of the standard fundamental domain."""
+    at a CM point or a finite complex point of the upper half-plane.  j_n
+    is SL_2(Z)-invariant, so either is first reduced into the standard
+    fundamental domain: a CM point exactly, a complex point at digits + 15
+    working digits."""
     import mpmath
     if isinstance(z, HeegnerPoint):
         key, _ = reduce_point(z, 1)
@@ -289,9 +304,14 @@ def jn_value(n: int, z, digits: int = 50):
     else:
         with mpmath.workdps(digits + 15):
             zc = mpmath.mpc(z)
+            if not (mpmath.isfinite(zc) and zc.imag > 0):
+                raise UnsupportedParameter(
+                    f"z={z}: needs a finite point with Im z > 0")
+            # the reduction magnifies rounding by up to 1/Im z
+            extra = max(0, -int(mpmath.log10(zc.imag)))
+        with mpmath.workdps(digits + 15 + extra):
+            zc = _sl2z_reduced(mpmath.mpc(z))
     v = float(mpmath.im(zc))
-    if v < 0.5:
-        raise ValueError("reduce the point into the fundamental domain first")
     L = _series_length_for(n, v, digits)
     series = forms.jn(n, L + n)
     return evaluate_series(series, zc, digits)

@@ -34,7 +34,10 @@ Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
 without a series division: :func:`log_derivative_coeffs` (the log
 recurrence, f to Theta(f)/f) and :func:`exp_coeffs` (the exp recurrence,
 Theta(f)/f back to f).  The form constructors build eta quotients with
-the second, and the rational multiplicative Hecke route runs both.  Row
+the second, and the rational multiplicative Hecke route runs both.  The
+first is the one route to Theta(f)/f: :meth:`PuiseuxSeries.log_derivative`
+is one pass of it over the series' window, and the atoms of
+:mod:`heckediv.forms` run it on the expansions of E_k.  Row
 m of the log recurrence reads only c_0, ..., c_m and the rows before it,
 so a known prefix of Theta(f)/f resumes it: the store of
 :mod:`heckediv.forms` keeps Theta(E_k)/E_k that way and computes only the
@@ -444,10 +447,16 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.D, self.order, out)
 
     def log_derivative(self) -> "PuiseuxSeries":
-        """Theta(f)/f.  For f = c q^h (1 + O(q)) this starts at the constant h."""
+        """Theta(f)/f, known on as many grid exponents from q^0 as f is
+        known from its order.  For f = c q^h (1 + O(q)) this starts at the
+        constant h.  One pass of :func:`log_derivative_coeffs` over the
+        window, in grid units, each value then divided by D."""
         if not self.coeffs:
             raise NonUnitLeading("log-derivative of the zero series")
-        return self.theta() / self
+        l = log_derivative_coeffs(self.coeffs, self.order, len(self.coeffs))
+        if self.D != 1:
+            l = [exact_div(x, self.D) for x in l]
+        return PuiseuxSeries(self.D, 0, l)
 
     def rescale_exponents(self, a) -> "PuiseuxSeries":
         """Substitute q -> q**a for a positive rational a (exponent map e -> a*e)."""

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from heckediv import algebra as A, curve as C, forms as F, operators as O
 from heckediv.curve import HeegnerPoint as H, POINT_I, OMEGA
@@ -364,6 +365,52 @@ def test_equivariance_failure_at_p_dividing_N():
     assert TD.cusp_coefficient(1, 0) == -2
     # the divisor map is NOT equivariant here
     assert img.leading_exponent() != TD.cusp_coefficient(1, 0)
+
+
+_NONZERO = [r for r in range(-8, 9) if r]
+
+
+def _meets_ligozat(N, exponents):
+    """The conditions under which an eta quotient is a form on Gamma_0(N)
+    with a character (Gordon-Hughes, Newman; Ono, *The Web of Modularity*,
+    ch. 1): sum d r_d = 0 = sum (N/d) r_d mod 24, which makes the orders
+    at infinity and 0 integral, and an integral weight."""
+    return (sum(d * r for d, r in exponents.items()) % 24 == 0
+            and sum(N // d * r for d, r in exponents.items()) % 24 == 0
+            and sum(exponents.values()) % 2 == 0)
+
+
+@st.composite
+def ligozat_quotients(draw):
+    """(N, {d: r_d}) with N <= 20, at most four d | N and 0 < |r_d| <= 8,
+    meeting Ligozat's conditions: the last two exponents are the nearest
+    to their drawn values that meet them (rejected when none does)."""
+    N = draw(st.integers(2, 20))
+    ds = draw(st.lists(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]),
+                       min_size=1, max_size=4, unique=True))
+    rs = draw(st.lists(st.sampled_from(_NONZERO), min_size=len(ds), max_size=len(ds)))
+    k = len(ds) - min(2, len(ds))
+    tails = sorted(itertools.product(_NONZERO, repeat=len(ds) - k),
+                   key=lambda t: sum(abs(x - r) for x, r in zip(t, rs[k:])))
+    for tail in tails:
+        exponents = dict(zip(ds, rs[:k] + list(tail)))
+        if _meets_ligozat(N, exponents):
+            return N, exponents
+    reject()
+
+
+@settings(max_examples=120, deadline=None)
+@given(ligozat_quotients(), st.data())
+def test_divisor_map_is_equivariant_at_infinity(quotient, data):
+    # the theorem at level N: ord_inf(f|*T(n)) from the leading exponent
+    # of the Q-route image (operators) equals the infinity coefficient of
+    # T(n) div(f) from Ligozat's cusp orders (curve); the sides share no code
+    N, exponents = quotient
+    n = data.draw(st.sampled_from([n for n in range(2, 12) if gcd(n, N) == 1]))
+    f = F.FormExpression.of(F.EtaQuotient(F.EtaQuotientSpec.make(N, exponents)))
+    image = O.hecke_multiplicative(f, n, N, prec=4)
+    TD = C.hecke_divisor(n, C.divisor_of_form(f, N))
+    assert image.order == TD.cusp_coefficient(1, 0), (N, exponents, n)
 
 
 def test_divisor_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckediv import forms as F
-from heckediv.errors import NonUnitLeading, UnsupportedWeight
+from heckediv.errors import NonUnitLeading, UnsupportedParameter, UnsupportedWeight
 from heckediv.series import PuiseuxSeries as S, log_derivative_coeffs
 
 
@@ -131,6 +131,11 @@ def test_ligozat_orders_level2():
     assert F.ligozat_order(spec, 2, 1) == 1    # cusp 0
     # and the order at infinity matches the expansion directly
     assert F.eta_quotient_qexp(spec, 4).leading_exponent() == -1
+
+
+def test_ligozat_order_refuses_a_level_the_quotient_does_not_live_on():
+    with pytest.raises(UnsupportedParameter):
+        F.ligozat_order(F.EtaQuotientSpec.make(4, {1: 8, 4: -8}), 6, 1)
 
 
 def test_expression_qexp_product_consistency():
@@ -286,7 +291,8 @@ CLOSED_FORM_ATOMS = (
 def _expansion_log_derivative(expr, n):
     """Theta(f)/f from the full product expansion, by the series kernel
     (theta times the reciprocal), never from the atoms' closed forms."""
-    ld = expr.qexp(n).log_derivative()
+    s = expr.qexp(n)
+    ld = s.theta() * s.reciprocal()
     return [ld.coefficient(i) for i in range(n)]
 
 

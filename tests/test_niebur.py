@@ -260,6 +260,54 @@ def test_jn_value_reduces_first():
     assert abs(NB.jn_value(1, H(4, 0, 1), 30) - 286776) < mpmath.mpf(10) ** -20
 
 
+@st.composite
+def sl2z(draw):
+    """(a, b, c, d) in SL_2(Z): a product of T^k S = [[k, -1], [1, 0]]."""
+    a, b, c, d = 1, 0, 0, 1
+    for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4)):
+        a, b, c, d = a * k + b, -a, c * k + d, -c
+    return a, b, c, d
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.floats(-0.5, 0.5), st.floats(0.9, 1.6), sl2z())
+def test_jn_value_is_sl2z_invariant_on_complex_points(n, x, y, gamma):
+    # gamma z lies anywhere in the upper half-plane, down to Im ~ 1e-6
+    a, b, c, d = gamma
+    with mpmath.workdps(90):
+        z = mpmath.mpc(x, y)
+        w = (a * z + b) / (c * z + d)
+    want = NB.jn_value(n, z)
+    got = NB.jn_value(n, w)
+    with mpmath.workdps(60):
+        assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want), (gamma, z)
+
+
+def test_jn_value_reduces_a_complex_point():
+    with mpmath.workdps(60):
+        z = mpmath.mpc(0.1, 0.3)
+        want = NB.jn_value(1, -1 / z, 40)
+        assert abs(NB.jn_value(1, 0.1 + 0.3j, 40) - want) < mpmath.mpf(10) ** -30 * abs(want)
+        # i/2 maps to 2i, where j_1 = 287496 - 720
+        assert abs(NB.jn_value(1, 0.5j, 40) - 286776) < mpmath.mpf(10) ** -30
+    # near the real axis the reduction keeps the digits asked for: at
+    # 65 working digits it would keep about 34 of them here
+    z = 0.1 + 1e-25j
+    with mpmath.workdps(400):
+        w = NB._sl2z_reduced(mpmath.mpc(z))
+    want = NB.jn_value(2, w, 50)
+    with mpmath.workdps(80):
+        assert abs(NB.jn_value(2, z, 50) - want) < mpmath.mpf(10) ** -50 * abs(want)
+    for z in (0.3 - 0.1j, 2 + 0j, complex("nan"), mpmath.mpc("inf", 1)):
+        with pytest.raises(UnsupportedParameter):
+            NB.jn_value(1, z)
+
+
+def test_evaluate_series_refuses_a_fractional_grid():
+    with pytest.raises(UnsupportedParameter):
+        NB.evaluate_series(F.eta_quotient_qexp(F.EtaQuotientSpec.make(1, {1: 1}), 5), 1j)
+
+
 def test_jn_value_independent_truncations():
     # the evaluator's truncation choice does not matter beyond the target:
     # compare against a manual evaluation with twice the series length

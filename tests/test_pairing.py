@@ -8,6 +8,7 @@ from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairi
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
 from heckediv.errors import MissingCuspValue, UnsupportedParameter
 from heckediv.niebur import EvalParams
+from heckediv.series import PuiseuxSeries as S
 
 E4 = F.FormExpression.of(F.Eisenstein(4))
 E6 = F.FormExpression.of(F.Eisenstein(6))
@@ -77,6 +78,72 @@ def test_r_at_s1_values():
     assert P.r_at_s1(1, 1, DELTA) == 24
 
 
+def _eta(level, exps):
+    return F.EtaQuotient(F.EtaQuotientSpec.make(level, exps))
+
+
+# (N, f) over every atom kind: E_k with the int constant 240 and with the
+# Fraction constant 65520/691, Delta(m tau), eta quotients of integral and
+# of fractional order, j - 1728, j - c with a Fraction c, the shift
+# j_21 - 512, a shift that cancels the leading term, and an opaque series
+R_AT_S1_FORMS = [
+    (1, E4), (1, F.FormExpression.of(F.Eisenstein(12))), (2, F.FormExpression.of(F.DeltaShift(2))),
+    (1, F.FormExpression.of((F.Eisenstein(4), 2), F.Eisenstein(6), (F.DeltaShift(1), -1))),
+    (3, F.FormExpression.of(_eta(3, {1: 6, 3: 6}))), (1, F.FormExpression.of(_eta(1, {1: 12}))),
+    (2, F.FormExpression.of(_eta(2, {1: 2, 2: 2}))), (1, JM1728),
+    (1, F.FormExpression.of(F.JMinus(Fraction(5, 3)))),
+    (2, F.FormExpression.of((_eta(2, {1: 24, 2: -24}), 1), shift=-512)),
+    (1, F.FormExpression.of((F.Eisenstein(4), 3), (F.Eisenstein(6), -2), shift=-1)),
+    (1, F.FormExpression.of(F.OpaqueSeries(F.eisenstein(8, 40), 8, 1))),
+]
+R_AT_S1_IDS = ["E4", "E12", "Delta(2tau)", "E4^2E6/Delta", "eta3", "eta^12", "eta^2eta2^2",
+               "j-1728", "j-5/3", "j21-512", "E4^3/E6^2-1", "opaque E8"]
+R_AT_S1_M = (1, 2, 7, 20, 33)
+
+
+def _series_route(f, m):
+    """-Coeff_{q^m}(Theta f / f) as theta times the reciprocal of an
+    expansion reaching well past q^m: the oracle of r_at_s1."""
+    s = f.qexp(m + 12)
+    if s.D != 1:
+        s = f.qexp(s.D * (m + 12))
+    return -Fraction((s.theta() * s.reciprocal()).coefficient(m))
+
+
+@pytest.mark.parametrize("N, f", R_AT_S1_FORMS, ids=R_AT_S1_IDS)
+def test_r_at_s1_equals_the_series_route(N, f):
+    want = {m: _series_route(f, m) for m in R_AT_S1_M}
+    # the store of Theta(E_k)/E_k warmed in ascending and in descending m
+    for ms in (R_AT_S1_M, R_AT_S1_M[::-1]):
+        F._prefixes.cache_clear()
+        for m in ms:
+            got = P.r_at_s1(N, m, f)
+            assert type(got) is Fraction and got == want[m], (m, got, want[m])
+
+
+def test_r_at_s1_builds_no_expansion_from_closed_forms(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("r_at_s1 reads the atoms' log-derivatives")
+
+    F._prefixes.cache_clear()
+    monkeypatch.setattr(S, "reciprocal", refuse)
+    monkeypatch.setattr(S, "__mul__", refuse)
+    monkeypatch.setattr(F.FormExpression, "qexp", refuse)
+    assert P.r_at_s1(1, 1, JM1728) == 984
+    assert P.r_at_s1(1, 2, E4) == 53280
+    assert P.r_at_s1(2, 2, F.FormExpression.of(F.DeltaShift(2))) == 48
+    assert P.r_at_s1(1, 1, F.FormExpression.of(F.Eisenstein(12))) == Fraction(-65520, 691)
+
+
+def test_r_at_s1_fallback_inverts_no_series(monkeypatch):
+    # the shifted Hauptmodul is built by the exp recurrence, so only the
+    # log-derivative could reach for a reciprocal
+    monkeypatch.setattr(S, "reciprocal", lambda *_: pytest.fail("no reciprocal"))
+    f = F.FormExpression.of((_eta(2, {1: 24, 2: -24}), 1), shift=-512)
+    assert P.r_at_s1(2, 1, f) == 536
+    assert P.r_at_s1(2, 2, f) == 286744
+
+
 def test_r_at_s1_refuses_m_below_one():
     with pytest.raises(UnsupportedParameter):
         P.r_at_s1(1, 0, E4)
@@ -122,10 +189,6 @@ def test_equivariance_full_grid():
         for p in (2, 3, 5):
             for m in (1, 2, 3):
                 assert P.verify_equivariance(p, m, f, 1).passed, (f, p, m)
-
-
-def _eta(level, exps):
-    return F.EtaQuotient(F.EtaQuotientSpec.make(level, exps))
 
 
 # forms of level 1, 2 and 3, of orders -1, 0 and 1

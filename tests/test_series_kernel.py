@@ -291,6 +291,44 @@ def test_power_matches_the_dict_reference(a, k):
     _assert_fields(a ** k, _reference_power(a, k))
 
 
+# -- the log-derivative -------------------------------------------------------
+
+@st.composite
+def log_windows(draw):
+    """Rational windows on the grids D in {1, 2, 3, 24} at orders of either
+    sign, led by a coefficient other than 0 and +-1, with int or Fraction
+    entries."""
+    num = st.integers(-2 ** 40, 2 ** 40)
+    coeff = st.one_of(num, st.builds(Fraction, num, st.sampled_from(DENOMINATORS)))
+    lead = draw(coeff.filter(lambda c: c not in (0, 1, -1)))
+    D = draw(st.sampled_from((1, 2, 3, 24)))
+    return S(D, draw(st.integers(-60, 60)), [lead] + draw(st.lists(coeff, max_size=40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_windows())
+def test_log_derivative_is_theta_times_the_reciprocal(a):
+    # the oracle divides by the series; the route under test is the log
+    # recurrence over the window, values divided by D
+    _assert_fields(a.log_derivative(), _fields(a.theta() * a.reciprocal()))
+
+
+def test_log_derivative_inverts_no_series(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the log-derivative runs the log recurrence")
+
+    monkeypatch.setattr(S, "reciprocal", refuse)
+    monkeypatch.setattr(S, "__truediv__", refuse)
+    ld = S(24, -5, [3, 0, Fraction(1, 7), 0, 0, 2]).log_derivative()
+    assert (ld.D, ld.order) == (24, 0)
+    # 3 L_2 + (1/7)(-5) = (-5 + 2)(1/7) in grid units, so L_2 = 2/21
+    assert ld.coeffs[:3] == (Fraction(-5, 24), 0, Fraction(1, 252))
+    e4 = eisenstein(4, 8).log_derivative()
+    assert (e4.order, e4.coeffs[:3]) == (1, (240, -53280, 12288960))
+    with pytest.raises(NonUnitLeading):
+        S(1, 3, []).log_derivative()
+
+
 # -- the exp recurrence ------------------------------------------------------
 
 def _normal(x):
