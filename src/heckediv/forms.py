@@ -12,9 +12,11 @@ Eta quotients are built from their log-derivatives: Theta(eta)/eta =
 E2/24, so the unit part of prod eta(m tau)^r has Theta(u)/u =
 sum (r m/24) E2(m tau), and the exp recurrence of the series kernel
 (``series.exp_coeffs``, the inverse of the log recurrence
-``series.log_derivative_coeffs``) expands it in integers.  One divisor-sum
-sieve, :func:`sigma_table`, gives the sigma_1 of E2 and the
-sigma_{k-1} of E_k.
+``series.log_derivative_coeffs``) expands it in integers.  Delta is the
+eta quotient eta^24, and j = E4^3/Delta is one triangular solve
+(``series.solve_coeffs``) of E4^3 against the unit Delta/q: no expansion
+of Delta or j multiplies or inverts a series.  One divisor-sum sieve,
+:func:`sigma_table`, gives the sigma_1 of E2 and the sigma_{k-1} of E_k.
 
 :func:`expression_by_name` parses the form names of the CLI into
 :class:`FormExpression` values; ``expression_by_name(name).qexp(prec)`` is
@@ -27,13 +29,15 @@ recurrence on its O(n) expansion, and j, j - 1728 combine the two.  Atoms
 without such a closed form return None.
 
 Expansion caches are process-wide pure constructors behind lru_cache.
-Coefficient prefixes that a longer request only extends (the sigma_k
-tables and the log-derivatives Theta(E_k)/E_k) live in one grow-only
-store of immutable tuples, keyed by what they are the prefix of: a call
-reads its first n entries and computes only the rows that are missing,
-and a stored prefix is replaced only by a longer one, so concurrent
-readers are safe.  ``_prefixes.cache_clear()`` empties the store with
-the other caches.
+Coefficient prefixes that a longer request only extends live in one
+grow-only store of immutable tuples, keyed by what they are the prefix
+of: the sigma_k tables, the log-derivatives Theta(E_k)/E_k, the grid-1
+units of the eta quotients (Delta/q among them) and q j.  A call reads
+its first n entries and resumes the sieve or recurrence only for the
+rows that are missing, and a stored prefix is replaced only by a longer
+one, so concurrent readers are safe.  ``_prefixes.cache_clear()``
+empties the store with the other caches.  :func:`euler_product` is no
+longer on any route; it keeps its cache for tools that read it.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 
-from .errors import PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
-from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs
+from .errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
+from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs, solve_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +183,35 @@ def euler_product(prec: int) -> PuiseuxSeries:
     return PuiseuxSeries(1, 0, coeffs)
 
 
+# Delta = eta(tau)^24
+_DELTA = ((1, 24),)
+
+
 @lru_cache(maxsize=64)
 def delta(prec: int) -> PuiseuxSeries:
-    """The discriminant cusp form q prod (1-q^n)^24."""
-    return PuiseuxSeries.q_power(1, prec) * (euler_product(prec) ** 24)
+    """The discriminant cusp form Delta = eta^24 = q prod (1-q^n)^24,
+    `prec` coefficients from q^1: the eta quotient, whose unit Delta/q is
+    a stored prefix of the exp recurrence."""
+    return eta_quotient_qexp(EtaQuotientSpec(1, _DELTA), prec)
+
+
+def _j_unit(n: int) -> list:
+    """The first n coefficients of q j = E4^3/(Delta/q), a stored prefix:
+    one triangular solve against the stored unit Delta/q, resumed where
+    the stored rows end."""
+    def extend(known, n):
+        e4 = PuiseuxSeries(1, 0, _eisenstein_coeffs(4, n))
+        return solve_coeffs(_eta_unit(_DELTA, n), (e4 ** 3).coeffs, n, known)
+    return _prefix(("j",), n, extend)
 
 
 @lru_cache(maxsize=64)
 def j_function(prec: int) -> PuiseuxSeries:
-    """Classical j = E4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
-    p = prec + 2
-    return (eisenstein(4, p) ** 3 / delta(p)).truncate(prec - 1)
+    """Classical j = E4^3 / Delta = q^-1 + 744 + 196884 q + ..., `prec`
+    coefficients from q^-1."""
+    if prec < 1:
+        raise PrecisionExhausted("j needs at least one coefficient")
+    return PuiseuxSeries(1, -1, _j_unit(prec))
 
 
 def j_shifted(prec: int) -> PuiseuxSeries:
@@ -246,20 +268,29 @@ def _eta_log_derivative(exponents, n: int) -> list:
     return out
 
 
+def _eta_unit(exponents, n: int) -> list:
+    """The first n coefficients of the unit f/q^h of f = prod eta(m tau)^r
+    on grid 1, a stored prefix: the exp recurrence on
+    :func:`_eta_log_derivative`, resumed where the stored rows end."""
+    return _prefix(("eta", exponents), n, lambda known, n: exp_coeffs(
+        1, _eta_log_derivative(exponents, n), n, known))
+
+
 def eta_quotient_qexp(spec: EtaQuotientSpec, prec: int) -> PuiseuxSeries:
     """Exact expansion of prod eta(m tau)^{r_m}, `prec` coefficients from
     the leading term q^h, h = sum m r/24, on the grid (1/D) Z of h.
 
     Since Theta(eta)/eta = E2/24, the unit f/q^h has log-derivative
     sum (r m/24) E2(m tau); the exp recurrence rebuilds the unit from it
-    on grid 1, in integers, and the unit is then spread onto grid D."""
+    on grid 1, in integers (:func:`_eta_unit`), and the unit is then
+    spread onto grid D."""
     if prec < 1:
         raise PrecisionExhausted("an eta quotient needs at least one coefficient")
     lead = Fraction(sum(m * r for m, r in spec.exponents), 24)
     D = lead.denominator
     n = -(-prec // D)
     coeffs = [0] * prec
-    coeffs[::D] = exp_coeffs(1, _eta_log_derivative(spec.exponents, n), n)
+    coeffs[::D] = _eta_unit(spec.exponents, n)
     return PuiseuxSeries(D, lead.numerator, coeffs)
 
 
@@ -460,10 +491,55 @@ class FormExpression:
         return lcm(1, *[a.level for a, _ in self.atoms])
 
     @property
+    def _product_order(self) -> Fraction:
+        return sum((e * a.order for a, e in self.atoms), Fraction(0))
+
+    @property
     def order(self) -> Fraction:
-        """Leading q-exponent of the expression, computed symbolically."""
-        order = sum((e * a.order for a, e in self.atoms), Fraction(0))
-        return Fraction(0) if self.shift and order > 0 else order
+        """Leading q-exponent of the expression, computed symbolically,
+        except where the shift meets the constant term of the product:
+        then it is read from the expansion.  A nonzero f - c vanishes at
+        infinity to an order at most its number of poles on X_0(N), which
+        :meth:`_pole_bound` bounds; an expansion that vanishes beyond it is
+        identically 0 and has no order (NonUnitLeading).  An opaque atom
+        gives no bound: the expansion is read as far as its window reaches,
+        and a shift that cancels all of it is PrecisionExhausted."""
+        order = self._product_order
+        if not self.shift or order < 0:
+            return order
+        if order > 0:
+            return Fraction(0)
+        bound = self._pole_bound()
+        reach = bound if bound is not None else max(
+            -(-a.series.precision // a.series.D)
+            for a, _ in self.atoms if isinstance(a, OpaqueSeries))
+        series = self.qexp(reach + 1)
+        if not series.is_zero():
+            return series.leading_exponent()
+        if bound is None:
+            raise PrecisionExhausted(
+                "the shift cancels every known coefficient of the expansion")
+        raise NonUnitLeading("the expression is identically 0 and has no order")
+
+    def _pole_bound(self) -> int | None:
+        """An upper bound on the number of poles of the product on X_0(N),
+        N the level.  A holomorphic form of weight k has k psi(N)/12 zeros
+        (the valence formula), so F^e has at most |e| w psi(N)/12 poles
+        with w = k for E_k, 12 for Delta(m tau) and for
+        j - c = (E4^3 - c Delta)/Delta, and sum |r|/2 for an eta quotient,
+        a quotient of the holomorphic eta(m tau)^|r|.  None with an opaque
+        atom."""
+        count = 0
+        for atom, e in self.atoms:
+            if isinstance(atom, Eisenstein):
+                count += abs(e) * atom.k
+            elif isinstance(atom, (DeltaShift, JMinus)):
+                count += abs(e) * 12
+            elif isinstance(atom, EtaQuotient):
+                count += abs(e) * Fraction(sum(abs(r) for _, r in atom.spec.exponents), 2)
+            else:
+                return None
+        return int(count * psl2_index(self.level) / 12)
 
     def check_level(self, N: int) -> None:
         """Refuse a level N that the expression does not live at."""
@@ -472,11 +548,21 @@ class FormExpression:
                 f"expression of level {self.level} does not live on X_0({N})")
 
     def qexp(self, prec: int) -> PuiseuxSeries:
-        factors = [a.qexp(prec) ** e for a, e in self.atoms] or [PuiseuxSeries.one(prec)]
-        # the window a product with PuiseuxSeries.one(prec) would keep
-        out = factors[0].truncate(Fraction(factors[0].order, factors[0].D) + max(prec, 1))
+        """The product with `prec` coefficients from its leading exponent
+        on the grid (1/D)Z of that exponent, plus the shift.  Every atom
+        but an opaque one expands to its order times a unit on grid 1, so
+        an atom whose order lives on (1/d)Z is asked for ceil(prec d/D)
+        coefficients, which reach as far."""
+        grids = [a.order.denominator for a, _ in self.atoms]
+        # integral orders sum to an integral order: skip the Fraction sum
+        D = 1 if max(grids, default=1) == 1 else self._product_order.denominator
+        factors = [a.qexp(-(-prec * d // D)) ** e for (a, e), d in zip(self.atoms, grids)]
+        out = factors[0] if factors else PuiseuxSeries.one(prec)
         for s in factors[1:]:
             out = out * s
+        # prec exponents of (1/D)Z past the order, in units of the grid of out
+        keep = -(-max(prec, 1) * out.D // D)
+        out = out.truncate(Fraction(out.order + keep, out.D))
         if self.shift:
             out = out + self.shift
         return out

@@ -30,18 +30,19 @@ substitution: one bigint product of the two windows, each cleared to one
 denominator and packed into one ``int``.  A narrower window takes the
 schoolbook loop.  Both give the same values and coefficient types.
 
-Two O(n^2) recurrences connect a unit to its log-derivative Theta(f)/f
-without a series division: :func:`log_derivative_coeffs` (the log
-recurrence, f to Theta(f)/f) and :func:`exp_coeffs` (the exp recurrence,
-Theta(f)/f back to f).  The form constructors build eta quotients with
-the second, and the rational multiplicative Hecke route runs both.  The
-first is the one route to Theta(f)/f: :meth:`PuiseuxSeries.log_derivative`
-is one pass of it over the series' window, and the atoms of
-:mod:`heckediv.forms` run it on the expansions of E_k.  Row
-m of the log recurrence reads only c_0, ..., c_m and the rows before it,
-so a known prefix of Theta(f)/f resumes it: the store of
-:mod:`heckediv.forms` keeps Theta(E_k)/E_k that way and computes only the
-rows a longer request adds.
+One O(n^2) triangular solve, :func:`solve_coeffs`, divides power
+series: x = b/a from sum_{i<=m} a_i x_{m-i} = b_m.  The reciprocal is
+b = 1, and the log recurrence :func:`log_derivative_coeffs` (f to
+Theta(f)/f, no series division) is b_m = (h + m) c_m.  Its inverse, the
+exp recurrence :func:`exp_coeffs` (Theta(f)/f back to f), builds the eta
+quotients of :mod:`heckediv.forms`, Delta among them, and the rational
+multiplicative Hecke route runs both.  The log recurrence is the one
+route to Theta(f)/f: :meth:`PuiseuxSeries.log_derivative` is one pass of
+it over the series' window, and the atoms of :mod:`heckediv.forms` run
+it on the expansions of E_k.  Row m of each reads only the inputs up to
+m and the rows before it, so a known prefix resumes it: the store of
+:mod:`heckediv.forms` keeps Theta(E_k)/E_k, the eta units and j that way
+and computes only the rows a longer request adds.
 
 All values are immutable; operations are pure functions, so series may be
 shared freely between threads.
@@ -81,31 +82,44 @@ def exact_div(x, y):
     return _as_rational(Fraction(x) / y)
 
 
+def solve_coeffs(a, b, n: int, prefix=()) -> list:
+    """The first n terms x_0, ..., x_{n-1} of the solution of the
+    lower-triangular Toeplitz system sum_{i=0}^{m} a_i x_{m-i} = b_m, for
+    rational a_i and b_m with a_0 != 0 and a_0, ..., a_{n-1},
+    b_0, ..., b_{n-1} known: x = b/a as power series, one O(n^2) pass.
+    Integral values come out as int.
+
+    Row m reads only a_0, ..., a_m, b_m and the rows before it, so a
+    known `prefix` x_0, ..., x_{p-1} (p <= n, as an earlier call returned
+    it) resumes the pass at m = p: only the missing rows are computed,
+    and the result equals the one-pass result."""
+    a0 = a[0]
+    x = list(prefix)
+    for m in range(len(x), n):
+        x.append(exact_div(b[m] - sum(map(mul, a[1:m + 1], reversed(x))), a0))
+    return x
+
+
 def log_derivative_coeffs(c, h, n: int, prefix=()) -> list:
     """The coefficients l_0, ..., l_{n-1} of Theta(f)/f for
     f = q^h (c_0 + c_1 q + ...) with rational c_i, c_0 != 0 and c_0, ...,
     c_{n-1} known: l_0 = h, and l_m solves the recurrence
-    sum_{i=0}^{m} c_i l_{m-i} = (h + m) c_m, one O(n^2) pass.
-
-    A known `prefix` l_0, ..., l_{p-1} (p <= n, as an earlier call
-    returned it) resumes the pass at m = p: only the missing rows are
-    computed, and the result equals the one-pass result."""
-    c0 = c[0]
-    l = list(prefix) or [h]
-    for m in range(len(l), n):
-        l.append(exact_div((h + m) * c[m] - sum(map(mul, c[1:m + 1], reversed(l))), c0))
-    return l
+    sum_{i=0}^{m} c_i l_{m-i} = (h + m) c_m, one :func:`solve_coeffs`
+    pass that a known `prefix` resumes."""
+    return solve_coeffs(c, [(h + m) * c[m] for m in range(n)], n, prefix)
 
 
-def exp_coeffs(c0, l, n: int) -> list:
+def exp_coeffs(c0, l, n: int, prefix=()) -> list:
     """The inverse of :func:`log_derivative_coeffs`: the coefficients
     c_0, ..., c_{n-1} of the unit u = c_0 + c_1 q + ... with
     Theta(q^h u)/(q^h u) = l, for rational c_0 != 0 and l_1, ..., l_{n-1}
     known.  l_0 (the order h) is not read: c_m solves the exp recurrence
     m c_m = sum_{i=1}^{m} l_i c_{m-i}, one O(n^2) pass (Knuth, TAOCP
-    vol. 2, 4.7).  Integral values come out as int."""
-    c = [c0]
-    for m in range(1, n):
+    vol. 2, 4.7).  Integral values come out as int.  A known `prefix`
+    c_0, ..., c_{p-1} resumes the pass at m = p, as for
+    :func:`solve_coeffs`."""
+    c = list(prefix) or [c0]
+    for m in range(len(c), n):
         c.append(exact_div(sum(map(mul, l[1:m + 1], reversed(c))), m))
     return c
 
@@ -394,15 +408,8 @@ class PuiseuxSeries:
     def reciprocal(self) -> "PuiseuxSeries":
         if not self.coeffs:
             raise NonUnitLeading("cannot invert a series with no nonzero known term")
-        a = self.coeffs
-        inv0 = _coeff_inv(a[0])
-        out = [inv0] + [0] * (len(a) - 1)
-        for k in range(1, len(a)):
-            s = 0
-            for i in range(1, k + 1):
-                if i < len(a) and a[i] and out[k - i]:
-                    s = s + a[i] * out[k - i]
-            out[k] = -inv0 * s if s else 0
+        n = len(self.coeffs)
+        out = solve_coeffs(self.coeffs, [1] + [0] * (n - 1), n)
         return PuiseuxSeries(self.D, -self.order, out)
 
     def __truediv__(self, other):

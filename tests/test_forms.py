@@ -5,8 +5,9 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckediv import forms as F
-from heckediv.errors import NonUnitLeading, UnsupportedParameter, UnsupportedWeight
+from heckediv import forms as F, operators, pairing
+from heckediv.errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter, \
+    UnsupportedWeight
 from heckediv.series import PuiseuxSeries as S, log_derivative_coeffs
 
 
@@ -502,3 +503,154 @@ def test_threads_sharing_the_store_never_shrink_a_prefix():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(F._prefixes()[e4]) == len(F._prefixes()[("sigma", 3)]) == longest
+
+
+# ---------------------------------------------------------------------------
+# the expansion store: Delta, eta quotients, j and j_n
+# ---------------------------------------------------------------------------
+
+def _clear_form_caches():
+    for obj in vars(F).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _old_delta(prec):
+    """Delta by the pentagonal product, q euler_product^24."""
+    return S.q_power(1, prec) * F.euler_product(prec) ** 24
+
+
+def _old_j(prec):
+    """j as E4^3 times the reciprocal of that Delta."""
+    p = prec + 2
+    return (F.eisenstein(4, p) ** 3 * _old_delta(p).reciprocal()).truncate(prec - 1)
+
+
+def _old_eta(exponents, prec):
+    """prod eta(m tau)^r from the factor-by-factor unit, spread on grid D."""
+    lead = Fraction(sum(m * r for m, r in exponents), 24)
+    D = lead.denominator
+    coeffs = [0] * prec
+    coeffs[::D] = _brute_eta_unit(exponents, -(-prec // D))
+    return S(D, lead.numerator, coeffs)
+
+
+def _old_expansion(request):
+    kind, *args = request
+    if kind == "delta":
+        return _old_delta(*args)
+    if kind == "j":
+        return _old_j(*args)
+    if kind == "jn":
+        n, prec = args
+        base = _old_j(n * (prec + n) + 1) - 720
+        return operators.hecke_additive_formula(base, 0, n).truncate(prec - n)
+    if kind == "eta":
+        return _old_eta(*args)
+    N, prec = args
+    return _old_j(prec) - 720 if N == 1 else _old_eta(F.hauptmodul_spec(N).exponents, prec)
+
+
+def _expansion(request):
+    kind, *args = request
+    if kind == "eta":
+        exponents, prec = args
+        return F.eta_quotient_qexp(F.EtaQuotientSpec(6, exponents), prec)
+    return {"delta": F.delta, "j": F.j_function, "jn": F.jn,
+            "haupt": F.hauptmodul_qexp}[kind](*args)
+
+
+STORE_ETA = (((1, 24),), ((1, 12),), ((1, 1),), ((1, 8), (3, 8)), ((1, -12), (2, 12)),
+             ((1, 2), (2, 2), (3, 2), (6, 2)), ((2, 12),), ((1, 5), (3, -1)))
+
+REQUESTS = st.one_of(
+    st.tuples(st.just("delta"), st.integers(1, 150)),
+    st.tuples(st.just("j"), st.integers(1, 150)),
+    st.integers(1, 5).flatmap(lambda n: st.tuples(st.just("jn"), st.just(n), st.integers(n, 30))),
+    st.tuples(st.just("eta"), st.sampled_from(STORE_ETA), st.integers(1, 200)),
+    st.tuples(st.just("haupt"), st.integers(1, 5), st.integers(1, 60)))
+
+_OLD = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(REQUESTS, min_size=1, max_size=8))
+def test_stored_expansions_equal_the_old_formulas(requests):
+    # precisions rise, fall and repeat in any order, on expansions sharing
+    # the stored units of Delta and j
+    _clear_form_caches()
+    for request in requests:
+        got = _expansion(request)
+        if request not in _OLD:
+            _OLD[request] = _old_expansion(request)
+        want = _OLD[request]
+        assert (got.D, got.order, got.coeffs) == (want.D, want.order, want.coeffs), request
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], request
+
+
+def test_delta_j_and_jn_build_no_product_and_invert_no_series(monkeypatch):
+    want = [_old_delta(60), _old_j(60), _old_expansion(("jn", 3, 12))]
+
+    def refuse(*_):
+        raise AssertionError("Delta, j and j_n read the stored units")
+
+    _clear_form_caches()
+    monkeypatch.setattr(F, "euler_product", refuse)
+    monkeypatch.setattr(S, "reciprocal", refuse)
+    assert [F.delta(60), F.j_function(60), F.jn(3, 12)] == want
+
+
+def test_delta_and_j_refuse_an_empty_precision():
+    for fn in (F.delta, F.j_function):
+        for prec in (0, -3):
+            with pytest.raises(PrecisionExhausted):
+                fn(prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2, 3, 6)), st.integers(-12, 12)),
+                min_size=1, max_size=4), st.integers(1, 40))
+def test_a_product_of_eta_atoms_is_the_quotient_of_the_summed_exponents(factors, prec):
+    # each atom lives on the grid of its own order, the product on that of
+    # the summed order, which may be coarser or finer
+    total = {}
+    for m, r in factors:
+        total[m] = total.get(m, 0) + r
+    expr = F.FormExpression.of(*[_eta(6, {m: r}) for m, r in factors])
+    got = expr.qexp(prec)
+    want = F.eta_quotient_qexp(F.EtaQuotientSpec.make(6, total), prec)
+    assert (got.D, got.order, got.coeffs) == (want.D, want.order, want.coeffs)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_eta12_squared_is_delta_in_every_route():
+    eta12 = _eta(1, {1: 12})
+    halves = F.FormExpression.of(eta12, eta12)
+    delta = F.FormExpression.of(F.DeltaShift(1))
+    for prec in (1, 2, 12, 40):
+        assert halves.qexp(prec) == F.delta(prec)
+    assert pairing.r_at_s1(1, 11, halves) == 288 == 24 * F.sigma(1, 11)
+    for n in (2, 3, 5):
+        got = operators.hecke_multiplicative(halves, n, 1, 12).atoms[0][0].series
+        assert got == operators.hecke_multiplicative(delta, n, 1, 12).atoms[0][0].series
+
+
+def test_a_shift_that_cancels_the_constant_term_reads_the_order_from_the_expansion():
+    e4, e6, j = F.Eisenstein(4), F.Eisenstein(6), F.JMinus(Fraction(0))
+    # E4^3/E6^2 - 1 = 1728 Delta/E6^2 and (j - 1728)/j - 1 = -1728/j
+    for f in (F.FormExpression.of((e4, 3), (e6, -2), shift=-1),
+              F.FormExpression.of(F.JMinus(Fraction(1728)), (j, -1), shift=-1)):
+        assert f.order == 1 == f.qexp(6).leading_exponent()
+    assert F.FormExpression.of((e4, 3), (e6, -2), shift=5).order == 0
+    # identically 0: the expansion vanishes beyond the number of poles
+    for zero in (F.FormExpression.of(e4, (e4, -1), shift=-1),
+                 F.FormExpression.of(j, (e4, -3), F.DeltaShift(1), shift=-1),
+                 F.FormExpression.of(_eta(2, {1: 12, 2: -12}), (_eta(2, {1: 12, 2: -12}), -1),
+                                     shift=-1)):
+        with pytest.raises(NonUnitLeading):
+            zero.order
+    # an opaque window the shift cancels entirely gives no order either
+    opaque = F.OpaqueSeries(S(1, 0, [1, 0, 0]), 0, 1)
+    with pytest.raises(PrecisionExhausted):
+        F.FormExpression.of(opaque, shift=-1).order
+    assert F.FormExpression.of(F.OpaqueSeries(S(1, 0, [1, 0, 3]), 0, 1), shift=-1).order == 2

@@ -187,8 +187,8 @@ def test_routes_agree_on_fractional_eta_quotients(name):
 
 def test_routes_agree_when_the_expansion_is_short_for_its_budget():
     # Delta as eta(tau)^12 eta(tau)^12: each factor lives on the grid
-    # (1/2)Z, so qexp(P) knows only P/2 exponents; and a shift that cancels
-    # the constant term of an opaque series moves its order up by two
+    # (1/2)Z, the product on Z; and a shift that cancels the constant term
+    # of an opaque series moves its order up by two
     eta12 = _eta(1, {1: 12})
     halves = F.FormExpression.of(eta12, eta12)
     shifted = F.FormExpression.of(

@@ -12,10 +12,12 @@ Sums, reciprocals and powers are checked against the same dict terms:
 sums term by term below the smaller knowledge bound, reciprocals by the
 geometric series sum_j t^j of 1/(1 - t), powers as successive reference
 products, each with the order, grid, cutoff, values and coefficient types
-of the result.
+of the result.  The triangular solve x = b/a is checked as b times that
+reference reciprocal, and the reciprocal also against the schoolbook loop
+it replaced.
 
-The exp recurrence is checked as the inverse of the log recurrence, the
-log recurrence resumed from a prefix against one pass, and the eta
+The exp recurrence is checked as the inverse of the log recurrence, both
+recurrences and the solve resumed from a prefix against one pass, and the eta
 quotients the exp recurrence builds against the product
 prod (1 - q^(m n))^r expanded factor by factor with binomial series in a
 dict.
@@ -32,7 +34,7 @@ from heckediv.cyclotomic import Cyclo
 from heckediv.errors import NonUnitLeading
 from heckediv.forms import EtaQuotientSpec, eisenstein, eta_quotient_qexp
 from heckediv.series import KRONECKER_MIN_WIDTH, PuiseuxSeries as S
-from heckediv.series import exp_coeffs, log_derivative_coeffs
+from heckediv.series import exp_coeffs, log_derivative_coeffs, solve_coeffs
 
 
 def _terms(s):
@@ -281,6 +283,48 @@ def test_reciprocal_matches_the_geometric_series(a):
     _assert_fields(a.reciprocal(), _reference_reciprocal(a))
 
 
+def _loop_reciprocal(a):
+    """(D, order, coeffs) of 1/a by the schoolbook loop the kernel used
+    before the triangular solve, skipping zero terms."""
+    c = a.coeffs
+    inv0 = Fraction(1) / c[0]
+    out = [inv0] + [0] * (len(c) - 1)
+    for k in range(1, len(c)):
+        s = 0
+        for i in range(1, k + 1):
+            if c[i] and out[k - i]:
+                s = s + c[i] * out[k - i]
+        out[k] = -inv0 * s if s else 0
+    return _fields(S(a.D, -a.order, out))
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows())
+def test_reciprocal_equals_the_schoolbook_loop(a):
+    if not a.is_zero():
+        _assert_fields(a.reciprocal(), _loop_reciprocal(a))
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows(max_size=20, heights=(3, 64)), st.data())
+def test_solve_is_b_times_the_reference_reciprocal(a, data):
+    if a.is_zero():
+        return
+    n = len(a.coeffs)
+    num = st.integers(-2 ** 64, 2 ** 64)
+    coeff = st.one_of(st.just(0), num, st.builds(Fraction, num, st.sampled_from(DENOMINATORS)))
+    b = data.draw(st.lists(coeff, min_size=n, max_size=n))
+    want = S(*_reference_product(S(1, 0, b), S(*_reference_reciprocal(S(1, 0, a.coeffs)))))
+    want = [want.coefficient(e) for e in range(n)]
+    got = solve_coeffs(a.coeffs, b, n)
+    assert got == want
+    assert _types(got) == _types(want)
+    p = data.draw(st.integers(1, n))
+    earlier = solve_coeffs(a.coeffs[:p], b[:p], p)
+    assert earlier == got[:p]
+    assert solve_coeffs(a.coeffs, b, n, tuple(earlier)) == got
+
+
 @settings(max_examples=120, deadline=None)
 @given(windows(max_size=12, heights=(3, 64)), st.integers(-3, 4))
 def test_power_matches_the_dict_reference(a, k):
@@ -370,6 +414,11 @@ def test_the_log_recurrence_resumes_from_a_prefix(c, h, data):
         assert got == whole
         assert _types(got) == _types(whole)
     assert earlier == whole[:p]  # the prefix is read, never extended in place
+    # the exp recurrence, resumed from the unit's first p coefficients
+    for prefix in (c[:p], tuple(c[:p])):
+        got = exp_coeffs(1, whole, n, prefix)
+        assert got == c
+        assert _types(got) == _types(c)
 
 
 def test_exp_ignores_the_order_term():
