@@ -46,7 +46,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
 from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs, solve_coeffs
@@ -58,15 +58,25 @@ from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs,
 
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
-    """Exact Bernoulli number B_k (B_1 = -1/2 convention)."""
-    if k == 0:
-        return Fraction(1)
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-    bs = [Fraction(1)]
-    for m in range(1, k + 1):
-        s = sum(comb(m + 1, j) * bs[j] for j in range(m))
-        bs.append(-s / (m + 1))
-    return bs[k]
+    """Exact Bernoulli number B_k (B_1 = -1/2 convention).
+
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) from the tangent numbers
+    T_1..T_n, which the recurrence of Brent and Harvey ("Fast computation
+    of Bernoulli, tangent and secant numbers", 2013) builds in integers."""
+    if k < 0:
+        raise UnsupportedParameter(f"B_k needs k >= 0, got {k}")
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    n = k // 2
+    t = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, n + 1):
+        for j in range(i, n + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return Fraction((-1) ** (n - 1) * k * t[n], 4 ** n * (4 ** n - 1))
 
 
 @lru_cache(maxsize=None)

@@ -5,23 +5,31 @@ weight-0 slices built from Hauptmoduln.
 
 The Poincare sum runs over the cosets Gamma_0(N)_inf \ Gamma_0(N), indexed
 by bottom rows (c, d): c a positive multiple of N up to C*N, d coprime to
-c (plus the identity term).  For each c, d runs over a symmetric window
-rounded to whole residue blocks, so the discarded class tails share a
-common size and their phase sum cancels like a Ramanujan sum; the c-tail
-dominates and is reported as K * C^(2-2s) with K measured empirically from
-the partial sums at power-of-two truncations (not certified).
+c (plus the identity term).  At m >= 1, for each c, d runs over a
+symmetric window rounded to whole residue blocks, so the discarded class
+tails share a common size and their phase sum cancels like a Ramanujan
+sum.  At m = 0 each row is exact in d: Moebius inversion and Poisson
+summation turn it into a Ramanujan-sum convolution of a table of K-Bessel
+values with about 7/Im tau entries.  That table runs wherever it costs
+fewer array elements than the d-windows; the windows still serve m = 0
+below about Im tau = 2e-4 (at C = 100), and where the cancellation of
+the closed form at large s would round by more than the c-tail.  The
+c-tail dominates and is reported as K * C^(2-2s) with K measured
+empirically from the partial sums at power-of-two truncations (not
+certified).
 
 The sum runs in doubles, vectorized over each row: extra working
 precision cannot help while the c-truncation error (at m = 0 and C = 300,
 about 4e-3 at s = 1.5 and 5e-6 at s = 2) exceeds the rounding error by ten
-orders of magnitude.  The per-residue work of a row (the test
-gcd(d, c) = 1, the inverse a = d^-1 mod c and the phase -2 pi m a/c) runs
-once per block of c residues and is repeated along the window; only the
-terms that depend on d itself are computed per element.
+orders of magnitude.  In the d-window rows, the per-residue work of a row
+(the test gcd(d, c) = 1, the inverse a = d^-1 mod c and the phase
+-2 pi m a/c) runs once per block of c residues and is repeated along the
+window; only the terms that depend on d itself are computed per element.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +72,9 @@ class PointValue:
     the true error against the Fourier expansion of E(tau, s) to within
     1.1% (C = 150 and 300, s = 1.5 and 2).  At m >= 1 the tail decays like
     C^(1-2s), so it over-reports (by 1.6e3-3.9e3 at m = 1, C = 300,
-    tau = 0.25 + i)."""
+    tau = 0.25 + i).  The d-window truncation applies only at m >= 1 (and
+    to m = 0 points where the window rows run, Im tau below about 2e-4);
+    the closed-form m = 0 rows are exact in d."""
     value: complex
     error_estimate: float
 
@@ -209,11 +219,219 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
     return total, partials
 
 
+# ---------------------------------------------------------------------------
+# m = 0: the rows in closed form
+# ---------------------------------------------------------------------------
+#
+# Moebius inversion of (d, c) = 1 and Poisson summation of each full line
+# sum_d ((x + d)^2 + y^2)^-s give every Eisenstein row exactly in d:
+#
+#     R_c = A v^(1-s) c^(-2s) [phi(c) + 2 sum_{f | c} mu(c/f) f Q(f)],
+#     Q(f) = sum_{f | n <= K} kappa(2 pi n v) cos(2 pi n u),
+#
+# with A = sqrt(pi) Gamma(s-1/2)/Gamma(s) and kappa(z) = z^nu K_nu(z) /
+# (2^(nu-1) Gamma(nu)), nu = s - 1/2, which falls from 1 at z = 0 like
+# e^-z.  The table of kappa costs K ~ 7/v values; the rows cost their
+# d-windows, so the cheaper of the two runs.
+
+def _mu_phi(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu(k) and phi(k) for 0 <= k <= n (both 0 at k = 0): the primes up to
+    sqrt(n) are sieved out, and what is left of k is 1 or one prime."""
+    import numpy as np
+    mu = np.ones(n + 1, dtype=np.int64)
+    phi = np.arange(n + 1, dtype=np.int64)
+    rest = np.arange(n + 1, dtype=np.int64)
+    r = math.isqrt(n)
+    composite = np.zeros(r + 1, dtype=bool)
+    for p in range(2, r + 1):
+        if composite[p]:
+            continue
+        composite[p * p::p] = True
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= n:
+            rest[q::q] //= p
+            q *= p
+    big = rest > 1
+    mu[big] *= -1
+    phi[big] -= phi[big] // rest[big]
+    mu[0] = 0
+    return mu, phi
+
+
+# kappa is summed with absolute error below e^-39 (~1e-17): the quadrature
+# error of the trapezoidal rule and the tail past n = K both stay below it
+_LOG_KAPPA_TOL = 39.0
+
+
+def _kappa_step(nu: float) -> float:
+    """Trapezoidal step for kappa at small z.  There the integrand of
+    integral_0^oo e^(-z cosh t) cosh(nu t) dt rises like e^(nu t) and falls
+    double-exponentially, and its Fourier transform at the first alias
+    2 pi / h is about |Gamma(nu + 2 pi i/h)| / Gamma(nu) of the integral
+    (Stirling's formula)."""
+    h = 0.25
+    while True:
+        w = complex(nu, 2 * math.pi / h)
+        log_alias = ((w - 0.5) * cmath.log(w) - w).real + 0.5 * math.log(2 * math.pi) \
+            - math.lgamma(nu)
+        if log_alias < -_LOG_KAPPA_TOL:
+            return h
+        h *= 0.9
+
+
+def _kappa_terms(nu: float, v: float) -> float:
+    """K past which 2 sum_{n > K} kappa(2 pi n v) < e^-39 (math.inf when
+    K would not fit in an int64).  The sum is about kappa(2 pi K v) /
+    (2 pi v), and kappa(z) < sqrt(pi/2) z^(nu-1/2) e^(-z + (nu^2-1/4)/(2z))
+    / (2^(nu-1) Gamma(nu)); the iteration falls from above to the larger
+    root z of the bound."""
+    const = _LOG_KAPPA_TOL + 0.5 * math.log(math.pi / 2) - (nu - 1) * math.log(2) \
+        - math.lgamma(nu) - math.log(math.pi * v)
+    z = max(const, 0.0) + 2 * nu + 40
+    for _ in range(60):
+        z = const + (nu - 0.5) * math.log(z) + (nu * nu - 0.25) / (2 * z)
+    return math.ceil(z / (2 * math.pi * v)) if z / (2 * math.pi * v) < 2.0 ** 62 \
+        else math.inf
+
+
+def _kappa_plan(nu: float, v: float, K: int):
+    """The quadrature grid of kappa(2 pi n v), 1 <= n <= K: for each dyadic
+    block lo <= n < hi a step h and a node count, so that one grid serves
+    the whole block.  The step also resolves the peak of the integrand,
+    whose curvature is sqrt(z^2 + nu^2), at the top of the block; the
+    nodes run until the integrand is e^-42 below its peak at the bottom."""
+    small_z_step = _kappa_step(nu)
+    lo = 1
+    while lo <= K:
+        hi = min(2 * lo, K + 1)
+        z_lo, z_hi = 2 * math.pi * v * lo, 2 * math.pi * v * (hi - 1)
+        h = min(small_z_step, 0.71 * (z_hi * z_hi + nu * nu) ** -0.25)
+        top = math.asinh(nu / z_lo)
+        peak = nu * top - z_lo * math.cosh(top)
+        end = top + 1.0
+        while nu * end - z_lo * math.cosh(end) > peak - _LOG_KAPPA_TOL - 3:
+            end += 1.0
+        yield lo, hi, h, int(end / h) + 1
+        lo = hi
+
+
+def _kappa_table(nu: float, v: float, K: int) -> np.ndarray:
+    """kappa(2 pi n v) for 1 <= n <= K (index 0 holds 0) by the trapezoidal
+    rule on its integral, evaluated in logarithms, so no factor overflows
+    whatever nu and z are; at most 1024 values of z share a node array."""
+    import numpy as np
+    out = np.zeros(K + 1)
+    shift = -math.lgamma(nu) - nu * math.log(2)
+    for lo, hi, h, nodes in _kappa_plan(nu, v, K):
+        t = h * np.arange(nodes)
+        # z^nu cosh(nu t) = (z/2)^nu e^(nu t) (1 + e^(-2 nu t)) 2^(nu-1);
+        # the end node of the trapezoidal rule has weight 1/2
+        weight = nu * t + np.log1p(np.exp(-2 * nu * t))
+        weight[0] -= math.log(2.0)
+        cosh_t = np.cosh(t)
+        for a in range(lo, hi, 1024):
+            b = min(a + 1024, hi)
+            z = (2 * math.pi * v) * np.arange(a, b, dtype=np.float64)[:, None]
+            expo = (nu * np.log(z) + shift) + weight - z * cosh_t
+            out[a:b] = h * np.exp(expo).sum(axis=1)
+    return out
+
+
+def _log_lead(v: float, s: float) -> float:
+    # log of A v^(1-s), A = sqrt(pi) Gamma(s-1/2)/Gamma(s)
+    return 0.5 * math.log(math.pi) + math.lgamma(s - 0.5) - math.lgamma(s) \
+        + (1 - s) * math.log(v)
+
+
+def _eisenstein_rows_cost(N: int, v: float, s: float, C: int) -> tuple[float, float]:
+    """(closed form, d-window rows) costs in array elements: the nodes of
+    the kappa quadrature against the window elements of every row.  The
+    closed form scales row c by A v^(1-s) c^(-2s); where that passes 2^900
+    at c = N (huge s at small Im tau), it cannot run and costs math.inf."""
+    import numpy as np
+    K = _kappa_terms(s - 0.5, v)
+    if K == math.inf or _log_lead(v, s) - 2 * s * math.log(N) > 900 * math.log(2):
+        closed = math.inf
+    else:
+        closed = float(sum((hi - lo) * nodes for lo, hi, _, nodes in _kappa_plan(s - 0.5, v, K)))
+    # the windows of _row_halfwidth, vectorised over c
+    c = N * np.arange(1, C + 1, dtype=np.float64)
+    base = 4000.0 * max(1.0, v) ** 0.75
+    rows = float(np.sum(2 * c * np.maximum(np.ceil(base / c), 4) + 1))
+    return closed, rows
+
+
+def _eisenstein_rows(N: int, u: float, v: float, s: float, C: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The rows c = N, 2N, .., CN of the m = 0 sum, each exact in d, and a
+    bound on the rounding of each: the terms of the bracket cancel to the
+    row, so the bound scales with the sum of their absolute values."""
+    import numpy as np
+    nu = s - 0.5
+    K = _kappa_terms(nu, v)
+    L = C * N
+    F = min(K, L)
+    # cos(2 pi n u) depends on u mod 1 only, and the reduced u keeps the
+    # rounding of the phase small
+    q = _kappa_table(nu, v, K) * np.cos(2 * math.pi * (u - round(u)) * np.arange(K + 1))
+    Q = np.zeros(F + 1)
+    for f in range(1, F + 1):
+        Q[f] = q[f::f].sum()
+    mu, phi = _mu_phi(L)
+    # every pair f | c with f <= F and N | c, i.e. c a multiple of lcm(f, N)
+    f = np.arange(1, F + 1, dtype=np.int64)
+    step = f * (N // np.gcd(f, N))
+    count = L // step
+    fs = np.repeat(f, count)
+    js = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count) + 1
+    cs = np.repeat(step, count) * js
+    terms = (2 * mu[cs // fs] * fs) * Q[fs]
+    c = N * np.arange(1, C + 1, dtype=np.int64)
+    bracket = phi[c] + np.bincount(cs // N, weights=terms, minlength=C + 1)[1:]
+    size = phi[c] + np.bincount(cs // N, weights=np.abs(terms), minlength=C + 1)[1:]
+    weight = np.exp(_log_lead(v, s) - 2 * s * np.log(c.astype(np.float64)))
+    # in ulps of the sum of the absolute terms: kappa carries up to about
+    # 64 from its exponent and the phase 2 pi n u about n <= K; the factor
+    # 64 over that covers the worst ratio measured against the d-window
+    # rows (3.3e3 ulps, s <= 20, Im tau >= 1e-3)
+    return weight * bracket, 2.0 ** -46 * (64 + K) * weight * size
+
+
+def _eisenstein_sum(N: int, u: float, v: float, s: float, C: int) \
+        -> tuple[complex, list[tuple[int, complex]], float]:
+    """The m = 0 sum over c <= C*N from the closed-form rows, its partial
+    sums at the checkpoints, and the bound on its rounding."""
+    import numpy as np
+    rows, rounding = _eisenstein_rows(N, u, v, s, C)
+    totals = v ** s + np.cumsum(rows)
+    partials = [(mark, complex(totals[mark - 1])) for mark in _checkpoints(C)]
+    return complex(totals[-1]), partials, float(np.sum(rounding))
+
+
+def _tail_estimate(partials: list[tuple[int, complex]], s: float, C: int) -> float:
+    # empirical tail constant: the largest K with |S(2c) - S(c)| =
+    # K (c^(2-2s) - (2c)^(2-2s)) over the power-of-two checkpoints
+    k_emp = 0.0
+    for (c1, s1), (c2, s2) in zip(partials, partials[1:]):
+        denom = c1 ** (2 - 2 * s) - c2 ** (2 - 2 * s)
+        if denom > 0:
+            k_emp = max(k_emp, abs(s2 - s1) / denom)
+    return k_emp * C ** (2 - 2 * s)
+
+
 def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> PointValue:
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
     estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
     and a finite tau in the upper half-plane whose c = N row fits in
-    MAX_ROW_WINDOW (UnsupportedParameter otherwise)."""
+    MAX_ROW_WINDOW (UnsupportedParameter otherwise).
+
+    At m = 0 the rows are exact in d (`_eisenstein_sum`) where the kappa
+    table costs less than the d-windows, unless its rounding bound exceeds
+    the c-tail estimate (large s, small Im tau); elsewhere the d-window
+    rows of `_niebur_sum_fast` run."""
     if m < 0:
         raise UnsupportedParameter(f"m={m}: F_(N,-m) needs m >= 0")
     if N < 1:
@@ -229,15 +447,16 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
         raise UnsupportedParameter(
             f"tau={tau}: Im tau = {v:g} needs a d-window of {window} elements at c = {N}, "
             f"more than the {MAX_ROW_WINDOW} a row may hold")
-    value, partials = _niebur_sum_fast(N, m, u, v, float(s), C)
-    # empirical tail constant: the largest K with |S(2c) - S(c)| =
-    # K (c^(2-2s) - (2c)^(2-2s)) over the power-of-two checkpoints
-    k_emp = 0.0
-    for (c1, s1), (c2, s2) in zip(partials, partials[1:]):
-        denom = c1 ** (2 - 2 * s) - c2 ** (2 - 2 * s)
-        if denom > 0:
-            k_emp = max(k_emp, abs(s2 - s1) / denom)
-    est = k_emp * C ** (2 - 2 * s) + 1e-15 * abs(value)
+    s = float(s)
+    if m == 0:
+        closed, rows = _eisenstein_rows_cost(N, v, s, C)
+        if closed <= rows:
+            value, partials, rounding = _eisenstein_sum(N, u, v, s, C)
+            tail = _tail_estimate(partials, s, C)
+            if rounding <= tail:
+                return PointValue(value=value, error_estimate=float(tail + 1e-15 * abs(value)))
+    value, partials = _niebur_sum_fast(N, m, u, v, s, C)
+    est = _tail_estimate(partials, s, C) + 1e-15 * abs(value)
     return PointValue(value=value, error_estimate=float(est))
 
 

@@ -29,6 +29,23 @@ def test_bernoulli_values():
     assert F.bernoulli(16) == Fraction(-3617, 510)
 
 
+def _bernoulli_oracle(k):
+    """Oracle: [B_0, ..., B_k] by the recurrence sum_{j=0}^{m} C(m+1, j)
+    B_j = 0 (m >= 1) in Fractions, the route the tangent numbers replaced."""
+    from math import comb
+    bs = [Fraction(1)]
+    for m in range(1, k + 1):
+        bs.append(-sum(comb(m + 1, j) * bs[j] for j in range(m)) / (m + 1))
+    return bs
+
+
+def test_bernoulli_against_the_recurrence_oracle():
+    for k, want in enumerate(_bernoulli_oracle(60)):
+        assert F.bernoulli(k) == want, k
+    with pytest.raises(UnsupportedParameter):
+        F.bernoulli(-2)
+
+
 def test_eisenstein_sigma_oracle():
     for k in (4, 6, 8, 12):
         e = F.eisenstein(k, 9)

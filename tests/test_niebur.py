@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -456,7 +457,12 @@ def test_window_parities_covered():
 @pytest.mark.parametrize("m", (0, 2))
 def test_niebur_value_matches_elementwise_oracle(m, monkeypatch):
     P = EvalParams(truncation=30, digits=14, s=1.5)
-    tau = -0.21 + 0.77j
+    # at m = 0 the d-window rows run only where the kappa table of the
+    # closed form would cost more, so that case takes a point of small Im tau
+    tau = -0.21 + (1e-4j if m == 0 else 0.77j)
+    if m == 0:
+        closed, rows = NB._eisenstein_rows_cost(2, tau.imag, 1.5, 30)
+        assert closed > rows
     got = NB.niebur_value(2, m, tau, P)
     monkeypatch.setattr(NB, "_niebur_sum_fast", _oracle_sum_fast)
     want = NB.niebur_value(2, m, tau, P)
@@ -516,3 +522,148 @@ def test_points_up_to_im_tau_100_stay_inside_the_window_bound():
 def test_a_level_below_one_is_refused(N):
     with pytest.raises(UnsupportedParameter, match="level"):
         NB.niebur_value(N, 0, 1j)
+
+
+# -- m = 0: the rows in closed form --------------------------------------------------
+#
+# Each Eisenstein row is exact in d (Moebius inversion, Poisson summation
+# and a table of K_nu).  The references are independent of both steps: the
+# rows summed one coprime residue class at a time, the d-window rows of
+# _niebur_sum_fast, and mpmath.besselk.
+
+def _row_by_residue_classes(c, u, v, s):
+    r"""Row c of the m = 0 sum, c^(-2s) v^s sum over r mod c coprime to c of
+    sum_k ((u + r/c + k)^2 + v^2)^(-s), at 20 digits: the terms |k| <= 20
+    directly, each tail by the binomial series in v^2 of Hurwitz zeta
+    values (mpmath.nsum extrapolates the tails poorly near s = 1: 4e-4
+    relative at s = 1.01)."""
+    u, v, s = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(s)
+    acc = mpmath.mpf(0)
+    for r in range(c):
+        if math.gcd(r, c) == 1:
+            x = u + mpmath.mpf(r) / c
+            acc += mpmath.fsum(((x + k) ** 2 + v * v) ** -s for k in range(-20, 21))
+            for y in (21 + x, 21 - x):
+                j = 0
+                while True:
+                    term = mpmath.binomial(-s, j) * v ** (2 * j) * mpmath.zeta(2 * s + 2 * j, y)
+                    acc += term
+                    if abs(term) < mpmath.mpf(10) ** -24 * abs(acc):
+                        break
+                    j += 1
+    return v ** s * mpmath.mpf(c) ** (-2 * s) * acc
+
+
+M0_S = (1.01, 1.5, 2.0, 3.0)
+M0_V = (1.0, 0.03, 0.011)
+
+
+@pytest.mark.parametrize("v", M0_V)
+@pytest.mark.parametrize("s", M0_S)
+def test_closed_form_rows_against_residue_class_sums(s, v):
+    u = -0.37
+    with mpmath.workdps(20):
+        want = {c: float(_row_by_residue_classes(c, u, v, s)) for c in range(1, 13)}
+    for N in (1, 2, 3):
+        rows, rounding = NB._eisenstein_rows(N, u, v, s, 12 // N)
+        for c, got, bound in zip(range(N, 13, N), rows, rounding):
+            assert abs(got - want[c]) <= 1e-13 * want[c] + bound, (N, c, got, want[c])
+
+
+def _d_window_tail(N, v, s, C):
+    """The part of the m = 0 rows c <= CN that the d-windows leave out:
+    coprime d lie at density phi(c)/c, and each term is below
+    v^s |cu + d|^(-2s), so the two tails together are at most
+    (phi(c)/c) 2 v^s (X_c - c)^(1-2s)/(2s-1), counted from one residue
+    block inside the window edge X_c."""
+    tail = 0.0
+    for c in range(N, C * N + 1, N):
+        phi = sum(1 for r in range(c) if math.gcd(r, c) == 1)
+        X = NB._row_halfwidth(c, v)
+        tail += phi / c * 2 * v ** s * (X - c) ** (1 - 2 * s) / (2 * s - 1)
+    return tail
+
+
+@pytest.mark.parametrize("v", M0_V)
+@pytest.mark.parametrize("s", M0_S)
+def test_closed_form_against_the_d_window_rows(s, v):
+    # the closed form sums each row over every d; the rows stop at their
+    # windows, so the two differ by the d-window tail plus rounding.  u =
+    # 1.3 also checks that the phase reads u mod 1.
+    for N, u in ((1, 0.3), (2, -0.41), (3, 1.3)):
+        C = 40
+        got, got_partials, rounding = NB._eisenstein_sum(N, u, v, s, C)
+        want, want_partials = NB._niebur_sum_fast(N, 0, u, v, s, C)
+        assert [c for c, _ in got_partials] == [c for c, _ in want_partials]
+        tol = _d_window_tail(N, v, s, C) + rounding + 1e-15 * abs(want)
+        assert got.real >= want.real - rounding - 1e-15 * abs(want), (N, got, want)
+        assert abs(got - want) <= tol, (N, got, want, tol)
+
+
+@pytest.mark.parametrize("nu", (0.51, 1.0, 1.5, 2.5))
+def test_kappa_table_against_mpmath_besselk(nu):
+    # kappa(z) = z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) at z = 2 pi n v for
+    # v = 1e-3, over z in [2 pi 1e-3, 40]: every dyadic block of the table
+    # has its own quadrature grid, and the step shrinks like 1/sqrt(z)
+    v = 1e-3
+    K = math.ceil(40 / (2 * math.pi * v))
+    table = NB._kappa_table(nu, v, K)
+    ns = sorted({round(x) for x in np.geomspace(1, K, 120)})
+    with mpmath.workdps(30):
+        for n in ns:
+            z = 2 * mpmath.pi * v * n
+            want = z ** nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu))
+            assert abs(table[n] - want) <= 1e-13 * want, (n, float(z), table[n], want)
+
+
+def _no_rows(*args):
+    raise AssertionError("the d-window rows ran where the closed form is cheaper")
+
+
+def _no_closed_form(*args):
+    raise AssertionError("the closed form ran where the d-window rows are cheaper")
+
+
+@pytest.mark.parametrize("N,tau", [(1, 0.25 + 1j), (2, -0.21 + 0.77j), (3, 0.4 + 1.1j),
+                                   (2, 0.3 + 1e-3j)])
+def test_m0_near_im_tau_1_never_reaches_the_window_rows(monkeypatch, N, tau):
+    closed, rows = NB._eisenstein_rows_cost(N, tau.imag, 1.5, 30)
+    assert closed <= rows
+    want = NB._eisenstein_sum(N, tau.real, tau.imag, 1.5, 30)[0]
+    monkeypatch.setattr(NB, "_niebur_sum_fast", _no_rows)
+    assert NB.niebur_value(N, 0, tau, EvalParams(truncation=30, s=1.5)).value == want
+
+
+def test_m0_below_the_cost_rule_runs_the_window_rows(monkeypatch):
+    # the kappa table grows like 1/Im tau, the windows do not: at Im tau =
+    # 1e-4 and C = 30 the rows cost less
+    tau, P = -0.21 + 1e-4j, EvalParams(truncation=30, s=1.5)
+    closed, rows = NB._eisenstein_rows_cost(2, tau.imag, 1.5, 30)
+    assert closed > rows
+    assert rows == sum(2 * NB._row_halfwidth(c, tau.imag) + 1 for c in range(2, 61, 2))
+    want = NB._niebur_sum_fast(2, 0, tau.real, tau.imag, 1.5, 30)[0]
+    monkeypatch.setattr(NB, "_eisenstein_sum", _no_closed_form)
+    assert NB.niebur_value(2, 0, tau, P).value == want
+
+
+def test_m0_falls_back_to_the_rows_when_cancellation_outgrows_the_tail():
+    # at s = 10 the c-tail is below 1e-25 while the closed form's terms
+    # cancel by a factor 1e9 (Im tau = 0.1): its rounding bound exceeds the
+    # tail, so the rows give the value
+    tau, s, C = 0.3 + 0.1j, 10.0, 60
+    closed, rows = NB._eisenstein_rows_cost(1, tau.imag, s, C)
+    assert closed <= rows
+    value, partials, rounding = NB._eisenstein_sum(1, tau.real, tau.imag, s, C)
+    assert rounding > NB._tail_estimate(partials, s, C)
+    want = NB._niebur_sum_fast(1, 0, tau.real, tau.imag, s, C)[0]
+    assert NB.niebur_value(1, 0, tau, EvalParams(truncation=C, s=s)).value == want
+
+
+def test_mu_phi_sieve_against_trial_division():
+    mu, phi = NB._mu_phi(400)
+    assert mu[0] == 0
+    for k in range(1, 401):
+        ps = F.prime_factors(k)
+        want_mu = 0 if len(set(ps)) < len(ps) else (-1) ** len(ps)
+        assert mu[k] == want_mu, k
+        assert phi[k] == sum(1 for r in range(k) if math.gcd(r, k) == 1), k
