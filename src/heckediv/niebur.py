@@ -5,32 +5,42 @@ weight-0 slices built from Hauptmoduln.
 
 The Poincare sum runs over the cosets Gamma_0(N)_inf \ Gamma_0(N), indexed
 by bottom rows (c, d): c a positive multiple of N up to C*N, d coprime to
-c (plus the identity term).  At m >= 1, for each c, d runs over a
-symmetric window rounded to whole residue blocks, so the discarded class
-tails share a common size and their phase sum cancels like a Ramanujan
-sum.  At m = 0 each row is exact in d: Moebius inversion and Poisson
-summation turn it into a Ramanujan-sum convolution of a table of K-Bessel
-values with about 7/Im tau entries.  That table runs wherever it costs
-fewer array elements than the d-windows; the windows still serve m = 0
-below about Im tau = 2e-4 (at C = 100), and where the cancellation of
-the closed form at large s would round by more than the c-tail.  The
-c-tail dominates and is reported as K * C^(2-2s) with K measured
-empirically from the partial sums at power-of-two truncations (not
-certified).
+c (plus the identity term).  Each row is summed exactly in d by Poisson
+summation over the residue classes of d mod c.  At m = 0, Moebius
+inversion turns the rows into a Ramanujan-sum convolution of a table of
+K-Bessel values with about 7/Im tau entries.  At m >= 1, row c is its
+Fourier expansion: Kloosterman sums S(+-n, -m; c) from one FFT, the same
+K-Bessel table, and power series of I and J Bessel functions, about
+7/Im tau terms a row near the real axis and fewer far up.
 
-The sum runs in doubles, vectorized over each row: extra working
-precision cannot help while the c-truncation error (at m = 0 and C = 300,
-about 4e-3 at s = 1.5 and 5e-6 at s = 2) exceeds the rounding error by ten
-orders of magnitude.  In the d-window rows, the per-residue work of a row
-(the test gcd(d, c) = 1, the inverse a = d^-1 mod c and the phase
--2 pi m a/c) runs once per block of c residues and is repeated along the
-window; only the terms that depend on d itself are computed per element.
+A row runs on a d-window instead (d in a symmetric window rounded to
+whole residue blocks, so the discarded class tails share a common size
+and their phase sum cancels like a Ramanujan sum) where that costs fewer
+array elements: at m = 0 every row below about Im tau = 2e-4 (at C = 100),
+at m >= 1 the rows of small c at small Im tau.  It also does where the
+Fourier terms cancel so far that the rounding bound of the closed-form
+rows would pass the error estimate: their terms peak near
+e^(2 pi m/(c^2 Im tau)), so at m >= 1 these are the rows of small c at
+small Im tau (none near Im tau = 1, up to 9 rows at Im tau = 0.013, m = 3),
+at m = 0 the rows of small c at large s.  The c-tail dominates and is
+reported as K * C^(2-2s) with K measured empirically from the partial
+sums at power-of-two truncations (not certified).
+
+The sum runs in doubles, vectorized over each row (over blocks of rows at
+m >= 1): extra working precision cannot help while the c-truncation error
+(at m = 0 and C = 300, about 4e-3 at s = 1.5 and 5e-6 at s = 2) exceeds the
+rounding error by ten orders of magnitude.  In the d-window rows, the
+per-residue work of a row (the test gcd(d, c) = 1, the inverse
+a = d^-1 mod c and the phase -2 pi m a/c) runs once per block of c
+residues and is repeated along the window; only the terms that depend on
+d itself are computed per element.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,8 +56,10 @@ from .series import PuiseuxSeries
 class EvalParams:
     """Truncation and spectral parameter of the Poincare-series evaluators.
 
-    The sum runs in doubles, so `digits` (the decimal digits the caller
-    relies on) must be at most 15; it selects no code path."""
+    `truncation` is C: the sum keeps the rows c = N, .., CN, each exact in
+    d except the rows that run on a d-window (see `niebur_value`).  The
+    sum runs in doubles, so `digits` (the decimal digits the caller relies
+    on) must be at most 15; it selects no code path."""
     truncation: int = 300      # include cosets with c <= truncation * N
     digits: int = 14
     s: float = 1.5
@@ -68,28 +80,51 @@ class PointValue:
     """A truncated series value and its estimated c-truncation error.
 
     `error_estimate` is empirical, not a bound: K * C^(2-2s) with K fitted
-    to the partial sums at power-of-two truncations.  At m = 0 it matches
-    the true error against the Fourier expansion of E(tau, s) to within
-    1.1% (C = 150 and 300, s = 1.5 and 2).  At m >= 1 the tail decays like
-    C^(1-2s), so it over-reports (by 1.6e3-3.9e3 at m = 1, C = 300,
-    tau = 0.25 + i).  The d-window truncation applies only at m >= 1 (and
-    to m = 0 points where the window rows run, Im tau below about 2e-4);
-    the closed-form m = 0 rows are exact in d."""
+    to the partial sums at power-of-two truncations, plus 1e-15 of the
+    value.  At m = 0 it matches the true error against the Fourier
+    expansion of E(tau, s) to within 1.1% (C = 150 and 300, s = 1.5 and 2).
+    At m >= 1 the tail decays like C^(1-2s), so it over-reports, by
+    8.0e2-3.9e3 at m = 1 (C = 150 and 300, s = 1.5 and 2, tau = 0.25 + i
+    and -0.4 + 0.9i, against the sum at C = 4800 extrapolated in C).  The
+    closed-form rows are exact in d; a d-window truncation applies only to
+    the rows that run on one (small Im tau, see the module docstring), and
+    the rounding bound of the closed-form rows stays within the estimate."""
     value: complex
     error_estimate: float
 
 
 # ---------------------------------------------------------------------------
-# the phi kernel
+# Bessel power series
 # ---------------------------------------------------------------------------
 
-def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
-    """Vectorized phi_m(v, s) in doubles (power series, adaptive length).
+# the most terms a Bessel power series may take; a series of largest
+# argument x needs at most x + 20 of them
+_SERIES_BUDGET = 400
 
-    Every series term is positive and, under monotone IEEE rounding, no
-    smaller at a larger y, so the largest entries of the terms and of the
-    partial sums sit at y_max: the stopping test runs as a scalar
-    recurrence at y_max, and the vector steps need no reductions."""
+
+def _series_length(ymax: float, order: float) -> int:
+    """The number of terms after which sum_k y^k / (k! (order+1)_k) has
+    converged (to 1e-18 of the sum) for every y <= ymax.
+
+    Every term is positive and, under monotone IEEE rounding, no smaller at
+    a larger y, so the largest entries of the terms and of the partial sums
+    sit at ymax: the stopping test runs as a scalar recurrence there, and
+    the vector steps of the callers need no reductions."""
+    term = acc = 1.0
+    k = 1
+    while True:
+        term *= ymax / (k * (k + order))
+        acc += term
+        if ymax / ((k + 1) * (k + 1 + order)) < 0.5 and term < 1e-18 * (acc + 1e-300):
+            return k
+        k += 1
+        if k > _SERIES_BUDGET:
+            raise ConvergenceBudgetExceeded("vectorized Bessel series stalled")
+
+
+def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
+    """Vectorized phi_m(v, s) = 2 pi sqrt(m v) I_(s-1/2)(2 pi m v) in
+    doubles (power series, adaptive length)."""
     import numpy as np
     if m == 0:
         return v ** s
@@ -97,17 +132,7 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     x = 2.0 * math.pi * m * v
     half = x / 2.0
     y = half * half
-    ymax = float(y.max()) if y.size else 0.0
-    term_max = acc_max = 1.0 / math.gamma(nu + 1.0)
-    k = 1
-    while True:
-        term_max = term_max * (ymax / (k * (k + nu)))
-        acc_max += term_max
-        if ymax / ((k + 1) * (k + 1 + nu)) < 0.5 and term_max < 1e-18 * (acc_max + 1e-300):
-            break
-        k += 1
-        if k > 400:
-            raise ConvergenceBudgetExceeded("vectorized Bessel series stalled")
+    k = _series_length(float(y.max()) if y.size else 0.0, nu)
     term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
     acc = term.copy()
     ratio = np.empty_like(y)
@@ -118,16 +143,42 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     return 2.0 * math.pi * np.sqrt(m * v) * half ** nu * acc
 
 
+def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """I^ = sum_k y^k / (k! (mu+1)_k) and J^ = sum_k (-y)^k / (k! (mu+1)_k)
+    at y = x^2/4: I_mu(x) and J_mu(x) divided by (x/2)^mu / Gamma(mu+1),
+    both 1 at x = 0.  J^ is the alternating sum of the terms of I^, so its
+    rounding is that of I^, not of J^."""
+    import numpy as np
+    k = _series_length(float(y.max()) if y.size else 0.0, mu)
+    term = np.ones_like(y)
+    i_hat = term.copy()
+    j_hat = term.copy()
+    ratio = np.empty_like(y)
+    for j in range(1, k + 1):
+        np.divide(y, j * (j + mu), out=ratio)
+        term *= ratio
+        i_hat += term
+        if j & 1:
+            j_hat -= term
+        else:
+            j_hat += term
+    return i_hat, j_hat
+
+
 # ---------------------------------------------------------------------------
-# the Poincare sum
+# modular inverses and Kloosterman sums
 # ---------------------------------------------------------------------------
 
-def _inverse_table(c: int) -> np.ndarray:
-    """inv[r] = r^-1 mod c on the units r, 0 elsewhere: r^(phi(c)-1) mod c
-    by square-and-multiply on the vector of units (the products stay below
-    c^2, so c < 3 * 10^9 keeps them inside int64)."""
+def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The units r mod c in increasing order and their inverses r^-1 mod c:
+    the multiples of the primes dividing c are struck out, and
+    r^(phi(c)-1) mod c runs by square-and-multiply on the vector of units
+    (the products stay below c^2, so c < 3 * 10^9 keeps them inside int64)."""
     import numpy as np
-    units = np.flatnonzero(np.gcd(np.arange(c, dtype=np.int64), c) == 1)
+    unit = np.ones(c, dtype=bool)
+    for p in set(forms.prime_factors(c)):
+        unit[::p] = False
+    units = np.flatnonzero(unit)
     base = units.copy()
     inv = np.ones_like(units)
     e = units.size - 1
@@ -138,14 +189,37 @@ def _inverse_table(c: int) -> np.ndarray:
         base *= base
         base %= c
         e >>= 1
+    return units, inv % c
+
+
+def _inverse_table(c: int) -> np.ndarray:
+    """inv[r] = r^-1 mod c on the units r, 0 elsewhere."""
+    import numpy as np
+    units, inv = _unit_inverses(c)
     table = np.zeros(c, dtype=np.int64)
-    table[units] = inv % c
+    table[units] = inv
     return table
 
 
+def _kloosterman(c: int, m: int) -> np.ndarray:
+    """S(k, -m; c) = sum over the units r mod c of e((k r - m r^-1)/c), for
+    k = 0 .. c-1: one DFT of e(-m r^-1/c) over the units.  The sums are
+    real (r -> -r conjugates every term), and S(0, -m; c) is the Ramanujan
+    sum c_c(m), an integer."""
+    import numpy as np
+    units, inv = _unit_inverses(c)
+    g = np.zeros(c, dtype=complex)
+    g[units] = np.exp((-2j * math.pi / c) * (m * inv % c))
+    return (c * np.fft.ifft(g)).real
+
+
+# ---------------------------------------------------------------------------
+# the d-window rows
+# ---------------------------------------------------------------------------
+
 # the most d-window elements one row may hold: the c = N window grows as
-# 8000 v^0.75 and passes this bound near Im tau = 670, and a point that
-# far up is refused before any array is allocated
+# 8000 v^0.75 and passes this bound near Im tau = 670; a point whose
+# window rows would pass it is refused before any row is allocated
 MAX_ROW_WINDOW = 1 << 20
 
 
@@ -161,37 +235,28 @@ def _row_halfwidth(c: int, v: float) -> int:
     return c * max(int(math.ceil(base / c)), 4)
 
 
-def _checkpoints(C: int) -> list[int]:
-    # power-of-two truncations used to fit the empirical tail constant
-    pts = []
-    c = 2
-    while c < C:
-        pts.append(c)
-        c *= 2
-    pts.append(C)
-    return pts
-
-
-def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
-                     C: int) -> tuple[complex, list[tuple[int, complex]]]:
-    """Truncated Poincare sum in doubles; also returns the partial sums at
-    power-of-two truncations for the empirical tail estimate."""
+def _window_sizes(c: np.ndarray, v: float) -> np.ndarray:
+    # the 2X + 1 elements of the windows of _row_halfwidth, vectorised over c
     import numpy as np
-    total = complex(_phi_np(m, np.array([v]), s)[0]) * \
-        complex(math.cos(2 * math.pi * m * u), -math.sin(2 * math.pi * m * u)) \
-        if m else complex(v ** s)
-    marks = _checkpoints(C)
-    partials = []
-    next_mark = 0
-    for c in range(N, C * N + 1, N):
+    base = 4000.0 * max(1.0, v) ** 0.75
+    return 2 * c * np.maximum(np.ceil(base / c), 4) + 1
+
+
+def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
+    """The rows c in cs of the Poincare sum, each summed over its d-window.
+
+    d mod c has period c along the window, so the coprimality test and the
+    phase -2 pi m a/c (a = d^-1 mod c) run once on the residues of
+    lo..lo+c-1 and are repeated; the coprime d stay in increasing order, so
+    a row adds the same doubles in the same order as an element-by-element
+    pass."""
+    import numpy as np
+    rows = np.empty(len(cs), dtype=complex)
+    for i, c in enumerate(cs):
+        c = int(c)
         X = _row_halfwidth(c, v)
         center = -c * u
         lo, hi = math.ceil(center - X), math.floor(center + X)
-        # d mod c has period c along the window, so the coprimality test
-        # and the phase -2 pi m a/c run once on the residues of lo..lo+c-1
-        # and are repeated; the coprime d stay in increasing order, so the
-        # row sums add the same doubles in the same order as an
-        # element-by-element pass
         block = (lo + np.arange(c, dtype=np.int64)) % c
         coprime = np.flatnonzero(np.gcd(block, c) == 1)
         reps = (hi - lo) // c + 1
@@ -206,17 +271,46 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
             a = _inverse_table(c)[block[coprime]]
             turn = np.tile(-2.0 * math.pi * m * (a / float(c)), reps)[:count]
             phase = turn + 2.0 * math.pi * m * t / (c * denom)
-            row = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
+            rows[i] = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
         else:
-            row = complex(np.sum(amp))
-        total += row
-        while next_mark < len(marks) and c == marks[next_mark] * N:
-            partials.append((marks[next_mark], total))
-            next_mark += 1
-    while next_mark < len(marks):
-        partials.append((marks[next_mark], total))
-        next_mark += 1
-    return total, partials
+            rows[i] = complex(np.sum(amp))
+    return rows
+
+
+def _checkpoints(C: int) -> list[int]:
+    # power-of-two truncations used to fit the empirical tail constant
+    pts = []
+    c = 2
+    while c < C:
+        pts.append(c)
+        c *= 2
+    pts.append(C)
+    return pts
+
+
+def _identity_term(m: int, u: float, v: float, s: float) -> complex:
+    import numpy as np
+    return complex(_phi_np(m, np.array([v]), s)[0]) * \
+        complex(math.cos(2 * math.pi * m * u), -math.sin(2 * math.pi * m * u)) \
+        if m else complex(v ** s)
+
+
+def _partial_sums(first: complex, rows: np.ndarray, C: int) \
+        -> tuple[complex, list[tuple[int, complex]]]:
+    """first plus the rows c = N, .., CN, added in order, and the partial
+    sums at power-of-two truncations for the empirical tail estimate."""
+    import numpy as np
+    totals = np.cumsum(np.concatenate(([first], rows)))
+    return complex(totals[-1]), [(mark, complex(totals[mark])) for mark in _checkpoints(C)]
+
+
+def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
+                     C: int) -> tuple[complex, list[tuple[int, complex]]]:
+    """The truncated Poincare sum with every row on its d-window, and its
+    partial sums at the checkpoints: the reference route the closed-form
+    rows are tested against."""
+    return _partial_sums(_identity_term(m, u, v, s),
+                         _window_rows(m, u, v, s, range(N, C * N + 1, N)), C)
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +376,29 @@ def _kappa_step(nu: float) -> float:
         h *= 0.9
 
 
-def _kappa_terms(nu: float, v: float) -> float:
-    """K past which 2 sum_{n > K} kappa(2 pi n v) < e^-39 (math.inf when
-    K would not fit in an int64).  The sum is about kappa(2 pi K v) /
-    (2 pi v), and kappa(z) < sqrt(pi/2) z^(nu-1/2) e^(-z + (nu^2-1/4)/(2z))
-    / (2^(nu-1) Gamma(nu)); the iteration falls from above to the larger
-    root z of the bound."""
+def _kappa_terms(nu: float, v: float, a=0.0, weight=1.0) -> np.ndarray:
+    """K past which 2 weight sum_{n > K} kappa(z_n) e^(2 sqrt(a z_n)) <
+    e^-39, z_n = 2 pi n v (inf where K would not fit in an int64),
+    vectorised over a and weight.
+
+    The m = 0 rows have a = 0; a row c at m >= 1 multiplies kappa(z_n) by
+    I^(x_n) <= cosh(x_n) <= e^(x_n), x_n = 2 sqrt(a z_n) with
+    a = 2 pi m/(c^2 v), and by Kloosterman sums of size at most c.  The sum
+    is about the term at n = K over 2 pi v, and kappa(z) < sqrt(pi/2)
+    z^(nu-1/2) e^(-z + (nu^2-1/4)/(2z)) / (2^(nu-1) Gamma(nu)); the
+    iteration converges to the larger root z of the bound (no lower than
+    one term)."""
+    import numpy as np
+    a = np.asarray(a, dtype=np.float64)
     const = _LOG_KAPPA_TOL + 0.5 * math.log(math.pi / 2) - (nu - 1) * math.log(2) \
-        - math.lgamma(nu) - math.log(math.pi * v)
-    z = max(const, 0.0) + 2 * nu + 40
+        - math.lgamma(nu) - math.log(math.pi * v) + np.log(weight)
+    z = np.maximum(const, 0.0) + 2 * nu + 40 + 4 * a
     for _ in range(60):
-        z = const + (nu - 0.5) * math.log(z) + (nu * nu - 0.25) / (2 * z)
-    return math.ceil(z / (2 * math.pi * v)) if z / (2 * math.pi * v) < 2.0 ** 62 \
-        else math.inf
+        z = np.maximum(const + (nu - 0.5) * np.log(z) + (nu * nu - 0.25) / (2 * z)
+                       + 2 * np.sqrt(a) * np.sqrt(z), 2 * math.pi * v)
+    with np.errstate(over="ignore"):
+        K = np.ceil(z / (2 * math.pi * v))
+    return np.where(K < 2.0 ** 62, K, np.inf)
 
 
 def _kappa_plan(nu: float, v: float, K: int):
@@ -302,18 +406,21 @@ def _kappa_plan(nu: float, v: float, K: int):
     block lo <= n < hi a step h and a node count, so that one grid serves
     the whole block.  The step also resolves the peak of the integrand,
     whose curvature is sqrt(z^2 + nu^2), at the top of the block; the
-    nodes run until the integrand is e^-42 below its peak at the bottom."""
+    nodes run until the integrand is e^-42 below its peak at the bottom,
+    in strides of the peak's width 8/sqrt(z) where that is below 1 (far up
+    the half-plane)."""
     small_z_step = _kappa_step(nu)
     lo = 1
     while lo <= K:
         hi = min(2 * lo, K + 1)
         z_lo, z_hi = 2 * math.pi * v * lo, 2 * math.pi * v * (hi - 1)
-        h = min(small_z_step, 0.71 * (z_hi * z_hi + nu * nu) ** -0.25)
+        h = min(small_z_step, 0.71 * math.hypot(z_hi, nu) ** -0.5)
         top = math.asinh(nu / z_lo)
         peak = nu * top - z_lo * math.cosh(top)
-        end = top + 1.0
+        stride = min(1.0, 8 / math.sqrt(z_lo))
+        end = top + stride
         while nu * end - z_lo * math.cosh(end) > peak - _LOG_KAPPA_TOL - 3:
-            end += 1.0
+            end += stride
         yield lo, hi, h, int(end / h) + 1
         lo = hi
 
@@ -352,16 +459,14 @@ def _eisenstein_rows_cost(N: int, v: float, s: float, C: int) -> tuple[float, fl
     closed form scales row c by A v^(1-s) c^(-2s); where that passes 2^900
     at c = N (huge s at small Im tau), it cannot run and costs math.inf."""
     import numpy as np
-    K = _kappa_terms(s - 0.5, v)
+    K = float(_kappa_terms(s - 0.5, v))
     if K == math.inf or _log_lead(v, s) - 2 * s * math.log(N) > 900 * math.log(2):
         closed = math.inf
     else:
-        closed = float(sum((hi - lo) * nodes for lo, hi, _, nodes in _kappa_plan(s - 0.5, v, K)))
-    # the windows of _row_halfwidth, vectorised over c
+        closed = float(sum((hi - lo) * nodes
+                           for lo, hi, _, nodes in _kappa_plan(s - 0.5, v, int(K))))
     c = N * np.arange(1, C + 1, dtype=np.float64)
-    base = 4000.0 * max(1.0, v) ** 0.75
-    rows = float(np.sum(2 * c * np.maximum(np.ceil(base / c), 4) + 1))
-    return closed, rows
+    return closed, float(np.sum(_window_sizes(c, v)))
 
 
 def _eisenstein_rows(N: int, u: float, v: float, s: float, C: int) \
@@ -371,7 +476,7 @@ def _eisenstein_rows(N: int, u: float, v: float, s: float, C: int) \
     row, so the bound scales with the sum of their absolute values."""
     import numpy as np
     nu = s - 0.5
-    K = _kappa_terms(nu, v)
+    K = int(_kappa_terms(nu, v))
     L = C * N
     F = min(K, L)
     # cos(2 pi n u) depends on u mod 1 only, and the reduced u keeps the
@@ -400,15 +505,107 @@ def _eisenstein_rows(N: int, u: float, v: float, s: float, C: int) \
     return weight * bracket, 2.0 ** -46 * (64 + K) * weight * size
 
 
-def _eisenstein_sum(N: int, u: float, v: float, s: float, C: int) \
-        -> tuple[complex, list[tuple[int, complex]], float]:
-    """The m = 0 sum over c <= C*N from the closed-form rows, its partial
-    sums at the checkpoints, and the bound on its rounding."""
+# ---------------------------------------------------------------------------
+# m >= 1: the rows in closed form
+# ---------------------------------------------------------------------------
+#
+# Poisson summation over each residue class of d turns row c into its
+# Fourier expansion in u, exact in d (Niebur, Nagoya Math. J. 52, 1973;
+# Fay, J. reine angew. Math. 293/294, 1977):
+#
+#     R_c = L_c [S(0, -m; c) + sum_{n >= 1} kappa(2 pi n v)
+#                (S(n, -m; c) e(nu) I^(x_n) + S(-n, -m; c) e(-nu) J^(x_n))],
+#
+# with S the Kloosterman sum, x_n = 4 pi sqrt(mn)/c, I^ and J^ the series
+# of _bessel_ij at mu = 2s - 1, and L_c = 2^(2s) pi^(s+1/2) m^s
+# Gamma(s-1/2)/Gamma(2s) v^(1-s) c^(-2s) = A v^(1-s) c^(-2s) (4 pi m)^s
+# Gamma(s)/Gamma(2s).  kappa falls like e^-z and I^ grows like e^x, so
+# the terms peak near e^(2 pi m/(c^2 v)): where they cancel by more than
+# the error estimate allows (small c at small Im tau), a row keeps its
+# d-window.
+
+# rows run in blocks of about this many Kloosterman values and Fourier terms
+_ROW_BLOCK = 1 << 13
+
+
+def _poincare_plan(N: int, m: int, u: float, v: float, s: float, C: int) \
+        -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier terms K_c of each row c = N, .., CN at m >= 1, and which
+    rows run in closed form: those whose Bessel series fit the series
+    budget and cost fewer element steps (terms times series length, plus
+    the Kloosterman FFT) than their d-window (elements times the length of
+    its series, whose largest argument sits at the d nearest -cu)."""
     import numpy as np
-    rows, rounding = _eisenstein_rows(N, u, v, s, C)
-    totals = v ** s + np.cumsum(rows)
-    partials = [(mark, complex(totals[mark - 1])) for mark in _checkpoints(C)]
-    return complex(totals[-1]), partials, float(np.sum(rounding))
+    c = N * np.arange(1, C + 1, dtype=np.float64)
+    # near the real axis the costs of both routes may pass the double
+    # range; an infinite cost decides as well as a finite one
+    with np.errstate(over="ignore", divide="ignore"):
+        K = _kappa_terms(s - 0.5, v, 2 * math.pi * m / (c * c * v), 2 * c)
+        x = 4 * math.pi * np.sqrt(m * K) / c
+        t = np.abs(c * u - np.round(c * u))
+        x_window = 2 * math.pi * m * v / (t * t + (c * v) ** 2)
+        closed_cost = K * (x + 20) + c * np.log2(2 * c)
+        closed = (x + 20 <= _SERIES_BUDGET) & \
+            (closed_cost <= _window_sizes(c, v) * (x_window + 20))
+    return K, closed
+
+
+def _poincare_rows(m: int, u: float, v: float, s: float, c: np.ndarray,
+                   K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows c (an int64 vector) of the m >= 1 sum in closed form, with
+    K[i] Fourier terms in row c[i], and a bound on the rounding of each:
+    the terms cancel to the row, so the bound scales with the sum of their
+    absolute values."""
+    import numpy as np
+    K = K.astype(np.int64)
+    kappa = _kappa_table(s - 0.5, v, int(K.max()))
+    # e(nu) depends on u mod 1 only, and the reduced u keeps the rounding
+    # of the phase small
+    turn = np.exp((2j * math.pi * (u - round(u))) * np.arange(K.max() + 1))
+    bracket = np.empty(c.size, dtype=complex)
+    size = np.empty(c.size)
+    ends = np.cumsum(K + c)
+    lo = 0
+    while lo < c.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - K[lo] - c[lo] + _ROW_BLOCK,
+                                             side="right")))
+        cb, Kb = c[lo:hi], K[lo:hi]
+        sums = np.concatenate([_kloosterman(int(ci), m) for ci in cb])
+        start = np.cumsum(cb) - cb
+        row = np.repeat(np.arange(hi - lo), Kb)
+        n = np.arange(int(Kb.sum()), dtype=np.int64) - np.repeat(np.cumsum(Kb) - Kb, Kb) + 1
+        cn = cb[row]
+        plus = sums[start[row] + n % cn]
+        minus = sums[start[row] + (-n) % cn]
+        i_hat, j_hat = _bessel_ij((4 * math.pi ** 2 * m) * n / (cn * cn).astype(np.float64),
+                                  2 * s - 1)
+        e = turn[n]
+        w = kappa[n]
+        terms = w * (plus * e * i_hat + minus * e.conj() * j_hat)
+        ramanujan = np.rint(sums[start])
+        bracket[lo:hi] = ramanujan + np.bincount(row, terms.real, hi - lo) \
+            + 1j * np.bincount(row, terms.imag, hi - lo)
+        # each FFT value is off by up to about c log2(c) ulps, below 2^-45 c
+        size[lo:hi] = np.abs(ramanujan) + np.bincount(
+            row, w * i_hat * (np.abs(plus) + np.abs(minus) + 2.0 ** -45 * cn), hi - lo)
+        lo = hi
+    scale = np.exp(_log_lead(v, s) + s * math.log(4 * math.pi * m) + math.lgamma(s)
+                   - math.lgamma(2 * s) - 2 * s * np.log(c.astype(np.float64)))
+    # in ulps of the sum of the absolute terms, as at m = 0: the phase
+    # e(nu) carries about n <= K of them, kappa and the series up to 64
+    # (against rows summed over 16-fold d-windows the error stays below
+    # 0.4% of the bound: N <= 3, m <= 4, s 1.01-3.7, Im tau 0.02-1); the
+    # Fourier terms past K add at most e^-39 to the bracket
+    return scale * bracket, \
+        (2.0 ** -46 * (64 + K) * size + math.exp(-_LOG_KAPPA_TOL)) * scale
+
+
+# ---------------------------------------------------------------------------
+# the Poincare sum
+# ---------------------------------------------------------------------------
+
+# ln of the largest double
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _tail_estimate(partials: list[tuple[int, complex]], s: float, C: int) -> float:
@@ -422,16 +619,42 @@ def _tail_estimate(partials: list[tuple[int, complex]], s: float, C: int) -> flo
     return k_emp * C ** (2 - 2 * s)
 
 
+def _demoted(rounding: np.ndarray, estimate: float) -> np.ndarray:
+    """The closed-form rows that move onto their d-windows, largest
+    rounding bound first, so that the bound of those left is within the
+    error estimate."""
+    import numpy as np
+    order = np.argsort(-rounding, kind="stable")
+    left = np.append(np.cumsum(rounding[order][::-1])[::-1], 0.0)
+    out = np.zeros(rounding.size, dtype=bool)
+    out[order[:int(np.argmax(left <= estimate))]] = True
+    return out
+
+
+def _refuse_wide_windows(tau, c: np.ndarray, v: float) -> None:
+    # every d-window holds at least 2 * 4000 max(1, v)^0.75 + 1 elements,
+    # and the window of the smallest c (sorted first) is within 2c of that
+    if c.size:
+        window = 2 * _row_halfwidth(int(c[0]), v) + 1
+        if window > MAX_ROW_WINDOW:
+            raise UnsupportedParameter(
+                f"tau={tau}: Im tau = {v:g} needs a d-window of {window} elements at "
+                f"c = {int(c[0])}, more than the {MAX_ROW_WINDOW} a row may hold")
+
+
 def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> PointValue:
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
     estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
-    and a finite tau in the upper half-plane whose c = N row fits in
-    MAX_ROW_WINDOW (UnsupportedParameter otherwise).
+    and a finite tau in the upper half-plane whose value fits in a double
+    (UnsupportedParameter otherwise).
 
-    At m = 0 the rows are exact in d (`_eisenstein_sum`) where the kappa
-    table costs less than the d-windows, unless its rounding bound exceeds
-    the c-tail estimate (large s, small Im tau); elsewhere the d-window
-    rows of `_niebur_sum_fast` run."""
+    The rows are exact in d where that is cheaper than their d-windows:
+    at m = 0 all of them or none (`_eisenstein_rows`, one kappa table), at
+    m >= 1 row by row (`_poincare_rows`).  A closed-form row moves onto its
+    d-window (`_window_rows`) where the rounding bound of the closed-form
+    rows would pass the error estimate, largest bound first; a point whose
+    window rows would pass MAX_ROW_WINDOW is refused before any row runs."""
+    import numpy as np
     if m < 0:
         raise UnsupportedParameter(f"m={m}: F_(N,-m) needs m >= 0")
     if N < 1:
@@ -441,23 +664,37 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     u, v = float(tau.real), float(tau.imag)
     if not (math.isfinite(u) and math.isfinite(v) and v > 0):
         raise UnsupportedParameter(f"tau={tau}: needs a finite point with Im tau > 0")
-    C, s = params.truncation, params.s
-    window = 2 * _row_halfwidth(N, v) + 1
-    if window > MAX_ROW_WINDOW:
-        raise UnsupportedParameter(
-            f"tau={tau}: Im tau = {v:g} needs a d-window of {window} elements at c = {N}, "
-            f"more than the {MAX_ROW_WINDOW} a row may hold")
-    s = float(s)
+    C, s = params.truncation, float(params.s)
+    c = N * np.arange(1, C + 1, dtype=np.int64)
     if m == 0:
-        closed, rows = _eisenstein_rows_cost(N, v, s, C)
-        if closed <= rows:
-            value, partials, rounding = _eisenstein_sum(N, u, v, s, C)
-            tail = _tail_estimate(partials, s, C)
-            if rounding <= tail:
-                return PointValue(value=value, error_estimate=float(tail + 1e-15 * abs(value)))
-    value, partials = _niebur_sum_fast(N, m, u, v, s, C)
-    est = _tail_estimate(partials, s, C) + 1e-15 * abs(value)
-    return PointValue(value=value, error_estimate=float(est))
+        closed_cost, window_cost = _eisenstein_rows_cost(N, v, s, C)
+        closed = np.full(C, closed_cost <= window_cost)
+    else:
+        K, closed = _poincare_plan(N, m, u, v, s, C)
+    _refuse_wide_windows(tau, c[~closed], v)
+    # the identity term is v^s at m = 0 and about e^(2 pi m v) above
+    if (s * math.log(v) if m == 0 else 2 * math.pi * m * v) > _LOG_DOUBLE_MAX:
+        raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) at Im tau = {v:g} overflows a double")
+    first = _identity_term(m, u, v, s)
+    rows = np.zeros(C, dtype=complex)
+    rounding = np.zeros(C)
+    if closed.any():
+        rows[closed], rounding[closed] = _eisenstein_rows(N, u, v, s, C) if m == 0 \
+            else _poincare_rows(m, u, v, s, c[closed], K[closed])
+    pending = ~closed
+    while True:
+        if pending.any():
+            _refuse_wide_windows(tau, c[pending], v)
+            rows[pending] = _window_rows(m, u, v, s, c[pending])
+        value, partials = _partial_sums(first, rows, C)
+        estimate = _tail_estimate(partials, s, C) + 1e-15 * abs(value)
+        pending = _demoted(rounding, estimate)
+        if not pending.any():
+            break
+        rounding[pending] = 0.0
+    if not cmath.isfinite(value):
+        raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) overflows a double")
+    return PointValue(value=value, error_estimate=float(estimate))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,23 @@ def test_import_leaves_the_numeric_backends_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_numeric_layer_runs_without_scipy():
+    # scipy is not a dependency: with its import blocked, the Poincare sum
+    # at m >= 1 (Kloosterman FFT, Bessel series) and the CM values of j_n
+    # run on numpy and mpmath alone
+    src = str(Path(heckediv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from heckediv import niebur; "
+            "pv = niebur.niebur_value(2, 3, 0.1 + 0.05j, niebur.EvalParams(truncation=20)); "
+            "j = niebur.jn_value(1, 0.1 + 1.1j, 20); "
+            "print(pv.value == pv.value, abs(j) > 0)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "True"]
+
+
 def _imports_cyclotomic(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -309,13 +310,26 @@ def test_algebra_mul_parses_its_elements(capsys, text, code):
 
 
 def test_niebur_refuses_a_point_past_the_window_bound(capsys, monkeypatch):
+    # Im tau = 1e6 runs in closed form; sent to the d-window rows, its
+    # window is refused as a typed error before any row is summed
     from heckediv import niebur
 
     def no_row(*args):
         raise AssertionError("a row was summed for a point past the window bound")
 
-    monkeypatch.setattr(niebur, "_niebur_sum_fast", no_row)
+    monkeypatch.setattr(niebur, "_eisenstein_rows_cost", lambda *args: (math.inf, 0.0))
+    monkeypatch.setattr(niebur, "_window_rows", no_row)
     code, out = run_cli(capsys, "niebur", "--m", "0", "--s", "1.5", "--tau", "0,1e6")
     data = json.loads(out)
     assert code == 1 and data["error"] == "UnsupportedParameter"
     assert "d-window" in data["message"]
+
+
+def test_niebur_answers_far_up_and_refuses_an_overflow(capsys):
+    code, out = run_cli(capsys, "niebur", "--m", "0", "--s", "1.5", "--C", "2",
+                        "--tau", "0,1e6")
+    assert code == 0 and abs(float(json.loads(out)["value"][0]) - 1e9) < 1e-2
+    code, out = run_cli(capsys, "niebur", "--m", "0", "--s", "1.5", "--tau", "0,1e300")
+    data = json.loads(out)
+    assert code == 1 and data["error"] == "UnsupportedParameter"
+    assert "overflows a double" in data["message"]

@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckediv import forms as F, niebur as NB, operators as O
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
@@ -390,6 +391,31 @@ def _oracle_inverse_table(c):
     return inv
 
 
+def _oracle_row(m, u, v, s, c):
+    import numpy as np
+    X = NB._row_halfwidth(c, v)
+    center = -c * u
+    d = np.arange(math.ceil(center - X), math.floor(center + X) + 1, dtype=np.int64)
+    mask = np.gcd(d, c) == 1
+    if not mask.any():
+        return None
+    d = d[mask]
+    t = c * u + d.astype(np.float64)
+    denom = t * t + (c * v) ** 2
+    vg = v / denom
+    amp = _oracle_phi_np(m, vg, s)
+    if m:
+        a = _oracle_inverse_table(c)[d % c]
+        phase = -2.0 * math.pi * m * (a / float(c)) + 2.0 * math.pi * m * t / (c * denom)
+        return complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
+    return complex(np.sum(amp))
+
+
+def _oracle_window_rows(m, u, v, s, cs):
+    import numpy as np
+    return np.array([_oracle_row(m, u, v, s, int(c)) or 0j for c in cs])
+
+
 def _oracle_sum_fast(N, m, u, v, s, C):
     import numpy as np
     total = complex(_oracle_phi_np(m, np.array([v]), s)[0]) * \
@@ -399,22 +425,8 @@ def _oracle_sum_fast(N, m, u, v, s, C):
     partials = []
     next_mark = 0
     for c in range(N, C * N + 1, N):
-        X = NB._row_halfwidth(c, v)
-        center = -c * u
-        d = np.arange(math.ceil(center - X), math.floor(center + X) + 1, dtype=np.int64)
-        mask = np.gcd(d, c) == 1
-        if mask.any():
-            d = d[mask]
-            t = c * u + d.astype(np.float64)
-            denom = t * t + (c * v) ** 2
-            vg = v / denom
-            amp = _oracle_phi_np(m, vg, s)
-            if m:
-                a = _oracle_inverse_table(c)[d % c]
-                phase = -2.0 * math.pi * m * (a / float(c)) + 2.0 * math.pi * m * t / (c * denom)
-                row = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
-            else:
-                row = complex(np.sum(amp))
+        row = _oracle_row(m, u, v, s, c)
+        if row is not None:
             total += row
         while next_mark < len(marks) and c == marks[next_mark] * N:
             partials.append((marks[next_mark], total))
@@ -456,15 +468,26 @@ def test_window_parities_covered():
 
 @pytest.mark.parametrize("m", (0, 2))
 def test_niebur_value_matches_elementwise_oracle(m, monkeypatch):
+    # the d-window rows run only where the closed form would cost more
+    # (m = 0 at small Im tau: every row) or where its terms cancel by more
+    # than the error estimate allows (m = 2 at Im tau = 0.03: the rows of
+    # the smallest c), so both cases take a point of small Im tau
     P = EvalParams(truncation=30, digits=14, s=1.5)
-    # at m = 0 the d-window rows run only where the kappa table of the
-    # closed form would cost more, so that case takes a point of small Im tau
-    tau = -0.21 + (1e-4j if m == 0 else 0.77j)
+    tau = -0.21 + (1e-4j if m == 0 else 0.03j)
     if m == 0:
         closed, rows = NB._eisenstein_rows_cost(2, tau.imag, 1.5, 30)
         assert closed > rows
+    windowed = []
+    real = NB._window_rows
+
+    def spy(m, u, v, s, cs):
+        windowed.extend(int(c) for c in cs)
+        return real(m, u, v, s, cs)
+
+    monkeypatch.setattr(NB, "_window_rows", spy)
     got = NB.niebur_value(2, m, tau, P)
-    monkeypatch.setattr(NB, "_niebur_sum_fast", _oracle_sum_fast)
+    assert windowed == list(range(2, 61, 2)) if m == 0 else 0 < len(windowed) < 30
+    monkeypatch.setattr(NB, "_window_rows", _oracle_window_rows)
     want = NB.niebur_value(2, m, tau, P)
     assert got.value == want.value
     assert got.error_estimate == want.error_estimate
@@ -502,11 +525,38 @@ def _no_row(*args):
 @pytest.mark.parametrize("N,m,tau", [(1, 0, complex(0, 1e6)), (1, 1, complex(0.3, 1e3)),
                                      (3, 0, complex(0, 700.0)), (1, 0, complex(0, 1e300))])
 def test_a_window_past_the_bound_is_refused_before_any_row(monkeypatch, N, m, tau):
-    # the check reads the window size from _row_halfwidth alone; the sum
-    # that would allocate the row is never reached
-    monkeypatch.setattr(NB, "_niebur_sum_fast", _no_row)
+    # these points run in closed form (or overflow); with the route sent to
+    # the d-windows, the check reads the window size from _row_halfwidth
+    # alone, after the route decision and before any row is summed
+    monkeypatch.setattr(NB, "_eisenstein_rows_cost", lambda *args: (math.inf, 0.0))
+    monkeypatch.setattr(NB, "_poincare_plan",
+                        lambda N, m, u, v, s, C: (np.ones(C), np.zeros(C, dtype=bool)))
+    for name in ("_window_rows", "_eisenstein_rows", "_poincare_rows", "_identity_term"):
+        monkeypatch.setattr(NB, name, _no_row)
     assert 2 * NB._row_halfwidth(N, tau.imag) + 1 > NB.MAX_ROW_WINDOW
     with pytest.raises(UnsupportedParameter, match="d-window"):
+        NB.niebur_value(N, m, tau, EvalParams(truncation=2))
+
+
+@pytest.mark.parametrize("N,tau", [(1, complex(0, 1e6)), (3, complex(0.2, 700.0))])
+def test_a_point_past_the_window_bound_runs_in_closed_form(monkeypatch, N, tau):
+    # far up at m = 0 the kappa table has one entry and no window row runs:
+    # the value is (Im tau)^1.5 plus the rows c = N, 2N, each
+    # sqrt(pi) Gamma(1)/Gamma(3/2) phi(c) c^-3 (Im tau)^(-1/2) up to Fourier
+    # terms below e^(-2 pi Im tau)
+    monkeypatch.setattr(NB, "_window_rows", _no_row)
+    v = tau.imag
+    rows = sum(2 * v ** -0.5 * sum(math.gcd(r, c) == 1 for r in range(c)) / c ** 3
+               for c in (N, 2 * N))
+    got = NB.niebur_value(N, 0, tau, EvalParams(truncation=2)).value
+    assert abs(got - (v ** 1.5 + rows)) <= 1e-15 * v ** 1.5 and got.imag == 0
+
+
+@pytest.mark.parametrize("N,m,tau", [(1, 0, complex(0, 1e300)), (1, 1, complex(0.3, 1e3)),
+                                     (2, 3, complex(0, 40.0)), (1, 0, complex(0.4, 1e290))])
+def test_a_value_past_the_double_range_is_refused(N, m, tau):
+    # (Im tau)^s at m = 0 and e^(2 pi m Im tau) at m >= 1 would overflow
+    with pytest.raises(UnsupportedParameter, match="overflows a double"):
         NB.niebur_value(N, m, tau, EvalParams(truncation=2))
 
 
@@ -592,7 +642,9 @@ def test_closed_form_against_the_d_window_rows(s, v):
     # 1.3 also checks that the phase reads u mod 1.
     for N, u in ((1, 0.3), (2, -0.41), (3, 1.3)):
         C = 40
-        got, got_partials, rounding = NB._eisenstein_sum(N, u, v, s, C)
+        rows, bounds = NB._eisenstein_rows(N, u, v, s, C)
+        got, got_partials = NB._partial_sums(complex(v ** s), rows, C)
+        rounding = float(bounds.sum())
         want, want_partials = NB._niebur_sum_fast(N, 0, u, v, s, C)
         assert [c for c, _ in got_partials] == [c for c, _ in want_partials]
         tol = _d_window_tail(N, v, s, C) + rounding + 1e-15 * abs(want)
@@ -629,8 +681,9 @@ def _no_closed_form(*args):
 def test_m0_near_im_tau_1_never_reaches_the_window_rows(monkeypatch, N, tau):
     closed, rows = NB._eisenstein_rows_cost(N, tau.imag, 1.5, 30)
     assert closed <= rows
-    want = NB._eisenstein_sum(N, tau.real, tau.imag, 1.5, 30)[0]
-    monkeypatch.setattr(NB, "_niebur_sum_fast", _no_rows)
+    want = NB._partial_sums(complex(tau.imag ** 1.5),
+                            NB._eisenstein_rows(N, tau.real, tau.imag, 1.5, 30)[0], 30)[0]
+    monkeypatch.setattr(NB, "_window_rows", _no_rows)
     assert NB.niebur_value(N, 0, tau, EvalParams(truncation=30, s=1.5)).value == want
 
 
@@ -642,21 +695,32 @@ def test_m0_below_the_cost_rule_runs_the_window_rows(monkeypatch):
     assert closed > rows
     assert rows == sum(2 * NB._row_halfwidth(c, tau.imag) + 1 for c in range(2, 61, 2))
     want = NB._niebur_sum_fast(2, 0, tau.real, tau.imag, 1.5, 30)[0]
-    monkeypatch.setattr(NB, "_eisenstein_sum", _no_closed_form)
+    monkeypatch.setattr(NB, "_eisenstein_rows", _no_closed_form)
     assert NB.niebur_value(2, 0, tau, P).value == want
 
 
-def test_m0_falls_back_to_the_rows_when_cancellation_outgrows_the_tail():
+def test_m0_falls_back_to_the_rows_when_cancellation_outgrows_the_tail(monkeypatch):
     # at s = 10 the c-tail is below 1e-25 while the closed form's terms
-    # cancel by a factor 1e9 (Im tau = 0.1): its rounding bound exceeds the
-    # tail, so the rows give the value
+    # cancel by a factor 1e9 (Im tau = 0.1) in the rows of small c: their
+    # rounding bound exceeds the error estimate, so those rows, and only
+    # those, are summed over their d-windows
     tau, s, C = 0.3 + 0.1j, 10.0, 60
     closed, rows = NB._eisenstein_rows_cost(1, tau.imag, s, C)
     assert closed <= rows
-    value, partials, rounding = NB._eisenstein_sum(1, tau.real, tau.imag, s, C)
-    assert rounding > NB._tail_estimate(partials, s, C)
+    _, bounds = NB._eisenstein_rows(1, tau.real, tau.imag, s, C)
+    windowed = []
+    real = NB._window_rows
+
+    def spy(m, u, v, s, cs):
+        windowed.extend(int(c) for c in cs)
+        return real(m, u, v, s, cs)
+
+    monkeypatch.setattr(NB, "_window_rows", spy)
+    got = NB.niebur_value(1, 0, tau, EvalParams(truncation=C, s=s))
+    assert windowed == [1, 2, 3, 4]
+    assert bounds[4:].sum() <= got.error_estimate < bounds[3:].sum()
     want = NB._niebur_sum_fast(1, 0, tau.real, tau.imag, s, C)[0]
-    assert NB.niebur_value(1, 0, tau, EvalParams(truncation=C, s=s)).value == want
+    assert abs(got.value - want) <= got.error_estimate
 
 
 def test_mu_phi_sieve_against_trial_division():
@@ -667,3 +731,148 @@ def test_mu_phi_sieve_against_trial_division():
         want_mu = 0 if len(set(ps)) < len(ps) else (-1) ** len(ps)
         assert mu[k] == want_mu, k
         assert phi[k] == sum(1 for r in range(k) if math.gcd(r, k) == 1), k
+
+
+# -- m >= 1: the rows in closed form -------------------------------------------------
+#
+# Each row is the Fourier expansion of its Poisson-summed residue classes:
+# Kloosterman sums by FFT, the K_nu table of m = 0 and the power series of
+# I_mu and J_mu.  The references: the Kloosterman double loop in Python
+# integers, mpmath's Bessel functions, and the rows summed over d-windows
+# 16 times wider than the default ones.
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 200), m=st.integers(1, 4), n=st.integers(-50, 50))
+def test_kloosterman_against_the_double_loop(c, m, n):
+    want = sum(cmath.exp(2j * math.pi * ((n * r - m * pow(r, -1, c)) % c) / c)
+               for r in range(c) if math.gcd(r, c) == 1)
+    got = NB._kloosterman(c, m)
+    assert got.shape == (c,)
+    assert abs(got[n % c] - want) <= 1e-12 * c, (c, m, n, got[n % c], want)
+    assert got[0] == round(got[0]) or abs(got[0] - round(got[0])) < 1e-9
+
+
+# the largest Bessel argument a closed-form row may reach: its series
+# takes at most x + 20 terms, within the series budget
+X_ADMITTED = NB._SERIES_BUDGET - 20
+
+
+@pytest.mark.parametrize("s", (1.01, 1.25, 1.5, 2.0, 3.7))
+def test_bessel_ij_against_mpmath(s):
+    # I^ has positive terms and keeps its digits (worst measured 1.2e-14
+    # relative); J^ cancels, so its error is measured against I^ (worst
+    # 2.2e-16)
+    mu = 2 * s - 1
+    x = np.concatenate(([0.0], np.geomspace(1e-4, X_ADMITTED, 70)))
+    i_hat, j_hat = NB._bessel_ij(x * x / 4, mu)
+    assert i_hat[0] == 1 and j_hat[0] == 1
+    with mpmath.workdps(30):
+        for xi, ih, jh in zip(x[1:], i_hat[1:], j_hat[1:]):
+            X = mpmath.mpf(float(xi))
+            norm = mpmath.gamma(mu + 1) * (2 / X) ** mu
+            want_i = mpmath.besseli(mu, X) * norm
+            want_j = mpmath.besselj(mu, X) * norm
+            assert abs(ih - want_i) <= 1e-13 * want_i, (xi, ih, want_i)
+            assert abs(jh - want_j) <= 1e-14 * want_i, (xi, jh, want_j)
+
+
+def test_the_plan_admits_no_series_past_the_budget():
+    for N, m, tau, s in ((1, 3, 0.3 + 0.013j, 1.5), (2, 1, -0.4 + 0.02j, 2.0),
+                         (1, 4, 0.1 + 3.0j, 1.05)):
+        K, closed = NB._poincare_plan(N, m, tau.real, tau.imag, s, 80)
+        c = N * np.arange(1, 81)
+        x = 4 * math.pi * np.sqrt(m * K) / c
+        assert closed.any()
+        assert np.all(x[closed] <= X_ADMITTED)
+
+
+def _wide_window_row(m, u, v, s, c, widen):
+    """Row c over a d-window widen times the default one, summed with
+    math.fsum, with the sum of the absolute values of its terms."""
+    X = widen * NB._row_halfwidth(c, v)
+    d = np.arange(math.ceil(-c * u - X), math.floor(-c * u + X) + 1, dtype=np.int64)
+    d = d[np.gcd(d, c) == 1]
+    t = c * u + d.astype(np.float64)
+    denom = t * t + (c * v) ** 2
+    amp = NB._phi_np(m, v / denom, s)
+    a = _oracle_inverse_table(c)[d % c]
+    phase = -2 * math.pi * ((m * a) % c) / c + 2 * math.pi * m * t / (c * denom)
+    row = complex(math.fsum(amp * np.cos(phase)), math.fsum(amp * np.sin(phase)))
+    return row, float(amp.sum()), X
+
+
+def _wide_window_tail(m, v, s, c, X):
+    # the terms past |cu + d| = X - c are below phi_m's leading power
+    # 2 pi m^s pi^(s-1/2) Y^s / Gamma(s+1/2) (times cosh(2 pi m Y) ~ 1)
+    lead = 2 * math.pi * m ** s * math.pi ** (s - 0.5) / math.gamma(s + 0.5)
+    return 1.01 * lead * v ** s * 2 * (X - c) ** (1 - 2 * s) / (2 * s - 1)
+
+
+@pytest.mark.parametrize("v", (1.0, 0.05))
+@pytest.mark.parametrize("s", (1.01, 1.5, 3.7))
+@pytest.mark.parametrize("m", (1, 3))
+def test_closed_form_rows_against_16x_window_rows(m, s, v):
+    # the error is measured against the rounding bound of the row, which
+    # scales with the sum of the absolute Fourier terms (rows near 1e-24
+    # cancel), plus the reference's own tail and rounding; the worst
+    # measured error is 0.4% of that
+    for N, u in ((1, 0.27), (3, -0.41)):
+        K, closed = NB._poincare_plan(N, m, u, v, s, 8)
+        c = N * np.arange(1, 9, dtype=np.int64)
+        rows, bounds = NB._poincare_rows(m, u, v, s, c[closed], K[closed])
+        assert closed.sum() >= 6
+        for ci, got, bound in zip(c[closed], rows, bounds):
+            want, size, X = _wide_window_row(m, u, v, s, int(ci), 16)
+            tol = bound + _wide_window_tail(m, v, s, int(ci), X) + 2.0 ** -50 * size
+            assert abs(got - want) <= tol, (N, int(ci), got, want, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 6), m=st.integers(1, 4), s=st.floats(1.05, 4.0),
+       u=st.floats(-0.5, 0.5), v=st.floats(0.02, 3.0), C=st.integers(4, 24))
+def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C):
+    # the closed-form rows change a value only by the d-window leftover of
+    # the rows they replace, far below the reported c-tail estimate
+    try:
+        want, _ = NB._niebur_sum_fast(N, m, u, v, s, C)
+    except ConvergenceBudgetExceeded:
+        # a d-window term past the Bessel series budget: cu near an integer
+        # at small Im tau puts gamma tau near Im 1/(c^2 Im tau)
+        assume(False)
+    got = NB.niebur_value(N, m, complex(u, v), EvalParams(truncation=C, s=s))
+    assert abs(got.value - want) <= got.error_estimate, (got, want)
+
+
+def test_window_rows_run_where_the_fourier_terms_cancel(monkeypatch):
+    # the terms of row c peak near e^(2 pi m / (c^2 Im tau)): at Im tau =
+    # 0.013 the rows of small c cancel past the error estimate and keep
+    # their d-windows, the others run in closed form
+    windowed = []
+    real = NB._window_rows
+
+    def spy(m, u, v, s, cs):
+        windowed.extend(int(c) for c in cs)
+        return real(m, u, v, s, cs)
+
+    monkeypatch.setattr(NB, "_window_rows", spy)
+    got = NB.niebur_value(1, 3, 0.3 + 0.013j, EvalParams(truncation=100, s=1.5))
+    assert windowed == list(range(1, len(windowed) + 1)) and 1 <= len(windowed) <= 20
+    assert math.isfinite(got.value.real)
+    windowed.clear()
+    NB.niebur_value(1, 3, 0.3 + 1.1j, EvalParams(truncation=100, s=1.5))
+    assert len(windowed) <= 2
+
+
+@pytest.mark.parametrize("nu", (0.51, 3.2))
+def test_kappa_table_keeps_its_relative_digits_far_out(nu):
+    # at m >= 1 kappa(z) multiplies I^(x), which grows like e^x, so the
+    # table must stay accurate relative to kappa itself for z up to the
+    # hundreds, where the quadrature nodes stride by the peak's width
+    v = 0.013
+    K = math.ceil(600 / (2 * math.pi * v))  # kappa(600) ~ 1e-261, still normal
+    table = NB._kappa_table(nu, v, K)
+    with mpmath.workdps(30):
+        for n in sorted({round(x) for x in np.geomspace(64 / (2 * math.pi * v), K, 25)}):
+            z = 2 * mpmath.pi * v * n
+            want = z ** nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu))
+            assert abs(table[n] - want) <= 2e-13 * want, (n, float(z), table[n], want)
