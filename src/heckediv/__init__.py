@@ -19,8 +19,7 @@ from .curve import CanonicalPoint, CuspClass, Divisor, HeegnerPoint, \
     period, point_divisor, reduce_point, weight0_to_j_polynomial
 from .forms import DeltaShift, Eisenstein, EtaQuotient, EtaQuotientSpec, \
     FormExpression, JMinus, OpaqueSeries, delta, eisenstein, \
-    eta_quotient_qexp, expression_by_name, expression_divisor, j_function, \
-    j_shifted, jn
+    eta_quotient_qexp, expression_by_name, j_function, j_shifted, jn
 from .niebur import EvalParams, PointValue, harmonic_slice, jn_value, \
     niebur_value
 from .operators import apply_element, hecke_additive_cosets, \
@@ -37,8 +36,8 @@ __all__ = [
     "point_divisor", "reduce_point", "weight0_to_j_polynomial",
     "DeltaShift", "Eisenstein", "EtaQuotient", "EtaQuotientSpec",
     "FormExpression", "JMinus", "OpaqueSeries", "delta", "eisenstein",
-    "eta_quotient_qexp", "expression_by_name", "expression_divisor",
-    "j_function", "j_shifted", "jn",
+    "eta_quotient_qexp", "expression_by_name", "j_function", "j_shifted",
+    "jn",
     "EvalParams", "PointValue", "harmonic_slice", "jn_value", "niebur_value",
     "apply_element", "hecke_additive_cosets", "hecke_additive_formula",
     "hecke_multiplicative", "hecke_multiplicative_cosets",

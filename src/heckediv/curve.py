@@ -516,9 +516,6 @@ def _atom_divisor(atom, N: int) -> Divisor:
             raise UnknownDivisor(
                 f"generic j - {atom.c} needs an attached fiber point at level {N}")
         return Divisor.make(N, inter, cusp_part)
-    if isinstance(atom, forms.DeltaShift):
-        spec = forms.EtaQuotientSpec.make(atom.m, {atom.m: 24})
-        return _eta_divisor(spec, N)
     if isinstance(atom, forms.EtaQuotient):
         return _eta_divisor(atom.spec, N)
     raise UnknownDivisor(f"atom {atom!r} has no symbolic divisor")

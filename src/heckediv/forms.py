@@ -12,21 +12,22 @@ Eta quotients are built from their log-derivatives: Theta(eta)/eta =
 E2/24, so the unit part of prod eta(m tau)^r has Theta(u)/u =
 sum (r m/24) E2(m tau), and the exp recurrence of the series kernel
 (``series.exp_coeffs``, the inverse of the log recurrence
-``series.log_derivative_coeffs``) expands it in integers.  Delta is the
-eta quotient eta^24, and j = E4^3/Delta is one triangular solve
-(``series.solve_coeffs``) of E4^3 against the unit Delta/q: no expansion
-of Delta or j multiplies or inverts a series.  One divisor-sum sieve,
-:func:`sigma_table`, gives the sigma_1 of E2 and the sigma_{k-1} of E_k.
+``series.log_derivative_coeffs``) expands it in integers.  Delta(m tau)
+is the eta quotient eta(m tau)^24 (:func:`DeltaShift` builds it), and
+j = E4^3/Delta is one triangular solve (``series.solve_coeffs``) of E4^3
+against the unit Delta/q: no expansion of Delta or j multiplies or
+inverts a series.  One divisor-sum sieve, :func:`sigma_table`, gives
+the sigma_1 of E2 and the sigma_{k-1} of E_k.
 
 :func:`expression_by_name` parses the form names of the CLI into
 :class:`FormExpression` values; ``expression_by_name(name).qexp(prec)`` is
 the expansion with `prec` coefficients from the leading term.
 
 ``FormExpression.log_derivative(n)`` is Theta(f)/f read from the atoms,
-without the product expansion: it is additive over a product, Delta(m tau)
-and eta quotients contribute multiples of E2(m tau), E_k the log
-recurrence on its O(n) expansion, and j, j - 1728 combine the two.  Atoms
-without such a closed form return None.
+without the product expansion: it is additive over a product, eta
+quotients (Delta(m tau) among them) contribute multiples of E2(m tau),
+E_k the log recurrence on its O(n) expansion, and j, j - 1728 combine
+the two.  Atoms without such a closed form return None.
 
 Expansion caches are process-wide pure constructors behind lru_cache.
 Coefficient prefixes that a longer request only extends live in one
@@ -354,32 +355,6 @@ class Eisenstein:
 
 
 @dataclass(frozen=True)
-class DeltaShift:
-    """Delta(m tau)."""
-    m: int = 1
-
-    @property
-    def weight(self) -> int:
-        return 12
-
-    @property
-    def level(self) -> int:
-        return self.m
-
-    @property
-    def order(self) -> Fraction:
-        return Fraction(self.m)
-
-    def qexp(self, prec: int) -> PuiseuxSeries:
-        return delta(prec).rescale_exponents(self.m).truncate(self.m + prec)
-
-    def log_derivative(self, n: int) -> list | None:
-        """m E2(m tau) to n coefficients from q^0, since Delta = eta^24;
-        None for m < 1, which has no expansion."""
-        return _eta_log_derivative(((self.m, 24),), n) if self.m >= 1 else None
-
-
-@dataclass(frozen=True)
 class JMinus:
     """j(tau) - c, with an optional attached fiber point (A, B, C) for the
     zero of j - c when c is not one of the special values 0, 1728."""
@@ -443,6 +418,12 @@ class EtaQuotient:
         return _eta_log_derivative(self.spec.exponents, n)
 
 
+def DeltaShift(m: int = 1) -> EtaQuotient:
+    """Delta(m tau) = eta(m tau)^24, the eta quotient of level m
+    (UnsupportedParameter for m < 1)."""
+    return EtaQuotient(EtaQuotientSpec(m, ((m, 24),)))
+
+
 @dataclass(frozen=True)
 class OpaqueSeries:
     """A bare q-expansion carrying its weight and level; no divisor data."""
@@ -462,7 +443,7 @@ class OpaqueSeries:
         return None
 
 
-Atom = Eisenstein | DeltaShift | JMinus | EtaQuotient | OpaqueSeries
+Atom = Eisenstein | JMinus | EtaQuotient | OpaqueSeries
 
 
 @dataclass(frozen=True)
@@ -535,15 +516,15 @@ class FormExpression:
         """An upper bound on the number of poles of the product on X_0(N),
         N the level.  A holomorphic form of weight k has k psi(N)/12 zeros
         (the valence formula), so F^e has at most |e| w psi(N)/12 poles
-        with w = k for E_k, 12 for Delta(m tau) and for
-        j - c = (E4^3 - c Delta)/Delta, and sum |r|/2 for an eta quotient,
-        a quotient of the holomorphic eta(m tau)^|r|.  None with an opaque
-        atom."""
+        with w = k for E_k, 12 for j - c = (E4^3 - c Delta)/Delta, and
+        sum |r|/2 for an eta quotient, a quotient of the holomorphic
+        eta(m tau)^|r| (12 for Delta(m tau) = eta(m tau)^24).  None with
+        an opaque atom."""
         count = 0
         for atom, e in self.atoms:
             if isinstance(atom, Eisenstein):
                 count += abs(e) * atom.k
-            elif isinstance(atom, (DeltaShift, JMinus)):
+            elif isinstance(atom, JMinus):
                 count += abs(e) * 12
             elif isinstance(atom, EtaQuotient):
                 count += abs(e) * Fraction(sum(abs(r) for _, r in atom.spec.exponents), 2)
@@ -596,65 +577,6 @@ class FormExpression:
         if self.shift or other.shift:
             raise ValueError("cannot multiply shifted expressions symbolically")
         return FormExpression(self.atoms + other.atoms)
-
-    def to_json(self) -> dict:
-        out = {"atoms": [_atom_json(a, e) for a, e in self.atoms],
-               "weight": self.weight, "level": self.level}
-        if self.shift:
-            out["shift"] = f"{self.shift.numerator}/{self.shift.denominator}" \
-                if self.shift.denominator != 1 else str(self.shift.numerator)
-        return out
-
-
-def _atom_json(a: Atom, e: int) -> dict:
-    if isinstance(a, Eisenstein):
-        return {"type": "eisenstein", "params": {"k": a.k}, "exp": e}
-    if isinstance(a, DeltaShift):
-        return {"type": "delta_shift", "params": {"m": a.m}, "exp": e}
-    if isinstance(a, JMinus):
-        return {"type": "j_minus", "params": {"c": str(a.c)}, "exp": e}
-    if isinstance(a, EtaQuotient):
-        return {"type": "eta_quotient",
-                "params": {"level": a.spec.level,
-                           "exponents": {str(m): r for m, r in a.spec.exponents}},
-                "exp": e}
-    return {"type": "opaque", "params": {"weight": a.weight, "level": a.level,
-                                         "series": a.series.to_json()}, "exp": e}
-
-
-def _atom_unjson(data: dict) -> tuple[Atom, int]:
-    kind, p, e = data["type"], data["params"], data["exp"]
-    if kind == "eisenstein":
-        return Eisenstein(p["k"]), e
-    if kind == "delta_shift":
-        return DeltaShift(p["m"]), e
-    if kind == "j_minus":
-        return JMinus(Fraction(p["c"])), e
-    if kind == "eta_quotient":
-        spec = EtaQuotientSpec.make(p["level"],
-                                    {int(m): r for m, r in p["exponents"].items()})
-        return EtaQuotient(spec), e
-    if kind == "opaque":
-        return OpaqueSeries(PuiseuxSeries.from_json(p["series"]),
-                            p["weight"], p["level"]), e
-    raise ValueError(f"unknown atom type {kind!r}")
-
-
-def expression_from_json(data: dict) -> "FormExpression":
-    atoms = tuple(_atom_unjson(a) for a in data["atoms"])
-    shift = Fraction(data.get("shift", 0))
-    expr = FormExpression(atoms, shift)
-    if (expr.weight, expr.level) != (data["weight"], data["level"]):
-        raise ValueError(
-            f"expression has weight {expr.weight} and level {expr.level}, "
-            f"but the data records {data['weight']} and {data['level']}")
-    return expr
-
-
-def expression_divisor(expr: FormExpression):
-    """Divisor of the expression on X_0(level); see heckediv.curve."""
-    from .curve import divisor_of_form
-    return divisor_of_form(expr, expr.level)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,12 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     half = x / 2.0
     y = half * half
     k = _series_length(float(y.max()) if y.size else 0.0, nu)
-    term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
+    try:
+        lead = 1.0 / math.gamma(nu + 1.0)
+    except OverflowError:
+        raise UnsupportedParameter(
+            f"s={s}: Gamma(s + 1/2) overflows a double") from None
+    term = np.full_like(v, lead)
     acc = term.copy()
     ratio = np.empty_like(y)
     for j in range(1, k + 1):
@@ -223,23 +228,19 @@ def _kloosterman(c: int, m: int) -> np.ndarray:
 MAX_ROW_WINDOW = 1 << 20
 
 
-def _row_halfwidth(c: int, v: float) -> int:
-    """Half-width of the symmetric d-window for one value of c, rounded to
-    a whole number of residue blocks.
+def _row_halfwidth(c, v: float):
+    """Half-width X of the symmetric d-window of row c (a number or an
+    array of them), rounded to a whole number of residue blocks; the
+    window holds 2X + 1 values of d.  A whole-valued double, exact while
+    it stays below 2^53.
 
     Equal term counts per residue class make the discarded class tails
     nearly equal, so their phase sum cancels like a Ramanujan sum; the
     leftover sits well below the c-truncation tail that dominates the
     reported error estimate."""
-    base = 4000.0 * max(1.0, v) ** 0.75
-    return c * max(int(math.ceil(base / c)), 4)
-
-
-def _window_sizes(c: np.ndarray, v: float) -> np.ndarray:
-    # the 2X + 1 elements of the windows of _row_halfwidth, vectorised over c
     import numpy as np
     base = 4000.0 * max(1.0, v) ** 0.75
-    return 2 * c * np.maximum(np.ceil(base / c), 4) + 1
+    return c * np.maximum(np.ceil(base / c), 4)
 
 
 def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
@@ -466,7 +467,7 @@ def _eisenstein_rows_cost(N: int, v: float, s: float, C: int) -> tuple[float, fl
         closed = float(sum((hi - lo) * nodes
                            for lo, hi, _, nodes in _kappa_plan(s - 0.5, v, int(K))))
     c = N * np.arange(1, C + 1, dtype=np.float64)
-    return closed, float(np.sum(_window_sizes(c, v)))
+    return closed, float(np.sum(2 * _row_halfwidth(c, v) + 1))
 
 
 def _eisenstein_rows(N: int, u: float, v: float, s: float, C: int) \
@@ -546,7 +547,7 @@ def _poincare_plan(N: int, m: int, u: float, v: float, s: float, C: int) \
         x_window = 2 * math.pi * m * v / (t * t + (c * v) ** 2)
         closed_cost = K * (x + 20) + c * np.log2(2 * c)
         closed = (x + 20 <= _SERIES_BUDGET) & \
-            (closed_cost <= _window_sizes(c, v) * (x_window + 20))
+            (closed_cost <= (2 * _row_halfwidth(c, v) + 1) * (x_window + 20))
     return K, closed
 
 
@@ -638,7 +639,7 @@ def _refuse_wide_windows(tau, c: np.ndarray, v: float) -> None:
         window = 2 * _row_halfwidth(int(c[0]), v) + 1
         if window > MAX_ROW_WINDOW:
             raise UnsupportedParameter(
-                f"tau={tau}: Im tau = {v:g} needs a d-window of {window} elements at "
+                f"tau={tau}: Im tau = {v:g} needs a d-window of {window:.0f} elements at "
                 f"c = {int(c[0])}, more than the {MAX_ROW_WINDOW} a row may hold")
 
 

@@ -69,12 +69,6 @@ def _as_rational(x):
     return x
 
 
-def _coeff_inv(x):
-    if x == 0:
-        raise ZeroDivisionError("coefficient not invertible")
-    return _as_rational(Fraction(1, 1) / x)
-
-
 def exact_div(x, y):
     """x / y for rational x and y, kept an int when it is one."""
     if type(x) is int and type(y) is int and x % y == 0:
@@ -414,7 +408,7 @@ class PuiseuxSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * _coeff_inv(other)
+            return self * exact_div(1, other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         return self * other.reciprocal()

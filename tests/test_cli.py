@@ -333,3 +333,25 @@ def test_niebur_answers_far_up_and_refuses_an_overflow(capsys):
     data = json.loads(out)
     assert code == 1 and data["error"] == "UnsupportedParameter"
     assert "overflows a double" in data["message"]
+
+
+def test_niebur_sweep_answers_or_refuses_with_a_typed_error(capsys):
+    # every call prints a value (exit 0) or a typed JSON error (exit 1); an
+    # uncaught exception would also exit 1, so the printed JSON is checked
+    from heckediv import errors
+    taus = ("0.3,1e-9", "0.3,1e-4", "0.25,1", "0,50", "0.1,1000", "0.4,1e290")
+    for m in (0, 1, 3):
+        for s in ("1.0001", "1.5", "40", "171.2", "300"):
+            for tau in taus:
+                for C in ("1", "3"):
+                    for N in ("1", "4"):
+                        argv = ("niebur", "--m", str(m), "--s", s, "--tau", tau,
+                                "--C", C, "--N", N)
+                        code, out = run_cli(capsys, *argv)
+                        data = json.loads(out)
+                        if code == 0:
+                            assert all(math.isfinite(float(x)) for x in data["value"]), argv
+                        else:
+                            assert code == 1, argv
+                            assert issubclass(getattr(errors, data["error"]),
+                                              errors.HeckeDivError), argv

@@ -276,13 +276,6 @@ def test_divisor_of_opaque_rejected():
         C.divisor_of_form(expr, 1)
 
 
-def test_expression_divisor_wrapper():
-    # the forms-level entry point computes on X_0(level of the expression)
-    spec = F.hauptmodul_spec(2)
-    d = F.expression_divisor(F.FormExpression.of(F.EtaQuotient(spec)))
-    assert d.N == 2 and d.degree == 0
-
-
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_valence_formula_degrees(N):
     cases = [

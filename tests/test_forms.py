@@ -136,11 +136,14 @@ def test_eta_quotient_rescaled_delta():
 
 
 def test_eta_agrees_with_delta_shift_expression():
-    for m in (1, 2, 3):
-        spec = F.EtaQuotientSpec.make(m, {m: 24})
-        lhs = F.eta_quotient_qexp(spec, 8)
-        rhs = F.FormExpression.of(F.DeltaShift(m)).qexp(8)
-        assert lhs.agrees_with(rhs)
+    # Delta(m tau) as the eta quotient eta(m tau)^24 against Delta rescaled:
+    # the same coefficients, of the same types, on the same window
+    for m in (1, 2, 3, 5):
+        for prec in (1, 2, 8, 30):
+            lhs = F.FormExpression.of(F.DeltaShift(m)).qexp(prec)
+            rhs = F.delta(prec).rescale_exponents(m).truncate(m + prec)
+            assert lhs == rhs and lhs.precision == rhs.precision
+            assert list(map(type, lhs.coeffs)) == list(map(type, rhs.coeffs))
 
 
 def test_ligozat_orders_level2():
@@ -275,17 +278,17 @@ def test_each_atom_knows_its_order():
         F.FormExpression.of(F.OpaqueSeries(S(1, 4, []), 0, 1)).order
 
 
-def test_expression_json_round_trip():
-    import json
-    cases = [
-        F.FormExpression.of(F.Eisenstein(4), (F.DeltaShift(2), -1)),
-        F.FormExpression.of((F.EtaQuotient(F.hauptmodul_spec(2)), 1), shift=-512),
-        F.FormExpression.of(F.JMinus(Fraction(1728))),
-        F.FormExpression.of(F.OpaqueSeries(F.delta(6), 12, 1)),
-    ]
-    for expr in cases:
-        data = json.loads(json.dumps(expr.to_json()))
-        assert F.expression_from_json(data) == expr
+@pytest.mark.parametrize("m", (1, 2, 3, 5))
+def test_delta_shift_is_the_eta_quotient(m):
+    spec = F.EtaQuotientSpec.make(m, {m: 24})
+    assert F.FormExpression.of(F.DeltaShift(m)) == F.FormExpression.of(F.EtaQuotient(spec))
+
+
+@pytest.mark.parametrize("m", (0, -1))
+def test_delta_shift_refuses_a_non_positive_argument(m):
+    # Delta(0 tau) and Delta(-tau) are not forms on any X_0(N)
+    with pytest.raises(UnsupportedParameter):
+        F.DeltaShift(m)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +297,14 @@ def test_expression_json_round_trip():
 
 def _eta(level, exps):
     return F.EtaQuotient(F.EtaQuotientSpec.make(level, exps))
+
+
+def _atom_id(atom):
+    # Delta(m tau) = eta(m tau)^24 keeps the name of its constructor
+    spec = getattr(atom, "spec", None)
+    if spec is not None and spec.exponents == ((spec.level, 24),):
+        return f"DeltaShift(m={spec.level})"
+    return repr(atom)
 
 
 # every atom kind with a closed-form log-derivative
@@ -326,7 +337,7 @@ def test_log_derivative_from_atoms_matches_the_expansion(factors, n):
     assert l == log_derivative_coeffs(s.coeffs, s.order, n)
 
 
-@pytest.mark.parametrize("atom", CLOSED_FORM_ATOMS, ids=repr)
+@pytest.mark.parametrize("atom", CLOSED_FORM_ATOMS, ids=_atom_id)
 def test_each_atom_log_derivative_matches_the_expansion(atom):
     assert atom.log_derivative(30) == _expansion_log_derivative(F.FormExpression.of(atom), 30)
 
@@ -374,12 +385,10 @@ def _brute_eta_unit(exponents, n):
 def _one_pass_log_derivative(atom, n):
     """Theta(f)/f to n coefficients by one uncached pass of the log
     recurrence over an expansion built without the store: E_k from trial
-    division, Delta(m tau) and eta quotients factor by factor, and
+    division, eta quotients (Delta(m tau) among them) factor by factor, and
     j = E4^3/Delta, j - 1728 = E6^2/Delta by the series kernel."""
     if isinstance(atom, F.Eisenstein):
         return log_derivative_coeffs(_brute_eisenstein(atom.k, n), 0, n)
-    if isinstance(atom, F.DeltaShift):
-        return log_derivative_coeffs(_brute_eta_unit(((atom.m, 24),), n), atom.m, n)
     if isinstance(atom, F.EtaQuotient):
         exps = atom.spec.exponents
         order = sum(m * r for m, r in exps) // 24
@@ -417,7 +426,7 @@ def test_stored_log_derivatives_equal_one_pass(requests):
         _assert_one_pass(atom, n)
 
 
-@pytest.mark.parametrize("atom", STORE_ATOMS, ids=repr)
+@pytest.mark.parametrize("atom", STORE_ATOMS, ids=_atom_id)
 def test_rising_falling_and_repeated_lengths(atom):
     F._prefixes.cache_clear()
     for n in (5, 5, 31, 12, 1, 47, 47, 2):

@@ -828,7 +828,7 @@ def test_closed_form_rows_against_16x_window_rows(m, s, v):
 
 
 @settings(max_examples=40, deadline=None)
-@given(N=st.integers(1, 6), m=st.integers(1, 4), s=st.floats(1.05, 4.0),
+@given(N=st.integers(1, 6), m=st.integers(0, 4), s=st.floats(1.05, 4.0),
        u=st.floats(-0.5, 0.5), v=st.floats(0.02, 3.0), C=st.integers(4, 24))
 def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C):
     # the closed-form rows change a value only by the d-window leftover of
@@ -876,3 +876,14 @@ def test_kappa_table_keeps_its_relative_digits_far_out(nu):
             z = 2 * mpmath.pi * v * n
             want = z ** nu * mpmath.besselk(nu, z) / (2 ** (nu - 1) * mpmath.gamma(nu))
             assert abs(table[n] - want) <= 2e-13 * want, (n, float(z), table[n], want)
+
+
+def test_gamma_overflow_at_large_s_is_a_typed_refusal():
+    # 1/Gamma(s + 1/2) of the I-Bessel series overflows a double above
+    # s of about 171.1 at m >= 1; m = 0 reads no Gamma there and answers
+    params = EvalParams(truncation=2, s=300)
+    for m in (1, 3):
+        with pytest.raises(UnsupportedParameter, match="Gamma"):
+            NB.niebur_value(1, m, 0.3 + 0.5j, params)
+    got = NB.niebur_value(1, 0, 0.3 + 0.5j, params)
+    assert math.isfinite(got.value.real) and got.value.real > 1e50
