@@ -9,31 +9,29 @@ c (plus the identity term).  Each row is summed exactly in d by Poisson
 summation over the residue classes of d mod c.  At m = 0, Moebius
 inversion turns the rows into a Ramanujan-sum convolution of a table of
 K-Bessel values with about 7/Im tau entries.  At m >= 1, row c is its
-Fourier expansion: Kloosterman sums S(+-n, -m; c) from one FFT, the same
-K-Bessel table, and power series of I and J Bessel functions, about
-7/Im tau terms a row near the real axis and fewer far up.
+Fourier expansion: Kloosterman sums S(+-n, -m; c), the same K-Bessel
+table, and power series of I and J Bessel functions, about 7/Im tau terms
+a row near the real axis and fewer far up.  A block of rows takes its
+Kloosterman sums from one exp of the phases e(-m r^-1/c) and one real
+inverse DFT of length c a row; the inverses of the units r <= c/2 come
+from a process-wide store built once per modulus (about c bytes each).
 
 A row runs on a d-window instead (d in a symmetric window rounded to
 whole residue blocks, so the discarded class tails share a common size
 and their phase sum cancels like a Ramanujan sum) where that costs fewer
-array elements: at m = 0 every row below about Im tau = 2e-4 (at C = 100),
-at m >= 1 the rows of small c at small Im tau.  It also does where the
-Fourier terms cancel so far that the rounding bound of the closed-form
-rows would pass the error estimate: their terms peak near
-e^(2 pi m/(c^2 Im tau)), so at m >= 1 these are the rows of small c at
-small Im tau (none near Im tau = 1, up to 9 rows at Im tau = 0.013, m = 3),
-at m = 0 the rows of small c at large s.  The c-tail dominates and is
-reported as K * C^(2-2s) with K measured empirically from the partial
-sums at power-of-two truncations (not certified).
+array elements (every m = 0 row below about Im tau = 2e-4 at C = 100), or
+where the Fourier terms, which peak near e^(2 pi m/(c^2 Im tau)), cancel
+so far that the rounding bound of the closed-form rows would pass the
+error estimate: at m >= 1 the rows of small c at small Im tau (none near
+Im tau = 1, up to 9 rows at Im tau = 0.013, m = 3), at m = 0 the rows of
+small c at large s.  The c-tail dominates and is reported as
+K * C^(2-2s), K measured from the partial sums at power-of-two
+truncations (not certified).
 
 The sum runs in doubles, vectorized over each row (over blocks of rows at
 m >= 1): extra working precision cannot help while the c-truncation error
 (at m = 0 and C = 300, about 4e-3 at s = 1.5 and 5e-6 at s = 2) exceeds the
-rounding error by ten orders of magnitude.  In the d-window rows, the
-per-residue work of a row (the test gcd(d, c) = 1, the inverse
-a = d^-1 mod c and the phase -2 pi m a/c) runs once per block of c
-residues and is repeated along the window; only the terms that depend on
-d itself are computed per element.
+rounding error by ten orders of magnitude.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ from functools import lru_cache
 
 from . import forms
 from .curve import HeegnerPoint, reduce_point
-from .errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, \
-    UnsupportedParameter
+from .errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, UnsupportedParameter
 from .series import PuiseuxSeries
 
 
@@ -136,8 +133,7 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     try:
         lead = 1.0 / math.gamma(nu + 1.0)
     except OverflowError:
-        raise UnsupportedParameter(
-            f"s={s}: Gamma(s + 1/2) overflows a double") from None
+        raise UnsupportedParameter(f"s={s}: Gamma(s + 1/2) overflows a double") from None
     term = np.full_like(v, lead)
     acc = term.copy()
     ratio = np.empty_like(y)
@@ -174,48 +170,65 @@ def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 # modular inverses and Kloosterman sums
 # ---------------------------------------------------------------------------
 
-def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The units r mod c in increasing order and their inverses r^-1 mod c:
-    the multiples of the primes dividing c are struck out, and
-    r^(phi(c)-1) mod c runs by square-and-multiply on the vector of units
-    (the products stay below c^2, so c < 3 * 10^9 keeps them inside int64)."""
+@lru_cache(maxsize=None)
+def _inverse_store() -> dict:
+    """The process-wide store c -> table of `_inverse_tables`; it sits
+    behind lru_cache so that its cache_clear empties it with the others."""
+    return {}
+
+
+def _inverse_tables(cs) -> list[np.ndarray]:
+    """The stored table of each modulus c in cs: r^-1 mod c at the units
+    r <= c/2, 0 at the other r <= c/2 (a unit above c/2 reads
+    (c - r)^-1 = c - inv[c - r]), read-only, in the smallest unsigned
+    dtype that holds c: about c bytes a modulus below 2^16.  The missing
+    tables are built at once (two threads may build one twice, as equal
+    copies): the prime multiples are struck out, and r^(phi(c)-1) mod c
+    runs by square-and-multiply on all their units (products c^2 < 2^63)."""
     import numpy as np
-    unit = np.ones(c, dtype=bool)
-    for p in set(forms.prime_factors(c)):
-        unit[::p] = False
-    units = np.flatnonzero(unit)
-    base = units.copy()
-    inv = np.ones_like(units)
-    e = units.size - 1
-    while e:
-        if e & 1:
-            inv *= base
-            inv %= c
-        base *= base
-        base %= c
-        e >>= 1
-    return units, inv % c
+    store = _inverse_store()
+    new = sorted({int(c) for c in cs} - store.keys())
+    if new:
+        mod = np.array(new, dtype=np.int64)
+        size = mod // 2 + 1
+        starts = np.cumsum(size) - size
+        unit = np.ones(int(size.sum()), dtype=bool)
+        for c, lo, n in zip(new, starts.tolist(), size.tolist()):
+            for p in set(forms.prime_factors(c)):
+                unit[lo:lo + n:p] = False
+        units = np.flatnonzero(unit)
+        row = np.repeat(np.arange(mod.size), size)[units]
+        # phi(c) is twice the units r <= c/2 for c > 2; any exponent serves c <= 2
+        c, base, e = mod[row], units - starts[row], 2 * np.bincount(row)[row] - 1
+        inv = np.ones_like(base)
+        while e.any():
+            inv = np.where(e & 1, inv * base % c, inv)
+            base = base * base % c
+            e >>= 1
+        flat = np.zeros(unit.size, dtype=np.int64)
+        flat[units] = inv % c
+        for ci, table in zip(new, np.split(flat, np.cumsum(size)[:-1])):
+            store[ci] = table.astype(np.min_scalar_type(ci))
+            store[ci].flags.writeable = False
+    return [store[int(c)] for c in cs]
 
 
-def _inverse_table(c: int) -> np.ndarray:
-    """inv[r] = r^-1 mod c on the units r, 0 elsewhere."""
+def _kloosterman_rows(c: np.ndarray, m: int) -> np.ndarray:
+    """S(k, -m; c) for k = 0 .. c-1, the rows of the moduli c concatenated:
+    c times the inverse DFT of g_r = e(-m r^-1/c) on the units r.  As
+    g_(c-r) = conj(g_r), the sums are real and the units r <= c/2 give
+    them: all phases in one exp, then one real inverse DFT of length c a
+    row.  S(0, -m; c) is the Ramanujan sum c_c(m), an integer."""
     import numpy as np
-    units, inv = _unit_inverses(c)
-    table = np.zeros(c, dtype=np.int64)
-    table[units] = inv
-    return table
-
-
-def _kloosterman(c: int, m: int) -> np.ndarray:
-    """S(k, -m; c) = sum over the units r mod c of e((k r - m r^-1)/c), for
-    k = 0 .. c-1: one DFT of e(-m r^-1/c) over the units.  The sums are
-    real (r -> -r conjugates every term), and S(0, -m; c) is the Ramanujan
-    sum c_c(m), an integer."""
-    import numpy as np
-    units, inv = _unit_inverses(c)
-    g = np.zeros(c, dtype=complex)
-    g[units] = np.exp((-2j * math.pi / c) * (m * inv % c))
-    return (c * np.fft.ifft(g)).real
+    half = c // 2 + 1
+    ends = np.cumsum(half).tolist()
+    inv = np.concatenate(_inverse_tables(c), dtype=np.int64)
+    unit = np.flatnonzero(inv | (np.repeat(c, half) == 1))
+    cr = np.repeat(c, half)[unit]
+    g = np.zeros(inv.size, dtype=complex)
+    g[unit] = np.exp(1j * ((-2 * math.pi / cr) * (m * inv[unit] % cr)))
+    return np.concatenate([np.fft.irfft(g[e - h:e], n=ci, norm="forward")
+                           for ci, h, e in zip(c.tolist(), half.tolist(), ends)])
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +245,7 @@ def _row_halfwidth(c, v: float):
     """Half-width X of the symmetric d-window of row c (a number or an
     array of them), rounded to a whole number of residue blocks; the
     window holds 2X + 1 values of d.  A whole-valued double, exact while
-    it stays below 2^53.
-
-    Equal term counts per residue class make the discarded class tails
-    nearly equal, so their phase sum cancels like a Ramanujan sum; the
-    leftover sits well below the c-truncation tail that dominates the
-    reported error estimate."""
+    it stays below 2^53."""
     import numpy as np
     base = 4000.0 * max(1.0, v) ** 0.75
     return c * np.maximum(np.ceil(base / c), 4)
@@ -266,10 +274,11 @@ def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
         d = d[:count]
         t = c * u + d.astype(np.float64)
         denom = t * t + (c * v) ** 2
-        vg = v / denom
-        amp = _phi_np(m, vg, s)
+        amp = _phi_np(m, v / denom, s)
         if m:
-            a = _inverse_table(c)[block[coprime]]
+            r = block[coprime]
+            a = _inverse_tables((c,))[0][np.minimum(r, c - r)].astype(np.int64)
+            a = np.where(2 * r <= c, a, c - a)
             turn = np.tile(-2.0 * math.pi * m * (a / float(c)), reps)[:count]
             phase = turn + 2.0 * math.pi * m * t / (c * denom)
             rows[i] = complex(np.sum(amp * np.cos(phase)), np.sum(amp * np.sin(phase)))
@@ -280,13 +289,7 @@ def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
 
 def _checkpoints(C: int) -> list[int]:
     # power-of-two truncations used to fit the empirical tail constant
-    pts = []
-    c = 2
-    while c < C:
-        pts.append(c)
-        c *= 2
-    pts.append(C)
-    return pts
+    return [2 ** k for k in range(1, (C - 1).bit_length())] + [C]
 
 
 def _identity_term(m: int, u: float, v: float, s: float) -> complex:
@@ -534,7 +537,7 @@ def _poincare_plan(N: int, m: int, u: float, v: float, s: float, C: int) \
     """The Fourier terms K_c of each row c = N, .., CN at m >= 1, and which
     rows run in closed form: those whose Bessel series fit the series
     budget and cost fewer element steps (terms times series length, plus
-    the Kloosterman FFT) than their d-window (elements times the length of
+    the Kloosterman DFT) than their d-window (elements times the length of
     its series, whose largest argument sits at the d nearest -cu)."""
     import numpy as np
     c = N * np.arange(1, C + 1, dtype=np.float64)
@@ -571,7 +574,7 @@ def _poincare_rows(m: int, u: float, v: float, s: float, c: np.ndarray,
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - K[lo] - c[lo] + _ROW_BLOCK,
                                              side="right")))
         cb, Kb = c[lo:hi], K[lo:hi]
-        sums = np.concatenate([_kloosterman(int(ci), m) for ci in cb])
+        sums = _kloosterman_rows(cb, m)
         start = np.cumsum(cb) - cb
         row = np.repeat(np.arange(hi - lo), Kb)
         n = np.arange(int(Kb.sum()), dtype=np.int64) - np.repeat(np.cumsum(Kb) - Kb, Kb) + 1
@@ -586,7 +589,7 @@ def _poincare_rows(m: int, u: float, v: float, s: float, c: np.ndarray,
         ramanujan = np.rint(sums[start])
         bracket[lo:hi] = ramanujan + np.bincount(row, terms.real, hi - lo) \
             + 1j * np.bincount(row, terms.imag, hi - lo)
-        # each FFT value is off by up to about c log2(c) ulps, below 2^-45 c
+        # each real-DFT value is off by at most 3.4 c 2^-53 (c <= 1200, m <= 4)
         size[lo:hi] = np.abs(ramanujan) + np.bincount(
             row, w * i_hat * (np.abs(plus) + np.abs(minus) + 2.0 ** -45 * cn), hi - lo)
         lo = hi
@@ -597,8 +600,7 @@ def _poincare_rows(m: int, u: float, v: float, s: float, c: np.ndarray,
     # (against rows summed over 16-fold d-windows the error stays below
     # 0.4% of the bound: N <= 3, m <= 4, s 1.01-3.7, Im tau 0.02-1); the
     # Fourier terms past K add at most e^-39 to the bracket
-    return scale * bracket, \
-        (2.0 ** -46 * (64 + K) * size + math.exp(-_LOG_KAPPA_TOL)) * scale
+    return scale * bracket, (2.0 ** -46 * (64 + K) * size + math.exp(-_LOG_KAPPA_TOL)) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -756,14 +758,12 @@ def jn_value(n: int, z, digits: int = 50):
         A, B, C = rep.A, rep.B, rep.C
         with mpmath.workdps(digits + 15):
             disc = B * B - 4 * A * C
-            zc = mpmath.mpc(mpmath.mpf(-B) / (2 * A),
-                            mpmath.sqrt(-disc) / (2 * A))
+            zc = mpmath.mpc(mpmath.mpf(-B) / (2 * A), mpmath.sqrt(-disc) / (2 * A))
     else:
         with mpmath.workdps(digits + 15):
             zc = mpmath.mpc(z)
             if not (mpmath.isfinite(zc) and zc.imag > 0):
-                raise UnsupportedParameter(
-                    f"z={z}: needs a finite point with Im z > 0")
+                raise UnsupportedParameter(f"z={z}: needs a finite point with Im z > 0")
             # the reduction magnifies rounding by up to 1/Im z
             extra = max(0, -int(mpmath.log10(zc.imag)))
         with mpmath.workdps(digits + 15 + extra):
