@@ -14,6 +14,12 @@ fundamental-domain convention is -1/2 <= Re z < 1/2, |z| >= 1 with the
 |z| = 1 boundary tie broken towards Re z <= 0, i.e. the classical
 -A < B <= A <= C (B >= 0 when A = C) reduction.
 
+The key and the period come from one stabilizer orbit: if g in SL_2(Z)
+moves the reduced form to z and (c, d) is its bottom row, the label is
+the least one over the orbit of the translates (c, d) s, s in the
+PSL_2(Z)-stabilizer of the form, and the period of z is
+|stabilizer| / |orbit|.
+
 A cusp a/c in lowest terms has the closed-form class invariant
 (d, a (c/d) mod gcd(d, N/d)) with d = gcd(c, N) (Cremona, *Algorithms for
 Modular Elliptic Curves*, 2nd ed., ch. 2): two cusps are Gamma_0(N)-
@@ -109,21 +115,27 @@ def _gauss_reduce(z: HeegnerPoint) -> tuple[HeegnerPoint, Mat]:
     return HeegnerPoint(A, B, C), wit
 
 
-def _stabilizer_mod_pm(form: HeegnerPoint) -> list[Mat]:
+def _stabilizer_mod_pm(form: tuple[int, int, int]) -> list[Mat]:
     """Coset representatives of the PSL_2(Z)-stabilizer of a reduced
     primitive form (nontrivial only at i and omega)."""
-    key = (form.A, form.B, form.C)
-    if key == (1, 0, 1):
+    if form == (1, 0, 1):
         return [(1, 0, 0, 1), S_MAT]
-    if key == (1, 1, 1):
-        u2 = mat_mul(U_MAT, U_MAT)
-        return [(1, 0, 0, 1), U_MAT, u2]
+    if form == (1, 1, 1):
+        return [(1, 0, 0, 1), U_MAT, mat_mul(U_MAT, U_MAT)]
     return [(1, 0, 0, 1)]
 
 
-def _mat_inv_unimodular(m: Mat) -> Mat:
-    a, b, c, d = m
-    return (d, -b, -c, a)
+def _class_label(form: tuple[int, int, int], c: int, d: int,
+                 N: int) -> tuple[tuple[int, int], int]:
+    """(label, period) of the Gamma_0(N)-class of g . form, for a reduced
+    primitive form and the bottom row (c, d) of any g in SL_2(Z).
+
+    The label is the least P^1(Z/N) label over the stabilizer translates
+    (c, d) s.  g s g^{-1} lies in Gamma_0(N) exactly when (c, d) s and
+    (c, d) name one P^1(Z/N) class, so the period is |stabilizer| / |orbit|."""
+    stab = _stabilizer_mod_pm(form)
+    orbit = {p1_label(c * s0 + d * s2, c * s1 + d * s3, N) for s0, s1, s2, s3 in stab}
+    return min(orbit), len(stab) // len(orbit)
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +188,7 @@ class CanonicalPoint:
         return act_matrix(g, HeegnerPoint(*self.form))
 
     def period(self) -> int:
-        return period(self.representative(), self.N)
+        return _class_label(self.form, *self.label, self.N)[1]
 
     def approx(self) -> complex:
         return self.representative().approx()
@@ -200,32 +212,17 @@ class JFiberPoint:
 def reduce_point(z: HeegnerPoint, N: int) -> tuple[CanonicalPoint, Mat]:
     """Canonical Gamma_0(N)-class key of z plus an SL_2(Z) witness gamma
     with gamma . z equal to the level-1 reduced point."""
-    prim = z.primitive()
-    red, wit = _gauss_reduce(prim)
-    inv = _mat_inv_unimodular(wit)
-    best = None
-    for s in _stabilizer_mod_pm(red):
-        g = mat_mul(inv, s)
-        lab = p1_label(g[2] % N, g[3] % N, N)
-        if best is None or lab < best:
-            best = lab
-    return CanonicalPoint(N, (red.A, red.B, red.C), best), wit
+    red, wit = _gauss_reduce(z.primitive())
+    form = (red.A, red.B, red.C)
+    # (-wit[2], wit[0]) is the bottom row of wit^{-1}, which maps form to z
+    return CanonicalPoint(N, form, _class_label(form, -wit[2], wit[0], N)[0]), wit
 
 
 def period(z: HeegnerPoint, N: int) -> int:
     """Order of the PSL_2-stabilizer of [z] in Gamma_0(N): 2 at points over
     i, 3 at points over omega (when the elliptic element survives), else 1."""
-    prim = z.primitive()
-    red, wit = _gauss_reduce(prim)
-    inv = _mat_inv_unimodular(wit)
-    key = (red.A, red.B, red.C)
-    if key == (1, 0, 1):
-        e = mat_mul(mat_mul(inv, S_MAT), wit)
-        return 2 if e[2] % N == 0 else 1
-    if key == (1, 1, 1):
-        e = mat_mul(mat_mul(inv, U_MAT), wit)
-        return 3 if e[2] % N == 0 else 1
-    return 1
+    red, wit = _gauss_reduce(z.primitive())
+    return _class_label((red.A, red.B, red.C), -wit[2], wit[0], N)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +311,12 @@ class Divisor:
 
     @staticmethod
     def make(N: int, interior=None, cusp_part=None, numeric=None) -> "Divisor":
-        inter = {}
-        for k, v in (interior or {}).items():
-            v = Fraction(v)
-            if v:
-                inter[k] = inter.get(k, Fraction(0)) + v
-        cp = {}
-        for k, v in (cusp_part or {}).items():
-            v = Fraction(v)
-            if v:
-                cp[k] = cp.get(k, Fraction(0)) + v
-        inter = {k: v for k, v in inter.items() if v}
-        cp = {k: v for k, v in cp.items() if v}
-        return Divisor(
-            N,
-            tuple(sorted(inter.items(), key=lambda kv: repr(kv[0]))),
-            tuple(sorted(cp.items(), key=lambda kv: repr(kv[0]))),
-            tuple(numeric or ()),
-        )
+        def part(coeffs):
+            # each key once (a dict), its coefficient a nonzero Fraction
+            items = [(k, Fraction(v)) for k, v in (coeffs or {}).items()]
+            return tuple(sorted(((k, v) for k, v in items if v), key=lambda kv: repr(kv[0])))
+
+        return Divisor(N, part(interior), part(cusp_part), tuple(numeric or ()))
 
     def interior_dict(self) -> dict:
         return dict(self.interior)
@@ -387,15 +372,15 @@ class Divisor:
             if isinstance(k, CanonicalPoint):
                 rep = k.representative()
                 inter.append({"A": rep.A, "B": rep.B, "C": rep.C,
-                              "coeff": _frac_str(v)})
+                              "coeff": str(v)})
             else:
-                inter.append({"j_fiber": _frac_str(k.value), "coeff": _frac_str(v)})
+                inter.append({"j_fiber": str(k.value), "coeff": str(v)})
         return {
             "N": self.N,
             "interior": inter,
-            "cusps": [{"cusp": k.label, "coeff": _frac_str(v)}
+            "cusps": [{"cusp": k.label, "coeff": str(v)}
                       for k, v in self.cusp_part],
-            "numeric": [{"z": [z.real, z.imag], "coeff": _frac_str(v)}
+            "numeric": [{"z": [z.real, z.imag], "coeff": str(v)}
                         for z, v in self.numeric],
         }
 
@@ -421,11 +406,6 @@ class Divisor:
         numeric = tuple((complex(item["z"][0], item["z"][1]), Fraction(item["coeff"]))
                         for item in data["numeric"])
         return Divisor.make(N, inter, cp, numeric)
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def point_divisor(N: int, z: HeegnerPoint, coeff=1) -> Divisor:
@@ -474,14 +454,15 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
 
 @lru_cache(maxsize=None)
 def _classes_over(form: tuple[int, int, int], N: int) -> tuple[tuple[CanonicalPoint, int], ...]:
-    """Gamma_0(N)-classes lying over a level-1 point, with their periods."""
-    base = HeegnerPoint(*form)
+    """Gamma_0(N)-classes lying over a level-1 point, with their periods:
+    one class label per P^1(Z/N) point (c : d), the bottom row of a g
+    that moves the reduced form to a point of the class."""
+    red = _gauss_reduce(HeegnerPoint(*form).primitive())[0]
+    form = (red.A, red.B, red.C)
     out = {}
-    for lab in _p1_points(N):
-        g = p1_lift(lab, N)
-        key, _ = reduce_point(act_matrix(g, base), N)
-        if key not in out:
-            out[key] = period(key.representative(), N)
+    for c, d in _p1_points(N):
+        label, per = _class_label(form, c, d, N)
+        out.setdefault(CanonicalPoint(N, form, label), per)
     return tuple(out.items())
 
 

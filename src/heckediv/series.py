@@ -25,10 +25,9 @@ multiples unchanged.  Arithmetic never extends a knowledge window, only
 shrinks it, following the conservative propagation rules: products know
 ``min(cutoff_a + order_b, cutoff_b + order_a)`` grid units.
 
-Two windows at least ``KRONECKER_MIN_WIDTH`` wide multiply by Kronecker
-substitution: one bigint product of the two windows, each cleared to one
-denominator and packed into one ``int``.  A narrower window takes the
-schoolbook loop.  Both give the same values and coefficient types.
+Two windows multiply by Kronecker substitution, whatever their width:
+one bigint product of the two windows, each cleared to one denominator
+and packed into one ``int``.
 
 One O(n^2) triangular solve, :func:`solve_coeffs`, divides power
 series: x = b/a from sum_{i<=m} a_i x_{m-i} = b_m.  The reciprocal is
@@ -116,11 +115,6 @@ def exp_coeffs(c0, l, n: int, prefix=()) -> list:
     for m in range(len(c), n):
         c.append(exact_div(sum(map(mul, l[1:m + 1], reversed(c))), m))
     return c
-
-
-# Below this width the packing costs more than the schoolbook loop saves on
-# int windows (measured crossover: 12-14 coefficients).
-KRONECKER_MIN_WIDTH = 16
 
 
 def _is_rational(coeffs) -> bool:
@@ -383,19 +377,7 @@ class PuiseuxSeries:
         hi = min(a.cutoff + b.order, b.cutoff + a.order)
         if a.is_zero() or b.is_zero():
             return PuiseuxSeries(a.D, hi, [])
-        width = hi - lo
-        if width >= KRONECKER_MIN_WIDTH:
-            return PuiseuxSeries(a.D, lo, _kronecker_product(a.coeffs, b.coeffs, width))
-        out = [0] * width
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            jmax = min(len(b.coeffs), width - i)
-            for j in range(jmax):
-                y = b.coeffs[j]
-                if y:
-                    out[i + j] = out[i + j] + x * y
-        return PuiseuxSeries(a.D, lo, out)
+        return PuiseuxSeries(a.D, lo, _kronecker_product(a.coeffs, b.coeffs, hi - lo))
 
     __rmul__ = __mul__
 
@@ -512,7 +494,7 @@ class PuiseuxSeries:
             "D": self.D,
             "order": self.order,
             "precision": self.precision,
-            "coeffs": [_rat_str(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -527,10 +509,3 @@ class PuiseuxSeries:
             raise ValueError(f"series data lists {len(coeffs)} coefficients "
                              f"but records precision {data['precision']}")
         return cls(data["D"], data["order"], coeffs)
-
-
-def _rat_str(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"

@@ -1,7 +1,8 @@
 """The public API: ``heckediv.__all__`` lists exactly the public names that
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
 package or its CLI loads neither of the numeric backends; only the
-coset-sum oracles' module imports the cyclotomic field; and calling
+coset-sum oracles' module imports the cyclotomic field; every module-level function and class of the package
+is referenced somewhere other than its own definition; and calling
 ``cache_clear()`` on every module-level object that has one leaves no
 cache warm."""
 
@@ -96,6 +97,45 @@ def test_only_the_oracles_import_the_cyclotomic_field():
     importers = sorted(path.name for path in package.glob("*.py")
                        if _imports_cyclotomic(ast.parse(path.read_text())))
     assert importers == ["operators.py"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _module_level_definitions(path):
+    tree = ast.parse(path.read_text())
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _references(path) -> set:
+    """Every name a file reads (a name, an attribute or an imported name),
+    except a definition's references to itself."""
+    refs = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        names.discard(getattr(stmt, "name", None))
+        refs |= names
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    # a function or class that nothing in the library, its tests or the
+    # benchmark names is dead code
+    refs = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (REPO / folder).rglob("*.py"):
+            refs |= _references(path)
+    dead = [f"{path.name}: {name}" for path in sorted((REPO / "src" / "heckediv").glob("*.py"))
+            for name in _module_level_definitions(path) if name not in refs]
+    assert dead == []
 
 
 CACHED_MODULES = (series, forms, operators, algebra, curve, niebur, pairing)

@@ -159,6 +159,98 @@ def test_periods():
     assert C.period(H(3, 3, 1), 3) == 3
 
 
+# Reference, labelled: the act-and-reduce route, which never calls
+# curve._class_label (one stabilizer orbit for the label and the period).
+# The key of z is the least P^1(Z/N) label of the bottom rows of inv s (inv
+# the inverse of the reduction witness, s over the stabilizer of the reduced
+# form); the period reads the elliptic element e = inv S wit (inv U wit over
+# omega) for membership in Gamma_0(N); the classes over a level-1 point are
+# the keys of its images under a lift of every P^1(Z/N) label, each with the
+# period of its representative.
+
+def _inverse(m):
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+def _stabilizer(form):
+    if form == (1, 0, 1):
+        return [(1, 0, 0, 1), C.S_MAT]
+    if form == (1, 1, 1):
+        return [(1, 0, 0, 1), C.U_MAT, A.mat_mul(C.U_MAT, C.U_MAT)]
+    return [(1, 0, 0, 1)]
+
+
+def reference_key(z, N):
+    red, wit = C._gauss_reduce(z.primitive())
+    form = (red.A, red.B, red.C)
+    inv = _inverse(wit)
+    labels = []
+    for s in _stabilizer(form):
+        g = A.mat_mul(inv, s)
+        labels.append(A.p1_label(g[2] % N, g[3] % N, N))
+    return C.CanonicalPoint(N, form, min(labels)), wit
+
+
+def reference_period(z, N):
+    red, wit = C._gauss_reduce(z.primitive())
+    inv = _inverse(wit)
+    for form, elliptic, order in (((1, 0, 1), C.S_MAT, 2), ((1, 1, 1), C.U_MAT, 3)):
+        if (red.A, red.B, red.C) == form:
+            e = A.mat_mul(A.mat_mul(inv, elliptic), wit)
+            return order if e[2] % N == 0 else 1
+    return 1
+
+
+def reference_classes_over(form, N):
+    base = H(*form)
+    out = {}
+    for lab in C._p1_points(N):
+        key, _ = reference_key(C.act_matrix(C.p1_lift(lab, N), base), N)
+        if key not in out:
+            out[key] = reference_period(key.representative(), N)
+    return tuple(out.items())
+
+
+LEVEL1_POINTS = [(1, 1, 1), (1, 0, 1), (1, 0, 4), (2, 1, 3)]  # omega, i, 2i, trivial
+
+
+@pytest.mark.parametrize("N", range(1, 61))
+def test_classes_over_a_point_match_the_act_and_reduce_reference(N):
+    for form in LEVEL1_POINTS:
+        got = C._classes_over(form, N)
+        assert got == reference_classes_over(form, N), (form, N)
+        # the stabilizer orbits partition P^1(Z/N): sum |orbit| = psi(N)
+        stab = len(_stabilizer(form))
+        assert sum(stab // per for _, per in got) == F.psl2_index(N)
+
+
+@st.composite
+def points_and_levels(draw):
+    """(z, N): a point of omega, i or two trivial-stabilizer orbits moved by
+    a random word in T^k and S and scaled by a content, at a level N."""
+    z = H(*draw(st.sampled_from(LEVEL1_POINTS)))
+    g = (1, 0, 0, 1)
+    for k in draw(st.lists(st.integers(-5, 5), max_size=6)):
+        g = A.mat_mul(A.mat_mul((1, k, 0, 1), C.S_MAT), g)
+    z = C.act_matrix(g, z)
+    content = draw(st.integers(1, 3))
+    z = H(content * z.A, content * z.B, content * z.C)
+    N = draw(st.one_of(st.integers(1, 60), st.sampled_from([101, 127, 144, 210])))
+    return z, N
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_and_levels())
+def test_key_witness_and_period_match_the_reference(point):
+    z, N = point
+    key, wit = C.reduce_point(z, N)
+    assert (key, wit) == reference_key(z, N)
+    assert C.act_matrix(wit, z.primitive()) == H(*key.form)
+    assert C.period(z, N) == reference_period(z, N)
+    assert key.period() == reference_period(key.representative(), N)
+
+
 # -- divisors and the Hecke action ------------------------------------------------
 
 def test_hecke_divisor_example_level1():

@@ -8,6 +8,10 @@ that holds every nonzero exponent and the bound, and store integral
 values as ``int``.
 It shares no code with ``PuiseuxSeries.__mul__`` or its Kronecker product.
 
+Products are also checked for the ring laws on narrow and wide windows:
+associative and commutative exactly, unital and distributive where both
+sides are known.
+
 Sums, reciprocals and powers are checked against the same dict terms:
 sums term by term below the smaller knowledge bound, reciprocals by the
 geometric series sum_j t^j of 1/(1 - t), powers as successive reference
@@ -29,11 +33,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckediv import forms, series
+from heckediv import forms
 from heckediv.cyclotomic import Cyclo
 from heckediv.errors import NonUnitLeading
 from heckediv.forms import EtaQuotientSpec, eisenstein, eta_quotient_qexp
-from heckediv.series import KRONECKER_MIN_WIDTH, PuiseuxSeries as S
+from heckediv.series import PuiseuxSeries as S
 from heckediv.series import exp_coeffs, log_derivative_coeffs, solve_coeffs
 
 
@@ -169,7 +173,7 @@ def test_product_matches_the_dict_reference(a, b):
     _assert_product(a, b)
 
 
-@pytest.mark.parametrize("n", [KRONECKER_MIN_WIDTH - 1, KRONECKER_MIN_WIDTH, 64])
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 64])
 def test_eisenstein_products_on_both_sides_of_the_threshold(n):
     # Fraction windows (E12) and int windows (E4), unequal lengths
     e4, e12 = eisenstein(4, n + 5), eisenstein(12, n)
@@ -202,21 +206,23 @@ def test_the_zero_series_keeps_its_knowledge_bound():
     _assert_product(eisenstein(4, 30), zero)
 
 
-def test_wide_rational_windows_take_the_kronecker_product(monkeypatch):
-    calls = []
-    real = series._kronecker_product
+@settings(max_examples=100, deadline=None)
+@given(windows(max_size=20), windows(max_size=20), windows(max_size=20))
+def test_products_are_associative_commutative_and_unital(a, b, c):
+    # both groupings know the exponents below the same bound
+    # min(cutoff_a + v_b + v_c, ...), so they agree as stored series
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert (a * S.one(len(b.coeffs))).agrees_with(a)
 
-    def spy(x, y, n):
-        calls.append(n)
-        return real(x, y, n)
 
-    monkeypatch.setattr(series, "_kronecker_product", spy)
-    narrow = eisenstein(12, KRONECKER_MIN_WIDTH - 1)
-    wide = eisenstein(12, KRONECKER_MIN_WIDTH)
-    _ = narrow * narrow
-    assert calls == []
-    _ = wide * wide
-    assert calls == [KRONECKER_MIN_WIDTH]
+@settings(max_examples=100, deadline=None)
+@given(windows(max_size=20), windows(max_size=20), windows(max_size=20))
+def test_products_distribute_over_sums(a, b, c):
+    # a (b + c) and a b + a c may know different windows: compare where
+    # both are known
+    assert (a * (b + c)).agrees_with(a * b + a * c)
+    assert ((b + c) * a).agrees_with(b * a + c * a)
 
 
 def test_a_cyclo_operand_sums_and_scales():
