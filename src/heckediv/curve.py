@@ -27,19 +27,22 @@ equivalent exactly when their invariants agree, and every d | N with every
 unit x mod gcd(d, N/d) occurs once.  The class (d, x) is represented by
 a/d with the least such a >= 1 (0/1 for d = 1, infinity for d = N), of
 width N / gcd(d^2, N).
+
+Divisors hold these exact keys only, and the rational roots of a
+j-polynomial are found in Z, so this module needs no numeric backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from . import forms
 from .algebra import Mat, mat_mul, p1_label, left_coset_reps
-from .errors import (InvariantViolation, NotPolynomialInJ, UnknownDivisor,
-                     UnsupportedParameter)
+from .errors import (InvalidInput, InvariantViolation, NotPolynomialInJ,
+                     UnknownDivisor, UnsupportedParameter)
 from .series import PuiseuxSeries
 
 S_MAT: Mat = (0, -1, 1, 0)
@@ -59,7 +62,7 @@ class HeegnerPoint:
 
     def __post_init__(self):
         if self.A <= 0 or self.discriminant >= 0:
-            raise ValueError(f"[{self.A},{self.B},{self.C}] is not a point of H")
+            raise InvalidInput(f"[{self.A},{self.B},{self.C}] is not a point of H")
 
     @property
     def discriminant(self) -> int:
@@ -190,9 +193,6 @@ class CanonicalPoint:
     def period(self) -> int:
         return _class_label(self.form, *self.label, self.N)[1]
 
-    def approx(self) -> complex:
-        return self.representative().approx()
-
     def __repr__(self):
         if self.N == 1 or self.label == (0, 0):
             return f"[{self.form[0]},{self.form[1]},{self.form[2]}]"
@@ -307,16 +307,15 @@ class Divisor:
     N: int
     interior: tuple[tuple[PointKey, Fraction], ...]
     cusp_part: tuple[tuple[CuspClass, Fraction], ...]
-    numeric: tuple[tuple[complex, Fraction], ...] = ()
 
     @staticmethod
-    def make(N: int, interior=None, cusp_part=None, numeric=None) -> "Divisor":
+    def make(N: int, interior=None, cusp_part=None) -> "Divisor":
         def part(coeffs):
             # each key once (a dict), its coefficient a nonzero Fraction
             items = [(k, Fraction(v)) for k, v in (coeffs or {}).items()]
             return tuple(sorted(((k, v) for k, v in items if v), key=lambda kv: repr(kv[0])))
 
-        return Divisor(N, part(interior), part(cusp_part), tuple(numeric or ()))
+        return Divisor(N, part(interior), part(cusp_part))
 
     def interior_dict(self) -> dict:
         return dict(self.interior)
@@ -335,8 +334,7 @@ class Divisor:
     @property
     def degree(self) -> Fraction:
         return (sum((v for _, v in self.interior), Fraction(0))
-                + sum((v for _, v in self.cusp_part), Fraction(0))
-                + sum((v for _, v in self.numeric), Fraction(0)))
+                + sum((v for _, v in self.cusp_part), Fraction(0)))
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if self.N != other.N:
@@ -348,14 +346,13 @@ class Divisor:
         cp = self.cusp_dict()
         for k, v in other.cusp_part:
             cp[k] = cp.get(k, Fraction(0)) + v
-        return Divisor.make(self.N, inter, cp, self.numeric + other.numeric)
+        return Divisor.make(self.N, inter, cp)
 
     def __rmul__(self, s) -> "Divisor":
         s = Fraction(s)
         return Divisor.make(self.N,
                             {k: s * v for k, v in self.interior},
-                            {k: s * v for k, v in self.cusp_part},
-                            tuple((z, s * v) for z, v in self.numeric))
+                            {k: s * v for k, v in self.cusp_part})
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self + (-1) * other
@@ -363,7 +360,6 @@ class Divisor:
     def __repr__(self):
         parts = [f"({v})[{k!r}]" for k, v in self.interior]
         parts += [f"({v})[{k!r}]" for k, v in self.cusp_part]
-        parts += [f"({v})[~{z:.6g}]" for z, v in self.numeric]
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
@@ -380,12 +376,12 @@ class Divisor:
             "interior": inter,
             "cusps": [{"cusp": k.label, "coeff": str(v)}
                       for k, v in self.cusp_part],
-            "numeric": [{"z": [z.real, z.imag], "coeff": str(v)}
-                        for z, v in self.numeric],
         }
 
     @staticmethod
     def from_json(data: dict) -> "Divisor":
+        if data.get("numeric"):
+            raise InvalidInput("a divisor holds exact points only, not 'numeric' floats")
         N = data["N"]
         inter = {}
         for item in data["interior"]:
@@ -403,9 +399,7 @@ class Divisor:
                 a, c = lab.split("/")
                 cc = canonical_cusp(int(a), int(c), N)
             cp[cc] = cp.get(cc, Fraction(0)) + Fraction(item["coeff"])
-        numeric = tuple((complex(item["z"][0], item["z"][1]), Fraction(item["coeff"]))
-                        for item in data["numeric"])
-        return Divisor.make(N, inter, cp, numeric)
+        return Divisor.make(N, inter, cp)
 
 
 def point_divisor(N: int, z: HeegnerPoint, coeff=1) -> Divisor:
@@ -428,7 +422,6 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
     reps = left_coset_reps(N, n)
     inter: dict = {}
     cp: dict = {}
-    numeric = []
     for key, v in D.interior:
         if isinstance(key, JFiberPoint):
             raise UnsupportedParameter(
@@ -441,11 +434,7 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
         for m in reps:
             img = act_cusp(m, cc, N)
             cp[img] = cp.get(img, Fraction(0)) + v
-    for z, v in D.numeric:
-        for m in reps:
-            a, b, c, d = m
-            numeric.append(((a * z + b) / (c * z + d), v))
-    return Divisor.make(N, inter, cp, tuple(numeric))
+    return Divisor.make(N, inter, cp)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +478,6 @@ def _atom_divisor(atom, N: int) -> Divisor:
             inter = _interior_fiber_divisor(N, (1, 0, 1), 2)
         elif atom.c == 0:
             inter = _interior_fiber_divisor(N, (1, 1, 1), 3)
-        elif atom.fiber is not None:
-            inter = _interior_fiber_divisor(N, atom.fiber, 1)
         elif N == 1:
             inter = {JFiberPoint(Fraction(atom.c)): Fraction(1)}
         else:
@@ -581,18 +568,15 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
     """Split off the rational linear factors of P (with multiplicity),
     returning (roots, residual polynomial).
 
-    Numeric root-finding (on the exact square-free part, so multiple roots
-    cannot stall it) only guides the search; every root is verified by
-    exact division by (x - r) before it is accepted.  A rational root p/q
-    of the primitive integer square-free part, with leading coefficient L,
-    has q | L, so it is nint(L x)/L for any approximation x closer than
-    1/(2L).  The working precision is set so that every simple rational
-    root is found that close: with height H, degree d and the Cauchy bound
-    B on |x|, the perturbation of x is at most eps (d+1) H B^d / |P'(x)|,
-    and |P'(p/q)| >= L^(2-d).
+    A rational root p/q of the primitive integer square-free part F, with
+    leading coefficient L and Cauchy bound B on |x|, has q | L, so L p/q is
+    an integer of absolute value below LB.  Modulo the first prime l not
+    dividing L at which every root of F is simple, each rational root
+    reduces to a root of F, which Newton steps lift uniquely mod l^(2^k);
+    once the modulus passes 2LB, L p/q is the symmetric residue of L x
+    (Loos, SIAM J. Comput. 12, 1983).  Every candidate is verified by exact
+    division by (x - r) before it is accepted.
     """
-    import mpmath
-
     dense = [poly.get(i, Fraction(0)) for i in range(max(poly, default=0) + 1)]
     while len(dense) > 1 and dense[-1] == 0:
         dense.pop()
@@ -604,14 +588,28 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
     ints = [int(c * den) for c in sf]
     content = gcd(*ints)
     ints = [c // content for c in ints]
-    d, L, H = len(ints) - 1, abs(ints[-1]), max(abs(c) for c in ints)
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    L = abs(ints[-1])
     B = 1 + -(-max(abs(c) for c in ints[:-1]) // L)  # Cauchy: |x| < B
-    digits = len(str(2 * (d + 1) * H * B ** d * L ** (d - 1))) + 15
-    with mpmath.workdps(digits):
-        approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(ints)],
-                                  maxsteps=500, extraprec=200)
-        cands = [Fraction(int(mpmath.nint(mpmath.re(r) * L)), L)
-                 for r in approx if 2 * L * abs(mpmath.im(r)) < 1]
+
+    def value(coeffs, x, m):  # Horner mod m
+        return reduce(lambda acc, c: (acc * x + c) % m, reversed(coeffs), 0)
+
+    ell = 1
+    while True:  # disc(F) != 0, so all but finitely many primes qualify
+        ell += 1
+        if L % ell and forms.prime_factors(ell) == [ell]:
+            zeros = [x for x in range(ell) if value(ints, x, ell) == 0]
+            if all(value(deriv, x, ell) for x in zeros):
+                break
+    cands = []
+    for x in zeros:
+        m = ell
+        while m <= 2 * L * B:
+            m *= m
+            x = (x - value(ints, x, m) * pow(value(deriv, x, m), -1, m)) % m
+        r = L * x % m
+        cands.append(Fraction(r - m if 2 * r > m else r, L))
     for cand in cands:
         while len(dense) > 1:
             quot, rem = _poly_divmod(dense, [-cand, 1])

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvariantViolation, UnsupportedParameter
+from .errors import InvalidInput, InvariantViolation, UnsupportedParameter
 from .series import _as_rational
 
 
@@ -99,7 +99,7 @@ class Cyclo:
     def __init__(self, order: int, coords):
         coords = tuple(_as_rational(c) for c in coords)
         if len(coords) != euler_phi(order):
-            raise ValueError(f"Q(zeta_{order}) needs {euler_phi(order)} coordinates, "
+            raise InvalidInput(f"Q(zeta_{order}) needs {euler_phi(order)} coordinates, "
                              f"got {len(coords)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coords", coords)

@@ -31,6 +31,11 @@ class UnsupportedWeightParity(HeckeDivError):
     """Odd weight passed to an operator that needs n**(1-k/2) rational."""
 
 
+class InvalidInput(HeckeDivError, ValueError):
+    """An argument that names no valid object (a form name that does not
+    parse, a point off H); a ValueError too, as callers expect."""
+
+
 class UnsupportedParameter(HeckeDivError):
     """Hecke parameter outside the validity domain (e.g. composite n
     sharing a factor with the level)."""

@@ -49,7 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter, UnsupportedWeight
+from .errors import (InvalidInput, NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
+                     UnsupportedWeight)
 from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs, solve_coeffs
 
 
@@ -256,7 +257,7 @@ class EtaQuotientSpec:
             if m < 1:
                 raise UnsupportedParameter(f"eta argument {m} is not positive")
             if self.level % m:
-                raise ValueError(f"eta argument {m} does not divide level {self.level}")
+                raise InvalidInput(f"eta argument {m} does not divide level {self.level}")
 
     @staticmethod
     def make(level: int, exponents: dict[int, int]) -> "EtaQuotientSpec":
@@ -356,10 +357,8 @@ class Eisenstein:
 
 @dataclass(frozen=True)
 class JMinus:
-    """j(tau) - c, with an optional attached fiber point (A, B, C) for the
-    zero of j - c when c is not one of the special values 0, 1728."""
+    """j(tau) - c"""
     c: Fraction
-    fiber: tuple[int, int, int] | None = None
 
     @property
     def weight(self) -> int:
@@ -465,7 +464,7 @@ class FormExpression:
                 pairs.append((a, 1))
         expr = FormExpression(tuple(pairs), Fraction(shift))
         if expr.shift != 0 and expr.weight != 0:
-            raise ValueError("additive constant only makes sense at weight 0")
+            raise InvalidInput("additive constant only makes sense at weight 0")
         return expr
 
     @property
@@ -575,7 +574,7 @@ class FormExpression:
 
     def __mul__(self, other: "FormExpression") -> "FormExpression":
         if self.shift or other.shift:
-            raise ValueError("cannot multiply shifted expressions symbolically")
+            raise InvalidInput("cannot multiply shifted expressions symbolically")
         return FormExpression(self.atoms + other.atoms)
 
 
@@ -589,7 +588,7 @@ GENUS_ZERO_ETA_LEVELS = (2, 3, 4, 5)
 def hauptmodul_spec(N: int) -> EtaQuotientSpec:
     """(eta(tau)/eta(N tau))^(24/(N-1)) = q^-1 + O(1) for N in {2,3,4,5}."""
     if N not in GENUS_ZERO_ETA_LEVELS:
-        raise ValueError(f"no eta Hauptmodul registered for level {N}")
+        raise InvalidInput(f"no eta Hauptmodul registered for level {N}")
     a = 24 // (N - 1)
     return EtaQuotientSpec.make(N, {1: a, N: -a})
 
@@ -629,4 +628,4 @@ def expression_by_name(name: str) -> FormExpression:
             m, r = part.split("=")
             exps[int(m)] = int(r)
         return FormExpression.of(EtaQuotient(EtaQuotientSpec.make(int(level), exps)))
-    raise ValueError(f"unknown form name {name!r}")
+    raise InvalidInput(f"unknown form name {name!r}")

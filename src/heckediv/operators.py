@@ -45,7 +45,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, left_coset_reps
 from .cyclotomic import Cyclo, coeff_rational
-from .errors import (NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
+from .errors import (InvalidInput, NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
                      UnsupportedParameter, UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries, prime_factors
 from .series import PuiseuxSeries, _is_rational, exact_div, exp_coeffs, log_derivative_coeffs
@@ -119,7 +119,7 @@ def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
     a^(k-1) c(mn/a^2) that most coefficient tables use.
     """
     if normalization not in ("normalized", "classical"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+        raise InvalidInput(f"unknown normalization {normalization!r}")
     check_hecke_parameter(n, N, "additive T")
     pairs = _tn_pairs(n, N)
     scale = 1 if normalization == "normalized" else Fraction(n) ** (k // 2 - 1)
@@ -349,7 +349,7 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     additively (the sum of the slash sums) or multiplicatively (the product
     over terms with multiplicity exponents, keeping prec + 4 coefficients)."""
     if mode not in ("additive", "multiplicative"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     f.check_level(u.N)
     k = f.weight
     N = u.N

@@ -16,15 +16,16 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from . import curve, forms, niebur, operators
-from .curve import CuspClass, Divisor, HeegnerPoint, JFiberPoint
+from .curve import CuspClass, Divisor, JFiberPoint
 from .errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
 from .niebur import EvalParams
 
 
 @dataclass(frozen=True)
 class PointEvaluator:
-    """A map X_0(N) -> C: a callable on interior points (HeegnerPoint or
-    complex) plus explicit values at whichever cusps it supports."""
+    """A map X_0(N) -> C: a callable that receives the HeegnerPoint
+    representatives of a divisor's keys, plus explicit values at whichever
+    cusps it supports."""
     interior: object
     cusp_values: dict
     name: str = "F"
@@ -83,10 +84,6 @@ def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
         val = F.interior(key.representative())
         total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
         breakdown.append((repr(key), coeff, complex(val)))
-    for z, coeff in D.numeric:
-        val = F.interior(z)
-        total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
-        breakdown.append((f"~{z:.8g}", coeff, complex(val)))
     for cusp, coeff in D.cusp_part:
         val = F.at_cusp(cusp)
         total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
@@ -201,8 +198,8 @@ def verify_equivariance(n: int, m: int, f: forms.FormExpression, N: int = 1,
 
 
 def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
-    """F|_0 T(n) as a point evaluator: the sum of F over coset images
-    (exact matrix action on Heegner points, Moebius action on complex)."""
+    """F|_0 T(n) as a point evaluator: the sum of F over the exact coset
+    images of a Heegner point."""
     import mpmath
     from .algebra import left_coset_reps
     reps = left_coset_reps(N, n)
@@ -210,11 +207,7 @@ def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
     def interior(z):
         total = mpmath.mpc(0)
         for mat in reps:
-            if isinstance(z, HeegnerPoint):
-                total += mpmath.mpc(F.interior(curve.act_matrix(mat, z)))
-            else:
-                a, b, c, d = mat
-                total += mpmath.mpc(F.interior((a * z + b) / (c * z + d)))
+            total += mpmath.mpc(F.interior(curve.act_matrix(mat, z)))
         return total
 
     cusp_values = {}

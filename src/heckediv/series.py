@@ -54,7 +54,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter
+from .errors import InvalidInput, NonUnitLeading, PrecisionExhausted, UnsupportedParameter
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -445,7 +445,7 @@ class PuiseuxSeries:
         """Substitute q -> q**a for a positive rational a (exponent map e -> a*e)."""
         a = Fraction(a)
         if a <= 0:
-            raise ValueError("exponent rescale factor must be positive")
+            raise InvalidInput("exponent rescale factor must be positive")
         P, Q = a.numerator, a.denominator
         newD = self.D * Q
         if not self.coeffs:
@@ -501,11 +501,11 @@ class PuiseuxSeries:
     def from_json(cls, data: dict) -> "PuiseuxSeries":
         """The series of :meth:`to_json`.  Coefficients are rationals
         written "num" or "num/den"; anything else is refused with
-        ValueError, as is a precision that miscounts them."""
+        InvalidInput, as is a precision that miscounts them."""
         if not all(isinstance(c, str) for c in data["coeffs"]):
-            raise ValueError("series coefficients must be rational strings 'num' or 'num/den'")
+            raise InvalidInput("series coefficients must be rational strings 'num' or 'num/den'")
         coeffs = [_as_rational(Fraction(c)) for c in data["coeffs"]]
         if len(coeffs) != data["precision"]:
-            raise ValueError(f"series data lists {len(coeffs)} coefficients "
+            raise InvalidInput(f"series data lists {len(coeffs)} coefficients "
                              f"but records precision {data['precision']}")
         return cls(data["D"], data["order"], coeffs)

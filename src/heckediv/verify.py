@@ -14,6 +14,7 @@ from math import gcd
 
 from . import algebra, curve, forms, niebur, operators, pairing
 from .curve import HeegnerPoint, POINT_I
+from .errors import InvalidInput
 from .niebur import EvalParams
 from .pairing import EvalReport
 
@@ -327,5 +328,5 @@ _SUITE_FN = {
 
 def run_suite(name: str) -> list[EvalReport]:
     if name not in _SUITE_FN:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise InvalidInput(f"unknown suite {name!r}; choose from {SUITES}")
     return _SUITE_FN[name]()

@@ -75,6 +75,31 @@ def test_the_numeric_layer_runs_without_scipy():
     assert out.stdout.split() == ["True", "True"]
 
 
+def test_the_curve_layer_runs_without_mpmath():
+    # divisors hold exact points only and rational roots are found in Z, so
+    # L4 and its CLI verbs run with mpmath's import blocked
+    src = str(Path(heckediv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "from fractions import Fraction\n"
+            "from heckediv import cli, curve, forms, operators\n"
+            "jm = forms.FormExpression.of(forms.JMinus(Fraction(1728)))\n"
+            "img = operators.hecke_multiplicative(jm, 2, 1, prec=26).atoms[0][0].series\n"
+            "poly = curve.weight0_to_j_polynomial(img)\n"
+            "roots, residual = curve.polynomial_rational_roots(poly)\n"
+            "TD = curve.hecke_divisor(2, curve.divisor_of_form(jm, 1))\n"
+            "j = {curve.POINT_I: 1728, curve.HeegnerPoint(1, 0, 4): 287496}\n"
+            "D = {j[k.representative()]: c for k, c in TD.interior}\n"
+            "print(roots == D == {1728: 1, 287496: 2}, set(residual) <= {0})\n"
+            "for verb in (['divisor', '--form', 'jminus:1728'],\n"
+            "             ['hecke-div', '--form', 'jminus:1728', '--n', '2']):\n"
+            "    assert cli.main(verb) == 0\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split()[:2] == ["True", "True"]
+
+
 def _imports_cyclotomic(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

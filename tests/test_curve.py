@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from heckediv import algebra as A, curve as C, forms as F, operators as O
 from heckediv.curve import HeegnerPoint as H, POINT_I, OMEGA
-from heckediv.errors import NotPolynomialInJ, UnknownDivisor
+from heckediv.errors import InvalidInput, NotPolynomialInJ, UnknownDivisor
 
 
 def random_gamma0(N, rng, size=18):
@@ -435,6 +435,42 @@ def test_rational_roots_found_exactly(roots, cofactor):
     assert residual == cofactor
 
 
+RATIONALS = st.fractions(min_value=-300, max_value=300, max_denominator=60)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scale=RATIONALS.filter(bool),
+       linear=st.lists(st.tuples(RATIONALS, st.integers(1, 3)), max_size=6),
+       squares=st.lists(st.fractions(min_value=0, max_value=500, max_denominator=30)
+                        .filter(bool), max_size=2))
+def test_rational_roots_split_off_every_linear_factor(scale, linear, squares):
+    # P = scale * prod (x - r)^m * prod (x^2 + c), c > 0: the roots are
+    # exactly the r with their summed multiplicities, the residual exactly
+    # scale * prod (x^2 + c)
+    roots = {}
+    for r, m in linear:
+        roots[r] = roots.get(r, 0) + m
+    residual = {0: scale}
+    for c in squares:
+        residual = _poly_mul(residual, {0: c, 2: Fraction(1)})
+    poly = residual
+    for r, m in roots.items():
+        for _ in range(m):
+            poly = _poly_mul(poly, {0: -r, 1: Fraction(1)})
+    assert C.polynomial_rational_roots(poly) == (roots, residual)
+
+
+@pytest.mark.parametrize("roots", [
+    [Fraction(k) for k in range(1, 41)],                                  # degree 40
+    [Fraction(s * k, 7) for k in range(1, 31) for s in (1, -1)],          # degree 60
+])
+def test_rational_roots_of_high_degree_products(roots):
+    poly = {0: Fraction(1)}
+    for r in roots:
+        poly = _poly_mul(poly, {0: -r, 1: Fraction(1)})
+    assert C.polynomial_rational_roots(poly) == ({r: 1 for r in roots}, {0: Fraction(1)})
+
+
 def test_j_polynomial_rejects_level2_function():
     t = F.hauptmodul_qexp(2, 14)
     with pytest.raises(NotPolynomialInJ):
@@ -500,9 +536,12 @@ def test_divisor_map_is_equivariant_at_infinity(quotient, data):
 
 def test_divisor_json_round_trip():
     D = (C.point_divisor(2, H(4, 0, 1), Fraction(2, 3))
-         + C.cusp_divisor(2, 1, 0, -1)
-         + C.Divisor.make(2, {}, {}, ((0.5 + 0.5j, Fraction(1, 2)),)))
-    back = C.Divisor.from_json(D.to_json())
-    assert back.interior == D.interior
-    assert back.cusp_part == D.cusp_part
-    assert back.numeric[0][1] == Fraction(1, 2)
+         + C.cusp_divisor(2, 1, 0, -1))
+    assert C.Divisor.from_json(D.to_json()) == D
+
+
+def test_divisor_json_refuses_float_points():
+    data = C.cusp_divisor(2, 1, 0, -1).to_json()
+    assert C.Divisor.from_json({**data, "numeric": []}) == C.cusp_divisor(2, 1, 0, -1)
+    with pytest.raises(InvalidInput):
+        C.Divisor.from_json({**data, "numeric": [{"z": [0.5, 0.5], "coeff": "1/2"}]})

@@ -5,15 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from heckediv import algebra as A, curve as C, forms as F, niebur as NB, operators as O, \
-    pairing as P
+    pairing as P, verify as V
 from heckediv.curve import POINT_I
 from heckediv.cyclotomic import Cyclo
-from heckediv.errors import PrecisionExhausted, UnsupportedParameter
+from heckediv.errors import HeckeDivError, PrecisionExhausted, UnsupportedParameter
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -33,6 +34,34 @@ def test_series_json_cyclotomic_coordinate_count():
             S.from_json({**data, "coeffs": [{"zeta_order": 5, "coeffs": coords}, "2"]})
     with pytest.raises(ValueError):
         Cyclo(5, (1, 2, 0, 0, 0))
+
+
+E4 = F.FormExpression.of(F.Eisenstein(4))
+SHIFTED_J = F.FormExpression.of(F.JMinus(Fraction(0)), shift=1)
+SERIES_JSON = S(1, 0, [1, 2, 3]).to_json()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: C.HeegnerPoint(1, 0, -1),
+    lambda: Cyclo(5, (1, 2, 0, 0, 0)),
+    lambda: F.EtaQuotientSpec.make(2, {3: 1}),
+    lambda: F.FormExpression.of(F.Eisenstein(4), shift=1),
+    lambda: SHIFTED_J * SHIFTED_J,
+    lambda: F.hauptmodul_spec(7),
+    lambda: F.expression_by_name("E5x"),
+    lambda: O.hecke_additive_formula(S(1, 0, [1, 2]), 4, 2, "bogus"),
+    lambda: O.apply_element(E4, A.t_n(2, 1), "bogus"),
+    lambda: S(1, 0, [1]).rescale_exponents(0),
+    lambda: S.from_json({**SERIES_JSON, "coeffs": [1, 2, 3]}),
+    lambda: S.from_json({**SERIES_JSON, "precision": 4}),
+    lambda: V.run_suite("bogus"),
+])
+def test_invalid_input_is_typed_and_a_value_error(call):
+    # InvalidInput is a HeckeDivError for the library's callers and a
+    # ValueError for the callers (the CLI among them) that catch one
+    with pytest.raises(HeckeDivError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_divisor_sum_across_levels():
@@ -157,7 +186,7 @@ def test_checks_survive_python_O():
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["ValueError", "ValueError",
+    assert out.stdout.split() == ["InvalidInput", "InvalidInput",
                                   "UnsupportedParameter",
                                   "UnsupportedParameter", "UnsupportedParameter",
                                   "UnsupportedParameter",
