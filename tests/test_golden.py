@@ -58,17 +58,17 @@ CLI_CASES = {
 GOLDEN_CLI = {
     'algebra-mul N1': 'df40e7534d0af3df90e466c79f2a1c1691868ef23933e9f9052e5b5108c87de9',
     'algebra-mul N6': '0fb1b1c78126ad02a45a8067bfebf70df1ca69776add8479a6215644a7e61f73',
-    'divisor Delta level 3': '25826ef221e7cca44380d1038c9a9b5af138d201346db298bc882b9f2cba4952',
-    'divisor eta level 2': '98066c022de419ed3405bbca58ed1b7387776acdbf890a8e5a0311675071b2cd',
-    'divisor j-1728': 'd6fdfe1a84e5bd5e3a4101672006cdd67752afbf8812613c0103f46a4ca9abe6',
+    'divisor Delta level 3': '0133879989987662c45e61b11c4b0983c5422d1ec2c70f02c453dfda667f021c',
+    'divisor eta level 2': 'fe4a539c2161951703d5f6eeb9765a2cf8f905c8e43abe59d954f1fd40dfb181',
+    'divisor j-1728': '35c450c2ccf86af87f97a3456c0b0407d3deea8fa4413938f3bed4daa1ef36ce',
     'hecke-add E6 T3': 'c464ccd5d75e4f73aa17fa9e53e57df184acc3aaf10c5174ef3592227b3d3f45',
     'hecke-add classical': 'cbffda86672cdc156ff20eb386e05311694944fdbd27116ecdaaa890cc3bcf66',
     'hecke-add level 2': '33e33f10b6fea135f3cb7152e188cf4bf0c570c151fac26bac5d21553a1b5b3b',
     'hecke-add level 2 p|N': '59e91497c1f542ceb41265db0419b25ab121c24a63d848f2a81269b37fd93f1e',
     'hecke-add normalized': 'ee21364b60e78c2e13104c954afc360fe2d27b81307dafdea152c26514c0a4d1',
-    'hecke-div E4 T3': 'e94d855af9a517339c32b3ce02cabca81330cca506e22a214a9e185071703095',
-    'hecke-div j-1728 T2': '7dd488dd9470fa1a0447260d6f9e9c753214e720a83fc79f1273128503d616bf',
-    'hecke-div level 2': '7a56ae746e1a004961daa731c80a4cf6c6c7e6e278b86feda7ccc88b6a307269',
+    'hecke-div E4 T3': '5c55dd363bbe2b0916b0f340d138060ea6f74412ce9914e087902e64af41cb54',
+    'hecke-div j-1728 T2': '301dc9f058f9b5e4e5b7ccd82c612fc42bd783521491e42b56e061a28c9262d9',
+    'hecke-div level 2': 'ca2357ad871f217c37f9fab1bd9eb9e47d30c2304f2ed3197961e3233759722b',
     'hecke-mult E4 T2': '103d536e959934df406f9c52377a8b2143a333647c9ec90119de98abead9b866',
     'hecke-mult eta level 2': '1aa8c53b710752ca8674bbb92479cd82393ee77addffaf828e47f37439ed23d8',
     'hecke-mult j-1728 T3': 'd3830c0bdd5bb2b6386b7c03075936948597292f64361b3a67a803a0f4d222a2',
