@@ -583,11 +583,7 @@ def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction,
     roots: dict[Fraction, int] = {}
     if len(dense) <= 1:
         return roots, {i: c for i, c in enumerate(dense) if c}
-    sf = _poly_squarefree(dense)
-    den = lcm(*(c.denominator for c in sf))
-    ints = [int(c * den) for c in sf]
-    content = gcd(*ints)
-    ints = [c // content for c in ints]
+    ints = _primitive(_poly_squarefree(dense))
     deriv = [i * c for i, c in enumerate(ints)][1:]
     L = abs(ints[-1])
     B = 1 + -(-max(abs(c) for c in ints[:-1]) // L)  # Cauchy: |x| < B
@@ -647,13 +643,34 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return q, num
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while len(b) > 1 or (b and b[0] != 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-        if not b or all(c == 0 for c in b):
-            break
-    lead = a[-1]
-    return [c / lead for c in a]
+def _primitive(p: list) -> list[int]:
+    """The primitive integer multiple of the rational polynomial p with a
+    positive leading coefficient, trailing zeros dropped ([] for 0)."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    content = gcd(*ints)
+    if ints and ints[-1] < 0:
+        content = -content
+    return [c // content for c in ints]
+
+
+def _poly_gcd(a: list, b: list) -> list[Fraction]:
+    """The monic gcd of two rational polynomials (not both 0), by the
+    primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
+    4.6.1): each pseudo-remainder is cut to its primitive part, so the
+    coefficients stay near the size of the gcd's and no Fraction is made
+    before the last step."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            q, shift = r[-1], len(r) - len(b)
+            r = [lead * c for c in r[:-1]]
+            for i, bc in enumerate(b[:-1], shift):
+                r[i] -= q * bc
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r)
+    return [Fraction(c, a[-1]) for c in a]

@@ -13,8 +13,11 @@ Fourier expansion: Kloosterman sums S(+-n, -m; c), the same K-Bessel
 table, and power series of I and J Bessel functions, about 7/Im tau terms
 a row near the real axis and fewer far up.  A block of rows takes its
 Kloosterman sums from one exp of the phases e(-m r^-1/c) and one real
-inverse DFT of length c a row; the inverses of the units r <= c/2 come
-from a process-wide store built once per modulus (about c bytes each).
+inverse DFT of length c a row.  A row S(., -m; c) does not depend on tau
+or s, so each is built once per (c, m) and kept, with the inverses of the
+units r <= c/2 of each modulus (about c bytes), in one process-wide store
+of at most STORE_BYTES: evaluations at many points, such as a point and
+its Gamma_0(N) images, share their Kloosterman sums.
 
 A row runs on a d-window instead (d in a symmetric window rounded to
 whole residue blocks, so the discarded class tails share a common size
@@ -39,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -170,24 +174,65 @@ def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 # modular inverses and Kloosterman sums
 # ---------------------------------------------------------------------------
 
+# the most bytes the store may keep: inverse tables and Kloosterman rows
+# together, oldest first out; a call that needs more still gets every
+# table and row it builds
+STORE_BYTES = 1 << 23
+
+
+class _Store:
+    """Read-only arrays in the order they were kept, and their total size:
+    the inverse table of modulus c under the key c, the Kloosterman row
+    S(., -m; c) under (c, m).  The rows built together are views of one
+    array, which leaves the store with the last of them."""
+
+    def __init__(self):
+        self.arrays: dict = {}
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def keep(self, items) -> None:
+        """Store each (key, read-only array) not stored yet (two threads may
+        build one twice, as equal copies), then drop the oldest arrays, each
+        with the views of the same array kept after it, while the total
+        passes STORE_BYTES."""
+        with self._lock:
+            for key, array in items:
+                if key not in self.arrays:
+                    self.arrays[key] = array
+                    self.nbytes += array.nbytes
+            while self.nbytes > STORE_BYTES:
+                base = self._drop_oldest().base
+                while base is not None and self.arrays \
+                        and next(iter(self.arrays.values())).base is base:
+                    self._drop_oldest()
+
+    def _drop_oldest(self):
+        array = self.arrays.pop(next(iter(self.arrays)))
+        self.nbytes -= array.nbytes
+        return array
+
+
 @lru_cache(maxsize=None)
-def _inverse_store() -> dict:
-    """The process-wide store c -> table of `_inverse_tables`; it sits
-    behind lru_cache so that its cache_clear empties it with the others."""
-    return {}
+def _store() -> _Store:
+    """The process-wide store of inverse tables and Kloosterman rows; it
+    sits behind lru_cache so that its cache_clear empties it with the
+    others."""
+    return _Store()
 
 
 def _inverse_tables(cs) -> list[np.ndarray]:
-    """The stored table of each modulus c in cs: r^-1 mod c at the units
-    r <= c/2, 0 at the other r <= c/2 (a unit above c/2 reads
-    (c - r)^-1 = c - inv[c - r]), read-only, in the smallest unsigned
-    dtype that holds c: about c bytes a modulus below 2^16.  The missing
-    tables are built at once (two threads may build one twice, as equal
-    copies): the prime multiples are struck out, and r^(phi(c)-1) mod c
-    runs by square-and-multiply on all their units (products c^2 < 2^63)."""
+    """The table of each modulus c in cs: r^-1 mod c at the units r <= c/2,
+    0 at the other r <= c/2 (a unit above c/2 reads (c - r)^-1 =
+    c - inv[c - r]), read-only, in the smallest unsigned dtype that holds c:
+    about c bytes a modulus below 2^16.  The tables missing from the store
+    are built at once and kept: the prime multiples are struck out, and
+    r^(phi(c)-1) mod c runs by square-and-multiply on all their units
+    (products c^2 < 2^63)."""
     import numpy as np
-    store = _inverse_store()
-    new = sorted({int(c) for c in cs} - store.keys())
+    store = _store()
+    tables = {c: store.arrays.get(c) for c in map(int, cs)}
+    new = sorted(c for c, table in tables.items() if table is None)
     if new:
         mod = np.array(new, dtype=np.int64)
         size = mod // 2 + 1
@@ -208,27 +253,45 @@ def _inverse_tables(cs) -> list[np.ndarray]:
         flat = np.zeros(unit.size, dtype=np.int64)
         flat[units] = inv % c
         for ci, table in zip(new, np.split(flat, np.cumsum(size)[:-1])):
-            store[ci] = table.astype(np.min_scalar_type(ci))
-            store[ci].flags.writeable = False
-    return [store[int(c)] for c in cs]
+            tables[ci] = table.astype(np.min_scalar_type(ci))
+            tables[ci].flags.writeable = False
+        store.keep((ci, tables[ci]) for ci in new)
+    return [tables[int(c)] for c in cs]
 
 
 def _kloosterman_rows(c: np.ndarray, m: int) -> np.ndarray:
     """S(k, -m; c) for k = 0 .. c-1, the rows of the moduli c concatenated:
     c times the inverse DFT of g_r = e(-m r^-1/c) on the units r.  As
     g_(c-r) = conj(g_r), the sums are real and the units r <= c/2 give
-    them: all phases in one exp, then one real inverse DFT of length c a
-    row.  S(0, -m; c) is the Ramanujan sum c_c(m), an integer."""
+    them.  The rows missing from the store are built into one array
+    and kept as views of it: all their phases in one exp, then one real
+    inverse DFT of length c a row.  S(0, -m; c) is the Ramanujan sum
+    c_c(m), an integer."""
     import numpy as np
-    half = c // 2 + 1
-    ends = np.cumsum(half).tolist()
-    inv = np.concatenate(_inverse_tables(c), dtype=np.int64)
-    unit = np.flatnonzero(inv | (np.repeat(c, half) == 1))
-    cr = np.repeat(c, half)[unit]
-    g = np.zeros(inv.size, dtype=complex)
-    g[unit] = np.exp(1j * ((-2 * math.pi / cr) * (m * inv[unit] % cr)))
-    return np.concatenate([np.fft.irfft(g[e - h:e], n=ci, norm="forward")
-                           for ci, h, e in zip(c.tolist(), half.tolist(), ends)])
+    store = _store()
+    cs = c.tolist()
+    rows = [store.arrays.get((ci, m)) for ci in cs]
+    new = [ci for ci, row in zip(cs, rows) if row is None]
+    if new:
+        mod = np.array(new, dtype=np.int64)
+        half = mod // 2 + 1
+        inv = np.concatenate(_inverse_tables(new), dtype=np.int64)
+        modulus = np.repeat(mod, half)
+        unit = np.flatnonzero(inv | (modulus == 1))
+        cr = modulus[unit]
+        g = np.zeros(inv.size, dtype=complex)
+        g[unit] = np.exp(1j * ((-2 * math.pi / cr) * (m * inv[unit] % cr)))
+        fresh = np.empty(int(mod.sum()))
+        ends = np.cumsum(mod).tolist()
+        for ci, end, e, h in zip(new, ends, np.cumsum(half).tolist(), half.tolist()):
+            np.fft.irfft(g[e - h:e], n=ci, norm="forward", out=fresh[end - ci:end])
+        fresh.flags.writeable = False
+        built = {ci: fresh[end - ci:end] for ci, end in zip(new, ends)}
+        store.keep(((ci, m), row) for ci, row in built.items())
+        if len(new) == len(cs):
+            return fresh
+        rows = [built[ci] if row is None else row for ci, row in zip(cs, rows)]
+    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +454,19 @@ def _kappa_terms(nu: float, v: float, a=0.0, weight=1.0) -> np.ndarray:
     is about the term at n = K over 2 pi v, and kappa(z) < sqrt(pi/2)
     z^(nu-1/2) e^(-z + (nu^2-1/4)/(2z)) / (2^(nu-1) Gamma(nu)); the
     iteration converges to the larger root z of the bound (no lower than
-    one term)."""
+    one term); it stops at its fixed point, or after 60 steps."""
     import numpy as np
     a = np.asarray(a, dtype=np.float64)
     const = _LOG_KAPPA_TOL + 0.5 * math.log(math.pi / 2) - (nu - 1) * math.log(2) \
         - math.lgamma(nu) - math.log(math.pi * v) + np.log(weight)
     z = np.maximum(const, 0.0) + 2 * nu + 40 + 4 * a
     for _ in range(60):
-        z = np.maximum(const + (nu - 0.5) * np.log(z) + (nu * nu - 0.25) / (2 * z)
-                       + 2 * np.sqrt(a) * np.sqrt(z), 2 * math.pi * v)
+        step = np.maximum(const + (nu - 0.5) * np.log(z) + (nu * nu - 0.25) / (2 * z)
+                          + 2 * np.sqrt(a) * np.sqrt(z), 2 * math.pi * v)
+        # a step that returns its own z returns it ever after (NaN never does)
+        if np.array_equal(step, z):
+            break
+        z = step
     with np.errstate(over="ignore"):
         K = np.ceil(z / (2 * math.pi * v))
     return np.where(K < 2.0 ** 62, K, np.inf)

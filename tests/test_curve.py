@@ -462,6 +462,52 @@ def test_rational_roots_split_off_every_linear_factor(scale, linear, squares):
     assert C.polynomial_rational_roots(poly) == (roots, residual)
 
 
+def _euclid_gcd(a, b):
+    # oracle: the monic gcd by Euclid's algorithm over Fraction, the route
+    # the primitive pseudo-remainder sequence of `curve._poly_gcd` replaced
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while len(b) > 1 or (b and b[0] != 0):
+        _, r = C._poly_divmod(a, b)
+        a, b = b, r
+        if not b or all(c == 0 for c in b):
+            break
+    lead = a[-1]
+    return [c / lead for c in a]
+
+
+def _dense(poly):
+    # coefficient list up to the leading nonzero one, as the callers pass it
+    top = max(i for i, c in poly.items() if c)
+    return [poly.get(i, Fraction(0)) for i in range(top + 1)]
+
+
+SMALL = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+FACTOR = st.tuples(st.lists(SMALL, min_size=1, max_size=3).map(lambda c: c + [Fraction(1)]),
+                   st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(common=st.lists(FACTOR, max_size=4),
+       x=st.lists(SMALL, min_size=1, max_size=5).filter(any),
+       y=st.lists(SMALL, min_size=1, max_size=5).filter(any))
+def test_poly_gcd_matches_the_fraction_euclid_oracle(common, x, y):
+    # G = prod f^e with repeated factors; the gcd of G X and G Y, and of G X
+    # and its derivative, equal Euclid's over Fraction, and G divides both
+    g = {0: Fraction(1)}
+    for coeffs, e in common:
+        for _ in range(e):
+            g = _poly_mul(g, dict(enumerate(coeffs)))
+    a = _dense(_poly_mul(g, dict(enumerate(x))))
+    b = _dense(_poly_mul(g, dict(enumerate(y))))
+    a_prime = [i * c for i, c in enumerate(a)][1:] or [Fraction(0)]
+    for p, q in ((a, b), (b, a), (a, a_prime)):
+        got = C._poly_gcd(p, q)
+        assert got == _euclid_gcd(p, q)
+        assert all(type(c) is Fraction for c in got) and got[-1] == 1
+    assert not any(C._poly_divmod(C._poly_gcd(a, b), _dense(g))[1])
+
+
 def test_j_polynomial_rejects_level2_function():
     t = F.hauptmodul_qexp(2, 14)
     with pytest.raises(NotPolynomialInJ):

@@ -513,25 +513,135 @@ def test_inverse_table_against_pow():
 
 
 def test_inverse_store_is_built_once_and_emptied_by_cache_clear():
+    # one store keeps the inverse table of each modulus (key c) and each
+    # Kloosterman row (key (c, m)); at Im tau = 1 every row of N = 2, C = 40
+    # runs in closed form, so it needs one of each per modulus
     P = EvalParams(truncation=40, s=1.5)
     tau = 0.2137 + 1j
-    NB._inverse_store.cache_clear()
+    moduli = list(range(2, 81, 2))
+    NB._store.cache_clear()
     before = NB.niebur_value(2, 1, tau, P)
-    store = NB._inverse_store()
-    assert sorted(store) == list(range(2, 81, 2))
-    tables = NB._inverse_tables(range(2, 81, 2))
-    assert all(t is store[c] for c, t in zip(range(2, 81, 2), tables))
-    # the store holds about c bytes a modulus below 2^16
+    store = NB._store()
+    kept = dict(store.arrays)
+    assert sorted(k for k in kept if type(k) is int) == moduli
+    assert sorted(k for k in kept if type(k) is tuple) == [(c, 1) for c in moduli]
+    assert store.nbytes == sum(a.nbytes for a in kept.values())
+    assert not any(a.flags.writeable for a in kept.values())
+    # what is stored is read, not built again
+    tables = NB._inverse_tables(moduli)
+    assert all(t is kept[c] for c, t in zip(moduli, tables))
+    rows = NB._kloosterman_rows(np.array(moduli), 1)
+    assert rows.tolist() == np.concatenate([kept[c, 1] for c in moduli]).tolist()
+    again = NB.niebur_value(2, 1, tau, P)
+    assert (again.value, again.error_estimate) == (before.value, before.error_estimate)
+    assert store.arrays.keys() == kept.keys()
+    assert all(store.arrays[k] is a for k, a in kept.items())
+    # the store holds about c bytes an inverse table below 2^16
     assert [t.dtype for t in NB._inverse_tables((255, 256, 65535, 65536))] == \
         [np.uint8, np.uint16, np.uint16, np.uint32]
     for obj in vars(NB).values():
         clear = getattr(obj, "cache_clear", None)
         if clear is not None:
             clear()
-    assert NB._inverse_store() is not store and not NB._inverse_store()
+    assert NB._store() is not store and not NB._store().arrays and NB._store().nbytes == 0
     after = NB.niebur_value(2, 1, tau, P)
     assert (after.value, after.error_estimate) == (before.value, before.error_estimate)
-    assert sorted(NB._inverse_store()) == list(range(2, 81, 2))
+    assert NB._store().arrays.keys() == kept.keys()
+
+
+def _bits(pv):
+    return tuple(x.hex() for x in (pv.value.real, pv.value.imag, pv.error_estimate))
+
+
+def _stored_rows():
+    return {k for k in NB._store().arrays if type(k) is tuple}
+
+
+@pytest.mark.parametrize("N, m", [(1, 1), (2, 2), (3, 3)])
+def test_the_store_never_changes_a_value(N, m):
+    # tau and its image under (1 0; N 1) share Kloosterman rows; each value
+    # is bitwise the same whether the store starts empty or holds the rows
+    # the other point left, whichever point runs first
+    P = EvalParams(truncation=300)
+    tau = 0.2137 + 1j
+    points = (tau, tau / (N * tau + 1))
+    want, rows = {}, {}
+    for z in points:
+        NB._store.cache_clear()
+        want[z] = _bits(NB.niebur_value(N, m, z, P))
+        rows[z] = _stored_rows()
+    assert rows[points[0]] & rows[points[1]]
+    for first, second in (points, points[::-1]):
+        NB._store.cache_clear()
+        got = {first: _bits(NB.niebur_value(N, m, first, P))}
+        got[second] = _bits(NB.niebur_value(N, m, second, P))
+        assert got == want
+        assert _stored_rows() == rows[first] | rows[second]
+
+
+def test_the_store_stays_within_its_byte_bound(monkeypatch):
+    P = EvalParams(truncation=200)
+    tau = 0.2137 + 1j
+    NB._store.cache_clear()
+    want = _bits(NB.niebur_value(1, 1, tau, P))
+    unbounded = NB._store().nbytes
+    bound = 1 << 17
+    monkeypatch.setattr(NB, "STORE_BYTES", bound)
+    NB._store.cache_clear()
+    assert _bits(NB.niebur_value(1, 1, tau, P)) == want
+    store = NB._store()
+    assert unbounded > bound >= store.nbytes == sum(a.nbytes for a in store.arrays.values())
+    # the oldest go first, a block of rows at once: the last row built is
+    # kept, and every block array left is kept whole
+    assert (200, 1) in store.arrays
+    blocks = {}
+    for a in store.arrays.values():
+        if a.base is not None:
+            blocks.setdefault(id(a.base), [a.base, 0])[1] += a.nbytes
+    assert blocks and all(base.nbytes == n for base, n in blocks.values())
+    # an array larger than the bound is returned, not kept
+    monkeypatch.setattr(NB, "STORE_BYTES", 8)
+    NB._store.cache_clear()
+    row = NB._kloosterman_rows(np.array([64]), 3)
+    assert row.shape == (64,) and NB._store().nbytes <= 8
+    NB._store.cache_clear()
+    monkeypatch.undo()
+    assert NB._kloosterman_rows(np.array([64]), 3).tolist() == row.tolist()
+
+
+def _kappa_terms_60_steps(nu, v, a=0.0, weight=1.0):
+    # oracle: `niebur._kappa_terms` as it ran before it stopped at its
+    # fixed point, always 60 steps of the same iteration
+    a = np.asarray(a, dtype=np.float64)
+    const = NB._LOG_KAPPA_TOL + 0.5 * math.log(math.pi / 2) - (nu - 1) * math.log(2) \
+        - math.lgamma(nu) - math.log(math.pi * v) + np.log(weight)
+    z = np.maximum(const, 0.0) + 2 * nu + 40 + 4 * a
+    for _ in range(60):
+        z = np.maximum(const + (nu - 0.5) * np.log(z) + (nu * nu - 0.25) / (2 * z)
+                       + 2 * np.sqrt(a) * np.sqrt(z), 2 * math.pi * v)
+    K = np.ceil(z / (2 * math.pi * v))
+    return np.where(K < 2.0 ** 62, K, np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(0.5001, 200.0),
+       v=st.floats(1e-30, 1e3),
+       a=st.lists(st.floats(0.0, 1e30), min_size=1, max_size=8),
+       weight=st.floats(1.0, 1e6))
+@example(nu=1.0, v=1e-25, a=[0.0], weight=1.0)          # K past 2^62: inf
+@example(nu=1.0, v=1e-6, a=[1e-6, 1e30], weight=2.0)    # one inf in a vector
+@example(nu=1.0, v=1.0, a=[math.inf], weight=2.0)       # z = inf
+def test_kappa_terms_stops_at_its_fixed_point_with_the_same_k(nu, v, a, weight):
+    with np.errstate(all="ignore"):
+        got = NB._kappa_terms(nu, v, np.array(a), weight)
+        want = _kappa_terms_60_steps(nu, v, np.array(a), weight)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+def test_kappa_terms_k_comes_back_inf_past_an_int64():
+    with np.errstate(all="ignore"):
+        K = NB._kappa_terms(1.0, 1e-6, np.array([1e-6, 1e30]), 2.0)
+    assert math.isfinite(K[0]) and K[1] == math.inf
 
 
 @settings(max_examples=150, deadline=None)
