@@ -209,11 +209,6 @@ class AlgebraElement:
         return {"N": self.N,
                 "terms": [{"a": a, "d": d, "mult": m} for (a, d), m in self.terms]}
 
-    @staticmethod
-    def from_json(data: dict) -> "AlgebraElement":
-        return AlgebraElement.make(
-            data["N"], {(t["a"], t["d"]): t["mult"] for t in data["terms"]})
-
 
 def t_ad(a: int, d: int, N: int) -> AlgebraElement:
     return AlgebraElement.make(N, {(a, d): 1})

@@ -7,11 +7,8 @@ parameters in the output so runs are reproducible.  Exit codes: 0 success
 (all checks pass for `verify`), 1 computation error or failed check,
 2 usage error (a malformed flag value, such as an unknown `--form` name).
 
-The HECKEDIV_DIGITS environment variable sets the default working
-precision (decimal digits) of the `bko` and `rohrlich` verbs; like
-`--digits`, it must be a positive integer.  The numeric `rohrlich` sum
-(s > 1) and `niebur` run in doubles: they print at most 17 significant
-digits and the estimated truncation error.
+The numeric `rohrlich` sum (s > 1) and `niebur` run in doubles: they
+print at most 17 significant digits and the estimated truncation error.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -155,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bko", help="(j_n, f)_BKO pairing, level 1")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--form", required=True)
-    p.add_argument("--digits", type=_positive_int, default=None)
+    p.add_argument("--digits", type=_positive_int, default=30)
 
     p = add_parser("rohrlich", help="R_{N,m}(s; f): exact at s=1, numeric for s>1")
     p.add_argument("--N", type=_positive_int, default=1)
@@ -164,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=1.0)
     p.add_argument("--form", required=True)
     p.add_argument("--C", type=_positive_int, default=300)
-    p.add_argument("--digits", type=_positive_int, default=None)
+    p.add_argument("--digits", type=_positive_int, default=30)
 
     p = add_parser("niebur", help="Niebur-Poincare series value F_{N,-m}(tau, s)")
     p.add_argument("--N", type=_positive_int, default=1)
@@ -253,13 +249,6 @@ def _run(args) -> tuple[object, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # only the verbs with a --digits flag read the environment default
-    if getattr(args, "digits", 0) is None:
-        env = os.environ.get("HECKEDIV_DIGITS", "30")
-        try:
-            args.digits = _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"HECKEDIV_DIGITS: {exc}")
     try:
         if hasattr(args, "form"):
             try:

@@ -199,16 +199,6 @@ class CanonicalPoint:
         return f"[{self.form[0]},{self.form[1]},{self.form[2]};{self.label[0]}:{self.label[1]}]"
 
 
-@dataclass(frozen=True, slots=True)
-class JFiberPoint:
-    """Symbolic level-1 point j^{-1}(value); resolved numerically only when
-    coordinates are required."""
-    value: Fraction
-
-    def __repr__(self):
-        return f"[j={self.value}]"
-
-
 def reduce_point(z: HeegnerPoint, N: int) -> tuple[CanonicalPoint, Mat]:
     """Canonical Gamma_0(N)-class key of z plus an SL_2(Z) witness gamma
     with gamma . z equal to the level-1 reduced point."""
@@ -298,14 +288,11 @@ def act_cusp(m: Mat, cusp: CuspClass, N: int) -> CuspClass:
 # divisors
 # ---------------------------------------------------------------------------
 
-PointKey = CanonicalPoint | JFiberPoint
-
-
 @dataclass(frozen=True, slots=True)
 class Divisor:
     """Finite Q-combination of canonical points of X_0(N)."""
     N: int
-    interior: tuple[tuple[PointKey, Fraction], ...]
+    interior: tuple[tuple[CanonicalPoint, Fraction], ...]
     cusp_part: tuple[tuple[CuspClass, Fraction], ...]
 
     @staticmethod
@@ -365,41 +352,14 @@ class Divisor:
     def to_json(self) -> dict:
         inter = []
         for k, v in self.interior:
-            if isinstance(k, CanonicalPoint):
-                rep = k.representative()
-                inter.append({"A": rep.A, "B": rep.B, "C": rep.C,
-                              "coeff": str(v)})
-            else:
-                inter.append({"j_fiber": str(k.value), "coeff": str(v)})
+            rep = k.representative()
+            inter.append({"A": rep.A, "B": rep.B, "C": rep.C, "coeff": str(v)})
         return {
             "N": self.N,
             "interior": inter,
             "cusps": [{"cusp": k.label, "coeff": str(v)}
                       for k, v in self.cusp_part],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "Divisor":
-        if data.get("numeric"):
-            raise InvalidInput("a divisor holds exact points only, not 'numeric' floats")
-        N = data["N"]
-        inter = {}
-        for item in data["interior"]:
-            if "j_fiber" in item:
-                key: PointKey = JFiberPoint(Fraction(item["j_fiber"]))
-            else:
-                key, _ = reduce_point(HeegnerPoint(item["A"], item["B"], item["C"]), N)
-            inter[key] = inter.get(key, Fraction(0)) + Fraction(item["coeff"])
-        cp = {}
-        for item in data["cusps"]:
-            lab = item["cusp"]
-            if lab == "inf":
-                cc = canonical_cusp(1, 0, N)
-            else:
-                a, c = lab.split("/")
-                cc = canonical_cusp(int(a), int(c), N)
-            cp[cc] = cp.get(cc, Fraction(0)) + Fraction(item["coeff"])
-        return Divisor.make(N, inter, cp)
 
 
 def point_divisor(N: int, z: HeegnerPoint, coeff=1) -> Divisor:
@@ -423,9 +383,6 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
     inter: dict = {}
     cp: dict = {}
     for key, v in D.interior:
-        if isinstance(key, JFiberPoint):
-            raise UnsupportedParameter(
-                "cannot act exactly on a symbolic j-fiber point; resolve it first")
         z = key.representative()
         for m in reps:
             img, _ = reduce_point(act_matrix(m, z), N)
@@ -478,11 +435,9 @@ def _atom_divisor(atom, N: int) -> Divisor:
             inter = _interior_fiber_divisor(N, (1, 0, 1), 2)
         elif atom.c == 0:
             inter = _interior_fiber_divisor(N, (1, 1, 1), 3)
-        elif N == 1:
-            inter = {JFiberPoint(Fraction(atom.c)): Fraction(1)}
         else:
             raise UnknownDivisor(
-                f"generic j - {atom.c} needs an attached fiber point at level {N}")
+                f"j - {atom.c} has no exact divisor: only the fibers j = 0 and 1728 are known")
         return Divisor.make(N, inter, cusp_part)
     if isinstance(atom, forms.EtaQuotient):
         return _eta_divisor(atom.spec, N)
@@ -551,13 +506,12 @@ def weight0_to_j_polynomial(f: PuiseuxSeries) -> dict[int, Fraction]:
         poly[m] = a
         jm = forms.j_function(g.cutoff + m + 2) ** m
         g = g - a * jm
-    if not g.is_zero():
-        if g.cutoff <= 0:
-            raise NotPolynomialInJ("no constant term within precision")
-        c0 = Fraction(g.coefficient(0))
-        if c0:
-            poly[0] = c0
-            g = g - c0
+    if g.cutoff <= 0:
+        raise NotPolynomialInJ("no constant term within precision")
+    c0 = Fraction(g.coefficient(0))
+    if c0:
+        poly[0] = c0
+        g = g - c0
     if not g.is_zero():
         raise NotPolynomialInJ(
             f"remainder {g!r} does not vanish; not a polynomial in j")

@@ -253,6 +253,8 @@ class EtaQuotientSpec:
     exponents: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.level < 1:
+            raise UnsupportedParameter(f"eta quotient level {self.level} is not positive")
         for m, _ in self.exponents:
             if m < 1:
                 raise UnsupportedParameter(f"eta argument {m} is not positive")
@@ -620,12 +622,18 @@ def expression_by_name(name: str) -> FormExpression:
     if key == "j":
         return FormExpression.of(JMinus(Fraction(0)))
     if key.startswith("jminus:"):
-        return FormExpression.of(JMinus(Fraction(key.split(":", 1)[1])))
+        try:
+            c = Fraction(key.split(":", 1)[1])
+        except ZeroDivisionError:
+            raise InvalidInput("the constant c of jminus:c has a zero denominator") from None
+        return FormExpression.of(JMinus(c))
     if key.startswith("eta:"):
         _, level, body = key.split(":", 2)
         exps = {}
         for part in body.split(","):
-            m, r = part.split("=")
-            exps[int(m)] = int(r)
+            m, r = map(int, part.split("="))
+            if m in exps:
+                raise InvalidInput(f"eta argument {m} is repeated")
+            exps[m] = r
         return FormExpression.of(EtaQuotient(EtaQuotientSpec.make(int(level), exps)))
     raise InvalidInput(f"unknown form name {name!r}")

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from . import curve, forms, niebur, operators
-from .curve import CuspClass, Divisor, JFiberPoint
-from .errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
+from .curve import CuspClass, Divisor
+from .errors import MissingCuspValue, UnsupportedParameter
 from .niebur import EvalParams
 
 
@@ -78,9 +78,6 @@ def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
     breakdown = []
     total = mpmath.mpc(0)
     for key, coeff in D.interior:
-        if isinstance(key, JFiberPoint):
-            raise UnknownDivisor(
-                f"symbolic point {key!r} must be resolved before pairing")
         val = F.interior(key.representative())
         total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
         breakdown.append((repr(key), coeff, complex(val)))

@@ -496,16 +496,3 @@ class PuiseuxSeries:
             "precision": self.precision,
             "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PuiseuxSeries":
-        """The series of :meth:`to_json`.  Coefficients are rationals
-        written "num" or "num/den"; anything else is refused with
-        InvalidInput, as is a precision that miscounts them."""
-        if not all(isinstance(c, str) for c in data["coeffs"]):
-            raise InvalidInput("series coefficients must be rational strings 'num' or 'num/den'")
-        coeffs = [_as_rational(Fraction(c)) for c in data["coeffs"]]
-        if len(coeffs) != data["precision"]:
-            raise InvalidInput(f"series data lists {len(coeffs)} coefficients "
-                             f"but records precision {data['precision']}")
-        return cls(data["D"], data["order"], coeffs)

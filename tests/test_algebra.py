@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heckediv import algebra as A
 from heckediv.errors import DeterminantMismatch, NotInDeltaN, UnsupportedParameter
@@ -46,6 +47,30 @@ def test_left_coset_reps_rejects_bad_composite():
         A.left_coset_reps(2, 6)
     with pytest.raises(UnsupportedParameter):
         A.left_coset_reps(4, 4)
+
+
+_SL2_GENERATORS = ((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-30, 30)] * 4),
+       st.lists(st.sampled_from(_SL2_GENERATORS), max_size=12))
+def test_hnf2_is_an_invariant_of_the_row_lattice(x, word):
+    # gamma x has the rows of x recombined by gamma in SL_2(Z): the same
+    # lattice, so the same Hermite form, whose lower-left entry the
+    # Euclid loop must clear
+    det = A.mat_det(x)
+    assume(det > 0)
+    gamma = (1, 0, 0, 1)
+    for g in word:
+        gamma = A.mat_mul(g, gamma)
+    h = A.hnf2(x)
+    assert A.hnf2(A.mat_mul(gamma, x)) == h
+    a, b, c, d = h
+    assert c == 0 and a > 0 and 0 <= b < d and a * d == det
+    # x = g h with g = x h^-1 integral: h spans the rows of x
+    g = A.mat_mul(x, (d, -b, 0, a))
+    assert all(e % det == 0 for e in g)
 
 
 def test_same_left_coset_examples():
@@ -171,11 +196,6 @@ def test_scalar_coset_absorption():
     # T(q,q) T(a,d) = T(qa, qd) with multiplicity 1
     prod = A.algebra_multiply(A.t_ad(3, 3, 1), A.t_n(2, 1))
     assert prod == A.AlgebraElement.make(1, {(3, 6): 1})
-
-
-def test_json_round_trip():
-    u = A.algebra_multiply(A.t_n(6, 2), A.t_n(6, 2))
-    assert A.AlgebraElement.from_json(u.to_json()) == u
 
 
 def test_make_rejects_bad_labels():

@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from heckediv import cli, forms as F, pairing as P
-from heckediv.curve import Divisor
+from heckediv import cli, curve as C, forms as F, pairing as P
 from heckediv.niebur import EvalParams
-from heckediv.series import PuiseuxSeries as S
 
 
 def run_cli(capsys, *argv):
@@ -19,28 +17,23 @@ def run_cli(capsys, *argv):
 def test_qexp_round_trip(capsys):
     code, out = run_cli(capsys, "qexp", "--form", "E4", "--prec", "6")
     assert code == 0
-    data = json.loads(out)
-    assert S.from_json(data) == F.eisenstein(4, 6)
+    assert json.loads(out) == F.eisenstein(4, 6).to_json()
 
 
 def test_algebra_mul_example(capsys):
     code, out = run_cli(capsys, "algebra-mul", "--N", "1", "--u", "T2", "--v", "T2")
     assert code == 0
-    data = json.loads(out)
-    assert data["terms"] == [{"a": 1, "d": 4, "mult": 1}, {"a": 2, "d": 2, "mult": 3}]
-    from heckediv.algebra import AlgebraElement
-    assert AlgebraElement.from_json(data).terms == (((1, 4), 1), ((2, 2), 3))
+    assert json.loads(out) == {"N": 1, "terms": [{"a": 1, "d": 4, "mult": 1},
+                                                 {"a": 2, "d": 2, "mult": 3}]}
 
 
 def test_hecke_mult_emits_the_series_json(capsys):
     code, out = run_cli(capsys, "hecke-mult", "--form", "E4", "--n", "2",
                         "--prec", "25")
     assert code == 0
-    data = json.loads(out)
-    assert data["weight"] == 12
-    series = S.from_json(data)  # the payload is the series JSON itself
-    rhs = F.eisenstein(12, 26) - Fraction(36882000, 691) * F.delta(26)
-    assert series.equal_through(rhs, 20)
+    # the payload is the series JSON itself, plus the weight and the level
+    rhs = F.eisenstein(12, 25) - Fraction(36882000, 691) * F.delta(25)
+    assert json.loads(out) == {**rhs.to_json(), "weight": 12, "level": 1}
 
 
 def test_hecke_add_normalizations(capsys):
@@ -48,22 +41,20 @@ def test_hecke_add_normalizations(capsys):
                        "--prec", "10")
     _, out_c = run_cli(capsys, "hecke-add", "--form", "Delta", "--n", "2",
                        "--prec", "10", "--normalization", "classical")
-    sp = S.from_json(json.loads(out_p))
-    sc = S.from_json(json.loads(out_c))
-    assert sp.coefficient(1) == Fraction(-3, 4)
-    assert sc.coefficient(1) == -24
+    # T(2) Delta = tau(2) Delta = -24 Delta, times 2^(1 - k) = 2^-11 normalized
+    assert json.loads(out_p) == (Fraction(-3, 4) * F.delta(10)).to_json()
+    assert json.loads(out_c) == (-24 * F.delta(10)).to_json()
 
 
 def test_divisor_and_hecke_div(capsys):
     code, out = run_cli(capsys, "divisor", "--form", "jminus:1728")
-    assert code == 0
-    D = Divisor.from_json(json.loads(out))
+    D = C.divisor_of_form(F.expression_by_name("jminus:1728"), 1)
+    assert code == 0 and json.loads(out) == D.to_json()
     assert D.degree == 0
     code2, out2 = run_cli(capsys, "hecke-div", "--form", "jminus:1728", "--n", "2")
-    TD = Divisor.from_json(json.loads(out2))
+    TD = C.hecke_divisor(2, D)
+    assert code2 == 0 and json.loads(out2) == TD.to_json()
     assert TD.cusp_coefficient(1, 0) == -3 and len(TD.interior) == 2
-    # round trip
-    assert Divisor.from_json(json.loads(json.dumps(TD.to_json()))) == TD
 
 
 def test_bko_verb(capsys):
@@ -72,6 +63,9 @@ def test_bko_verb(capsys):
     data = json.loads(out)
     assert data["exact_s1"] == "-240"
     assert data["value"][0].startswith("-240.0")
+    assert data["digits"] == 35
+    code, out = run_cli(capsys, "bko", "--n", "1", "--form", "E4")
+    assert code == 0 and json.loads(out)["digits"] == 30
 
 
 def test_rohrlich_exact_and_numeric(capsys):
@@ -106,6 +100,13 @@ def test_table_format(capsys):
     code, out = run_cli(capsys, "--format", "table", "verify", "--suite", "algebra")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_table_format_of_a_record(capsys):
+    # one "key: value" line per field; strings bare, everything else as JSON
+    code, out = run_cli(capsys, "--format", "table", "rohrlich", "--m", "2", "--form", "E4")
+    assert code == 0
+    assert out == "N: 1\nm: 2\ns: 1\nexact: true\nvalue: 53280\n"
 
 
 def test_computation_error_exit_code(capsys):
@@ -146,27 +147,12 @@ def test_rohrlich_numeric_accepts_high_digits(capsys):
 
 
 @pytest.mark.parametrize("bad", ("0", "-3", "abc", "2.5"))
-def test_digits_must_be_a_positive_integer(capsys, monkeypatch, bad):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["bko", "--n", "1", "--form", "E4", "--digits", bad])
-    assert exc.value.code == 2
-    assert repr(bad) in capsys.readouterr().err
-    monkeypatch.setenv("HECKEDIV_DIGITS", bad)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["rohrlich", "--m", "2", "--form", "E4"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "HECKEDIV_DIGITS" in err and repr(bad) in err
-
-
-def test_exact_verbs_ignore_digits_environment(capsys, monkeypatch):
-    _, want = run_cli(capsys, "qexp", "--form", "E4", "--prec", "6")
-    monkeypatch.setenv("HECKEDIV_DIGITS", "abc")
-    code, out = run_cli(capsys, "qexp", "--form", "E4", "--prec", "6")
-    assert code == 0 and out == want
-    monkeypatch.setenv("HECKEDIV_DIGITS", "35")
-    code, out = run_cli(capsys, "bko", "--n", "1", "--form", "E4")
-    assert code == 0 and json.loads(out)["digits"] == 35
+def test_digits_must_be_a_positive_integer(capsys, bad):
+    for verb in (("bko", "--n", "1"), ("rohrlich", "--m", "2")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*verb, "--form", "E4", "--digits", bad])
+        assert exc.value.code == 2
+        assert repr(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,bad", [
@@ -262,6 +248,38 @@ def test_malformed_form_names_are_usage_errors(capsys, name):
         cli.main(["qexp", "--form", name])
     assert exc.value.code == 2
     assert f"invalid form name {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,code", [
+    ("jminus:1/0", 2),       # a zero denominator
+    ("eta:2:1=24,1=2", 2),   # a repeated eta argument, not the last one kept
+    ("eta:0:1=24", 1),       # level 0: every check_level would divide by it
+    ("eta:-2:1=24", 1),
+])
+def test_degenerate_form_names_are_refused_by_every_verb(capsys, name, code):
+    for verb in (("qexp",), ("divisor",), ("hecke-mult", "--n", "2"),
+                 ("rohrlich", "--m", "1")):
+        argv = [*verb, "--form", name]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"invalid form name {name!r}" in capsys.readouterr().err
+        else:
+            got, out = run_cli(capsys, *argv)
+            assert got == 1 and json.loads(out)["error"] == "UnsupportedParameter"
+
+
+@pytest.mark.parametrize("argv", [
+    ("divisor", "--form", "jminus:5"),
+    ("hecke-div", "--form", "jminus:5", "--n", "2"),
+    ("rohrlich", "--m", "1", "--form", "jminus:5", "--s", "1.5"),
+    ("bko", "--n", "1", "--form", "jminus:5/3"),
+])
+def test_j_minus_a_generic_constant_has_no_divisor(capsys, argv):
+    # only the fibers j = 0 and j = 1728 are known exactly, at every level
+    code, out = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["error"] == "UnknownDivisor"
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from heckediv import algebra as A, curve as C, forms as F, operators as O
 from heckediv.curve import HeegnerPoint as H, POINT_I, OMEGA
-from heckediv.errors import InvalidInput, NotPolynomialInJ, UnknownDivisor
+from heckediv.errors import NotPolynomialInJ, UnknownDivisor
 
 
 def random_gamma0(N, rng, size=18):
@@ -362,6 +362,21 @@ def test_divisor_of_shifted_hauptmodul():
     assert d == C.point_divisor(2, POINT_I) + C.cusp_divisor(2, 1, 0, -1)
 
 
+def test_divisor_of_shifted_j_minus_c():
+    # (j - c) + shift = j - (c - shift); j + 5 vanishes off both known fibers
+    f = F.FormExpression.of(F.JMinus(Fraction(1000)), shift=-728)
+    want = C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(1728))), 1)
+    assert C.divisor_of_form(f, 1) == want
+    with pytest.raises(UnknownDivisor):
+        C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(0)), shift=5), 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_divisor_of_j_minus_a_generic_constant_is_refused(N):
+    with pytest.raises(UnknownDivisor):
+        C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(5, 3))), N)
+
+
 def test_divisor_of_opaque_rejected():
     expr = F.FormExpression.of(F.OpaqueSeries(F.delta(5), 12, 1))
     with pytest.raises(UnknownDivisor):
@@ -514,6 +529,18 @@ def test_j_polynomial_rejects_level2_function():
         C.weight0_to_j_polynomial(t)
 
 
+def test_j_polynomial_refuses_a_grid_or_a_window_it_cannot_read():
+    from heckediv.series import PuiseuxSeries
+    j = F.j_function(8)
+    with pytest.raises(NotPolynomialInJ, match="fractional exponents"):
+        C.weight0_to_j_polynomial(j.rescale_exponents(Fraction(1, 2)))
+    # j + c known through q^-1 only: the constant c is unknown
+    for f in (PuiseuxSeries(1, -1, [1]), j * j - j.truncate(0)):
+        with pytest.raises(NotPolynomialInJ, match="no constant term"):
+            C.weight0_to_j_polynomial(f)
+    assert C.weight0_to_j_polynomial(j.truncate(1) + 5) == {1: 1, 0: 5}
+
+
 def test_equivariance_failure_at_p_dividing_N():
     spec = F.hauptmodul_spec(2)
     f = F.FormExpression.of((F.EtaQuotient(spec), 1), shift=-512)
@@ -571,14 +598,3 @@ def test_divisor_map_is_equivariant_at_infinity(quotient, data):
     assert image.order == TD.cusp_coefficient(1, 0), (N, exponents, n)
 
 
-def test_divisor_json_round_trip():
-    D = (C.point_divisor(2, H(4, 0, 1), Fraction(2, 3))
-         + C.cusp_divisor(2, 1, 0, -1))
-    assert C.Divisor.from_json(D.to_json()) == D
-
-
-def test_divisor_json_refuses_float_points():
-    data = C.cusp_divisor(2, 1, 0, -1).to_json()
-    assert C.Divisor.from_json({**data, "numeric": []}) == C.cusp_divisor(2, 1, 0, -1)
-    with pytest.raises(InvalidInput):
-        C.Divisor.from_json({**data, "numeric": [{"z": [0.5, 0.5], "coeff": "1/2"}]})

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
 from heckediv.errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, \
     UnsupportedParameter
 from heckediv.niebur import EvalParams
+from heckediv.series import PuiseuxSeries as S
 
 
 # -- the phi kernel: I-Bessel series in doubles ------------------------------------
@@ -308,6 +310,14 @@ def test_jn_value_reduces_a_complex_point():
 def test_evaluate_series_refuses_a_fractional_grid():
     with pytest.raises(UnsupportedParameter):
         NB.evaluate_series(F.eta_quotient_qexp(F.EtaQuotientSpec.make(1, {1: 1}), 5), 1j)
+
+
+def test_evaluate_series_reads_fraction_coefficients():
+    # 1/2 - (3/4) q at tau = i, q = e^(-2 pi)
+    f = S(1, 0, [Fraction(1, 2), Fraction(-3, 4)])
+    with mpmath.workdps(40):
+        want = mpmath.mpf(1) / 2 - mpmath.mpf(3) / 4 * mpmath.exp(-2 * mpmath.pi)
+        assert abs(NB.evaluate_series(f, 1j, 30) - want) < mpmath.mpf(10) ** -35
 
 
 def test_jn_value_independent_truncations():

@@ -39,6 +39,15 @@ def test_pair_missing_cusp_value():
         P.pair(bare, C.cusp_divisor(1, 1, 0, 1))
 
 
+def test_hecke_image_evaluator_skips_a_cusp_whose_images_have_no_value():
+    # on X_0(9), T(2) sends the cusp 1/3 to 2/3 by all three cosets, and back
+    third, two_thirds = C.canonical_cusp(1, 3, 9), C.canonical_cusp(2, 3, 9)
+    half = P.PointEvaluator(interior=lambda z: 0, cusp_values={third: 1})
+    assert P.hecke_image_evaluator(half, 2, 9).cusp_values == {}
+    both = P.PointEvaluator(interior=lambda z: 0, cusp_values={third: 1, two_thirds: 5})
+    assert P.hecke_image_evaluator(both, 2, 9).cusp_values == {third: 15, two_thirds: 3}
+
+
 def test_pair_linearity_exact_in_breakdown():
     ev = P.jn_evaluator(1, digits=40)
     D1 = C.point_divisor(1, POINT_I, Fraction(1, 2))
