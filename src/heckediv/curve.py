@@ -28,21 +28,20 @@ unit x mod gcd(d, N/d) occurs once.  The class (d, x) is represented by
 a/d with the least such a >= 1 (0/1 for d = 1, infinity for d = N), of
 width N / gcd(d^2, N).
 
-Divisors hold these exact keys only, and the rational roots of a
-j-polynomial are found in Z, so this module needs no numeric backend.
+Divisors hold these exact keys only, so this module needs no numeric backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, lcm
+from functools import lru_cache
+from math import gcd
 
 from . import forms
 from .algebra import Mat, mat_mul, p1_label, left_coset_reps
-from .errors import (InvalidInput, InvariantViolation, NotPolynomialInJ,
-                     UnknownDivisor, UnsupportedParameter)
+from .errors import (InvalidInput, NotPolynomialInJ, UnknownDivisor,
+                     UnsupportedParameter)
 from .series import PuiseuxSeries
 
 S_MAT: Mat = (0, -1, 1, 0)
@@ -467,7 +466,8 @@ def divisor_of_form(expr: forms.FormExpression, N: int) -> Divisor:
 def _shifted_divisor(expr: forms.FormExpression, N: int) -> Divisor:
     """Divisor of (Hauptmodul + shift): a degree-one function on a
     genus-zero X_0(N), so a simple zero at the fiber of -shift and the
-    pole divisor of the Hauptmodul itself."""
+    pole divisor of the Hauptmodul itself.  (j - c) + shift resolves at
+    every level."""
     value = -expr.shift
     if len(expr.atoms) == 1 and expr.atoms[0][1] == 1:
         atom = expr.atoms[0][0]
@@ -481,10 +481,10 @@ def _shifted_divisor(expr: forms.FormExpression, N: int) -> Divisor:
             key, _ = reduce_point(HeegnerPoint(*fiber), N)
             return Divisor.make(N, {key: Fraction(1)},
                                 {canonical_cusp(1, 0, N): Fraction(-1)})
-        if isinstance(atom, forms.JMinus) and N == 1:
+        if isinstance(atom, forms.JMinus):
             # (j - c) + shift = j - (c - shift)
-            return _atom_divisor(forms.JMinus(atom.c - expr.shift), 1)
-    raise UnknownDivisor("additive shifts are only resolved for Hauptmoduln")
+            return _atom_divisor(forms.JMinus(atom.c - expr.shift), N)
+    raise UnknownDivisor("additive shifts are only resolved for Hauptmoduln and j - c")
 
 
 # ---------------------------------------------------------------------------
@@ -516,115 +516,3 @@ def weight0_to_j_polynomial(f: PuiseuxSeries) -> dict[int, Fraction]:
         raise NotPolynomialInJ(
             f"remainder {g!r} does not vanish; not a polynomial in j")
     return poly
-
-
-def polynomial_rational_roots(poly: dict[int, Fraction]) -> tuple[dict[Fraction, int], dict[int, Fraction]]:
-    """Split off the rational linear factors of P (with multiplicity),
-    returning (roots, residual polynomial).
-
-    A rational root p/q of the primitive integer square-free part F, with
-    leading coefficient L and Cauchy bound B on |x|, has q | L, so L p/q is
-    an integer of absolute value below LB.  Modulo the first prime l not
-    dividing L at which every root of F is simple, each rational root
-    reduces to a root of F, which Newton steps lift uniquely mod l^(2^k);
-    once the modulus passes 2LB, L p/q is the symmetric residue of L x
-    (Loos, SIAM J. Comput. 12, 1983).  Every candidate is verified by exact
-    division by (x - r) before it is accepted.
-    """
-    dense = [poly.get(i, Fraction(0)) for i in range(max(poly, default=0) + 1)]
-    while len(dense) > 1 and dense[-1] == 0:
-        dense.pop()
-    roots: dict[Fraction, int] = {}
-    if len(dense) <= 1:
-        return roots, {i: c for i, c in enumerate(dense) if c}
-    ints = _primitive(_poly_squarefree(dense))
-    deriv = [i * c for i, c in enumerate(ints)][1:]
-    L = abs(ints[-1])
-    B = 1 + -(-max(abs(c) for c in ints[:-1]) // L)  # Cauchy: |x| < B
-
-    def value(coeffs, x, m):  # Horner mod m
-        return reduce(lambda acc, c: (acc * x + c) % m, reversed(coeffs), 0)
-
-    ell = 1
-    while True:  # disc(F) != 0, so all but finitely many primes qualify
-        ell += 1
-        if L % ell and forms.prime_factors(ell) == [ell]:
-            zeros = [x for x in range(ell) if value(ints, x, ell) == 0]
-            if all(value(deriv, x, ell) for x in zeros):
-                break
-    cands = []
-    for x in zeros:
-        m = ell
-        while m <= 2 * L * B:
-            m *= m
-            x = (x - value(ints, x, m) * pow(value(deriv, x, m), -1, m)) % m
-        r = L * x % m
-        cands.append(Fraction(r - m if 2 * r > m else r, L))
-    for cand in cands:
-        while len(dense) > 1:
-            quot, rem = _poly_divmod(dense, [-cand, 1])
-            if any(rem):
-                break
-            dense = quot
-            roots[cand] = roots.get(cand, 0) + 1
-    residual = {i: c for i, c in enumerate(dense) if c != 0}
-    return roots, residual
-
-
-def _poly_squarefree(dense: list[Fraction]) -> list[Fraction]:
-    """Exact square-free part P / gcd(P, P')."""
-    deriv = [i * c for i, c in enumerate(dense)][1:]
-    g = _poly_gcd(dense, deriv)
-    if len(g) == 1:
-        return dense
-    q, r = _poly_divmod(dense, g)
-    if any(r):
-        raise InvariantViolation("gcd(P, P') leaves a remainder in P")
-    return q
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = [Fraction(c) for c in num]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        q[i] = coef
-        if coef:
-            for j, dc in enumerate(den):
-                num[i + j] -= coef * dc
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _primitive(p: list) -> list[int]:
-    """The primitive integer multiple of the rational polynomial p with a
-    positive leading coefficient, trailing zeros dropped ([] for 0)."""
-    den = lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    content = gcd(*ints)
-    if ints and ints[-1] < 0:
-        content = -content
-    return [c // content for c in ints]
-
-
-def _poly_gcd(a: list, b: list) -> list[Fraction]:
-    """The monic gcd of two rational polynomials (not both 0), by the
-    primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
-    4.6.1): each pseudo-remainder is cut to its primitive part, so the
-    coefficients stay near the size of the gcd's and no Fraction is made
-    before the last step."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r, lead = a, b[-1]
-        while len(r) >= len(b):
-            q, shift = r[-1], len(r) - len(b)
-            r = [lead * c for c in r[:-1]]
-            for i, bc in enumerate(b[:-1], shift):
-                r[i] -= q * bc
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _primitive(r)
-    return [Fraction(c, a[-1]) for c in a]

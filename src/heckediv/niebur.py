@@ -841,11 +841,6 @@ def jn_value(n: int, z, digits: int = 50):
     return evaluate_series(series, zc, digits)
 
 
-def j_value(z, digits: int = 50):
-    """Classical j at a CM or fundamental-domain point (= j_1 + 720)."""
-    return jn_value(1, z, digits) + 720
-
-
 # ---------------------------------------------------------------------------
 # harmonic slices: the r = 0, m > 0 Laurent slice as Hauptmodul polynomials
 # ---------------------------------------------------------------------------

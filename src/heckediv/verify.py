@@ -14,7 +14,7 @@ from math import gcd
 
 from . import algebra, curve, forms, niebur, operators, pairing
 from .curve import HeegnerPoint, POINT_I
-from .errors import InvalidInput
+from .errors import InvalidInput, UnknownDivisor
 from .niebur import EvalParams
 from .pairing import EvalReport
 
@@ -157,7 +157,6 @@ def suite_equivariance() -> list[EvalReport]:
 # ---------------------------------------------------------------------------
 
 def suite_divisor_hecke() -> list[EvalReport]:
-    import mpmath
     out = []
 
     # Example: T(2)([i] - [inf]) at N = 1, exact canonical keys
@@ -182,26 +181,14 @@ def suite_divisor_hecke() -> list[EvalReport]:
         lhs=repr(got2), rhs=repr(want2), exact=True, tolerance=None,
         passed=(got2 == want2)))
 
-    # Theorem round trip: div((j-1728)|*T(2)) via the j-polynomial
-    jm = forms.FormExpression.of(forms.JMinus(Fraction(1728)))
-    img = operators.hecke_multiplicative(jm, 2, 1, prec=26).atoms[0][0].series
-    poly = curve.weight0_to_j_polynomial(img)
-    roots, residual = curve.polynomial_rational_roots(poly)
-    roots_ok = (roots == {Fraction(1728): 1, Fraction(287496): 2}
-                and set(residual) <= {0})
-    out.append(EvalReport(
-        name="(j-1728)|*T(2) is a cubic in j with roots {1728: 1, 287496: 2}",
-        lhs=str({str(k): v for k, v in sorted(roots.items())}),
-        rhs="{'1728': 1, '287496': 2}", exact=True, tolerance=None,
-        passed=roots_ok))
-
-    TD = curve.hecke_divisor(2, curve.divisor_of_form(jm, 1))
-    matched, detail = _match_roots_to_points(roots, TD, digits=50, tol=mpmath.mpf(10) ** -20)
-    inf_ok = TD.cusp_coefficient(1, 0) == -sum(roots.values())
-    out.append(EvalReport(
-        name="roots of the cubic match T(2) div(j-1728) under numeric j to 25 digits",
-        lhs=detail, rhs="all points matched within 1e-20", exact=False,
-        tolerance="1e-20", passed=bool(matched and inf_ok)))
+    # the theorem on the j-line, from the divisor side
+    for c, n in ((1728, 2), (0, 2), (0, 3)):
+        f = forms.FormExpression.of(forms.JMinus(Fraction(c)))
+        img = operators.hecke_multiplicative(f, n, 1, prec=26).atoms[0][0].series
+        TD = curve.hecke_divisor(n, curve.divisor_of_form(f, 1))
+        tag = "j - 1728" if c else "j"
+        out.append(_j_line_report(
+            f"div(f|*T({n})) = T({n}) div(f) on the j-line, f = {tag}", img, TD))
 
     # the equivariance failure at p | N (level 2)
     spec = forms.hauptmodul_spec(2)
@@ -224,24 +211,39 @@ def suite_divisor_hecke() -> list[EvalReport]:
     return out
 
 
-def _match_roots_to_points(roots, divisor, digits, tol):
-    """Pair each rational root of the j-polynomial with an interior point of
-    the divisor by evaluating j numerically; cusp parts are ignored."""
-    import mpmath
-    with mpmath.workdps(digits + 10):
-        interior = list(divisor.interior)
-        assignments = []
-        for c, mult in sorted(roots.items()):
-            found = None
-            for key, coeff in interior:
-                val = niebur.j_value(key.representative(), digits)
-                if abs(val - mpmath.mpf(c.numerator) / c.denominator) < tol:
-                    found = (key, coeff)
-                    break
-            if found is None or found[1] != mult:
-                return False, f"root {c} (x{mult}) unmatched"
-            assignments.append(f"{c} ~ {found[0]!r} (x{mult})")
-        return True, "; ".join(assignments)
+# j at the CM points of class number one, by discriminant (Heegner, Stark)
+_CM_J = {-3: 0, -4: 1728, -7: -3375, -8: 8000, -11: -32768, -12: 54000,
+         -16: 287496, -19: -884736, -27: -12288000, -28: 16581375,
+         -43: -884736000, -67: -147197952000, -163: -262537412640768000}
+
+
+def _j_line(D) -> list[int]:
+    """prod (x - j(z))^{n_z} over the interior of a level-1 divisor, low
+    degree first; every point needs class number one and n_z in Z_{>=0}."""
+    poly = [1]
+    for key, n in D.interior:
+        A, B, C = key.form
+        j = _CM_J.get(B * B - 4 * A * C)
+        if j is None or n < 0 or n.denominator != 1:
+            raise UnknownDivisor(f"no exact j-line factor for ({n})[{key!r}]")
+        for _ in range(int(n)):
+            poly = [a - j * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def _j_line_report(name, img, TD) -> EvalReport:
+    """div(img) = TD on X(1): the j-polynomial of the weight-0 image is
+    _j_line(TD) up to its leading coefficient, and ord_inf agrees."""
+    poly = curve.weight0_to_j_polynomial(img)
+    monic = [poly.get(i, 0) / poly[max(poly)] for i in range(max(poly) + 1)]
+    want = _j_line(TD)
+    ord_inf, cusp = img.leading_exponent(), TD.cusp_coefficient(1, 0)
+    show = lambda p: "[" + ", ".join(map(str, p)) + "]"
+    return EvalReport(
+        name=name, lhs=f"ord_inf {ord_inf}, monic j-polynomial {show(monic)}",
+        rhs=f"coefficient at inf {cusp}, prod (x - j(z))^n_z {show(want)}",
+        exact=True, tolerance=None, passed=(monic == want and ord_inf == cusp),
+        detail="coefficients from degree 0 up; j(z) from the class-number-one table")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import pytest
 
 from heckediv import algebra as A, curve as C, forms as F, niebur as NB, \
     operators as O, pairing as P
@@ -92,23 +91,14 @@ def test_acceptance_5_theorem_32_round_trip():
     jm = F.FormExpression.of(F.JMinus(Fraction(1728)))
     img = O.hecke_multiplicative(jm, 2, 1, prec=26).atoms[0][0].series
     poly = C.weight0_to_j_polynomial(img)
-    roots, residual = C.polynomial_rational_roots(poly)
-    assert roots == {Fraction(1728): 1, Fraction(287496): 2}
-    assert set(residual) <= {0}
     TD = C.hecke_divisor(2, C.divisor_of_form(jm, 1))
-    assert TD.cusp_coefficient(1, 0) == -3
-    with mpmath.workdps(60):
-        matched = 0
-        for c, mult in roots.items():
-            for key, coeff in TD.interior:
-                val = NB.j_value(key.representative(), 50)
-                if abs(val - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -20:
-                    assert coeff == mult
-                    matched += 1
-                    break
-        assert matched == len(roots)
-    _report(5, "div((j-1728)|*T(2)) has j-roots {1728:1, 287496:2} matching "
-               "T(2)div(j-1728) under numeric j to 1e-20")
+    assert TD.cusp_coefficient(1, 0) == img.leading_exponent() == -3
+    j = {POINT_I: 1728, H(1, 0, 4): 287496}  # exact CM values, j(2i) = 66^3
+    assert {j[key.representative()]: n for key, n in TD.interior} == {1728: 1, 287496: 2}
+    # -(x - 1728)(x - 287496)^2, expanded
+    assert poly == {3: -1, 2: 576720, 1: -83647536192, 0: 142826025627648}
+    _report(5, "div((j-1728)|*T(2)) is -(j-1728)(j-287496)^2, which is "
+               "T(2)div(j-1728) under the exact j-values j(i), j(2i)")
 
 
 def test_acceptance_6_equivariance_failure_at_p_dividing_N():

@@ -2,7 +2,8 @@
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
 package or its CLI loads neither of the numeric backends; only the
 coset-sum oracles' module imports the cyclotomic field; every module-level function and class of the package
-is referenced somewhere other than its own definition; and calling
+is referenced somewhere other than its own definition; every module of the
+package and of its tests reads each name it imports; and calling
 ``cache_clear()`` on every module-level object that has one leaves no
 cache warm."""
 
@@ -76,28 +77,21 @@ def test_the_numeric_layer_runs_without_scipy():
 
 
 def test_the_curve_layer_runs_without_mpmath():
-    # divisors hold exact points only and rational roots are found in Z, so
-    # L4 and its CLI verbs run with mpmath's import blocked
+    # divisors hold exact points only and the divisor-hecke suite reads j
+    # at them from an exact table, so L4, its CLI verbs and that suite run
+    # with mpmath's import blocked
     src = str(Path(heckediv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; sys.modules['mpmath'] = None\n"
-            "from fractions import Fraction\n"
-            "from heckediv import cli, curve, forms, operators\n"
-            "jm = forms.FormExpression.of(forms.JMinus(Fraction(1728)))\n"
-            "img = operators.hecke_multiplicative(jm, 2, 1, prec=26).atoms[0][0].series\n"
-            "poly = curve.weight0_to_j_polynomial(img)\n"
-            "roots, residual = curve.polynomial_rational_roots(poly)\n"
-            "TD = curve.hecke_divisor(2, curve.divisor_of_form(jm, 1))\n"
-            "j = {curve.POINT_I: 1728, curve.HeegnerPoint(1, 0, 4): 287496}\n"
-            "D = {j[k.representative()]: c for k, c in TD.interior}\n"
-            "print(roots == D == {1728: 1, 287496: 2}, set(residual) <= {0})\n"
+            "from heckediv import cli\n"
             "for verb in (['divisor', '--form', 'jminus:1728'],\n"
-            "             ['hecke-div', '--form', 'jminus:1728', '--n', '2']):\n"
-            "    assert cli.main(verb) == 0\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.split()[:2] == ["True", "True"]
+            "             ['hecke-div', '--form', 'jminus:1728', '--n', '2'],\n"
+            "             ['verify', '--suite', 'divisor-hecke']):\n"
+            "    if cli.main(verb):\n"
+            "        sys.exit(f'{verb} failed')\n")
+    subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                   text=True, timeout=120, check=True)
 
 
 def _imports_cyclotomic(tree) -> bool:
@@ -161,6 +155,27 @@ def test_every_module_level_definition_is_referenced():
     dead = [f"{path.name}: {name}" for path in sorted((REPO / "src" / "heckediv").glob("*.py"))
             for name in _module_level_definitions(path) if name not in refs]
     assert dead == []
+
+
+def _unused_imports(path) -> list:
+    """The names a file imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_used():
+    # an import that its module never reads is left over from deleted code
+    paths = [path for path in (REPO / "src" / "heckediv").glob("*.py")
+             if path.name != "__init__.py"] + list((REPO / "tests").glob("*.py"))
+    unused = [f"{path.name}: {name}" for path in sorted(paths)
+              for name in _unused_imports(path)]
+    assert unused == []
 
 
 CACHED_MODULES = (series, forms, operators, algebra, curve, niebur, pairing)

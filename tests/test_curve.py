@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -362,13 +362,15 @@ def test_divisor_of_shifted_hauptmodul():
     assert d == C.point_divisor(2, POINT_I) + C.cusp_divisor(2, 1, 0, -1)
 
 
-def test_divisor_of_shifted_j_minus_c():
-    # (j - c) + shift = j - (c - shift); j + 5 vanishes off both known fibers
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_divisor_of_shifted_j_minus_c(N):
+    # (j - c) + shift = j - (c - shift) at every level; j + 5 vanishes off
+    # both known fibers
     f = F.FormExpression.of(F.JMinus(Fraction(1000)), shift=-728)
-    want = C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(1728))), 1)
-    assert C.divisor_of_form(f, 1) == want
+    want = C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(1728))), N)
+    assert C.divisor_of_form(f, N) == want
     with pytest.raises(UnknownDivisor):
-        C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(0)), shift=5), 1)
+        C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(0)), shift=5), N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 6])
@@ -417,110 +419,18 @@ def test_j_polynomial_simple_cases():
 
 
 def test_j_polynomial_of_hecke_image():
+    # (j - 1728)|*T(2) is -prod (x - j(z))^{n_z} over T(2) div(j - 1728),
+    # with the exact CM values j(i) = 1728 and j(2i) = 66^3: four values fix
+    # the cubic
     jm = F.FormExpression.of(F.JMinus(Fraction(1728)))
     img = O.hecke_multiplicative(jm, 2, 1, prec=26).atoms[0][0].series
     poly = C.weight0_to_j_polynomial(img)
-    roots, residual = C.polynomial_rational_roots(poly)
-    assert roots == {Fraction(1728): 1, Fraction(287496): 2}
-    assert set(residual) <= {0}
-
-
-def _poly_mul(p, q):
-    out = {}
-    for i, x in p.items():
-        for j, y in q.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return out
-
-
-X2M2 = {0: Fraction(-2), 2: Fraction(1)}  # x^2 - 2 has no rational root
-
-
-@pytest.mark.parametrize("roots, cofactor", [
-    ([Fraction(1, 10 ** 7 + 19)], {0: Fraction(1)}),  # denominator above 10^6
-    ([Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 9)], {0: Fraction(1)}),
-    ([Fraction(-7, 12), Fraction(-7, 12), Fraction(287496)], X2M2),
-    ([Fraction(k) for k in range(1, 41)], {0: Fraction(1)}),  # degree 40
-    ([Fraction(s * k, 7) for k in range(1, 31) for s in (1, -1)], {0: Fraction(1)}),  # 60
-])
-def test_rational_roots_found_exactly(roots, cofactor):
-    poly = cofactor
-    for r in roots:
-        poly = _poly_mul(poly, {0: -r, 1: Fraction(1)})
-    found, residual = C.polynomial_rational_roots(poly)
-    assert found == {r: roots.count(r) for r in roots}
-    assert residual == cofactor
-
-
-RATIONALS = st.fractions(min_value=-300, max_value=300, max_denominator=60)
-
-
-@settings(max_examples=80, deadline=None)
-@given(scale=RATIONALS.filter(bool),
-       linear=st.lists(st.tuples(RATIONALS, st.integers(1, 3)), max_size=6),
-       squares=st.lists(st.fractions(min_value=0, max_value=500, max_denominator=30)
-                        .filter(bool), max_size=2))
-def test_rational_roots_split_off_every_linear_factor(scale, linear, squares):
-    # P = scale * prod (x - r)^m * prod (x^2 + c), c > 0: the roots are
-    # exactly the r with their summed multiplicities, the residual exactly
-    # scale * prod (x^2 + c)
-    roots = {}
-    for r, m in linear:
-        roots[r] = roots.get(r, 0) + m
-    residual = {0: scale}
-    for c in squares:
-        residual = _poly_mul(residual, {0: c, 2: Fraction(1)})
-    poly = residual
-    for r, m in roots.items():
-        for _ in range(m):
-            poly = _poly_mul(poly, {0: -r, 1: Fraction(1)})
-    assert C.polynomial_rational_roots(poly) == (roots, residual)
-
-
-def _euclid_gcd(a, b):
-    # oracle: the monic gcd by Euclid's algorithm over Fraction, the route
-    # the primitive pseudo-remainder sequence of `curve._poly_gcd` replaced
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while len(b) > 1 or (b and b[0] != 0):
-        _, r = C._poly_divmod(a, b)
-        a, b = b, r
-        if not b or all(c == 0 for c in b):
-            break
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _dense(poly):
-    # coefficient list up to the leading nonzero one, as the callers pass it
-    top = max(i for i, c in poly.items() if c)
-    return [poly.get(i, Fraction(0)) for i in range(top + 1)]
-
-
-SMALL = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-FACTOR = st.tuples(st.lists(SMALL, min_size=1, max_size=3).map(lambda c: c + [Fraction(1)]),
-                   st.integers(1, 3))
-
-
-@settings(max_examples=80, deadline=None)
-@given(common=st.lists(FACTOR, max_size=4),
-       x=st.lists(SMALL, min_size=1, max_size=5).filter(any),
-       y=st.lists(SMALL, min_size=1, max_size=5).filter(any))
-def test_poly_gcd_matches_the_fraction_euclid_oracle(common, x, y):
-    # G = prod f^e with repeated factors; the gcd of G X and G Y, and of G X
-    # and its derivative, equal Euclid's over Fraction, and G divides both
-    g = {0: Fraction(1)}
-    for coeffs, e in common:
-        for _ in range(e):
-            g = _poly_mul(g, dict(enumerate(coeffs)))
-    a = _dense(_poly_mul(g, dict(enumerate(x))))
-    b = _dense(_poly_mul(g, dict(enumerate(y))))
-    a_prime = [i * c for i, c in enumerate(a)][1:] or [Fraction(0)]
-    for p, q in ((a, b), (b, a), (a, a_prime)):
-        got = C._poly_gcd(p, q)
-        assert got == _euclid_gcd(p, q)
-        assert all(type(c) is Fraction for c in got) and got[-1] == 1
-    assert not any(C._poly_divmod(C._poly_gcd(a, b), _dense(g))[1])
+    TD = C.hecke_divisor(2, C.divisor_of_form(jm, 1))
+    j = {POINT_I: 1728, H(1, 0, 4): 287496}
+    assert max(poly) == 3
+    for x in range(4):
+        assert sum(c * x ** i for i, c in poly.items()) == -prod(
+            (x - j[key.representative()]) ** int(n) for key, n in TD.interior)
 
 
 def test_j_polynomial_rejects_level2_function():

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import isqrt, prod
 

@@ -89,7 +89,7 @@ GOLDEN_CLI = {
     'rohrlich s=1': '56c2e9326aa8462a0fbff97a5ea4eefc900df543adba050d358a454a39ffbda1',
     'rohrlich s=1 j-1728': '4c8013d939d40e3daf09bc83132d4596f3acd5e0a4230496e43bff26c44bb81e',
     'verify algebra': '7df889ecc77f61fd309ac1016c1f1275413650a580fba37ff9ae054a871da916',
-    'verify divisor-hecke': '37ee4fd18b4a1c317e2028dfd089d39fa9c98fed00a23745e8743635a5aec4e2',
+    'verify divisor-hecke': 'd37fe42dfdf55e1e2e2c4db15f4c8ba24e835d65263f087b95f30f48a6de65ca',
     'verify p-plication': '552787144122cc57b1eb1be70a4d39ecae59d2e36db82ec07be44cd95b19523d',
 }
 

@@ -254,34 +254,28 @@ def test_divisor_sum_identity_j2_on_divE4():
 
 def test_theorem_410_numeric_s15():
     """R_{1,1}(1.5; (j-1728)|*T(2)) vs R_{1,2}(1.5; j-1728), the m/p term
-    vanishing: the Hecke image divisor holds the keys of T(2) div(j-1728)
-    whose j-values match the roots of the image's j-polynomial, and the
-    cusp value is 0 on both sides."""
+    vanishing: the image's j-polynomial is -prod (x - j(z))^{n_z} over
+    T(2) div(j-1728) under the exact j-values, so that divisor is the
+    image's, and the cusp value is 0 on both sides."""
     img = O.hecke_multiplicative(JM1728, 2, 1, prec=26).atoms[0][0].series
     poly = C.weight0_to_j_polynomial(img)
-    roots, _ = C.polynomial_rational_roots(poly)
     TD = C.hecke_divisor(2, C.divisor_of_form(JM1728, 1))
-    matched = {}
-    with mpmath.workdps(50):
-        for c, mult in roots.items():
-            for key, _coeff in TD.interior:
-                val = NB.j_value(key.representative(), 40)
-                if abs(val - mpmath.mpf(c.numerator) / c.denominator) < mpmath.mpf(10) ** -20:
-                    matched[key] = Fraction(mult)
-                    break
-    assert len(matched) == len(roots)
-    inf = C.canonical_cusp(1, 0, 1)
-    D_img = C.Divisor.make(1, matched, {inf: Fraction(-3)})
+    j = {POINT_I: 1728, H(1, 0, 4): 287496}
+    assert max(poly) == 3 and img.leading_exponent() == TD.cusp_coefficient(1, 0)
+    for x in range(4):  # four values fix the cubic
+        assert sum(c * x ** i for i, c in poly.items()) == -math.prod(
+            (x - j[key.representative()]) ** int(n) for key, n in TD.interior)
 
+    inf = C.canonical_cusp(1, 0, 1)
     params = EvalParams(truncation=300, digits=14, s=1.5)
     F1 = P.PointEvaluator(interior=lambda z: NB.niebur_value(1, 1, z, params).value,
                           cusp_values={inf: 0}, name="F_{1,-1}")
     F2 = P.PointEvaluator(interior=lambda z: NB.niebur_value(1, 2, z, params).value,
                           cusp_values={inf: 0}, name="F_{1,-2}")
-    lhs = P.pair(F1, D_img).value
+    lhs = P.pair(F1, TD).value
     rhs = P.pair(F2, C.divisor_of_form(JM1728, 1)).value
     err_budget = sum(NB.niebur_value(1, 1, key.representative(), params).error_estimate
-                     for key in matched) + \
+                     for key, _ in TD.interior) + \
         NB.niebur_value(1, 2, POINT_I.approx(), params).error_estimate
     assert abs(lhs - rhs) < max(err_budget, 1e-3)
 

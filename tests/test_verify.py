@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from heckediv import verify as V
+from heckediv import curve as C, forms as F, operators as O, verify as V
+from heckediv.errors import UnknownDivisor
 
 
 @pytest.mark.parametrize("suite", V.SUITES)
@@ -20,3 +23,30 @@ def test_reports_serialize():
     for r in V.run_suite("algebra"):
         data = r.to_json()
         assert set(data) >= {"name", "lhs", "rhs", "exact", "tolerance", "passed"}
+
+
+def test_divisor_hecke_checks_three_j_line_cases_exactly():
+    cases = [r for r in V.run_suite("divisor-hecke") if "on the j-line" in r.name]
+    assert len(cases) == 3
+    assert all(r.exact and r.tolerance is None and r.passed for r in cases)
+
+
+# -- negative controls of the j-line check -------------------------------------
+
+def test_j_line_refuses_points_of_class_number_two():
+    # T(3) div(j - 1728) = 2[1,0,9] + 2[2,2,5] - 4[inf], discriminant -36
+    jm = F.FormExpression.of(F.JMinus(Fraction(1728)))
+    with pytest.raises(UnknownDivisor):
+        V._j_line(C.hecke_divisor(3, C.divisor_of_form(jm, 1)))
+
+
+def test_j_line_refuses_a_negative_coefficient():
+    with pytest.raises(UnknownDivisor):
+        V._j_line(C.point_divisor(1, C.POINT_I, -1))
+
+
+def test_j_line_report_fails_against_the_wrong_operator():
+    j = F.FormExpression.of(F.JMinus(Fraction(0)))
+    img = O.hecke_multiplicative(j, 2, 1, prec=26).atoms[0][0].series
+    TD = C.hecke_divisor(3, C.divisor_of_form(j, 1))
+    assert not V._j_line_report("j|*T(2) against T(3) div(j)", img, TD).passed
