@@ -28,6 +28,7 @@ unit x mod gcd(d, N/d) occurs once.  The class (d, x) is represented by
 a/d with the least such a >= 1 (0/1 for d = 1, infinity for d = N), of
 width N / gcd(d^2, N).
 
+Level-1 atoms read their zeros from CM_J, the one table of CM j-values.
 Divisors hold these exact keys only, so this module needs no numeric backend.
 """
 
@@ -399,11 +400,9 @@ def hecke_divisor(n: int, D: Divisor) -> Divisor:
 
 @lru_cache(maxsize=None)
 def _classes_over(form: tuple[int, int, int], N: int) -> tuple[tuple[CanonicalPoint, int], ...]:
-    """Gamma_0(N)-classes lying over a level-1 point, with their periods:
-    one class label per P^1(Z/N) point (c : d), the bottom row of a g
-    that moves the reduced form to a point of the class."""
-    red = _gauss_reduce(HeegnerPoint(*form).primitive())[0]
-    form = (red.A, red.B, red.C)
+    """Gamma_0(N)-classes lying over a reduced primitive level-1 form, with
+    their periods: one class label per P^1(Z/N) point (c : d), the bottom
+    row of a g that moves the form to a point of the class."""
     out = {}
     for c, d in _p1_points(N):
         label, per = _class_label(form, c, d, N)
@@ -411,33 +410,42 @@ def _classes_over(form: tuple[int, int, int], N: int) -> tuple[tuple[CanonicalPo
     return tuple(out.items())
 
 
-def _interior_fiber_divisor(N: int, form: tuple[int, int, int], ord_z: int) -> dict:
-    return {key: Fraction(ord_z, per) for key, per in _classes_over(form, N)}
+# j at the CM points of class number one, by discriminant: the rational
+# j-values of CM points (Heegner, Stark)
+CM_J = {-3: 0, -4: 1728, -7: -3375, -8: 8000, -11: -32768, -12: 54000,
+        -16: 287496, -19: -884736, -27: -12288000, -28: 16581375,
+        -43: -884736000, -67: -147197952000, -163: -262537412640768000}
+
+# (N, t) -> the form of the point where the eta Hauptmodul of level N is t
+HAUPTMODUL_CM_VALUES = {(2, 512): (1, 0, 1)}  # j_{2,1}(i) = 512
 
 
-def _cusp_orders_level1_atom(N: int, nu_infinity: int) -> dict:
-    # a level-1 form has the same expansion at every cusp, so the order at a
-    # width-h cusp is h * (order at infinity)
-    return {cc: Fraction(nu_infinity * cc.width) for cc in cusps(N)}
+def _cm_fiber(D: int, ord_z: int, N: int) -> dict:
+    """The classes of X_0(N) over the principal form of discriminant D,
+    each with coefficient ord_z / period."""
+    b = D % 2
+    return {key: Fraction(ord_z, per)
+            for key, per in _classes_over((1, b, (b - D) // 4), N)}
 
 
 def _atom_divisor(atom, N: int) -> Divisor:
     if isinstance(atom, forms.Eisenstein):
-        if atom.k == 4:
-            return Divisor.make(N, _interior_fiber_divisor(N, (1, 1, 1), 1), {})
-        if atom.k == 6:
-            return Divisor.make(N, _interior_fiber_divisor(N, (1, 0, 1), 1), {})
-        raise UnknownDivisor(f"no divisor data for E{atom.k}")
+        # where dim M_k = 1, E_k = E4^a E6^b (4a + 6b = k, a < 3, b < 2):
+        # order a over omega, b over i; E12 and E16 have a zero with no key
+        if atom.k not in (4, 6, 8, 10, 14):
+            raise UnknownDivisor(f"no divisor data for E{atom.k}")
+        b = atom.k % 4 // 2
+        return Divisor.make(N, {**_cm_fiber(-3, (atom.k - 6 * b) // 4, N),
+                                **_cm_fiber(-4, b, N)}, {})
     if isinstance(atom, forms.JMinus):
-        cusp_part = _cusp_orders_level1_atom(N, -1)
-        if atom.c == 1728:
-            inter = _interior_fiber_divisor(N, (1, 0, 1), 2)
-        elif atom.c == 0:
-            inter = _interior_fiber_divisor(N, (1, 1, 1), 3)
-        else:
-            raise UnknownDivisor(
-                f"j - {atom.c} has no exact divisor: only the fibers j = 0 and 1728 are known")
-        return Divisor.make(N, inter, cusp_part)
+        D = next((D for D, j in CM_J.items() if j == atom.c), None)
+        if D is None:
+            raise UnknownDivisor(f"j - {atom.c} has no exact divisor: {atom.c} is "
+                                 "not the j-invariant of a class-number-one CM point")
+        # order e_z (the stabilizer's) at z on H, and -h at a width-h cusp, as
+        # a level-1 form has the same expansion at every cusp
+        return Divisor.make(N, _cm_fiber(D, {-3: 3, -4: 2}.get(D, 1), N),
+                            {cc: Fraction(-cc.width) for cc in cusps(N)})
     if isinstance(atom, forms.EtaQuotient):
         return _eta_divisor(atom.spec, N)
     raise UnknownDivisor(f"atom {atom!r} has no symbolic divisor")
@@ -474,7 +482,7 @@ def _shifted_divisor(expr: forms.FormExpression, N: int) -> Divisor:
         if (isinstance(atom, forms.EtaQuotient)
                 and N in forms.GENUS_ZERO_ETA_LEVELS
                 and atom.spec == forms.hauptmodul_spec(N)):
-            fiber = forms.HAUPTMODUL_CM_VALUES.get((N, Fraction(value)))
+            fiber = HAUPTMODUL_CM_VALUES.get((N, Fraction(value)))
             if fiber is None:
                 raise UnknownDivisor(
                     f"no registered fiber for Hauptmodul value {value} at level {N}")

@@ -601,13 +601,6 @@ def hauptmodul_qexp(N: int, prec: int) -> PuiseuxSeries:
     return eta_quotient_qexp(hauptmodul_spec(N), prec)
 
 
-# known CM values of the eta Hauptmoduln: (level, value) -> quadratic form of
-# the point where the Hauptmodul takes that value
-HAUPTMODUL_CM_VALUES = {
-    (2, Fraction(512)): (1, 0, 1),  # j_{2,1}(i) = 512
-}
-
-
 def expression_by_name(name: str) -> FormExpression:
     """The one parser of form names, shared by every CLI verb: E4..E16,
     Delta, j, j_shifted, jminus:<c> (j - c) and eta:<level>:<m>=<r>,...

@@ -2,9 +2,8 @@
 
 Each suite returns a list of EvalReports; a suite passes when every report
 does.  The suites are a superset of the library's acceptance criteria:
-exact identities are compared coefficientwise in rational arithmetic, the
-genuinely transcendental checks (CM values, real s > 1) carry explicit
-tolerances.
+exact identities are compared in rational arithmetic, with j at CM points
+from `curve.CM_J`; only the niebur suite (real s > 1) carries tolerances.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ def _series_report(name, lhs, rhs, through) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 def suite_bko() -> list[EvalReport]:
-    import mpmath
     out = []
     e4 = forms.FormExpression.of(forms.Eisenstein(4))
 
@@ -61,24 +59,15 @@ def suite_bko() -> list[EvalReport]:
         passed=(l2.order >= 1 and l3.order >= 1
                 and l2.coefficient(1) == -53280 and l3.coefficient(1) == 12288960)))
 
-    with mpmath.workdps(50):
-        val = niebur.jn_value(1, curve.OMEGA, 45)
-        diff = abs(val + 720)
-        out.append(EvalReport(
-            name="j_1(omega) = -720 to 30 digits",
-            lhs=mpmath.nstr(val, 35), rhs="-720", exact=False, tolerance="1e-27",
-            passed=bool(diff < mpmath.mpf(10) ** -27),
-            detail=f"|diff| = {mpmath.nstr(diff, 5)}"))
-
+    j8000 = forms.FormExpression.of(forms.JMinus(Fraction(8000)))
+    for f, tag in ((e4, "E4"), (j8000, "j - 8000")):
         for n in (1, 2, 3):
-            got_pair = pairing.bko_pairing(n, e4, digits=50).value
-            want = pairing.r_at_s1(1, n, e4)
-            diff = abs(got_pair - mpmath.mpf(want.numerator) / want.denominator)
+            got, want = _bko_j_line(n, f), pairing.r_at_s1(1, n, f)
             out.append(EvalReport(
-                name=f"(j_{n}, E4)_BKO = -Coeff_q^{n}(Theta E4/E4)",
-                lhs=mpmath.nstr(got_pair, 30), rhs=str(want), exact=False,
-                tolerance="1e-20", passed=bool(diff < mpmath.mpf(10) ** -20),
-                detail=f"|diff| = {mpmath.nstr(diff, 5)}"))
+                name=f"(j_{n}, {tag})_BKO = -Coeff_q^{n}(Theta f/f)",
+                lhs=str(got), rhs=str(want), exact=True, tolerance=None,
+                passed=(got == want),
+                detail="sum n_z P_n(j(z)) + 24 sigma_1(n) n_inf, P_n(j) = j_n"))
     return out
 
 
@@ -211,19 +200,13 @@ def suite_divisor_hecke() -> list[EvalReport]:
     return out
 
 
-# j at the CM points of class number one, by discriminant (Heegner, Stark)
-_CM_J = {-3: 0, -4: 1728, -7: -3375, -8: 8000, -11: -32768, -12: 54000,
-         -16: 287496, -19: -884736, -27: -12288000, -28: 16581375,
-         -43: -884736000, -67: -147197952000, -163: -262537412640768000}
-
-
 def _j_line(D) -> list[int]:
     """prod (x - j(z))^{n_z} over the interior of a level-1 divisor, low
     degree first; every point needs class number one and n_z in Z_{>=0}."""
     poly = [1]
     for key, n in D.interior:
         A, B, C = key.form
-        j = _CM_J.get(B * B - 4 * A * C)
+        j = curve.CM_J.get(B * B - 4 * A * C)
         if j is None or n < 0 or n.denominator != 1:
             raise UnknownDivisor(f"no exact j-line factor for ({n})[{key!r}]")
         for _ in range(int(n)):
@@ -244,6 +227,18 @@ def _j_line_report(name, img, TD) -> EvalReport:
         rhs=f"coefficient at inf {cusp}, prod (x - j(z))^n_z {show(want)}",
         exact=True, tolerance=None, passed=(monic == want and ord_inf == cusp),
         detail="coefficients from degree 0 up; j(z) from the class-number-one table")
+
+
+def _bko_j_line(n: int, f) -> Fraction:
+    """(j_n, f)_BKO = sum n_z P_n(j(z)) + 24 sigma_1(n) n_inf over the
+    level-1 divisor of f, with P_n the j-polynomial of j_n."""
+    P = curve.weight0_to_j_polynomial(forms.jn(n, n + 2))
+    D = curve.divisor_of_form(f, 1)
+    total = 24 * forms.sigma(1, n) * D.cusp_coefficient(1, 0)
+    for key, nz in D.interior:
+        A, B, C = key.form  # a level-1 divisor_of_form names table points only
+        total += nz * sum(a * curve.CM_J[B * B - 4 * A * C] ** e for e, a in P.items())
+    return total
 
 
 # ---------------------------------------------------------------------------

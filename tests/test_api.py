@@ -77,9 +77,9 @@ def test_the_numeric_layer_runs_without_scipy():
 
 
 def test_the_curve_layer_runs_without_mpmath():
-    # divisors hold exact points only and the divisor-hecke suite reads j
-    # at them from an exact table, so L4, its CLI verbs and that suite run
-    # with mpmath's import blocked
+    # divisors hold exact points only and the bko and divisor-hecke suites
+    # read j at them from the exact table of curve, so L4, its CLI verbs and
+    # those suites run with mpmath's import blocked
     src = str(Path(heckediv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -87,7 +87,9 @@ def test_the_curve_layer_runs_without_mpmath():
             "from heckediv import cli\n"
             "for verb in (['divisor', '--form', 'jminus:1728'],\n"
             "             ['hecke-div', '--form', 'jminus:1728', '--n', '2'],\n"
-            "             ['verify', '--suite', 'divisor-hecke']):\n"
+            "             ['divisor', '--form', 'jminus:8000', '--level', '2'],\n"
+            "             ['verify', '--suite', 'divisor-hecke'],\n"
+            "             ['verify', '--suite', 'bko']):\n"
             "    if cli.main(verb):\n"
             "        sys.exit(f'{verb} failed')\n")
     subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

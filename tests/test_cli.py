@@ -277,7 +277,7 @@ def test_degenerate_form_names_are_refused_by_every_verb(capsys, name, code):
     ("bko", "--n", "1", "--form", "jminus:5/3"),
 ])
 def test_j_minus_a_generic_constant_has_no_divisor(capsys, argv):
-    # only the fibers j = 0 and j = 1728 are known exactly, at every level
+    # 5 and 5/3 are no class-number-one j-invariants: no point keys, at every level
     code, out = run_cli(capsys, *argv)
     assert code == 1 and json.loads(out)["error"] == "UnknownDivisor"
 

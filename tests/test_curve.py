@@ -365,7 +365,7 @@ def test_divisor_of_shifted_hauptmodul():
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_divisor_of_shifted_j_minus_c(N):
     # (j - c) + shift = j - (c - shift) at every level; j + 5 vanishes off
-    # both known fibers
+    # every class-number-one fiber
     f = F.FormExpression.of(F.JMinus(Fraction(1000)), shift=-728)
     want = C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(1728))), N)
     assert C.divisor_of_form(f, N) == want
@@ -375,8 +375,38 @@ def test_divisor_of_shifted_j_minus_c(N):
 
 @pytest.mark.parametrize("N", [1, 2, 6])
 def test_divisor_of_j_minus_a_generic_constant_is_refused(N):
-    with pytest.raises(UnknownDivisor):
-        C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(5, 3))), N)
+    # j - c has point keys only where c is a class-number-one j-invariant
+    for expr in (F.expression_by_name("jminus:5"), F.expression_by_name("jminus:5/3"),
+                 F.FormExpression.of(F.JMinus(Fraction(0)), shift=5)):
+        with pytest.raises(UnknownDivisor):
+            C.divisor_of_form(expr, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 6])
+def test_divisor_of_e12_and_e16_is_refused(N):
+    # dim M_12 = dim M_16 = 2: each has a zero away from i and omega
+    for name in ("E12", "E16"):
+        with pytest.raises(UnknownDivisor):
+            C.divisor_of_form(F.expression_by_name(name), N)
+
+
+@pytest.mark.parametrize("D", sorted(C.CM_J))
+def test_divisor_of_j_minus_a_class_number_one_j_invariant(D):
+    # one simple zero at the point of discriminant D (e_z / e_z at omega
+    # and i) and a simple pole at infinity
+    b = D % 2
+    z = H(1, b, (b - D) // 4)
+    d = C.divisor_of_form(F.FormExpression.of(F.JMinus(Fraction(C.CM_J[D]))), 1)
+    assert d == C.point_divisor(1, z) + C.cusp_divisor(1, 1, 0, -1)
+
+
+def test_divisor_of_eisenstein_products_of_e4_and_e6():
+    # E8 = E4^2, E10 = E4 E6, E14 = E4^2 E6
+    w, i = C.reduce_point(OMEGA, 1)[0], C.reduce_point(POINT_I, 1)[0]
+    for k, want in ((8, {w: Fraction(2, 3)}), (10, {w: Fraction(1, 3), i: Fraction(1, 2)}),
+                    (14, {w: Fraction(2, 3), i: Fraction(1, 2)})):
+        d = C.divisor_of_form(F.FormExpression.of(F.Eisenstein(k)), 1)
+        assert d.interior_dict() == want and not d.cusp_part, k
 
 
 def test_divisor_of_opaque_rejected():
@@ -385,14 +415,12 @@ def test_divisor_of_opaque_rejected():
         C.divisor_of_form(expr, 1)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
 def test_valence_formula_degrees(N):
-    cases = [
-        (F.FormExpression.of(F.Eisenstein(4)), 4),
-        (F.FormExpression.of(F.Eisenstein(6)), 6),
+    cases = [(F.FormExpression.of(F.Eisenstein(k)), k) for k in (4, 6, 8, 10, 14)]
+    cases += [(F.FormExpression.of(F.JMinus(Fraction(c))), 0) for c in C.CM_J.values()]
+    cases += [
         (F.FormExpression.of(F.DeltaShift(1)), 12),
-        (F.FormExpression.of(F.JMinus(Fraction(1728))), 0),
-        (F.FormExpression.of(F.JMinus(Fraction(0))), 0),
         (F.FormExpression.of(F.Eisenstein(4), (F.DeltaShift(1), 2)), 28),
     ]
     for expr, k in cases:

@@ -45,12 +45,15 @@ CLI_CASES = {
     "divisor j-1728": ("divisor", "--form", "jminus:1728"),
     "divisor Delta level 3": ("divisor", "--form", "Delta", "--level", "3"),
     "divisor eta level 2": ("divisor", "--form", "eta:2:1=24,2=-24", "--level", "2"),
+    "divisor jminus:8000 level 2": ("divisor", "--form", "jminus:8000", "--level", "2"),
     "hecke-div j-1728 T2": ("hecke-div", "--form", "jminus:1728", "--n", "2"),
     "hecke-div E4 T3": ("hecke-div", "--form", "E4", "--n", "3"),
+    "hecke-div E10 T2": ("hecke-div", "--form", "E10", "--n", "2"),
     "hecke-div level 2": ("hecke-div", "--form", "E4", "--n", "3", "--level", "2"),
     "rohrlich s=1": ("rohrlich", "--m", "2", "--form", "E4"),
     "rohrlich s=1 j-1728": ("rohrlich", "--m", "3", "--form", "jminus:1728"),
     "verify algebra": ("verify", "--suite", "algebra"),
+    "verify bko": ("verify", "--suite", "bko"),
     "verify divisor-hecke": ("verify", "--suite", "divisor-hecke"),
     "verify p-plication": ("verify", "--suite", "p-plication"),
 }
@@ -61,11 +64,13 @@ GOLDEN_CLI = {
     'divisor Delta level 3': '0133879989987662c45e61b11c4b0983c5422d1ec2c70f02c453dfda667f021c',
     'divisor eta level 2': 'fe4a539c2161951703d5f6eeb9765a2cf8f905c8e43abe59d954f1fd40dfb181',
     'divisor j-1728': '35c450c2ccf86af87f97a3456c0b0407d3deea8fa4413938f3bed4daa1ef36ce',
+    'divisor jminus:8000 level 2': '6ef0b14289ce0f9846daba0a0f693b0a5e7c2da6a1cef53e4cd3aafb5243d42c',
     'hecke-add E6 T3': 'c464ccd5d75e4f73aa17fa9e53e57df184acc3aaf10c5174ef3592227b3d3f45',
     'hecke-add classical': 'cbffda86672cdc156ff20eb386e05311694944fdbd27116ecdaaa890cc3bcf66',
     'hecke-add level 2': '33e33f10b6fea135f3cb7152e188cf4bf0c570c151fac26bac5d21553a1b5b3b',
     'hecke-add level 2 p|N': '59e91497c1f542ceb41265db0419b25ab121c24a63d848f2a81269b37fd93f1e',
     'hecke-add normalized': 'ee21364b60e78c2e13104c954afc360fe2d27b81307dafdea152c26514c0a4d1',
+    'hecke-div E10 T2': 'e8fcd4db29be04356a9b8586f9711ffe70d0c8eaa3bebc4497883c004d84a26a',
     'hecke-div E4 T3': '5c55dd363bbe2b0916b0f340d138060ea6f74412ce9914e087902e64af41cb54',
     'hecke-div j-1728 T2': '301dc9f058f9b5e4e5b7ccd82c612fc42bd783521491e42b56e061a28c9262d9',
     'hecke-div level 2': 'ca2357ad871f217c37f9fab1bd9eb9e47d30c2304f2ed3197961e3233759722b',
@@ -89,6 +94,7 @@ GOLDEN_CLI = {
     'rohrlich s=1': '56c2e9326aa8462a0fbff97a5ea4eefc900df543adba050d358a454a39ffbda1',
     'rohrlich s=1 j-1728': '4c8013d939d40e3daf09bc83132d4596f3acd5e0a4230496e43bff26c44bb81e',
     'verify algebra': '7df889ecc77f61fd309ac1016c1f1275413650a580fba37ff9ae054a871da916',
+    'verify bko': '79eccedd0ab7997c3d17e82f1ee380c8b5b0e1d67046f7841cb7671c0656bc35',
     'verify divisor-hecke': 'd37fe42dfdf55e1e2e2c4db15f4c8ba24e835d65263f087b95f30f48a6de65ca',
     'verify p-plication': '552787144122cc57b1eb1be70a4d39ecae59d2e36db82ec07be44cd95b19523d',
 }

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from heckediv import forms as F, niebur as NB, verify as V
-from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
+from heckediv import forms as F, niebur as NB
+from heckediv.curve import CM_J, HeegnerPoint as H, OMEGA, POINT_I
 from heckediv.errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, \
     UnsupportedParameter
 from heckediv.niebur import EvalParams
@@ -253,13 +253,14 @@ def test_j1_at_i():
     assert abs(NB.jn_value(1, POINT_I, 40) - 1008) < mpmath.mpf(10) ** -30
 
 
-@pytest.mark.parametrize("D", sorted(V._CM_J))
+@pytest.mark.parametrize("D", sorted(CM_J))
 def test_class_number_one_j_table_is_j1_plus_720(D):
-    # the exact j-values of the divisor-hecke suite against the series of
-    # j_1 = j - 720 at the principal form of discriminant D
+    # the exact j-values behind the divisors of j - c and the bko and
+    # divisor-hecke suites against the series of j_1 = j - 720 at the
+    # principal form of discriminant D
     b = D % 2
     z = H(1, b, (b - D) // 4)
-    assert abs(NB.jn_value(1, z, 40) + 720 - V._CM_J[D]) < mpmath.mpf(10) ** -25
+    assert abs(NB.jn_value(1, z, 40) + 720 - CM_J[D]) < mpmath.mpf(10) ** -25
 
 
 def test_jn_value_reduces_first():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P
+from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P, \
+    verify as V
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
 from heckediv.errors import MissingCuspValue, UnsupportedParameter
 from heckediv.niebur import EvalParams
@@ -79,6 +80,28 @@ def test_bko_consistency_grid():
             want = P.r_at_s1(1, n, f)
             w = mpmath.mpf(want.numerator) / want.denominator
             assert abs(got - w) < mpmath.mpf(10) ** -20, (f, n)
+
+
+# the level-1 forms whose divisors have point keys: E_k where dim M_k = 1,
+# Delta, and j - c at every class-number-one j-invariant
+BKO_FORMS = ([F.FormExpression.of(F.Eisenstein(k)) for k in (4, 6, 8, 10, 14)] + [DELTA]
+             + [F.FormExpression.of(F.JMinus(Fraction(c))) for c in C.CM_J.values()])
+
+
+def test_numeric_bko_pairing_is_an_oracle_for_the_exact_j_line_value():
+    # oracle: the numeric route (j_n summed from its Fourier series at 50
+    # digits) against the exact sum n_z P_n(j(z)) + 24 sigma_1(n) n_inf of
+    # the bko suite, to 40 significant digits; the exact value is in turn
+    # -Coeff_{q^n}(Theta f/f)
+    for f in BKO_FORMS:
+        for n in range(1, 6):
+            exact = V._bko_j_line(n, f)
+            assert exact == P.r_at_s1(1, n, f), (f, n)
+            if n <= 4:
+                got = P.bko_pairing(n, f, 50).value
+                with mpmath.workdps(60):
+                    want = mpmath.mpf(exact.numerator) / exact.denominator
+                    assert abs(got - want) <= mpmath.mpf(10) ** -40 * max(1, abs(want)), (f, n)
 
 
 def test_r_at_s1_values():

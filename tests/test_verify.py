@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckediv import curve as C, forms as F, operators as O, verify as V
+from heckediv import curve as C, forms as F, operators as O, pairing as P, verify as V
 from heckediv.errors import UnknownDivisor
 
 
@@ -29,6 +29,21 @@ def test_divisor_hecke_checks_three_j_line_cases_exactly():
     cases = [r for r in V.run_suite("divisor-hecke") if "on the j-line" in r.name]
     assert len(cases) == 3
     assert all(r.exact and r.tolerance is None and r.passed for r in cases)
+
+
+def test_bko_checks_six_pairings_exactly():
+    cases = [r for r in V.run_suite("bko") if "_BKO" in r.name]
+    assert len(cases) == 6
+    assert all(r.exact and r.tolerance is None and r.passed for r in cases)
+
+
+def test_bko_j_line_value_fails_on_a_wrong_table_entry(monkeypatch):
+    # (j_1, E6) = (j(i) - 720)/2 = 504 = -Coeff_q(Theta E6/E6) holds only
+    # with the table's j(i) = 1728
+    e6 = F.FormExpression.of(F.Eisenstein(6))
+    assert V._bko_j_line(1, e6) == P.r_at_s1(1, 1, e6) == 504
+    monkeypatch.setitem(C.CM_J, -4, 1729)
+    assert V._bko_j_line(1, e6) != P.r_at_s1(1, 1, e6)
 
 
 # -- negative controls of the j-line check -------------------------------------
