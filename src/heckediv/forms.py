@@ -4,8 +4,7 @@ Everything here produces exact q-expansions (:class:`PuiseuxSeries`) or
 symbolic :class:`FormExpression` values: normalized Eisenstein series,
 Delta, the j-function in both normalizations (classical constant 744 and
 the shifted variant with constant 24 that the divisor-sum identities are
-stated for), the weight-0 Hecke images j_n (computed by the additive
-operator's coefficient formula at k = 0), eta quotients, and the
+stated for), the weight-0 Hecke images j_n, eta quotients, and the
 genus-zero Hauptmoduln eta(tau)^a/eta(N tau)^a.
 
 Eta quotients are built from their log-derivatives: Theta(eta)/eta =
@@ -37,8 +36,18 @@ units of the eta quotients (Delta/q among them) and q j.  A call reads
 its first n entries and resumes the sieve or recurrence only for the
 rows that are missing, and a stored prefix is replaced only by a longer
 one, so concurrent readers are safe.  ``_prefixes.cache_clear()``
-empties the store with the other caches.  :func:`euler_product` is no
-longer on any route; it keeps its cache for tools that read it.
+empties the store with the other caches.
+
+j_n = (j - 720)|T(n) reads the stored q j by its length.  The additive
+Hecke formula at k = 0 reads n(prec + n) + 1 coefficients of j; where
+that many are stored it is the cheaper route (the warm one), and it is
+the oracle of the tests.  Otherwise j_n = F_n(j) + 24 sigma_1(n) by the
+recursion of the Faber polynomials F_n of j (Asai, Kaneko and Ninomiya,
+Comment. Math. Univ. St. Pauli 46, 1997; Bruinier, Kohnen and Ono,
+Compositio Math. 140, 2004), which reads only max(prec, n + 1) of them.
+
+:func:`euler_product` is no longer on any route; it keeps its cache for
+tools that read it.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (InvalidInput, NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeight)
-from .series import PuiseuxSeries, exact_div, exp_coeffs, log_derivative_coeffs, solve_coeffs
+from .series import (PuiseuxSeries, _kronecker_product, exact_div, exp_coeffs,
+                     log_derivative_coeffs, solve_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +242,55 @@ def j_shifted(prec: int) -> PuiseuxSeries:
     return j_function(prec) - 720
 
 
+def _faber_windows(n: int, prec: int) -> list:
+    """The windows of F_n(j), `prec` coefficients from q^-n, for the Faber
+    polynomial F_n of j: the monic polynomial with F_n(j) = q^-n + O(q).
+
+    With J = j - 744 = q^-1 + sum_{i>=1} c(i) q^i, F_1(j) = J and
+    F_m(j) = J F_(m-1)(j) - sum_{i=1}^{m-2} c(i) F_(m-1-i)(j) - m c(m-1)
+    (Asai, Kaneko and Ninomiya, Comment. Math. Univ. St. Pauli 46, 1997).
+    The window of F_m starts at q^-m, so J F_(m-1) is one Kronecker
+    product of the window qJ with that of F_(m-1), and F_(m-1-i) enters
+    it at offset i + 1.  It reads max(prec, n + 1) coefficients of j."""
+    u = _j_unit(max(prec, n + 1))  # q j = 1 + 744 q + sum c(i) q^(i+1)
+    qJ = [1, 0][:prec] + u[2:prec]
+    windows = [None, qJ]
+    for m in range(2, n + 1):
+        w = _kronecker_product(qJ, windows[m - 1], prec)
+        for i in range(1, m - 1):
+            c = u[i + 1]
+            w[i + 1:] = [a - c * b for a, b in zip(w[i + 1:], windows[m - 1 - i])]
+        if m < prec:
+            w[m] -= m * u[m]
+        windows.append(w)
+    return windows[n]
+
+
 @lru_cache(maxsize=128)
 def jn(n: int, prec: int) -> PuiseuxSeries:
-    """j_n = (j - 720)|T(n) at weight 0: q^-n + 24 sigma_1(n) + O(q)."""
+    """j_n = (j - 720)|T(n) at weight 0: q^-n + 24 sigma_1(n) + O(q), `prec`
+    coefficients from q^-n.
+
+    j_n = F_n(j) + 24 sigma_1(n) for the Faber polynomial F_n of j
+    (Bruinier, Kohnen and Ono, Compositio Math. 140, 2004), and the
+    recursion of :func:`_faber_windows` reads max(prec, n + 1)
+    coefficients of j.  The additive Hecke formula reads n(prec + n) + 1
+    of them; it is cheaper once they are stored, so a call takes it (the
+    warm route) when the stored prefix of q j is that long, and the
+    recursion otherwise.  Both give the same expansion; the formula is the
+    oracle of the tests."""
     from .operators import hecke_additive_formula
     if n < 1:
         raise UnsupportedParameter(f"j_n needs n >= 1, got {n}")
-    base = j_shifted(n * (prec + n) + 1)
-    return hecke_additive_formula(base, 0, n).truncate(prec - n)
+    if prec < 1:
+        raise PrecisionExhausted(f"j_n needs at least one coefficient, got prec={prec}")
+    need = n * (prec + n) + 1
+    if len(_prefixes().get(("j",), ())) >= need:
+        return hecke_additive_formula(j_shifted(need), 0, n).truncate(prec - n)
+    w = _faber_windows(n, prec)
+    if n < prec:
+        w[n] += 24 * sigma(1, n)
+    return PuiseuxSeries(1, -n, w)
 
 
 # ---------------------------------------------------------------------------

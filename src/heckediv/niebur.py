@@ -125,7 +125,9 @@ def _series_length(ymax: float, order: float) -> int:
 
 def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     """Vectorized phi_m(v, s) = 2 pi sqrt(m v) I_(s-1/2)(2 pi m v) in
-    doubles (power series, adaptive length)."""
+    doubles (power series, adaptive length).  The lead (x/2)^nu/Gamma(nu+1)
+    of the series is carried in logarithms, so that neither factor
+    overflows at large s; an entry below the double range comes out 0."""
     import numpy as np
     if m == 0:
         return v ** s
@@ -134,18 +136,16 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     half = x / 2.0
     y = half * half
     k = _series_length(float(y.max()) if y.size else 0.0, nu)
-    try:
-        lead = 1.0 / math.gamma(nu + 1.0)
-    except OverflowError:
-        raise UnsupportedParameter(f"s={s}: Gamma(s + 1/2) overflows a double") from None
-    term = np.full_like(v, lead)
+    term = np.ones_like(v)
     acc = term.copy()
     ratio = np.empty_like(y)
     for j in range(1, k + 1):
         np.divide(y, j * (j + nu), out=ratio)
         term *= ratio
         acc += term
-    return 2.0 * math.pi * np.sqrt(m * v) * half ** nu * acc
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives the lead 0 at v = 0
+        lead = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
+    return 2.0 * math.pi * np.sqrt(m * v) * lead * acc
 
 
 def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -716,6 +716,7 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
     estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
     and a finite tau in the upper half-plane whose value fits in a double
+    and, at m >= 1, whose identity term is a normal double
     (UnsupportedParameter otherwise).
 
     The rows are exact in d where that is cheaper than their d-windows:
@@ -746,6 +747,10 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     if (s * math.log(v) if m == 0 else 2 * math.pi * m * v) > _LOG_DOUBLE_MAX:
         raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) at Im tau = {v:g} overflows a double")
     first = _identity_term(m, u, v, s)
+    # at m >= 1 it carries 1/Gamma(s + 1/2), which may take it below the normal range
+    if m and not abs(first) >= sys.float_info.min:
+        raise UnsupportedParameter(f"tau={tau}: the identity term of F_(N,-{m}) at s={s:g}, "
+                                   "scaled by 1/Gamma(s + 1/2), underflows a double")
     rows = np.zeros(C, dtype=complex)
     rounding = np.zeros(C)
     if closed.any():

@@ -179,7 +179,7 @@ class PuiseuxSeries:
         while i < len(coeffs) and not coeffs[i]:
             i += 1
         order += i
-        coeffs = [_as_rational(c) for c in coeffs[i:]]
+        coeffs = [c if type(c) is int else _as_rational(c) for c in coeffs[i:]]
         D, order, coeffs = self._reduced_grid(D, order, coeffs)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "order", order)

@@ -625,6 +625,45 @@ def test_delta_j_and_jn_build_no_product_and_invert_no_series(monkeypatch):
     assert [F.delta(60), F.j_function(60), F.jn(3, 12)] == want
 
 
+def _jn_oracle(n, prec):
+    """Oracle: j_n as (j - 720)|T(n) by the additive Hecke formula, which
+    reads n(prec + n) + 1 coefficients of j."""
+    return operators.hecke_additive_formula(
+        F.j_shifted(n * (prec + n) + 1), 0, n).truncate(prec - n)
+
+
+def _refuse(*_):
+    raise AssertionError("j_n took the other route")
+
+
+@pytest.mark.parametrize("n,prec", [(n, prec) for n in range(1, 13)
+                                    for prec in sorted({n + 1, n + 2, 12, 40, 60})])
+def test_jn_takes_the_faber_route_cold_and_the_hecke_formula_warm(monkeypatch, n, prec):
+    # cold: the Faber recursion reads only max(prec, n + 1) coefficients of j
+    _clear_form_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "hecke_additive_formula", _refuse)
+        cold = F.jn(n, prec)
+    assert len(F._prefixes()[("j",)]) == max(prec, n + 1)
+    # warm: with j stored as far as the formula reads, j_n is the formula
+    F.j_function(n * (prec + n) + 1)
+    F.jn.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "_faber_windows", _refuse)
+        warm = F.jn(n, prec)
+    want = _jn_oracle(n, prec)
+    assert len(want.coeffs) == prec
+    for got in (cold, warm):
+        assert (got.D, got.order, got.coeffs) == (want.D, want.order, want.coeffs)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_jn_refuses_an_empty_precision():
+    for prec in (0, -1, -30):
+        with pytest.raises(PrecisionExhausted):
+            F.jn(3, prec)
+
+
 def test_delta_and_j_refuse_an_empty_precision():
     for fn in (F.delta, F.j_function):
         for prec in (0, -3):

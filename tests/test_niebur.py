@@ -380,7 +380,7 @@ def _oracle_phi_np(m, v, s):
     x = 2.0 * math.pi * m * v
     half = x / 2.0
     y = half * half
-    term = np.full_like(v, 1.0 / math.gamma(nu + 1.0))
+    term = np.ones_like(v)
     acc = term.copy()
     ymax = float(y.max()) if y.size else 0.0
     k = 1
@@ -393,7 +393,9 @@ def _oracle_phi_np(m, v, s):
         k += 1
         if k > 400:
             raise ConvergenceBudgetExceeded("vectorized Bessel series stalled")
-    return 2.0 * math.pi * np.sqrt(m * v) * half ** nu * acc
+    with np.errstate(divide="ignore"):
+        lead = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
+    return 2.0 * math.pi * np.sqrt(m * v) * lead * acc
 
 
 def _oracle_inverse_table(c):
@@ -1075,11 +1077,28 @@ def test_kappa_table_keeps_its_relative_digits_far_out(nu):
 
 
 def test_gamma_overflow_at_large_s_is_a_typed_refusal():
-    # 1/Gamma(s + 1/2) of the I-Bessel series overflows a double above
-    # s of about 171.1 at m >= 1; m = 0 reads no Gamma there and answers
+    # at m >= 1 the identity term carries 1/Gamma(s + 1/2): at Im tau = 0.5
+    # and s = 300 it is below e^-900, which a double does not hold; m = 0
+    # reads no Gamma there and answers
     params = EvalParams(truncation=2, s=300)
     for m in (1, 3):
         with pytest.raises(UnsupportedParameter, match="Gamma"):
             NB.niebur_value(1, m, 0.3 + 0.5j, params)
     got = NB.niebur_value(1, 0, 0.3 + 0.5j, params)
     assert math.isfinite(got.value.real) and got.value.real > 1e50
+
+
+@pytest.mark.parametrize("s", (200.0, 300.0))
+def test_large_s_answers_where_the_identity_term_is_a_double(s):
+    # 1/Gamma(s + 1/2) alone is below the double range above s of about
+    # 171.1; carried in logarithms with (x/2)^(s-1/2), the identity term
+    # 2 pi sqrt(v) I_(s-1/2)(2 pi v) e(-u) at Im tau = 40 is a normal double
+    # and the rows, about c^(-2s) of it, are negligible
+    tau = complex(0.1, 40.0)
+    got = NB.niebur_value(1, 1, tau, EvalParams(truncation=2, s=s)).value
+    with mpmath.workdps(30):
+        u, v = mpmath.mpf(tau.real), mpmath.mpf(tau.imag)
+        want = complex(2 * mpmath.pi * mpmath.sqrt(v) * mpmath.besseli(s - 0.5, 2 * mpmath.pi * v)
+                       * mpmath.expjpi(-2 * u))
+    assert abs(want) > 1e30
+    assert abs(got - want) <= 1e-12 * abs(want)
