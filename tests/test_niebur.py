@@ -569,6 +569,59 @@ def _bits(pv):
     return tuple(x.hex() for x in (pv.value.real, pv.value.imag, pv.error_estimate))
 
 
+# float.hex of (Re, Im, error estimate) of niebur_value at C = 120, keyed by
+# (N, m, s, k): k = 0 is tau = 0.2137 + i, k = 1 its image under (1 0; N 1).
+# Recorded from the row-by-row build of the Kloosterman rows; a change in
+# how the rows are built, stored or split must leave every bit in place
+PINNED_BITS = {
+    (1, 0, 1.5, 0): ('0x1.dd9ce8f8e69dep+1', '0x0.0p+0', '0x1.4a339a0f5679ap-7'),
+    (1, 0, 1.5, 1): ('0x1.dcdf09ba2f4e6p+1', '0x0.0p+0', '0x1.04f337fdb8921p-6'),
+    (1, 0, 2.0, 0): ('0x1.606cdec7ce85fp+1', '0x0.0p+0', '0x1.11b8c4766cbd5p-15'),
+    (1, 0, 2.0, 1): ('0x1.606b461886e2bp+1', '0x0.0p+0', '0x1.53ca4e536de6ap-14'),
+    (1, 1, 1.5, 0): ('0x1.3a434252298ffp+7', '-0x1.fe2d53518acbap+6', '0x1.8b256eee375c8p-5'),
+    (1, 1, 1.5, 1): ('0x1.3a433b1e606e8p+7', '-0x1.fe2d5b94b95ccp+6', '0x1.9abc41df17669p-3'),
+    (1, 1, 2.0, 0): ('0x1.2939a860992c6p+7', '-0x1.d02a9b37ddb3cp+6', '0x1.86e1ac9e5d0cbp-13'),
+    (1, 1, 2.0, 1): ('0x1.2939a83a59bc1p+7', '-0x1.d02a9b64703bep+6', '0x1.57ba0b1748d0bp-10'),
+    (1, 3, 1.5, 0): ('-0x1.14f9b92d77816p+27', '0x1.1869bc5faf9ecp+26', '0x1.feb6a5d1c8ed7p-2'),
+    (1, 3, 1.5, 1): ('-0x1.14f9b92d727e2p+27', '0x1.1869bc5faf819p+26', '0x1.fa7b096e29246p-1'),
+    (1, 3, 2.0, 0): ('-0x1.0b8c4e3300b6dp+27', '0x1.0f4741feb5242p+26', '0x1.b64c3f4bcfabdp-9'),
+    (1, 3, 2.0, 1): ('-0x1.0b8c4e33008d6p+27', '0x1.0f4741feb5260p+26', '0x1.4351bb645531dp-7'),
+    (2, 0, 1.5, 0): ('0x1.637cdba5a4aa2p+0', '0x0.0p+0', '0x1.b23d3237d06bap-10'),
+    (2, 0, 1.5, 1): ('0x1.62dbe834b1c86p+0', '0x0.0p+0', '0x1.0aa69434843f5p-8'),
+    (2, 0, 2.0, 0): ('0x1.1d9e7bd274cd5p+0', '0x0.0p+0', '0x1.69283ccda48c6p-19'),
+    (2, 0, 2.0, 1): ('0x1.1d9d932ecb076p+0', '0x0.0p+0', '0x1.106cd4cd74f71p-16'),
+    (2, 1, 1.5, 0): ('0x1.b351a8ae4aa50p+6', '-0x1.e8414e46f39f1p+8', '0x1.91d9c3d042442p-8'),
+    (2, 1, 1.5, 1): ('0x1.b351bd9e4319cp+6', '-0x1.e8414aeb12f8cp+8', '0x1.a7c1b50b48856p-6'),
+    (2, 1, 2.0, 0): ('0x1.8d52ad8925cabp+6', '-0x1.b6541b7d59e26p+8', '0x1.914ac09723df6p-17'),
+    (2, 1, 2.0, 1): ('0x1.8d52adbddafefp+6', '-0x1.b6541b72c466cp+8', '0x1.e7b012de33cafp-14'),
+    (2, 3, 1.5, 0): ('-0x1.6ac0fa0a26b6bp+26', '0x1.bcb78619727a2p+26', '0x1.04092f94649cap-4'),
+    (2, 3, 1.5, 1): ('-0x1.6ac0fa0a1df7fp+26', '0x1.bcb786197e590p+26', '0x1.f08c07f6cfbeap-4'),
+    (2, 3, 2.0, 0): ('-0x1.5e9b0c44936b1p+26', '0x1.add2e97439e0fp+26', '0x1.c0a0625ffb38cp-13'),
+    (2, 3, 2.0, 1): ('-0x1.5e9b0c44935cbp+26', '0x1.add2e9743a25dp+26', '0x1.52ffe2cde90b3p-10'),
+    (3, 0, 1.5, 0): ('0x1.35a251b2d7c42p+0', '0x0.0p+0', '0x1.b529f3722d94ap-11'),
+    (3, 0, 1.5, 1): ('0x1.351ca5d7a96bbp+0', '0x0.0p+0', '0x1.7588c6bb0ed28p-9'),
+    (3, 0, 2.0, 0): ('0x1.0b230a7a44a8cp+0', '0x0.0p+0', '0x1.e5cc10ab95db6p-21'),
+    (3, 0, 2.0, 1): ('0x1.0b2265bf81b1cp+0', '0x0.0p+0', '0x1.62c1d5de59f61p-17'),
+    (3, 1, 1.5, 0): ('0x1.c0b59d58a32efp+6', '-0x1.e89586ad02191p+8', '0x1.17a6e294acb32p-10'),
+    (3, 1, 1.5, 1): ('0x1.c0b59773a9a6dp+6', '-0x1.e89591c578edep+8', '0x1.286a196e8eda0p-6'),
+    (3, 1, 2.0, 0): ('0x1.955bf4b3b3288p+6', '-0x1.b6911b923cc0dp+8', '0x1.9ab21d7b56caap-20'),
+    (3, 1, 2.0, 1): ('0x1.955bf49e7e2f3p+6', '-0x1.b6911ba9b7a4ep+8', '0x1.630241ecf26e4p-14'),
+    (3, 3, 1.5, 0): ('-0x1.6ac0f4c634b7fp+26', '0x1.bcb77887ce71cp+26', '0x1.ccf0b41c7076fp-6'),
+    (3, 3, 1.5, 1): ('-0x1.6ac0f4c63292dp+26', '0x1.bcb77887bfc50p+26', '0x1.febb977092ce5p-4'),
+    (3, 3, 2.0, 0): ('-0x1.5e9b083908ce3p+26', '0x1.add2ddc50323ep+26', '0x1.08d4fc322f78ep-14'),
+    (3, 3, 2.0, 1): ('-0x1.5e9b083908c74p+26', '0x1.add2ddc502d06p+26', '0x1.69045340b72a2p-10'),
+}
+
+
+@pytest.mark.parametrize("N, m, s, k", sorted(PINNED_BITS))
+def test_niebur_value_keeps_its_pinned_bits(N, m, s, k):
+    tau = 0.2137 + 1j
+    point = (tau, tau / (N * tau + 1))[k]
+    NB._store.cache_clear()
+    assert _bits(NB.niebur_value(N, m, point, EvalParams(truncation=120, s=s))) == \
+        PINNED_BITS[N, m, s, k]
+
+
 def _stored_rows():
     return {k for k in NB._store().arrays if type(k) is tuple}
 
