@@ -11,13 +11,16 @@ inversion turns the rows into a Ramanujan-sum convolution of a table of
 K-Bessel values with about 7/Im tau entries.  At m >= 1, row c is its
 Fourier expansion: Kloosterman sums S(+-n, -m; c), the same K-Bessel
 table, and power series of I and J Bessel functions, about 7/Im tau terms
-a row near the real axis and fewer far up.  A block of rows takes its
-Kloosterman sums from one exp of the phases e(-m r^-1/c) and one real
-inverse DFT of length c a row.  A row S(., -m; c) does not depend on tau
-or s, so each is built once per (c, m) and kept, with the inverses of the
-units r <= c/2 of each modulus (about c bytes), in one process-wide store
-of at most STORE_BYTES: evaluations at many points, such as a point and
-its Gamma_0(N) images, share their Kloosterman sums.
+a row near the real axis and fewer far up.  The Kloosterman sums are
+built a chunk of moduli at a time (rows of 2^16 values in all, a few
+chunks a call), a chunk ahead of the blocks of Fourier terms that read
+them: one vectorised pass gives the inverses r^-1 mod c of the units
+r <= c/2 of every modulus of the chunk, one exp the phases e(-m r^-1/c),
+and one real inverse DFT of length c each row.  A row S(., -m; c) does
+not depend on tau or s, so each is built once per (c, m) and kept, with
+the inverse table of its modulus (about c bytes), in one process-wide
+store of at most STORE_BYTES: evaluations at many points, such as a
+point and its Gamma_0(N) images, share their Kloosterman sums.
 
 A row runs on a d-window instead (d in a symmetric window rounded to
 whole residue blocks, so the discarded class tails share a common size
@@ -183,8 +186,9 @@ STORE_BYTES = 1 << 23
 class _Store:
     """Read-only arrays in the order they were kept, and their total size:
     the inverse table of modulus c under the key c, the Kloosterman row
-    S(., -m; c) under (c, m).  The rows built together are views of one
-    array, which leaves the store with the last of them."""
+    S(., -m; c) under (c, m).  The rows of one chunk, and its tables of
+    one dtype, are views of one array, which leaves the store with the
+    last of them."""
 
     def __init__(self):
         self.arrays: dict = {}
@@ -221,77 +225,146 @@ def _store() -> _Store:
     return _Store()
 
 
+def _chunks(cs):
+    """The moduli cs, in order, in chunks of consecutive ones whose sum
+    stays within STORE_BYTES / 128 (2^16 at the default bound), each chunk
+    holding at least one: the rows of a chunk take at most a sixteenth of
+    the store, so the chunks a call builds last stay stored."""
+    budget = STORE_BYTES >> 7
+    chunk, total = [], 0
+    for c in cs:
+        if chunk and total + c > budget:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(c)
+        total += c
+    if chunk:
+        yield chunk
+
+
+def _prime_divisors(mod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, p), p a prime dividing mod[i], as two arrays, each
+    pair once: a sieve of smallest prime factors up to max(mod), then each
+    cofactor divided by its smallest prime factor a step."""
+    import numpy as np
+    n = int(mod.max())
+    spf = np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    i, rest, last = np.arange(mod.size), mod, np.zeros_like(mod)
+    index, primes = [i[:0]], [mod[:0]]
+    while True:
+        left = rest > 1
+        i, rest, last = i[left], rest[left], last[left]
+        if not i.size:
+            return np.concatenate(index), np.concatenate(primes)
+        p = spf[rest]
+        fresh = p != last
+        index.append(i[fresh])
+        primes.append(p[fresh])
+        rest, last = rest // p, p
+
+
+def _inverse_pass(new: list[int]) -> dict:
+    """The inverse tables of the sorted moduli new, built in one pass: the
+    multiples of each prime divisor of c are struck from the r <= c/2, and
+    r^(phi(c)-1) mod c runs by square-and-multiply on the units left, in
+    uint32 while every c < 2^16 (products below 2^32), in int64 above
+    (products below 2^63 while c < 3.03e9).
+    The tables of one dtype class are read-only views of one array, which
+    leaves the store with the last of them."""
+    import numpy as np
+    mod = np.array(new, dtype=np.int64)
+    size = mod // 2 + 1
+    starts = np.cumsum(size) - size
+    unit = np.ones(int(size.sum()), dtype=bool)
+    i, p = _prime_divisors(mod)
+    strikes = (size[i] - 1) // p + 1
+    k = np.arange(int(strikes.sum())) - np.repeat(np.cumsum(strikes) - strikes, strikes)
+    unit[np.repeat(starts[i], strikes) + np.repeat(p, strikes) * k] = False
+    units = np.flatnonzero(unit)
+    count = np.add.reduceat(unit, starts, dtype=np.int64)
+    work = np.uint32 if new[-1] < 1 << 16 else np.int64
+    c = np.repeat(mod, count).astype(work)
+    base = (units - np.repeat(starts, count)).astype(work)
+    # phi(c) is twice the units r <= c/2 for c > 2; any exponent serves c <= 2
+    e = 2 * count - 1
+    inv = np.ones_like(base)
+    for bit in range(int(e.max()).bit_length()):
+        if bit:
+            base = base * base % c
+        np.copyto(inv, inv * base % c, where=np.repeat((e >> bit & 1).astype(bool), count))
+    flat = np.zeros(unit.size, dtype=work)
+    flat[units] = inv
+    # np.min_scalar_type(c) steps up at 2^8, 2^16 and 2^32, so each dtype
+    # class is a run of the sorted moduli and one array holds its tables
+    bounds = [0, *np.searchsorted(mod, (1 << 8, 1 << 16, 1 << 32)).tolist(), mod.size]
+    lows, highs = starts.tolist(), (starts + size).tolist()
+    tables = {}
+    for a, b in zip(bounds, bounds[1:]):
+        if a < b:
+            block = flat[lows[a]:highs[b - 1]].astype(np.min_scalar_type(new[a]))
+            block.flags.writeable = False
+            tables.update((ci, block[lo - lows[a]:hi - lows[a]])
+                          for ci, lo, hi in zip(new[a:b], lows[a:b], highs[a:b]))
+    return tables
+
+
 def _inverse_tables(cs) -> list[np.ndarray]:
     """The table of each modulus c in cs: r^-1 mod c at the units r <= c/2,
     0 at the other r <= c/2 (a unit above c/2 reads (c - r)^-1 =
-    c - inv[c - r]), read-only, in the smallest unsigned dtype that holds c:
-    about c bytes a modulus below 2^16.  The tables missing from the store
-    are built at once and kept: the prime multiples are struck out, and
-    r^(phi(c)-1) mod c runs by square-and-multiply on all their units
-    (products c^2 < 2^63)."""
-    import numpy as np
+    c - inv[c - r]), read-only, in np.min_scalar_type(c): about c bytes a
+    modulus below 2^16.  The tables missing from the store are built a
+    chunk of moduli at a time (`_chunks`), one vectorised pass a chunk, and
+    kept."""
     store = _store()
     tables = {c: store.arrays.get(c) for c in map(int, cs)}
-    new = sorted(c for c, table in tables.items() if table is None)
-    if new:
-        mod = np.array(new, dtype=np.int64)
-        size = mod // 2 + 1
-        starts = np.cumsum(size) - size
-        unit = np.ones(int(size.sum()), dtype=bool)
-        for c, lo, n in zip(new, starts.tolist(), size.tolist()):
-            for p in set(forms.prime_factors(c)):
-                unit[lo:lo + n:p] = False
-        units = np.flatnonzero(unit)
-        row = np.repeat(np.arange(mod.size), size)[units]
-        # phi(c) is twice the units r <= c/2 for c > 2; any exponent serves c <= 2
-        c, base, e = mod[row], units - starts[row], 2 * np.bincount(row)[row] - 1
-        inv = np.ones_like(base)
-        while e.any():
-            inv = np.where(e & 1, inv * base % c, inv)
-            base = base * base % c
-            e >>= 1
-        flat = np.zeros(unit.size, dtype=np.int64)
-        flat[units] = inv % c
-        for ci, table in zip(new, np.split(flat, np.cumsum(size)[:-1])):
-            tables[ci] = table.astype(np.min_scalar_type(ci))
-            tables[ci].flags.writeable = False
-        store.keep((ci, tables[ci]) for ci in new)
+    for chunk in _chunks(sorted(c for c, table in tables.items() if table is None)):
+        built = _inverse_pass(chunk)
+        tables.update(built)
+        store.keep(built.items())
     return [tables[int(c)] for c in cs]
+
+
+def _kloosterman_pass(new: list[int], m: int) -> dict:
+    """The rows S(., -m; c) of the sorted moduli new, as read-only views of
+    one array: all their phases e(-m r^-1/c) in one exp, then one real
+    inverse DFT of length c a row."""
+    import numpy as np
+    mod = np.array(new, dtype=np.int64)
+    half = mod // 2 + 1
+    inv = np.concatenate(_inverse_tables(new), dtype=np.int64)
+    modulus = np.repeat(mod, half)
+    unit = np.flatnonzero(inv | (modulus == 1))
+    cr = modulus[unit]
+    g = np.zeros(inv.size, dtype=complex)
+    g[unit] = np.exp(1j * ((-2 * math.pi / cr) * (m * inv[unit] % cr)))
+    fresh = np.empty(int(mod.sum()))
+    ends = np.cumsum(mod).tolist()
+    for ci, end, e, h in zip(new, ends, np.cumsum(half).tolist(), half.tolist()):
+        np.fft.irfft(g[e - h:e], n=ci, norm="forward", out=fresh[end - ci:end])
+    fresh.flags.writeable = False
+    return {ci: fresh[end - ci:end] for ci, end in zip(new, ends)}
 
 
 def _kloosterman_rows(c: np.ndarray, m: int) -> np.ndarray:
     """S(k, -m; c) for k = 0 .. c-1, the rows of the moduli c concatenated:
     c times the inverse DFT of g_r = e(-m r^-1/c) on the units r.  As
     g_(c-r) = conj(g_r), the sums are real and the units r <= c/2 give
-    them.  The rows missing from the store are built into one array
-    and kept as views of it: all their phases in one exp, then one real
-    inverse DFT of length c a row.  S(0, -m; c) is the Ramanujan sum
-    c_c(m), an integer."""
+    them.  The rows missing from the store are built a chunk of moduli at
+    a time (`_chunks`), one exp and one array a chunk, and kept.
+    S(0, -m; c) is the Ramanujan sum c_c(m), an integer."""
     import numpy as np
     store = _store()
     cs = c.tolist()
-    rows = [store.arrays.get((ci, m)) for ci in cs]
-    new = [ci for ci, row in zip(cs, rows) if row is None]
-    if new:
-        mod = np.array(new, dtype=np.int64)
-        half = mod // 2 + 1
-        inv = np.concatenate(_inverse_tables(new), dtype=np.int64)
-        modulus = np.repeat(mod, half)
-        unit = np.flatnonzero(inv | (modulus == 1))
-        cr = modulus[unit]
-        g = np.zeros(inv.size, dtype=complex)
-        g[unit] = np.exp(1j * ((-2 * math.pi / cr) * (m * inv[unit] % cr)))
-        fresh = np.empty(int(mod.sum()))
-        ends = np.cumsum(mod).tolist()
-        for ci, end, e, h in zip(new, ends, np.cumsum(half).tolist(), half.tolist()):
-            np.fft.irfft(g[e - h:e], n=ci, norm="forward", out=fresh[end - ci:end])
-        fresh.flags.writeable = False
-        built = {ci: fresh[end - ci:end] for ci, end in zip(new, ends)}
+    rows = {ci: store.arrays.get((ci, m)) for ci in cs}
+    for chunk in _chunks(sorted(ci for ci, row in rows.items() if row is None)):
+        built = _kloosterman_pass(chunk, m)
+        rows.update(built)
         store.keep(((ci, m), row) for ci, row in built.items())
-        if len(new) == len(cs):
-            return fresh
-        rows = [built[ci] if row is None else row for ci, row in zip(cs, rows)]
-    return np.concatenate(rows)
+    return np.concatenate([rows[ci] for ci in cs])
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +708,25 @@ def _poincare_rows(m: int, u: float, v: float, s: float, c: np.ndarray,
     turn = np.exp((2j * math.pi * (u - round(u))) * np.arange(K.max() + 1))
     bracket = np.empty(c.size, dtype=complex)
     size = np.empty(c.size)
+    # the Kloosterman rows are read a chunk of moduli ahead of the blocks
+    # (`_chunks`), so that each is built once a call in a few large passes
+    # while at most about two chunks of them are held: sums holds the rows
+    # first .. built-1
+    chunks = _chunks(c.tolist())
+    sums, first, built = np.empty(0), 0, 0
+    offset = np.cumsum(c) - c
     ends = np.cumsum(K + c)
     lo = 0
     while lo < c.size:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - K[lo] - c[lo] + _ROW_BLOCK,
                                              side="right")))
+        while built < hi:
+            more = built + len(next(chunks))
+            sums = np.concatenate((sums[offset[lo] - offset[first]:],
+                                   _kloosterman_rows(c[built:more], m)))
+            first, built = lo, more
         cb, Kb = c[lo:hi], K[lo:hi]
-        sums = _kloosterman_rows(cb, m)
-        start = np.cumsum(cb) - cb
+        start = offset[lo:hi] - offset[first]
         row = np.repeat(np.arange(hi - lo), Kb)
         n = np.arange(int(Kb.sum()), dtype=np.int64) - np.repeat(np.cumsum(Kb) - Kb, Kb) + 1
         cn = cb[row]

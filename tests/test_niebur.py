@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -517,8 +518,9 @@ def _full_inverse_table(table, c):
 
 def test_inverse_table_against_pow():
     # every c <= 2000: among them c = 1, 2, 4 and every p^k and 2 p^k in
-    # range, the moduli whose units form a cyclic group
-    cs = range(1, 2001)
+    # range, the moduli whose units form a cyclic group; then moduli on
+    # both sides of 2^16, where square-and-multiply leaves uint32 for int64
+    cs = [*range(1, 2001), 65535, 65536, 65537, 2 * 65537, 3 * 5 * 7 * 11 * 13 * 17]
     for c, table in zip(cs, NB._inverse_tables(cs)):
         assert table.shape == (c // 2 + 1,) and not table.flags.writeable
         assert table.dtype == np.min_scalar_type(c)
@@ -563,6 +565,68 @@ def test_inverse_store_is_built_once_and_emptied_by_cache_clear():
     after = NB.niebur_value(2, 1, tau, P)
     assert (after.value, after.error_estimate) == (before.value, before.error_estimate)
     assert NB._store().arrays.keys() == kept.keys()
+
+
+# moduli that cross the dtype steps 255/256 and 65535/65536 (uint8 to
+# uint16 to uint32 tables, uint32 to int64 arithmetic)
+_MODULI = st.one_of(st.integers(1, 300), st.integers(250, 262), st.integers(65530, 65540))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cs=st.lists(_MODULI, min_size=1, max_size=8, unique=True).map(sorted),
+       cuts=st.lists(st.integers(0, 8), max_size=4).map(sorted),
+       m=st.integers(1, 4), store_bytes=st.sampled_from((8, 1 << 16, NB.STORE_BYTES)))
+def test_chunking_is_invisible(cs, cuts, m, store_bytes):
+    # the tables and rows are the same whether the moduli are built in one
+    # call, one by one, or in any split, and whatever the chunk budget
+    # (STORE_BYTES / 128 moduli elements: one modulus a chunk at 8 bytes)
+    def built(split):
+        tables, rows = [], []
+        for piece in split:
+            NB._store.cache_clear()
+            tables += NB._inverse_tables(piece)
+            NB._store.cache_clear()
+            rows.append(NB._kloosterman_rows(np.array(piece), m))
+        return tables, np.concatenate(rows)
+
+    cuts = [min(cut, len(cs)) for cut in cuts]
+    splits = [[cs], [[c] for c in cs],
+              [cs[a:b] for a, b in zip([0, *cuts], [*cuts, len(cs)]) if a < b]]
+    with mock.patch.object(NB, "STORE_BYTES", store_bytes):
+        (tables, rows), *others = [built(split) for split in splits]
+    for c, table in zip(cs, tables):
+        assert table.dtype == np.min_scalar_type(c) and not table.flags.writeable
+    for other_tables, other_rows in others:
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(tables, other_tables))
+        assert other_rows.tobytes() == rows.tobytes()
+    NB._store.cache_clear()
+
+
+@pytest.mark.parametrize("store_bytes, passes", [(8, 600), (NB.STORE_BYTES, 3)])
+def test_a_cold_call_builds_each_row_once_a_chunk_at_a_time(monkeypatch, store_bytes, passes):
+    # C = 600 at N = 1 needs rows of 180,300 values: three chunks of at most
+    # 2^16 at the default bound, and one modulus a chunk at 8 bytes, where
+    # the store keeps nothing; either way no row is built twice
+    P = EvalParams(truncation=600)
+    tau = 0.2137 + 1j
+    NB._store.cache_clear()
+    want = _bits(NB.niebur_value(1, 1, tau, P))
+    monkeypatch.setattr(NB, "STORE_BYTES", store_bytes)
+    NB._store.cache_clear()
+    chunks = []
+    real = NB._kloosterman_pass
+
+    def spy(new, m):
+        chunks.append(list(new))
+        return real(new, m)
+
+    monkeypatch.setattr(NB, "_kloosterman_pass", spy)
+    assert _bits(NB.niebur_value(1, 1, tau, P)) == want
+    assert [c for chunk in chunks for c in chunk] == list(range(1, 601))
+    assert all(sum(chunk) <= store_bytes >> 7 for chunk in chunks if len(chunk) > 1)
+    assert len(chunks) == passes
+    NB._store.cache_clear()
 
 
 def _bits(pv):
@@ -668,6 +732,13 @@ def test_the_store_stays_within_its_byte_bound(monkeypatch):
         if a.base is not None:
             blocks.setdefault(id(a.base), [a.base, 0])[1] += a.nbytes
     assert blocks and all(base.nbytes == n for base, n in blocks.values())
+    # so are the inverse tables, one array a chunk and dtype class: the
+    # store counts exactly the bytes it keeps alive
+    tables = [a for key, a in store.arrays.items() if type(key) is int]
+    assert tables and all(t.base is not None for t in tables)
+    alive = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes
+             for a in store.arrays.values()}
+    assert store.nbytes == sum(alive.values())
     # an array larger than the bound is returned, not kept
     monkeypatch.setattr(NB, "STORE_BYTES", 8)
     NB._store.cache_clear()
