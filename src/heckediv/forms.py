@@ -41,10 +41,12 @@ empties the store with the other caches.
 j_n = (j - 720)|T(n) reads the stored q j by its length.  The additive
 Hecke formula at k = 0 reads n(prec + n) + 1 coefficients of j; where
 that many are stored it is the cheaper route (the warm one), and it is
-the oracle of the tests.  Otherwise j_n = F_n(j) + 24 sigma_1(n) by the
-recursion of the Faber polynomials F_n of j (Asai, Kaneko and Ninomiya,
-Comment. Math. Univ. St. Pauli 46, 1997; Bruinier, Kohnen and Ono,
-Compositio Math. 140, 2004), which reads only max(prec, n + 1) of them.
+the oracle of the tests.  Otherwise j_n = F_n(j) + 24 sigma_1(n) for the
+Faber polynomial F_n of j (Bruinier, Kohnen and Ono, Compositio Math.
+140, 2004), which reads only max(prec, n + 1) of them.  Its recursion,
+:func:`_faber_windows`, holds for any t = q^-1 + c(0) + sum c(i) q^i
+(Curtiss, Amer. Math. Monthly 78, 1971), and at the Hauptmoduln t_N of
+levels 1-5 it builds the harmonic slices F_m(t_N) of :mod:`heckediv.niebur`.
 
 :func:`euler_product` is no longer on any route; it keeps its cache for
 tools that read it.
@@ -242,18 +244,20 @@ def j_shifted(prec: int) -> PuiseuxSeries:
     return j_function(prec) - 720
 
 
-def _faber_windows(n: int, prec: int) -> list:
-    """The windows of F_n(j), `prec` coefficients from q^-n, for the Faber
-    polynomial F_n of j: the monic polynomial with F_n(j) = q^-n + O(q).
+def _faber_windows(N: int, n: int, prec: int) -> list:
+    """The window of F_n(t), `prec` coefficients from q^-n, for the Faber
+    polynomial F_n of the Hauptmodul t of level N (j at N = 1, the eta
+    quotient of :func:`hauptmodul_spec` at N = 2-5): F_n(t) = q^-n + O(q).
 
-    With J = j - 744 = q^-1 + sum_{i>=1} c(i) q^i, F_1(j) = J and
-    F_m(j) = J F_(m-1)(j) - sum_{i=1}^{m-2} c(i) F_(m-1-i)(j) - m c(m-1)
-    (Asai, Kaneko and Ninomiya, Comment. Math. Univ. St. Pauli 46, 1997).
-    The window of F_m starts at q^-m, so J F_(m-1) is one Kronecker
+    For any t = q^-1 + c(0) + sum_{i>=1} c(i) q^i, J = t - c(0), F_1(t) = J
+    and F_m(t) = J F_(m-1)(t) - sum_{i=1}^{m-2} c(i) F_(m-1-i)(t) - m c(m-1)
+    (Curtiss 1971; for j, Asai, Kaneko and Ninomiya 1997): c(0) is never
+    read.  The window of F_m starts at q^-m, so J F_(m-1) is one Kronecker
     product of the window qJ with that of F_(m-1), and F_(m-1-i) enters
-    it at offset i + 1.  It reads max(prec, n + 1) coefficients of j."""
-    u = _j_unit(max(prec, n + 1))  # q j = 1 + 744 q + sum c(i) q^(i+1)
-    qJ = [1, 0][:prec] + u[2:prec]
+    it at offset i + 1.  It reads max(prec, n + 1) coefficients of q t."""
+    k = max(prec, n + 1)
+    u = _j_unit(k) if N == 1 else _eta_unit(hauptmodul_spec(N).exponents, k)
+    qJ = [1, 0][:prec] + u[2:prec]  # u = q t = 1 + c(0) q + sum c(i) q^(i+1)
     windows = [None, qJ]
     for m in range(2, n + 1):
         w = _kronecker_product(qJ, windows[m - 1], prec)
@@ -273,7 +277,7 @@ def jn(n: int, prec: int) -> PuiseuxSeries:
 
     j_n = F_n(j) + 24 sigma_1(n) for the Faber polynomial F_n of j
     (Bruinier, Kohnen and Ono, Compositio Math. 140, 2004), and the
-    recursion of :func:`_faber_windows` reads max(prec, n + 1)
+    recursion of :func:`_faber_windows` at level 1 reads max(prec, n + 1)
     coefficients of j.  The additive Hecke formula reads n(prec + n) + 1
     of them; it is cheaper once they are stored, so a call takes it (the
     warm route) when the stored prefix of q j is that long, and the
@@ -287,7 +291,7 @@ def jn(n: int, prec: int) -> PuiseuxSeries:
     need = n * (prec + n) + 1
     if len(_prefixes().get(("j",), ())) >= need:
         return hecke_additive_formula(j_shifted(need), 0, n).truncate(prec - n)
-    w = _faber_windows(n, prec)
+    w = _faber_windows(1, n, prec)
     if n < prec:
         w[n] += 24 * sigma(1, n)
     return PuiseuxSeries(1, -n, w)

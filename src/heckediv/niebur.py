@@ -1,7 +1,7 @@
 r"""Numerical evaluation of the weight-0 Niebur-Poincare series
 F_{N,-m}(tau, s) (Eisenstein series for m = 0) in the absolute-convergence
 region s > 1, high-precision CM values of j_n, and the weakly holomorphic
-weight-0 slices built from Hauptmoduln.
+weight-0 slices, Faber polynomials F_m(t_N) built by ``forms._faber_windows``.
 
 The Poincare sum runs over the cosets Gamma_0(N)_inf \ Gamma_0(N), indexed
 by bottom rows (c, d): c a positive multiple of N up to C*N, d coprime to
@@ -52,7 +52,8 @@ from functools import lru_cache
 
 from . import forms
 from .curve import HeegnerPoint, reduce_point
-from .errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, UnsupportedParameter
+from .errors import (ConvergenceBudgetExceeded, NonGenusZeroLevel, PrecisionExhausted,
+                     UnsupportedParameter)
 from .series import PuiseuxSeries
 
 
@@ -934,24 +935,17 @@ def jn_value(n: int, z, digits: int = 50):
 # harmonic slices: the r = 0, m > 0 Laurent slice as Hauptmodul polynomials
 # ---------------------------------------------------------------------------
 
-GENUS_ZERO_LEVELS = (1, 2, 3, 4, 5)
-
-
 @lru_cache(maxsize=128)
 def harmonic_slice(N: int, m: int, prec: int = 40) -> PuiseuxSeries:
     """The weakly holomorphic weight-0 form q^-m + O(q) on X_0(N) (genus
     zero), normalized with constant term 0: the s -> 1 slice of the
-    Niebur-Poincare series up to its additive constant.  Cross-level
-    identities must be compared after applying Theta."""
-    if N not in GENUS_ZERO_LEVELS:
+    Niebur-Poincare series up to its additive constant, F_m(t_N) for the
+    level's Hauptmodul t_N by ``forms._faber_windows``, through q^(prec + 1).
+    Cross-level identities must be compared after applying Theta."""
+    if not (N == 1 or N in forms.GENUS_ZERO_ETA_LEVELS):
         raise NonGenusZeroLevel(f"level {N} has no Hauptmodul slice here")
     if m < 1:
         raise UnsupportedParameter(f"a harmonic slice needs m >= 1, got {m}")
-    t = forms.hauptmodul_qexp(N, prec + m + 2)
-    f = t ** m
-    for e in range(m - 1, 0, -1):
-        a = f.coefficient(-e)
-        if a:
-            f = f - a * t ** e
-    f = f - f.coefficient(0)
-    return f
+    if prec < -1:
+        raise PrecisionExhausted(f"a harmonic slice needs prec >= -1, got {prec}")
+    return PuiseuxSeries(1, -m, forms._faber_windows(N, m, prec + m + 2))

@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from heckediv import forms as F, niebur as NB
 from heckediv.curve import CM_J, HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import ConvergenceBudgetExceeded, NonGenusZeroLevel, \
+from heckediv.errors import ConvergenceBudgetExceeded, HeckeDivError, NonGenusZeroLevel, \
     UnsupportedParameter
 from heckediv.niebur import EvalParams
 from heckediv.series import PuiseuxSeries as S
+from test_forms import _jn_oracle
 
 
 # -- the phi kernel: I-Bessel series in doubles ------------------------------------
@@ -348,8 +349,9 @@ def test_slice_level1_is_j_up_to_constant():
 
 
 def test_slice_level1_m2_is_j2_up_to_constant():
+    # j_2 by the additive Hecke formula, not by the Faber recursion of the slice
     s = NB.harmonic_slice(1, 2, 12)
-    assert s.theta().agrees_with(F.jn(2, 14).theta(), through=10)
+    assert s.theta().agrees_with(_jn_oracle(2, 14).theta(), through=10)
 
 
 def test_slice_level2_m2_structure():
@@ -364,6 +366,37 @@ def test_slice_level2_m2_structure():
 def test_slice_rejects_other_levels():
     with pytest.raises(NonGenusZeroLevel):
         NB.harmonic_slice(6, 1, 8)
+
+
+def _oracle_harmonic_slice(N, m, prec):
+    """Oracle: the slice as t^m with its poles q^-(m-1), .., q^-1 stripped
+    by lower powers of the Hauptmodul t, then its constant term, the route
+    that the Faber recursion replaced."""
+    t = F.hauptmodul_qexp(N, prec + m + 2)
+    f = t ** m
+    for e in range(m - 1, 0, -1):
+        a = f.coefficient(-e)
+        if a:
+            f = f - a * t ** e
+    return f - f.coefficient(0)
+
+
+def _outcome(fn, *args):
+    try:
+        s = fn(*args)
+    except HeckeDivError as e:
+        return type(e)
+    return s.D, s.order, s.coeffs, [type(c) for c in s.coeffs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 10), st.integers(-4, 60))
+@example(1, 1, -2)  # the largest prec refused
+@example(1, 10, -1)  # the smallest prec answered
+@example(4, 10, 60)
+def test_slice_is_the_pole_stripped_power_of_the_hauptmodul(N, m, prec):
+    NB.harmonic_slice.cache_clear()
+    assert _outcome(NB.harmonic_slice, N, m, prec) == _outcome(_oracle_harmonic_slice, N, m, prec)
 
 
 # -- block-periodic rows against the element-by-element oracle ----------------------
