@@ -5,12 +5,19 @@ determinant, upper-left entry coprime to N, lower-left divisible by N) are
 labelled by their elementary divisors (a, d) with a | d, ad = det, and
 (a, N) = 1; matrices are plain 4-tuples (a, b, c, d).
 
-Multiplication enumerates products of left-coset representatives, groups
-them by left coset (via an exact canonical key: Hermite form of the row
-lattice plus the P^1(Z/N) class of the unimodular part), labels each group
-by elementary divisors and counts multiplicities.  The count per left coset
-inside one double coset is checked constant, which is exactly the
-well-definedness of the structure constants.
+Multiplication enumerates products of the upper-triangular left-coset
+representatives of two double cosets, groups them by left coset, labels
+each group by elementary divisors and counts multiplicities.  A product
+(a b; 0 d) of two such representatives is again upper triangular, and
+(a, b mod d, d) is an exact key of its left coset at every level N: if
+x = (a b; 0 d) and y = (a' b'; 0 d') have x y^-1 in SL_2(Z), then
+x y^-1 = (a/a', (b a' - a b')/(a' d'); 0, d/d') has integral diagonal
+entries of product 1, both positive, so a = a' and d = d', and then
+b - b' = d times an integer.  Conversely b = b' mod d makes x y^-1 =
+(1 (b-b')/d; 0 1), which lies in Gamma_0(N).  So no P^1(Z/N) class is
+read.  The count per left coset inside one double coset is checked
+constant, which is exactly the well-definedness of the structure
+constants.
 """
 
 from __future__ import annotations
@@ -45,29 +52,8 @@ def in_delta_n(x: Mat, N: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical keys for cosets
+# left cosets
 # ---------------------------------------------------------------------------
-
-def hnf2(x: Mat) -> Mat:
-    """Hermite form (a b; 0 d), a > 0, 0 <= b < d, of the row lattice of x."""
-    a, b, c, d = x
-    det = mat_det(x)
-    if det <= 0:
-        raise NotInDeltaN(f"{x} has determinant {det}; a Hermite form needs det > 0")
-    # gcd of the first column with Bezout rows
-    r1, r2 = (a, b), (c, d)
-    while r2[0]:
-        q = r1[0] // r2[0]
-        r1, r2 = r2, (r1[0] - q * r2[0], r1[1] - q * r2[1])
-    aa = r1[0]
-    if aa < 0:
-        aa, r1 = -aa, (-r1[0], -r1[1])
-    dd = det // aa
-    if dd < 0:
-        dd = -dd
-    bb = r1[1] % dd
-    return (aa, bb, 0, dd)
-
 
 @lru_cache(maxsize=None)
 def _units(N: int) -> tuple[int, ...]:
@@ -86,21 +72,6 @@ def p1_label(c: int, d: int, N: int) -> tuple[int, int]:
         if best is None or cand < best:
             best = cand
     return best
-
-
-def left_coset_key(x: Mat, N: int):
-    """Exact invariant of the left coset Gamma_0(N) x."""
-    h = hnf2(x)
-    # x = s h with s in SL_2(Z); s = x h^{-1} * (1/det h) stays integral
-    det = h[0] * h[3]
-    a, b, c, d = x
-    ha, hb, _, hd = h
-    # h^{-1} = (hd, -hb; 0, ha) / det
-    s = (a * hd, -a * hb + b * ha, c * hd, -c * hb + d * ha)
-    if any(v % det for v in s):
-        raise InvariantViolation(f"{x} is not an integral multiple of its Hermite form {h}")
-    s = tuple(v // det for v in s)
-    return (h, p1_label(s[2], s[3], N))
 
 
 def same_left_coset(alpha: Mat, beta: Mat, N: int) -> bool:
@@ -233,20 +204,17 @@ def identity(N: int) -> AlgebraElement:
 
 def _multiply_cosets(lab1, lab2, N) -> dict[tuple[int, int], int]:
     """Structure constants of T(lab1) * T(lab2) by coset enumeration."""
-    reps1 = double_coset_reps(*lab1, N)
     reps2 = double_coset_reps(*lab2, N)
-    groups: dict = {}
-    for x in reps1:
-        for y in reps2:
-            p = mat_mul(x, y)
-            key = left_coset_key(p, N)
-            if key in groups:
-                groups[key][1] += 1
-            else:
-                groups[key] = [double_coset_label(p, N), 1]
+    groups: dict[tuple[int, int, int], int] = {}
+    for a1, b1, _, d1 in double_coset_reps(*lab1, N):
+        for a2, b2, _, d2 in reps2:
+            d = d1 * d2
+            key = (a1 * a2, (a1 * b2 + b1 * d2) % d, d)
+            groups[key] = groups.get(key, 0) + 1
     counts: dict[tuple[int, int], list[int]] = {}
-    for label, cnt in groups.values():
-        counts.setdefault(label, []).append(cnt)
+    for (a, b, d), cnt in groups.items():
+        g = gcd(a, b, d)
+        counts.setdefault((g, a * d // g), []).append(cnt)
     out = {}
     for label, cnts in counts.items():
         if any(c != cnts[0] for c in cnts):

@@ -8,6 +8,60 @@ from heckediv import algebra as A
 from heckediv.errors import DeterminantMismatch, NotInDeltaN, UnsupportedParameter
 
 
+# -- oracle: the general left-coset key ---------------------------------------
+# An independent route to the left coset of any matrix of Delta_N, kept only
+# to check the upper-triangular key of `A._multiply_cosets`: the Hermite form
+# of the row lattice by a Euclid loop, plus the P^1(Z/N) class of the
+# unimodular part by the scan `A.p1_label`.
+
+def hnf2(x):
+    """Hermite form (a b; 0 d), a > 0, 0 <= b < d, of the row lattice of x."""
+    a, b, c, d = x
+    det = A.mat_det(x)
+    assert det > 0, x
+    r1, r2 = (a, b), (c, d)
+    while r2[0]:
+        q = r1[0] // r2[0]
+        r1, r2 = r2, (r1[0] - q * r2[0], r1[1] - q * r2[1])
+    if r1[0] < 0:
+        r1 = (-r1[0], -r1[1])
+    dd = abs(det // r1[0])
+    return (r1[0], r1[1] % dd, 0, dd)
+
+
+def left_coset_key(x, N):
+    """Exact invariant of the left coset Gamma_0(N) x: x = s h with
+    s in SL_2(Z) and h = hnf2(x), keyed by h and the class of s's bottom row."""
+    h = hnf2(x)
+    ha, hb, _, hd = h
+    det = ha * hd
+    s = A.mat_mul(x, (hd, -hb, 0, ha))
+    assert all(v % det == 0 for v in s), (x, h)
+    return (h, A.p1_label(s[2] // det, s[3] // det, N))
+
+
+def multiply_by_oracle(u, v):
+    """u * v in R_0(N) by grouping every product of representatives under
+    the oracle key and labelling each group by `A.double_coset_label`."""
+    N = u.N
+    acc = {}
+    for lab1, m1 in u.terms:
+        for lab2, m2 in v.terms:
+            groups = {}
+            for x in A.double_coset_reps(*lab1, N):
+                for y in A.double_coset_reps(*lab2, N):
+                    p = A.mat_mul(x, y)
+                    key = left_coset_key(p, N)
+                    groups.setdefault(key, [A.double_coset_label(p, N), 0])[1] += 1
+            counts = {}
+            for label, cnt in groups.values():
+                counts.setdefault(label, set()).add(cnt)
+            for label, cnts in counts.items():
+                assert len(cnts) == 1, (lab1, lab2, label, cnts)
+                acc[label] = acc.get(label, 0) + m1 * m2 * cnts.pop()
+    return A.AlgebraElement.make(N, acc)
+
+
 def random_gamma0(N, rng, size=20):
     """A random element of Gamma_0(N) as a short word in generators."""
     T = (1, 1, 0, 1)
@@ -64,8 +118,8 @@ def test_hnf2_is_an_invariant_of_the_row_lattice(x, word):
     gamma = (1, 0, 0, 1)
     for g in word:
         gamma = A.mat_mul(g, gamma)
-    h = A.hnf2(x)
-    assert A.hnf2(A.mat_mul(gamma, x)) == h
+    h = hnf2(x)
+    assert hnf2(A.mat_mul(gamma, x)) == h
     a, b, c, d = h
     assert c == 0 and a > 0 and 0 <= b < d and a * d == det
     # x = g h with g = x h^-1 integral: h spans the rows of x
@@ -176,20 +230,31 @@ def test_commutativity_small_generators():
                 assert A.algebra_multiply(u, v) == A.algebra_multiply(v, u)
 
 
+def _hecke_product_formula(m, n, N):
+    # T(m) T(n) = sum over e | (m, n), (e, N) = 1 of e T(e,e) T(mn/e^2)
+    rhs = None
+    for e in range(1, min(m, n) + 1):
+        if m % e or n % e or math.gcd(e, N) != 1:
+            continue
+        term = e * A.algebra_multiply(A.t_ad(e, e, N), A.t_n(m * n // (e * e), N))
+        rhs = term if rhs is None else rhs + term
+    return rhs
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_hecke_product_formula(N):
-    # T(m) T(n) = sum over d | (m, n), (d, N) = 1 of d T(d,d) T(mn/d^2)
     for m in range(1, 7):
         for n in range(1, 7):
-            lhs = A.algebra_multiply(A.t_n(m, N), A.t_n(n, N))
-            rhs = None
-            for d in range(1, min(m, n) + 1):
-                if m % d or n % d or math.gcd(d, N) != 1:
-                    continue
-                term = d * A.algebra_multiply(A.t_ad(d, d, N),
-                                              A.t_n(m * n // (d * d), N))
-                rhs = term if rhs is None else rhs + term
-            assert lhs == rhs, (m, n, N)
+            assert A.algebra_multiply(A.t_n(m, N), A.t_n(n, N)) == \
+                _hecke_product_formula(m, n, N), (m, n, N)
+
+
+def test_hecke_product_formula_at_a_large_prime_level():
+    N = 1009
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert A.algebra_multiply(A.t_n(m, N), A.t_n(n, N)) == \
+                _hecke_product_formula(m, n, N), (m, n)
 
 
 def test_scalar_coset_absorption():
@@ -203,3 +268,37 @@ def test_make_rejects_bad_labels():
         A.AlgebraElement.make(2, {(2, 4): 1})   # gcd(a, N) != 1
     with pytest.raises(UnsupportedParameter):
         A.AlgebraElement.make(1, {(3, 4): 1})   # a does not divide d
+
+
+def _element(draw, N):
+    # a t_n with n <= 40, (n, N) > 1 included, or a t_ad with ad <= 40
+    kind = draw(st.sampled_from(["n", "ad"]))
+    if kind == "n":
+        return A.t_n(draw(st.integers(1, 40)), N)
+    a = draw(st.integers(1, 6).filter(lambda a: math.gcd(a, N) == 1))
+    d = a * draw(st.integers(1, 40 // (a * a)))
+    return A.t_ad(a, d, N)
+
+
+@st.composite
+def _level_and_pair(draw):
+    N = draw(st.integers(1, 60))
+    return N, _element(draw, N), _element(draw, N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_level_and_pair())
+def test_multiply_equals_grouping_by_the_oracle_key(case):
+    N, u, v = case
+    assert A.algebra_multiply(u, v) == multiply_by_oracle(u, v)
+
+
+def test_multiply_reads_no_p1_class(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("p1_label called")
+    monkeypatch.setattr(A, "p1_label", refuse)
+    t30 = A.t_n(30, 1009)
+    prod = A.algebra_multiply(t30, t30)
+    assert prod == A.AlgebraElement.make(1009, {
+        (1, 900): 1, (2, 450): 3, (3, 300): 4, (5, 180): 6, (6, 150): 12,
+        (10, 90): 18, (15, 60): 24, (30, 30): 72})

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckediv import algebra as A, forms as F, operators as O
 from heckediv.cyclotomic import Cyclo
@@ -33,6 +33,31 @@ def test_additive_formula_classical_normalization():
     d = F.delta(24)
     img = O.hecke_additive_formula(d, 12, 2, normalization="classical")
     assert img.agrees_with(-24 * d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([4, 6, 8, 10, 12, 14]))
+def test_additive_formula_level_n_eigenvalues(N, n, k):
+    # for (n, N) = 1 the classical T(n) at level N has eigenvalue
+    # sigma_{k-1}(n) on E_k and tau(n) on Delta (k = 12 draws Delta)
+    assume(gcd(n, N) == 1)
+    prec = 10 * n + 10
+    f = F.delta(prec) if k == 12 else F.eisenstein(k, prec)
+    eigenvalue = f.coefficient(n) if k == 12 else F.sigma(k - 1, n)
+    img = O.hecke_additive_formula(f, k, n, "classical", N)
+    assert img.cutoff >= 10
+    assert img.agrees_with(eigenvalue * f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [4, 6])
+def test_up_of_eisenstein_at_level_p_is_not_the_level_one_eigenvalue(p, k):
+    # negative control: at p | N the formula is U_p, which keeps E_k's
+    # constant term, so sigma_{k-1}(p) E_k is not its image
+    f = F.eisenstein(k, 10 * p + 10)
+    img = O.hecke_additive_formula(f, k, p, "classical", p)
+    assert img.coefficient(0) == 1
+    assert not img.agrees_with(F.sigma(k - 1, p) * f)
 
 
 def test_additive_formula_constant_eigenvalue():
