@@ -1,7 +1,8 @@
 r"""Numerical evaluation of the weight-0 Niebur-Poincare series
 F_{N,-m}(tau, s) (Eisenstein series for m = 0) in the absolute-convergence
-region s > 1, high-precision CM values of j_n, and the weakly holomorphic
-weight-0 slices, Faber polynomials F_m(t_N) built by ``forms._faber_windows``.
+region s > 1, high-precision values of j_n at CM points, and the weakly
+holomorphic weight-0 slices, Faber polynomials F_m(t_N) built by
+``forms._faber_windows``.
 
 The Poincare sum runs over the cosets Gamma_0(N)_inf \ Gamma_0(N), indexed
 by bottom rows (c, d): c a positive multiple of N up to C*N, d coprime to
@@ -17,10 +18,11 @@ chunks a call), a chunk ahead of the blocks of Fourier terms that read
 them: one vectorised pass gives the inverses r^-1 mod c of the units
 r <= c/2 of every modulus of the chunk, one exp the phases e(-m r^-1/c),
 and one real inverse DFT of length c each row.  A row S(., -m; c) does
-not depend on tau or s, so each is built once per (c, m) and kept, with
-the inverse table of its modulus (about c bytes), in one process-wide
-store of at most STORE_BYTES: evaluations at many points, such as a
-point and its Gamma_0(N) images, share their Kloosterman sums.
+not depend on tau or s, so each is built once per (c, m) and kept in one
+process-wide store of Kloosterman rows only, at most STORE_BYTES:
+evaluations at many points, such as a point and its Gamma_0(N) images,
+share their Kloosterman sums.  The inverses are not kept: the row of a
+modulus at another m runs their pass again.
 
 A row runs on a d-window instead (d in a symmetric window rounded to
 whole residue blocks, so the discarded class tails share a common size
@@ -52,8 +54,8 @@ from functools import lru_cache
 
 from . import forms
 from .curve import HeegnerPoint, reduce_point
-from .errors import (ConvergenceBudgetExceeded, NonGenusZeroLevel, PrecisionExhausted,
-                     UnsupportedParameter)
+from .errors import (ConvergenceBudgetExceeded, InvalidInput, NonGenusZeroLevel,
+                     PrecisionExhausted, UnsupportedParameter)
 from .series import PuiseuxSeries
 
 
@@ -129,24 +131,17 @@ def _series_length(ymax: float, order: float) -> int:
 
 def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     """Vectorized phi_m(v, s) = 2 pi sqrt(m v) I_(s-1/2)(2 pi m v) in
-    doubles (power series, adaptive length).  The lead (x/2)^nu/Gamma(nu+1)
-    of the series is carried in logarithms, so that neither factor
-    overflows at large s; an entry below the double range comes out 0."""
+    doubles: I^ of `_bessel_ij` at x = 2 pi m v.  The lead
+    (x/2)^nu/Gamma(nu+1) of the series is carried in logarithms, so that
+    neither factor overflows at large s; an entry below the double range
+    comes out 0."""
     import numpy as np
     if m == 0:
         return v ** s
     nu = s - 0.5
     x = 2.0 * math.pi * m * v
     half = x / 2.0
-    y = half * half
-    k = _series_length(float(y.max()) if y.size else 0.0, nu)
-    term = np.ones_like(v)
-    acc = term.copy()
-    ratio = np.empty_like(y)
-    for j in range(1, k + 1):
-        np.divide(y, j * (j + nu), out=ratio)
-        term *= ratio
-        acc += term
+    acc = _bessel_ij(half * half, nu)[0]
     with np.errstate(divide="ignore"):  # log 0 = -inf gives the lead 0 at v = 0
         lead = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
     return 2.0 * math.pi * np.sqrt(m * v) * lead * acc
@@ -155,8 +150,9 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
 def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """I^ = sum_k y^k / (k! (mu+1)_k) and J^ = sum_k (-y)^k / (k! (mu+1)_k)
     at y = x^2/4: I_mu(x) and J_mu(x) divided by (x/2)^mu / Gamma(mu+1),
-    both 1 at x = 0.  J^ is the alternating sum of the terms of I^, so its
-    rounding is that of I^, not of J^."""
+    both 1 at x = 0: the one Bessel power series of the module.  J^ is the
+    alternating sum of the terms of I^, so its rounding is that of I^, not
+    of J^."""
     import numpy as np
     k = _series_length(float(y.max()) if y.size else 0.0, mu)
     term = np.ones_like(y)
@@ -178,18 +174,16 @@ def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
 # modular inverses and Kloosterman sums
 # ---------------------------------------------------------------------------
 
-# the most bytes the store may keep: inverse tables and Kloosterman rows
-# together, oldest first out; a call that needs more still gets every
-# table and row it builds
+# the most bytes the store of Kloosterman rows may keep, oldest first out;
+# a call that needs more still gets every row it builds
 STORE_BYTES = 1 << 23
 
 
 class _Store:
-    """Read-only arrays in the order they were kept, and their total size:
-    the inverse table of modulus c under the key c, the Kloosterman row
-    S(., -m; c) under (c, m).  The rows of one chunk, and its tables of
-    one dtype, are views of one array, which leaves the store with the
-    last of them."""
+    """Kloosterman rows only: the read-only row S(., -m; c) under the key
+    (c, m), in the order they were kept, and their total size.  The rows of
+    one chunk are views of one array, which leaves the store with the last
+    of them."""
 
     def __init__(self):
         self.arrays: dict = {}
@@ -220,9 +214,8 @@ class _Store:
 
 @lru_cache(maxsize=None)
 def _store() -> _Store:
-    """The process-wide store of inverse tables and Kloosterman rows; it
-    sits behind lru_cache so that its cache_clear empties it with the
-    others."""
+    """The process-wide store of Kloosterman rows; it sits behind
+    lru_cache so that its cache_clear empties it with the others."""
     return _Store()
 
 
@@ -268,14 +261,15 @@ def _prime_divisors(mod: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rest, last = rest // p, p
 
 
-def _inverse_pass(new: list[int]) -> dict:
-    """The inverse tables of the sorted moduli new, built in one pass: the
-    multiples of each prime divisor of c are struck from the r <= c/2, and
-    r^(phi(c)-1) mod c runs by square-and-multiply on the units left, in
-    uint32 while every c < 2^16 (products below 2^32), in int64 above
-    (products below 2^63 while c < 3.03e9).
-    The tables of one dtype class are read-only views of one array, which
-    leaves the store with the last of them."""
+def _inverse_pass(new: list[int]) -> np.ndarray:
+    """The inverse half-tables of the sorted moduli new, concatenated in one
+    int64 array: for each c its c // 2 + 1 entries r^-1 mod c at the units
+    r <= c/2 and 0 at the other r <= c/2 (a unit above c/2 reads
+    (c - r)^-1 = c - inv[c - r]).  One pass: the multiples of each prime
+    divisor of c are struck from the r <= c/2, and r^(phi(c)-1) mod c runs
+    by square-and-multiply on the units left, in uint32 while every
+    c < 2^16 (products below 2^32), in int64 above (products below 2^63
+    while c < 3.03e9)."""
     import numpy as np
     mod = np.array(new, dtype=np.int64)
     size = mod // 2 + 1
@@ -297,46 +291,20 @@ def _inverse_pass(new: list[int]) -> dict:
         if bit:
             base = base * base % c
         np.copyto(inv, inv * base % c, where=np.repeat((e >> bit & 1).astype(bool), count))
-    flat = np.zeros(unit.size, dtype=work)
+    flat = np.zeros(unit.size, dtype=np.int64)
     flat[units] = inv
-    # np.min_scalar_type(c) steps up at 2^8, 2^16 and 2^32, so each dtype
-    # class is a run of the sorted moduli and one array holds its tables
-    bounds = [0, *np.searchsorted(mod, (1 << 8, 1 << 16, 1 << 32)).tolist(), mod.size]
-    lows, highs = starts.tolist(), (starts + size).tolist()
-    tables = {}
-    for a, b in zip(bounds, bounds[1:]):
-        if a < b:
-            block = flat[lows[a]:highs[b - 1]].astype(np.min_scalar_type(new[a]))
-            block.flags.writeable = False
-            tables.update((ci, block[lo - lows[a]:hi - lows[a]])
-                          for ci, lo, hi in zip(new[a:b], lows[a:b], highs[a:b]))
-    return tables
-
-
-def _inverse_tables(cs) -> list[np.ndarray]:
-    """The table of each modulus c in cs: r^-1 mod c at the units r <= c/2,
-    0 at the other r <= c/2 (a unit above c/2 reads (c - r)^-1 =
-    c - inv[c - r]), read-only, in np.min_scalar_type(c): about c bytes a
-    modulus below 2^16.  The tables missing from the store are built a
-    chunk of moduli at a time (`_chunks`), one vectorised pass a chunk, and
-    kept."""
-    store = _store()
-    tables = {c: store.arrays.get(c) for c in map(int, cs)}
-    for chunk in _chunks(sorted(c for c, table in tables.items() if table is None)):
-        built = _inverse_pass(chunk)
-        tables.update(built)
-        store.keep(built.items())
-    return [tables[int(c)] for c in cs]
+    return flat
 
 
 def _kloosterman_pass(new: list[int], m: int) -> dict:
     """The rows S(., -m; c) of the sorted moduli new, as read-only views of
-    one array: all their phases e(-m r^-1/c) in one exp, then one real
-    inverse DFT of length c a row."""
+    one array: the inverses of their units in one `_inverse_pass`, all their
+    phases e(-m r^-1/c) in one exp, then one real inverse DFT of length c a
+    row."""
     import numpy as np
     mod = np.array(new, dtype=np.int64)
     half = mod // 2 + 1
-    inv = np.concatenate(_inverse_tables(new), dtype=np.int64)
+    inv = _inverse_pass(new)
     modulus = np.repeat(mod, half)
     unit = np.flatnonzero(inv | (modulus == 1))
     cr = modulus[unit]
@@ -414,7 +382,7 @@ def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
         amp = _phi_np(m, v / denom, s)
         if m:
             r = block[coprime]
-            a = _inverse_tables((c,))[0][np.minimum(r, c - r)].astype(np.int64)
+            a = _inverse_pass([c])[np.minimum(r, c - r)]
             a = np.where(2 * r <= c, a, c - a)
             turn = np.tile(-2.0 * math.pi * m * (a / float(c)), reps)[:count]
             phase = turn + 2.0 * math.pi * m * t / (c * denom)
@@ -470,29 +438,19 @@ def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
 # d-windows, so the cheaper of the two runs.
 
 def _mu_phi(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu(k) and phi(k) for 0 <= k <= n (both 0 at k = 0): the primes up to
-    sqrt(n) are sieved out, and what is left of k is 1 or one prime."""
+    """mu(k) and phi(k) for 0 <= k <= n (both 0 at k = 0) from the primes
+    p | k of `_prime_divisors`: k is squarefree where their product is k,
+    and phi(k) = k / prod p * prod (p - 1)."""
     import numpy as np
-    mu = np.ones(n + 1, dtype=np.int64)
-    phi = np.arange(n + 1, dtype=np.int64)
-    rest = np.arange(n + 1, dtype=np.int64)
-    r = math.isqrt(n)
-    composite = np.zeros(r + 1, dtype=bool)
-    for p in range(2, r + 1):
-        if composite[p]:
-            continue
-        composite[p * p::p] = True
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
-        phi[p::p] -= phi[p::p] // p
-        q = p
-        while q <= n:
-            rest[q::q] //= p
-            q *= p
-    big = rest > 1
-    mu[big] *= -1
-    phi[big] -= phi[big] // rest[big]
-    mu[0] = 0
+    k = np.arange(n + 1, dtype=np.int64)
+    i, p = _prime_divisors(k[1:])
+    i += 1
+    radical = np.ones(n + 1, dtype=np.int64)
+    np.multiply.at(radical, i, p)
+    phi = np.ones(n + 1, dtype=np.int64)
+    np.multiply.at(phi, i, p - 1)
+    phi *= k // radical
+    mu = np.where(radical == k, 1 - 2 * (np.bincount(i, minlength=n + 1) & 1), 0)
     return mu, phi
 
 
@@ -800,9 +758,9 @@ def _refuse_wide_windows(tau, c: np.ndarray, v: float) -> None:
 def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> PointValue:
     """F_{N,-m}(tau, s) truncated at c <= C*N, with an empirical c-tail
     estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
-    and a finite tau in the upper half-plane whose value fits in a double
-    and, at m >= 1, whose identity term is a normal double
-    (UnsupportedParameter otherwise).
+    and a finite tau in the upper half-plane whose value is a normal double
+    (UnsupportedParameter otherwise: the value overflows, or its modulus is
+    below sys.float_info.min).
 
     The rows are exact in d where that is cheaper than their d-windows:
     at m = 0 all of them or none (`_eisenstein_rows`, one kappa table), at
@@ -832,10 +790,6 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     if (s * math.log(v) if m == 0 else 2 * math.pi * m * v) > _LOG_DOUBLE_MAX:
         raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) at Im tau = {v:g} overflows a double")
     first = _identity_term(m, u, v, s)
-    # at m >= 1 it carries 1/Gamma(s + 1/2), which may take it below the normal range
-    if m and not abs(first) >= sys.float_info.min:
-        raise UnsupportedParameter(f"tau={tau}: the identity term of F_(N,-{m}) at s={s:g}, "
-                                   "scaled by 1/Gamma(s + 1/2), underflows a double")
     rows = np.zeros(C, dtype=complex)
     rounding = np.zeros(C)
     if closed.any():
@@ -854,6 +808,10 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
         rounding[pending] = 0.0
     if not cmath.isfinite(value):
         raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) overflows a double")
+    # at m >= 1 the identity term carries 1/Gamma(s + 1/2) and may underflow
+    # alone, while the rows still sum to a normal double
+    if abs(value) < sys.float_info.min:
+        raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) at s={s:g} underflows a double")
     return PointValue(value=value, error_estimate=float(estimate))
 
 
@@ -890,41 +848,18 @@ def _series_length_for(n: int, v: float, digits: int) -> int:
     return L
 
 
-def _sl2z_reduced(z):
-    """The SL_2(Z)-image of z (an mpc with Im z > 0) in the standard
-    fundamental domain |Re z| <= 1/2, |z| >= 1: translate, then invert
-    while |z| < 1.  Each inversion raises Im z, so the loop ends."""
-    import mpmath
-    while True:
-        z -= mpmath.nint(z.real)
-        if abs(z) >= 1:
-            return z
-        z = -1 / z
-
-
-def jn_value(n: int, z, digits: int = 50):
+def jn_value(n: int, z: HeegnerPoint, digits: int = 50):
     """High-precision value of j_n (the weight-0 Hecke image of j - 720)
-    at a CM point or a finite complex point of the upper half-plane.  j_n
-    is SL_2(Z)-invariant, so either is first reduced into the standard
-    fundamental domain: a CM point exactly, a complex point at digits + 15
-    working digits."""
+    at the CM point z (InvalidInput for anything else).  j_n is
+    SL_2(Z)-invariant, so z is first reduced exactly into the standard
+    fundamental domain."""
     import mpmath
-    if isinstance(z, HeegnerPoint):
-        key, _ = reduce_point(z, 1)
-        rep = key.representative()
-        A, B, C = rep.A, rep.B, rep.C
-        with mpmath.workdps(digits + 15):
-            disc = B * B - 4 * A * C
-            zc = mpmath.mpc(mpmath.mpf(-B) / (2 * A), mpmath.sqrt(-disc) / (2 * A))
-    else:
-        with mpmath.workdps(digits + 15):
-            zc = mpmath.mpc(z)
-            if not (mpmath.isfinite(zc) and zc.imag > 0):
-                raise UnsupportedParameter(f"z={z}: needs a finite point with Im z > 0")
-            # the reduction magnifies rounding by up to 1/Im z
-            extra = max(0, -int(mpmath.log10(zc.imag)))
-        with mpmath.workdps(digits + 15 + extra):
-            zc = _sl2z_reduced(mpmath.mpc(z))
+    if not isinstance(z, HeegnerPoint):
+        raise InvalidInput(f"z={z!r}: jn_value takes a CM point (a HeegnerPoint)")
+    rep = reduce_point(z, 1)[0].representative()
+    with mpmath.workdps(digits + 15):
+        zc = mpmath.mpc(mpmath.mpf(-rep.B) / (2 * rep.A),
+                        mpmath.sqrt(-rep.discriminant) / (2 * rep.A))
     v = float(mpmath.im(zc))
     L = _series_length_for(n, v, digits)
     series = forms.jn(n, L + n)

@@ -246,30 +246,23 @@ def _bko_j_line(n: int, f) -> Fraction:
 def suite_p_plication() -> list[EvalReport]:
     out = []
     through = 25
-    for (N, m, p) in ((1, 1, 2), (1, 2, 2), (1, 1, 3), (3, 1, 2)):
-        # p coprime to N: Theta(J_{N,m}|T(p)) = Theta(J_{N,pm}) + p Theta(J_{N,m/p})
+    for (N, m, p) in ((1, 1, 2), (1, 2, 2), (1, 1, 3), (3, 1, 2), (2, 1, 2), (2, 2, 2), (4, 1, 2)):
+        # Theta(J_{N,m}|T(p)) = Theta(J_{N,pm}) + p Theta(J_{L,m/p}), L = N for
+        # p coprime to N; at p | N, L = N/p and the right side also has
+        # - Theta(J_{N/p,m}(p tau))
+        L = N // p if N % p == 0 else N
         prec = through * p + m * p + 12
         base = niebur.harmonic_slice(N, m, prec)
         lhs = operators.hecke_additive_formula(base, 0, p, N=N).theta()
         rhs = niebur.harmonic_slice(N, p * m, through + p * m + 6).theta()
         if m % p == 0:
-            rhs = rhs + p * niebur.harmonic_slice(N, m // p, through + 6).theta()
-        out.append(_series_report(
-            f"p-plication (N,m,p)=({N},{m},{p}): T(p) slice vs slice at pm",
-            lhs, rhs, through))
-    for (N, m, p) in ((2, 1, 2), (2, 2, 2), (4, 1, 2)):
-        # p | N: Theta(J_{N,m}|T(p)) = Theta(J_{N,pm}) + p Theta(J_{N/p,m/p})
-        #                              - Theta(J_{N/p,m}(p tau))
-        prec = through * p + m * p + 12
-        base = niebur.harmonic_slice(N, m, prec)
-        lhs = operators.hecke_additive_formula(base, 0, p, N=N).theta()
-        rhs = niebur.harmonic_slice(N, p * m, through + p * m + 6).theta()
-        if m % p == 0:
-            rhs = rhs + p * niebur.harmonic_slice(N // p, m // p, through + 6).theta()
-        lower = niebur.harmonic_slice(N // p, m, through + 6)
-        rhs = rhs - lower.rescale_exponents(p).theta()
-        out.append(_series_report(
-            f"p-plication at p | N (N,m,p)=({N},{m},{p})", lhs, rhs, through))
+            rhs = rhs + p * niebur.harmonic_slice(L, m // p, through + 6).theta()
+        if L < N:
+            rhs = rhs - niebur.harmonic_slice(L, m, through + 6).rescale_exponents(p).theta()
+            name = f"p-plication at p | N (N,m,p)=({N},{m},{p})"
+        else:
+            name = f"p-plication (N,m,p)=({N},{m},{p}): T(p) slice vs slice at pm"
+        out.append(_series_report(name, lhs, rhs, through))
     return out
 
 

@@ -2,7 +2,8 @@
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
 package or its CLI loads neither of the numeric backends; only the
 coset-sum oracles' module imports the cyclotomic field; every module-level function and class of the package
-is referenced somewhere other than its own definition; every module of the
+is referenced somewhere other than its own definition, and every private
+one by the package or its tests; every module of the
 package and of its tests reads each name it imports; and calling
 ``cache_clear()`` on every module-level object that has one leaves no
 cache warm."""
@@ -69,7 +70,8 @@ def test_the_numeric_layer_runs_without_scipy():
     code = ("import sys; sys.modules['scipy'] = None; "
             "from heckediv import niebur; "
             "pv = niebur.niebur_value(2, 3, 0.1 + 0.05j, niebur.EvalParams(truncation=20)); "
-            "j = niebur.jn_value(1, 0.1 + 1.1j, 20); "
+            "from heckediv.curve import HeegnerPoint; "
+            "j = niebur.jn_value(1, HeegnerPoint(7, -21, 16), 20); "
             "print(pv.value == pv.value, abs(j) > 0)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
@@ -147,16 +149,29 @@ def _references(path) -> set:
     return refs
 
 
+def _unread_definitions(folders) -> list:
+    """(module, name) of each module-level function and class of the
+    package that no file under folders reads."""
+    refs = set()
+    for folder in folders:
+        for path in (REPO / folder).rglob("*.py"):
+            refs |= _references(path)
+    return [(path.name, name) for path in sorted((REPO / "src" / "heckediv").glob("*.py"))
+            for name in _module_level_definitions(path) if name not in refs]
+
+
 def test_every_module_level_definition_is_referenced():
     # a function or class that nothing in the library, its tests or the
     # benchmark names is dead code
-    refs = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in (REPO / folder).rglob("*.py"):
-            refs |= _references(path)
-    dead = [f"{path.name}: {name}" for path in sorted((REPO / "src" / "heckediv").glob("*.py"))
-            for name in _module_level_definitions(path) if name not in refs]
-    assert dead == []
+    assert _unread_definitions(("src", "tests", "perfbench")) == []
+
+
+def test_every_private_definition_is_read_by_the_library_or_its_tests():
+    # a private _function or _Class is no API: the benchmark reading it
+    # does not keep it alive, only the library or a test that checks it
+    unread = [(module, name) for module, name in _unread_definitions(("src", "tests"))
+              if name.startswith("_")]
+    assert unread == []
 
 
 def _unused_imports(path) -> list:

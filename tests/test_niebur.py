@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heckediv import forms as F, niebur as NB
-from heckediv.curve import CM_J, HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import ConvergenceBudgetExceeded, HeckeDivError, NonGenusZeroLevel, \
-    UnsupportedParameter
+from heckediv.curve import CM_J, HeegnerPoint as H, OMEGA, POINT_I, act_matrix
+from heckediv.errors import ConvergenceBudgetExceeded, HeckeDivError, InvalidInput, \
+    NonGenusZeroLevel, UnsupportedParameter
 from heckediv.niebur import EvalParams
 from heckediv.series import PuiseuxSeries as S
 from test_forms import _jn_oracle
@@ -279,37 +280,32 @@ def sl2z(draw):
     return a, b, c, d
 
 
+@st.composite
+def cm_points(draw):
+    """A HeegnerPoint [A, B, C] with A <= 6, |B| <= 6 and B^2 - 4AC < 0."""
+    A, B = draw(st.integers(1, 6)), draw(st.integers(-6, 6))
+    return H(A, B, draw(st.integers(B * B // (4 * A) + 1, B * B // (4 * A) + 5)))
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from((1, 2, 3)), st.floats(-0.5, 0.5), st.floats(0.9, 1.6), sl2z())
-def test_jn_value_is_sl2z_invariant_on_complex_points(n, x, y, gamma):
-    # gamma z lies anywhere in the upper half-plane, down to Im ~ 1e-6
-    a, b, c, d = gamma
-    with mpmath.workdps(90):
-        z = mpmath.mpc(x, y)
-        w = (a * z + b) / (c * z + d)
+@given(st.sampled_from((1, 2, 3)), cm_points(), sl2z())
+def test_jn_value_is_sl2z_invariant_on_cm_points(n, z, gamma):
+    # gamma z lies anywhere in the upper half-plane, often far from the
+    # fundamental domain; at n = 1 both values are j - 720 by mpmath's
+    # kleinj at gamma z, a theta-function route that shares no code with
+    # jn_value
+    w = act_matrix(gamma, z)
     want = NB.jn_value(n, z)
-    got = NB.jn_value(n, w)
-    with mpmath.workdps(60):
-        assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want), (gamma, z)
+    assert NB.jn_value(n, w) == want, (gamma, z)
+    if n == 1:
+        with mpmath.workdps(80):
+            wc = mpmath.mpc(mpmath.mpf(-w.B) / (2 * w.A), mpmath.sqrt(-w.discriminant) / (2 * w.A))
+            assert abs(1728 * mpmath.kleinj(wc) - 720 - want) <= mpmath.mpf(10) ** -40 * abs(want)
 
 
-def test_jn_value_reduces_a_complex_point():
-    with mpmath.workdps(60):
-        z = mpmath.mpc(0.1, 0.3)
-        want = NB.jn_value(1, -1 / z, 40)
-        assert abs(NB.jn_value(1, 0.1 + 0.3j, 40) - want) < mpmath.mpf(10) ** -30 * abs(want)
-        # i/2 maps to 2i, where j_1 = 287496 - 720
-        assert abs(NB.jn_value(1, 0.5j, 40) - 286776) < mpmath.mpf(10) ** -30
-    # near the real axis the reduction keeps the digits asked for: at
-    # 65 working digits it would keep about 34 of them here
-    z = 0.1 + 1e-25j
-    with mpmath.workdps(400):
-        w = NB._sl2z_reduced(mpmath.mpc(z))
-    want = NB.jn_value(2, w, 50)
-    with mpmath.workdps(80):
-        assert abs(NB.jn_value(2, z, 50) - want) < mpmath.mpf(10) ** -50 * abs(want)
-    for z in (0.3 - 0.1j, 2 + 0j, complex("nan"), mpmath.mpc("inf", 1)):
-        with pytest.raises(UnsupportedParameter):
+def test_jn_value_takes_cm_points_only():
+    for z in (0.1 + 1.1j, 1j, mpmath.mpc(0.1, 0.3), (1, 0, 1), None):
+        with pytest.raises(InvalidInput):
             NB.jn_value(1, z)
 
 
@@ -543,30 +539,36 @@ def test_niebur_value_matches_elementwise_oracle(m, monkeypatch):
     assert got.error_estimate == want.error_estimate
 
 
-def _full_inverse_table(table, c):
-    # both halves: r <= c/2 as stored, a unit r above c/2 as c - inv[c - r]
-    upper = (c - table[1:(c - 1) // 2 + 1][::-1].astype(np.int64)) % c
-    return np.concatenate([table.astype(np.int64), upper])
+# moduli that cross 255/256 and 65535/65536, the old uint8/uint16/uint32
+# table steps, and 2^16, where square-and-multiply leaves uint32 for int64
+_MODULI = st.one_of(st.integers(1, 300), st.integers(250, 262), st.integers(65530, 65540))
 
 
-def test_inverse_table_against_pow():
-    # every c <= 2000: among them c = 1, 2, 4 and every p^k and 2 p^k in
-    # range, the moduli whose units form a cyclic group; then moduli on
-    # both sides of 2^16, where square-and-multiply leaves uint32 for int64
-    cs = [*range(1, 2001), 65535, 65536, 65537, 2 * 65537, 3 * 5 * 7 * 11 * 13 * 17]
-    for c, table in zip(cs, NB._inverse_tables(cs)):
-        assert table.shape == (c // 2 + 1,) and not table.flags.writeable
-        assert table.dtype == np.min_scalar_type(c)
-        full = _full_inverse_table(table, c)
+@settings(max_examples=40, deadline=None)
+@given(cs=st.lists(_MODULI, min_size=1, max_size=8, unique=True).map(sorted))
+@example(cs=[*range(1, 2001), 65535, 65536, 65537, 2 * 65537, 3 * 5 * 7 * 11 * 13 * 17])
+def test_inverse_pass_against_pow(cs):
+    # the half-table of each c: r^-1 mod c at the units r <= c/2, 0 at the
+    # other r <= c/2; a unit above c/2 reads c - inv[c - r].  The example
+    # holds every c <= 2000, among them c = 1, 2, 4 and every p^k and 2 p^k
+    # in range, the moduli whose units form a cyclic group
+    flat = NB._inverse_pass(cs)
+    assert flat.dtype == np.int64 and flat.size == sum(c // 2 + 1 for c in cs)
+    start = 0
+    for c in cs:
+        table = flat[start:start + c // 2 + 1]
+        start += c // 2 + 1
+        upper = (c - table[1:(c - 1) // 2 + 1][::-1]) % c
+        full = np.concatenate([table, upper])
         unit = np.gcd(np.arange(c), c) == 1
         assert not full[~unit].any(), c
         assert full[unit].tolist() == [pow(r, -1, c) for r in np.flatnonzero(unit).tolist()], c
 
 
 def test_inverse_store_is_built_once_and_emptied_by_cache_clear():
-    # one store keeps the inverse table of each modulus (key c) and each
-    # Kloosterman row (key (c, m)); at Im tau = 1 every row of N = 2, C = 40
-    # runs in closed form, so it needs one of each per modulus
+    # the store keeps Kloosterman rows only, under (c, m), and no inverse
+    # table; at Im tau = 1 every row of N = 2, C = 40 runs in closed form,
+    # so it needs one row per modulus
     P = EvalParams(truncation=40, s=1.5)
     tau = 0.2137 + 1j
     moduli = list(range(2, 81, 2))
@@ -574,22 +576,16 @@ def test_inverse_store_is_built_once_and_emptied_by_cache_clear():
     before = NB.niebur_value(2, 1, tau, P)
     store = NB._store()
     kept = dict(store.arrays)
-    assert sorted(k for k in kept if type(k) is int) == moduli
-    assert sorted(k for k in kept if type(k) is tuple) == [(c, 1) for c in moduli]
+    assert sorted(kept) == [(c, 1) for c in moduli]
     assert store.nbytes == sum(a.nbytes for a in kept.values())
     assert not any(a.flags.writeable for a in kept.values())
     # what is stored is read, not built again
-    tables = NB._inverse_tables(moduli)
-    assert all(t is kept[c] for c, t in zip(moduli, tables))
     rows = NB._kloosterman_rows(np.array(moduli), 1)
     assert rows.tolist() == np.concatenate([kept[c, 1] for c in moduli]).tolist()
     again = NB.niebur_value(2, 1, tau, P)
     assert (again.value, again.error_estimate) == (before.value, before.error_estimate)
     assert store.arrays.keys() == kept.keys()
     assert all(store.arrays[k] is a for k, a in kept.items())
-    # the store holds about c bytes an inverse table below 2^16
-    assert [t.dtype for t in NB._inverse_tables((255, 256, 65535, 65536))] == \
-        [np.uint8, np.uint16, np.uint16, np.uint32]
     for obj in vars(NB).values():
         clear = getattr(obj, "cache_clear", None)
         if clear is not None:
@@ -600,38 +596,27 @@ def test_inverse_store_is_built_once_and_emptied_by_cache_clear():
     assert NB._store().arrays.keys() == kept.keys()
 
 
-# moduli that cross the dtype steps 255/256 and 65535/65536 (uint8 to
-# uint16 to uint32 tables, uint32 to int64 arithmetic)
-_MODULI = st.one_of(st.integers(1, 300), st.integers(250, 262), st.integers(65530, 65540))
-
-
 @settings(max_examples=25, deadline=None)
 @given(cs=st.lists(_MODULI, min_size=1, max_size=8, unique=True).map(sorted),
        cuts=st.lists(st.integers(0, 8), max_size=4).map(sorted),
        m=st.integers(1, 4), store_bytes=st.sampled_from((8, 1 << 16, NB.STORE_BYTES)))
 def test_chunking_is_invisible(cs, cuts, m, store_bytes):
-    # the tables and rows are the same whether the moduli are built in one
-    # call, one by one, or in any split, and whatever the chunk budget
-    # (STORE_BYTES / 128 moduli elements: one modulus a chunk at 8 bytes)
+    # the rows are the same whether the moduli are built in one call, one
+    # by one, or in any split, and whatever the chunk budget (STORE_BYTES /
+    # 128 moduli elements: one modulus a chunk at 8 bytes)
     def built(split):
-        tables, rows = [], []
+        rows = []
         for piece in split:
             NB._store.cache_clear()
-            tables += NB._inverse_tables(piece)
-            NB._store.cache_clear()
             rows.append(NB._kloosterman_rows(np.array(piece), m))
-        return tables, np.concatenate(rows)
+        return np.concatenate(rows)
 
     cuts = [min(cut, len(cs)) for cut in cuts]
     splits = [[cs], [[c] for c in cs],
               [cs[a:b] for a, b in zip([0, *cuts], [*cuts, len(cs)]) if a < b]]
     with mock.patch.object(NB, "STORE_BYTES", store_bytes):
-        (tables, rows), *others = [built(split) for split in splits]
-    for c, table in zip(cs, tables):
-        assert table.dtype == np.min_scalar_type(c) and not table.flags.writeable
-    for other_tables, other_rows in others:
-        assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip(tables, other_tables))
+        rows, *others = [built(split) for split in splits]
+    for other_rows in others:
         assert other_rows.tobytes() == rows.tobytes()
     NB._store.cache_clear()
 
@@ -719,10 +704,6 @@ def test_niebur_value_keeps_its_pinned_bits(N, m, s, k):
         PINNED_BITS[N, m, s, k]
 
 
-def _stored_rows():
-    return {k for k in NB._store().arrays if type(k) is tuple}
-
-
 @pytest.mark.parametrize("N, m", [(1, 1), (2, 2), (3, 3)])
 def test_the_store_never_changes_a_value(N, m):
     # tau and its image under (1 0; N 1) share Kloosterman rows; each value
@@ -735,14 +716,14 @@ def test_the_store_never_changes_a_value(N, m):
     for z in points:
         NB._store.cache_clear()
         want[z] = _bits(NB.niebur_value(N, m, z, P))
-        rows[z] = _stored_rows()
+        rows[z] = set(NB._store().arrays)
     assert rows[points[0]] & rows[points[1]]
     for first, second in (points, points[::-1]):
         NB._store.cache_clear()
         got = {first: _bits(NB.niebur_value(N, m, first, P))}
         got[second] = _bits(NB.niebur_value(N, m, second, P))
         assert got == want
-        assert _stored_rows() == rows[first] | rows[second]
+        assert set(NB._store().arrays) == rows[first] | rows[second]
 
 
 def test_the_store_stays_within_its_byte_bound(monkeypatch):
@@ -765,10 +746,7 @@ def test_the_store_stays_within_its_byte_bound(monkeypatch):
         if a.base is not None:
             blocks.setdefault(id(a.base), [a.base, 0])[1] += a.nbytes
     assert blocks and all(base.nbytes == n for base, n in blocks.values())
-    # so are the inverse tables, one array a chunk and dtype class: the
-    # store counts exactly the bytes it keeps alive
-    tables = [a for key, a in store.arrays.items() if type(key) is int]
-    assert tables and all(t.base is not None for t in tables)
+    # the store counts exactly the bytes it keeps alive
     alive = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes
              for a in store.arrays.values()}
     assert store.nbytes == sum(alive.values())
@@ -1235,14 +1213,33 @@ def test_kappa_table_keeps_its_relative_digits_far_out(nu):
 
 def test_gamma_overflow_at_large_s_is_a_typed_refusal():
     # at m >= 1 the identity term carries 1/Gamma(s + 1/2): at Im tau = 0.5
-    # and s = 300 it is below e^-900, which a double does not hold; m = 0
-    # reads no Gamma there and answers
+    # and s = 300 it is below e^-900, which a double does not hold.  At
+    # m = 3 the rows still sum to a normal double, the value of the window
+    # route; at m = 1 the sum itself underflows and is refused; m = 0 reads
+    # no Gamma there and answers
     params = EvalParams(truncation=2, s=300)
-    for m in (1, 3):
-        with pytest.raises(UnsupportedParameter, match="Gamma"):
-            NB.niebur_value(1, m, 0.3 + 0.5j, params)
+    got = NB.niebur_value(1, 3, 0.3 + 0.5j, params).value
+    want = NB._niebur_sum_fast(1, 3, 0.3, 0.5, 300.0, 2)[0]
+    assert abs(got) >= sys.float_info.min and abs(got - want) <= 1e-12 * abs(want)
+    with pytest.raises(UnsupportedParameter, match="underflow"):
+        NB.niebur_value(1, 1, 0.3 + 0.5j, params)
     got = NB.niebur_value(1, 0, 0.3 + 0.5j, params)
     assert math.isfinite(got.value.real) and got.value.real > 1e50
+
+
+def test_a_normal_value_answers_where_the_identity_term_underflows():
+    # at s = 200 the identity term at Im tau = 0.5 is below the double
+    # range, but the term of the image -1/tau (row c = 1, Im 1.47)
+    # outweighs every other term of the sum by more than 1e60 and is a normal
+    # double: 2 pi sqrt(Y) I_(s-1/2)(2 pi Y) e(-X), X + iY = -1/tau
+    tau = 0.3 + 0.5j
+    got = NB.niebur_value(1, 1, tau, EvalParams(truncation=2, s=200.0)).value
+    with mpmath.workdps(30):
+        w = -1 / mpmath.mpc(tau)
+        want = complex(2 * mpmath.pi * mpmath.sqrt(w.imag)
+                       * mpmath.besseli(199.5, 2 * mpmath.pi * w.imag) * mpmath.expjpi(-2 * w.real))
+    assert 1e-250 < abs(want) < 1e-230
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("s", (200.0, 300.0))
