@@ -12,8 +12,8 @@ The three representations of the Hecke algebra R_0(N) live in:
 :mod:`heckediv.verify` packages the identity checks behind the CLI.
 """
 
-from .algebra import AlgebraElement, algebra_multiply, double_coset_label, \
-    left_coset_reps, same_left_coset, t_ad, t_n
+from .algebra import AlgebraElement, algebra_multiply, left_coset_reps, t_ad, \
+    t_n
 from .curve import CanonicalPoint, CuspClass, Divisor, HeegnerPoint, \
     act_matrix, canonical_cusp, cusps, divisor_of_form, hecke_divisor, \
     period, point_divisor, reduce_point, weight0_to_j_polynomial
@@ -29,8 +29,7 @@ from .pairing import EvalReport, PairingResult, PointEvaluator, bko_pairing, \
 from .series import PuiseuxSeries
 
 __all__ = [
-    "AlgebraElement", "algebra_multiply", "double_coset_label",
-    "left_coset_reps", "same_left_coset", "t_ad", "t_n",
+    "AlgebraElement", "algebra_multiply", "left_coset_reps", "t_ad", "t_n",
     "CanonicalPoint", "CuspClass", "Divisor", "HeegnerPoint", "act_matrix",
     "canonical_cusp", "cusps", "divisor_of_form", "hecke_divisor", "period",
     "point_divisor", "reduce_point", "weight0_to_j_polynomial",

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import (DeterminantMismatch, InvariantViolation, NotInDeltaN,
-                     UnsupportedParameter)
+from .errors import InvariantViolation, UnsupportedParameter
 from .forms import prime_factors
 
 Mat = tuple[int, int, int, int]
@@ -39,20 +38,12 @@ def mat_mul(x: Mat, y: Mat) -> Mat:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def mat_det(x: Mat) -> int:
-    return x[0] * x[3] - x[1] * x[2]
-
-
 def mat_content(x: Mat) -> int:
     return gcd(gcd(abs(x[0]), abs(x[1])), gcd(abs(x[2]), abs(x[3])))
 
 
-def in_delta_n(x: Mat, N: int) -> bool:
-    return mat_det(x) > 0 and gcd(x[0], N) == 1 and x[2] % N == 0
-
-
 # ---------------------------------------------------------------------------
-# left cosets
+# P^1(Z/N) labels
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -72,22 +63,6 @@ def p1_label(c: int, d: int, N: int) -> tuple[int, int]:
         if best is None or cand < best:
             best = cand
     return best
-
-
-def same_left_coset(alpha: Mat, beta: Mat, N: int) -> bool:
-    """Gamma_0(N) alpha == Gamma_0(N) beta, tested exactly via
-    alpha beta^{-1} in Gamma_0(N)."""
-    if mat_det(alpha) != mat_det(beta):
-        raise DeterminantMismatch(
-            f"determinants differ: {mat_det(alpha)} vs {mat_det(beta)}")
-    det = mat_det(beta)
-    e, f, g, h = beta
-    adj = (h, -f, -g, e)
-    m = mat_mul(alpha, adj)
-    if any(v % det for v in m):
-        return False
-    q = tuple(v // det for v in m)
-    return q[2] % N == 0  # det(q) = 1 automatically
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +97,6 @@ def check_hecke_parameter(n: int, N: int, name: str = "T") -> None:
         raise UnsupportedParameter("Hecke parameter must be positive")
     if gcd(n, N) > 1 and prime_factors(n) != [n]:
         raise UnsupportedParameter(f"{name}({n}) at level {N} needs gcd(n, N) = 1 or n = p | N")
-
-
-def double_coset_label(alpha: Mat, N: int) -> tuple[int, int]:
-    """Elementary-divisor label (a, d) of Gamma_0(N) alpha Gamma_0(N)."""
-    if not in_delta_n(alpha, N):
-        raise NotInDeltaN(f"{alpha} is not in Delta_{N}")
-    g = mat_content(alpha)
-    return (g, mat_det(alpha) // g)
 
 
 def double_coset_reps(a: int, d: int, N: int) -> list[Mat]:
@@ -196,10 +163,6 @@ def t_n(n: int, N: int) -> AlgebraElement:
             if a <= d and d % a == 0 and gcd(a, N) == 1:
                 terms[(a, d)] = 1
     return AlgebraElement.make(N, terms)
-
-
-def identity(N: int) -> AlgebraElement:
-    return t_ad(1, 1, N)
 
 
 def _multiply_cosets(lab1, lab2, N) -> dict[tuple[int, int], int]:

@@ -41,14 +41,6 @@ class UnsupportedParameter(HeckeDivError):
     sharing a factor with the level)."""
 
 
-class DeterminantMismatch(HeckeDivError):
-    """Left-coset comparison of matrices with different determinants."""
-
-
-class NotInDeltaN(HeckeDivError):
-    """Matrix fails the Delta_N membership test (det > 0, (a,N)=1, N|c)."""
-
-
 class UnknownDivisor(HeckeDivError):
     """An expression atom without symbolic divisor data."""
 

@@ -650,12 +650,6 @@ def hauptmodul_spec(N: int) -> EtaQuotientSpec:
     return EtaQuotientSpec.make(N, {1: a, N: -a})
 
 
-def hauptmodul_qexp(N: int, prec: int) -> PuiseuxSeries:
-    if N == 1:
-        return j_shifted(prec)
-    return eta_quotient_qexp(hauptmodul_spec(N), prec)
-
-
 def expression_by_name(name: str) -> FormExpression:
     """The one parser of form names, shared by every CLI verb: E4..E16,
     Delta, j, j_shifted, jminus:<c> (j - c) and eta:<level>:<m>=<r>,...

@@ -399,9 +399,12 @@ def _checkpoints(C: int) -> list[int]:
 
 def _identity_term(m: int, u: float, v: float, s: float) -> complex:
     import numpy as np
-    return complex(_phi_np(m, np.array([v]), s)[0]) * \
-        complex(math.cos(2 * math.pi * m * u), -math.sin(2 * math.pi * m * u)) \
-        if m else complex(v ** s)
+    if not m:
+        return complex(v ** s)
+    # e(-m u) depends on u mod 1 only, and the reduced u keeps the rounding
+    # of the phase small
+    phase = 2 * math.pi * m * (u - round(u))
+    return complex(_phi_np(m, np.array([v]), s)[0]) * complex(math.cos(phase), -math.sin(phase))
 
 
 def _partial_sums(first: complex, rows: np.ndarray, C: int) \
@@ -411,15 +414,6 @@ def _partial_sums(first: complex, rows: np.ndarray, C: int) \
     import numpy as np
     totals = np.cumsum(np.concatenate(([first], rows)))
     return complex(totals[-1]), [(mark, complex(totals[mark])) for mark in _checkpoints(C)]
-
-
-def _niebur_sum_fast(N: int, m: int, u: float, v: float, s: float,
-                     C: int) -> tuple[complex, list[tuple[int, complex]]]:
-    """The truncated Poincare sum with every row on its d-window, and its
-    partial sums at the checkpoints: the reference route the closed-form
-    rows are tested against."""
-    return _partial_sums(_identity_term(m, u, v, s),
-                         _window_rows(m, u, v, s, range(N, C * N + 1, N)), C)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +754,10 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     estimate K * C^(2-2s) from the doubling check.  Needs m >= 0, N >= 1
     and a finite tau in the upper half-plane whose value is a normal double
     (UnsupportedParameter otherwise: the value overflows, or its modulus is
-    below sys.float_info.min).
+    below sys.float_info.min).  F is 1-periodic at every level, as
+    (1 1; 0 1) lies in Gamma_0(N), so the sum runs at Re tau mod 1, reduced
+    exactly: tau and tau + k give the same bits for every integer k that
+    tau + k holds exactly, and a Re tau past 2^52 sums at 0.
 
     The rows are exact in d where that is cheaper than their d-windows:
     at m = 0 all of them or none (`_eisenstein_rows`, one kappa table), at
@@ -778,6 +775,12 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     u, v = float(tau.real), float(tau.imag)
     if not (math.isfinite(u) and math.isfinite(v) and v > 0):
         raise UnsupportedParameter(f"tau={tau}: needs a finite point with Im tau > 0")
+    # the exact residue of u mod 1 in [-1/2, 1/2], moved into [0, 1) where
+    # that stays exact (always for u in [0, 1)): a function of the class of
+    # u, so tau + k gives the bits of tau
+    u = math.remainder(u, 1.0)
+    if u < 0 and (u + 1.0) - 1.0 == u:
+        u += 1.0
     C, s = params.truncation, float(params.s)
     c = N * np.arange(1, C + 1, dtype=np.int64)
     if m == 0:

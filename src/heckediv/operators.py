@@ -28,8 +28,8 @@ sum_b e(bM/d) = d [d | M]:
 The coset products and sums remain as verification oracles, with no
 log-derivative and no character sum; both routes give the same
 coefficients, types, precision and refusals.  ``hecke_multiplicative_cosets``
-and ``_element_cosets`` multiply the translates in Q, as norms of the
-d-dissection (``_coset_product``).  ``hecke_additive_cosets`` sums the
+multiplies the translates in Q, as norms of the d-dissection
+(``_coset_product``).  ``hecke_additive_cosets`` sums the
 twisted translates of ``_slash_upper``, the only place where Q(zeta_d)
 enters a series, and certifies the sum rational (``_certified``).
 
@@ -387,14 +387,3 @@ def _coset_jobs(f: FormExpression, u: AlgebraElement, prec: int) -> list:
         budget = len(reps) * (prec + 4) + int(abs(order) * a * d) + 8
         jobs.append((reps, mult, budget, d // a))
     return jobs
-
-
-def _element_cosets(f: FormExpression, u: AlgebraElement, prec: int) -> PuiseuxSeries:
-    """f|*u as the product of each term's coset product to the power of its
-    multiplicity, with prec + 4 coefficients: the verification oracle of
-    the multiplicative apply_element."""
-    out = None
-    for reps, mult, budget, _ in _coset_jobs(f, u, prec):
-        piece = _coset_product(_expansion(f, budget), reps, prec + 4) ** mult
-        out = piece if out is None else out * piece
-    return out

@@ -2,14 +2,16 @@
 ``heckediv/__init__.py`` binds, each once, and each resolves; importing the
 package or its CLI loads neither of the numeric backends; only the
 coset-sum oracles' module imports the cyclotomic field; every module-level function and class of the package
-is referenced somewhere other than its own definition, and every private
-one by the package or its tests; every module of the
+is referenced somewhere other than its own definition, every private
+one by the package or its tests, and every one that only the tests read
+is exported; every module of the
 package and of its tests reads each name it imports; and calling
 ``cache_clear()`` on every module-level object that has one leaves no
 cache warm."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -149,29 +151,51 @@ def _references(path) -> set:
     return refs
 
 
-def _unread_definitions(folders) -> list:
+def _files(*folders) -> list:
+    return [path for folder in folders for path in (REPO / folder).rglob("*.py")]
+
+
+def _unread_definitions(readers, refs=frozenset()) -> list:
     """(module, name) of each module-level function and class of the
-    package that no file under folders reads."""
-    refs = set()
-    for folder in folders:
-        for path in (REPO / folder).rglob("*.py"):
-            refs |= _references(path)
+    package that neither the files readers nor the names refs read."""
+    refs = set(refs)
+    for path in readers:
+        refs |= _references(path)
     return [(path.name, name) for path in sorted((REPO / "src" / "heckediv").glob("*.py"))
             for name in _module_level_definitions(path) if name not in refs]
+
+
+def _dotted_names(path) -> set:
+    """The parts of each dotted "module.name" string a file holds: how the
+    trace layer names what it wraps or reads, as forms.euler_product."""
+    return {part for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"\w+(\.\w+)+", node.value)
+            for part in node.value.split(".")}
 
 
 def test_every_module_level_definition_is_referenced():
     # a function or class that nothing in the library, its tests or the
     # benchmark names is dead code
-    assert _unread_definitions(("src", "tests", "perfbench")) == []
+    assert _unread_definitions(_files("src", "tests", "perfbench")) == []
 
 
 def test_every_private_definition_is_read_by_the_library_or_its_tests():
     # a private _function or _Class is no API: the benchmark reading it
     # does not keep it alive, only the library or a test that checks it
-    unread = [(module, name) for module, name in _unread_definitions(("src", "tests"))
+    unread = [(module, name) for module, name in _unread_definitions(_files("src", "tests"))
               if name.startswith("_")]
     assert unread == []
+
+
+def test_what_only_the_tests_read_is_exported():
+    # a definition that neither the library nor the benchmark reads serves
+    # the tests alone unless it is public API; a test-only oracle or
+    # reference lives in the tests.  The package's exports are not a read,
+    # and the trace layer's dotted names are
+    readers = [path for path in _files("src", "perfbench") if path.name != "__init__.py"]
+    unread = _unread_definitions(readers, _dotted_names(REPO / "perfbench" / "tracing.py"))
+    assert [(module, name) for module, name in unread if name not in heckediv.__all__] == []
 
 
 def _unused_imports(path) -> list:

@@ -353,6 +353,18 @@ def test_niebur_answers_far_up_and_refuses_an_overflow(capsys):
     assert "overflows a double" in data["message"]
 
 
+@pytest.mark.parametrize("argv", [("--m", "0", "--s", "50", "--tau", "1e20,1"),
+                                  ("--m", "1", "--s", "1.5", "--tau", "1e20,1"),
+                                  ("--m", "1", "--s", "1.5", "--tau", "1e300,1")])
+def test_niebur_at_a_huge_re_tau_answers_the_value_at_i(capsys, argv):
+    # F is 1-periodic and a double this large is an integer, so the point
+    # is i + k and the answer is F(i); summed at the raw Re tau, the
+    # d-window bounds -c Re tau would pass an int64
+    code, out = run_cli(capsys, "niebur", "--N", "1", "--C", "30", *argv)
+    want = run_cli(capsys, "niebur", "--N", "1", "--C", "30", *argv[:-1], "0,1")[1]
+    assert code == 0 and out == want
+
+
 def test_niebur_sweep_answers_or_refuses_with_a_typed_error(capsys):
     # every call prints a value (exit 0) or a typed JSON error (exit 1); an
     # uncaught exception would also exit 1, so the printed JSON is checked

@@ -462,7 +462,7 @@ def test_j_polynomial_of_hecke_image():
 
 
 def test_j_polynomial_rejects_level2_function():
-    t = F.hauptmodul_qexp(2, 14)
+    t = F.eta_quotient_qexp(F.hauptmodul_spec(2), 14)
     with pytest.raises(NotPolynomialInJ):
         C.weight0_to_j_polynomial(t)
 

@@ -188,9 +188,9 @@ def test_jminus_expression():
 
 
 def test_hauptmodul_leading_terms():
-    assert F.hauptmodul_qexp(1, 4).coefficient(0) == 24
+    assert F.j_shifted(4).coefficient(0) == 24
     for N, const in ((2, -24), (3, -12), (4, -8), (5, -6)):
-        t = F.hauptmodul_qexp(N, 4)
+        t = F.eta_quotient_qexp(F.hauptmodul_spec(N), 4)
         assert t.coefficient(-1) == 1 and t.coefficient(0) == const
 
 
@@ -581,8 +581,10 @@ def _expansion(request):
     if kind == "eta":
         exponents, prec = args
         return F.eta_quotient_qexp(F.EtaQuotientSpec(6, exponents), prec)
-    return {"delta": F.delta, "j": F.j_function, "jn": F.jn,
-            "haupt": F.hauptmodul_qexp}[kind](*args)
+    if kind == "haupt":
+        N, prec = args
+        return F.j_shifted(prec) if N == 1 else F.eta_quotient_qexp(F.hauptmodul_spec(N), prec)
+    return {"delta": F.delta, "j": F.j_function, "jn": F.jn}[kind](*args)
 
 
 STORE_ETA = (((1, 24),), ((1, 12),), ((1, 1),), ((1, 8), (3, 8)), ((1, -12), (2, 12)),

@@ -207,6 +207,15 @@ def test_phi_np_against_mpmath_besseli(m, s):
             assert abs(gi - want) <= 1e-13 * want, (vi, gi, want)
 
 
+def _window_route_sum(N, m, u, v, s, C):
+    """Reference: the truncated Poincare sum with every row on its d-window
+    (`NB._window_rows`), and its partial sums at the checkpoints: the route
+    the closed-form rows are tested against.  It sums at u as given, where
+    `niebur_value` sums at u mod 1."""
+    return NB._partial_sums(NB._identity_term(m, u, v, s),
+                            NB._window_rows(m, u, v, s, range(N, C * N + 1, N)), C)
+
+
 def _direct_rows(N, m, tau, s, C):
     """Row sums of F_{N,-m}(tau, s) for c = N, 2N, .., CN over the windows of
     the fast path, term by term: gamma tau = (a tau + b)/(c tau + d) in
@@ -238,7 +247,7 @@ def test_block_rows_against_direct_moebius_sum(N, m):
     # each carries the rounding of the totals it is read from.
     eps = 2.0 ** -52
     for tau in (1j, 0.25 + 1j, -0.37 + 0.6j):
-        totals = [NB._niebur_sum_fast(N, m, tau.real, tau.imag, 1.5, C)[0] for C in range(6)]
+        totals = [_window_route_sum(N, m, tau.real, tau.imag, 1.5, C)[0] for C in range(6)]
         for C, want in enumerate(_direct_rows(N, m, tau, 1.5, 5), start=1):
             got = totals[C] - totals[C - 1]
             tol = 1e-12 * abs(want) + 4 * eps * (abs(totals[C]) + abs(totals[C - 1]))
@@ -355,7 +364,7 @@ def test_slice_level2_m2_structure():
     assert s.leading_exponent() == -2
     assert s.coefficient(-1) == 0 and s.coefficient(0) == 0
     # equals t^2 + 48 t + const with t the level-2 Hauptmodul
-    t = F.hauptmodul_qexp(2, 16)
+    t = F.eta_quotient_qexp(F.hauptmodul_spec(2), 16)
     assert s.theta().agrees_with((t * t + 48 * t).theta(), through=10)
 
 
@@ -368,7 +377,8 @@ def _oracle_harmonic_slice(N, m, prec):
     """Oracle: the slice as t^m with its poles q^-(m-1), .., q^-1 stripped
     by lower powers of the Hauptmodul t, then its constant term, the route
     that the Faber recursion replaced."""
-    t = F.hauptmodul_qexp(N, prec + m + 2)
+    t = F.j_shifted(prec + m + 2) if N == 1 else \
+        F.eta_quotient_qexp(F.hauptmodul_spec(N), prec + m + 2)
     f = t ** m
     for e in range(m - 1, 0, -1):
         a = f.coefficient(-e)
@@ -495,7 +505,7 @@ ORACLE_TAUS = (1j, -0.37 + 0.03j, 0.5 + 1.3j)
 def test_block_rows_match_elementwise_oracle(N, m, s):
     for tau in ORACLE_TAUS:
         for C in (1, 2, 7, 40):
-            got = NB._niebur_sum_fast(N, m, tau.real, tau.imag, s, C)
+            got = _window_route_sum(N, m, tau.real, tau.imag, s, C)
             want = _oracle_sum_fast(N, m, tau.real, tau.imag, s, C)
             assert got[0] == want[0], (tau, C)
             assert got[1] == want[1], (tau, C)
@@ -704,6 +714,22 @@ def test_niebur_value_keeps_its_pinned_bits(N, m, s, k):
         PINNED_BITS[N, m, s, k]
 
 
+@settings(max_examples=30, deadline=None)
+@given(N_m=st.sampled_from([(1, 0), (1, 1), (3, 3)]), k=st.integers(-2 ** 50, 2 ** 50),
+       j=st.integers(0, 2 ** 12 - 1), v=st.floats(0.5, 2.0))
+@example(N_m=(3, 3), k=-2 ** 20, j=1024, v=1.0)
+@example(N_m=(1, 1), k=2 ** 40, j=512, v=1.0)
+def test_an_integer_shift_of_tau_keeps_every_bit(N_m, k, j, v):
+    # (1 1; 0 1) lies in Gamma_0(N), so F(tau + k) = F(tau); the dyadic
+    # u = j / 2^bits keeps tau + k exact, and the sum runs at Re tau mod 1
+    N, m = N_m
+    bits = min(12, 52 - abs(k).bit_length())
+    u = (j % 2 ** bits) / 2 ** bits
+    P = EvalParams(truncation=30, s=1.5)
+    assert _bits(NB.niebur_value(N, m, complex(u + k, v), P)) == \
+        _bits(NB.niebur_value(N, m, complex(u, v), P))
+
+
 @pytest.mark.parametrize("N, m", [(1, 1), (2, 2), (3, 3)])
 def test_the_store_never_changes_a_value(N, m):
     # tau and its image under (1 0; N 1) share Kloosterman rows; each value
@@ -872,7 +898,7 @@ def test_a_level_below_one_is_refused(N):
 # Each Eisenstein row is exact in d (Moebius inversion, Poisson summation
 # and a table of K_nu).  The references are independent of both steps: the
 # rows summed one coprime residue class at a time, the d-window rows of
-# _niebur_sum_fast, and mpmath.besselk.
+# the test-side reference _window_route_sum, and mpmath.besselk.
 
 def _row_by_residue_classes(c, u, v, s):
     r"""Row c of the m = 0 sum, c^(-2s) v^s sum over r mod c coprime to c of
@@ -938,7 +964,7 @@ def test_closed_form_against_the_d_window_rows(s, v):
         rows, bounds = NB._eisenstein_rows(N, u, v, s, C)
         got, got_partials = NB._partial_sums(complex(v ** s), rows, C)
         rounding = float(bounds.sum())
-        want, want_partials = NB._niebur_sum_fast(N, 0, u, v, s, C)
+        want, want_partials = _window_route_sum(N, 0, u, v, s, C)
         assert [c for c, _ in got_partials] == [c for c, _ in want_partials]
         tol = _d_window_tail(N, v, s, C) + rounding + 1e-15 * abs(want)
         assert got.real >= want.real - rounding - 1e-15 * abs(want), (N, got, want)
@@ -987,9 +1013,13 @@ def test_m0_below_the_cost_rule_runs_the_window_rows(monkeypatch):
     closed, rows = NB._eisenstein_rows_cost(2, tau.imag, 1.5, 30)
     assert closed > rows
     assert rows == sum(2 * NB._row_halfwidth(c, tau.imag) + 1 for c in range(2, 61, 2))
-    want = NB._niebur_sum_fast(2, 0, tau.real, tau.imag, 1.5, 30)[0]
     monkeypatch.setattr(NB, "_eisenstein_rows", _no_closed_form)
-    assert NB.niebur_value(2, 0, tau, P).value == want
+    got = NB.niebur_value(2, 0, tau, P)
+    # the value sums at the exact residue -0.21 of Re tau mod 1, as 0.79 =
+    # -0.21 + 1 is no double; at 0.79 the rows differ in the last bits only
+    assert got.value == _window_route_sum(2, 0, tau.real, tau.imag, 1.5, 30)[0]
+    want = _window_route_sum(2, 0, tau.real % 1.0, tau.imag, 1.5, 30)[0]
+    assert want != got.value and abs(got.value - want) <= got.error_estimate
 
 
 def test_m0_falls_back_to_the_rows_when_cancellation_outgrows_the_tail(monkeypatch):
@@ -1012,7 +1042,7 @@ def test_m0_falls_back_to_the_rows_when_cancellation_outgrows_the_tail(monkeypat
     got = NB.niebur_value(1, 0, tau, EvalParams(truncation=C, s=s))
     assert windowed == [1, 2, 3, 4]
     assert bounds[4:].sum() <= got.error_estimate < bounds[3:].sum()
-    want = NB._niebur_sum_fast(1, 0, tau.real, tau.imag, s, C)[0]
+    want = _window_route_sum(1, 0, tau.real, tau.imag, s, C)[0]
     assert abs(got.value - want) <= got.error_estimate
 
 
@@ -1157,12 +1187,19 @@ WIDEN = 4
 @given(N=st.integers(1, 6), m=st.integers(0, 4), s=st.floats(1.05, 4.0),
        u=st.floats(-0.5, 0.5), v=st.floats(0.02, 3.0), C=st.integers(4, 24))
 @example(N=3, m=1, s=1.25, u=0.0, v=2.0, C=4)
+@example(N=1, m=2, s=2.0, u=-0.17551692550551706, v=3.0, C=4)
+@example(N=1, m=3, s=2.0, u=-0.03125, v=2.0, C=4)
 def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C):
     # the closed-form rows change a value only by the d-window leftover of
     # the rows they replace, far below the reported c-tail estimate.  The
     # reference sums every row over a d-window WIDEN times the default one,
-    # and its own window tail joins the tolerance: at the pinned example the
-    # default windows are 1.5e-5 off, past the estimate of 1.0e-5
+    # and its own window tail joins the tolerance: at the first example the
+    # default windows are 1.5e-5 off, past the estimate of 1.0e-5.  The
+    # other two sum at Re tau mod 1, where the identity term e^(2 pi m v)
+    # dominates: at u + 1 = 0.8244830744944829 (u % 1.0, rounded) the value
+    # 2.3e16 would move by 40, past its estimate of 23, and at u + 1 =
+    # 0.96875 (exact) a phase 2 pi m u read off the unreduced u would move
+    # 2.3e16 by 52, past 24
     try:
         rows = [_wide_window_row(m, u, v, s, c, WIDEN) for c in range(N, C * N + 1, N)]
     except ConvergenceBudgetExceeded:
@@ -1219,7 +1256,7 @@ def test_gamma_overflow_at_large_s_is_a_typed_refusal():
     # no Gamma there and answers
     params = EvalParams(truncation=2, s=300)
     got = NB.niebur_value(1, 3, 0.3 + 0.5j, params).value
-    want = NB._niebur_sum_fast(1, 3, 0.3, 0.5, 300.0, 2)[0]
+    want = _window_route_sum(1, 3, 0.3, 0.5, 300.0, 2)[0]
     assert abs(got) >= sys.float_info.min and abs(got - want) <= 1e-12 * abs(want)
     with pytest.raises(UnsupportedParameter, match="underflow"):
         NB.niebur_value(1, 1, 0.3 + 0.5j, params)

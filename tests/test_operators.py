@@ -105,7 +105,7 @@ def test_additive_cosets_detects_non_modular_input():
 
 def test_additive_cosets_level2_hauptmodul():
     # U_2-type action at p | N: coefficient of q^M is 2 c(2M)
-    t = F.hauptmodul_qexp(2, 30)
+    t = F.eta_quotient_qexp(F.hauptmodul_spec(2), 30)
     img = O.hecke_additive_cosets(t, 0, 2, 2)
     for M in range(-1, 10):
         assert img.coefficient(M) == 2 * t.coefficient(2 * M)
@@ -158,7 +158,7 @@ def test_additive_formula_matches_the_cosets_at_every_level(name, N):
 
 
 def test_additive_formula_is_u_p_at_p_dividing_the_level():
-    t = F.hauptmodul_qexp(2, 30)
+    t = F.eta_quotient_qexp(F.hauptmodul_spec(2), 30)
     img = O.hecke_additive_formula(t, 0, 2, "classical", 2)
     assert [img.coefficient(M) for M in range(-1, 14)] == \
         [t.coefficient(2 * M) for M in range(-1, 14)]

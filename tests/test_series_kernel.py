@@ -510,4 +510,4 @@ def test_eta_quotients_take_no_series_product_or_reciprocal(monkeypatch):
         monkeypatch.setattr(S, name, refuse)
     monkeypatch.setattr(forms, "euler_product", refuse)
     eta_quotient_qexp(EtaQuotientSpec.make(6, {1: 5, 2: -3, 6: 7}), 50)
-    forms.hauptmodul_qexp(2, 40)
+    eta_quotient_qexp(forms.hauptmodul_spec(2), 40)
