@@ -117,16 +117,17 @@ class AlgebraElement:
     N: int
     terms: tuple[tuple[tuple[int, int], int], ...]  # ((a, d), multiplicity)
 
+    def __post_init__(self):
+        """Refuse a label that names no double coset at level N, however
+        the element is built."""
+        for (a, d), _ in self.terms:
+            if a <= 0 or d <= 0 or d % a != 0 or gcd(a, self.N) != 1:
+                raise UnsupportedParameter(
+                    f"label ({a},{d}) violates a | d, (a,N)=1 at level {self.N}")
+
     @staticmethod
     def make(N: int, terms: dict[tuple[int, int], int]) -> "AlgebraElement":
-        clean = {}
-        for (a, d), m in terms.items():
-            if m == 0:
-                continue
-            if a <= 0 or d <= 0 or d % a != 0 or gcd(a, N) != 1:
-                raise UnsupportedParameter(
-                    f"label ({a},{d}) violates a | d, (a,N)=1 at level {N}")
-            clean[(a, d)] = m
+        clean = {lab: m for lab, m in terms.items() if m != 0}
         return AlgebraElement(N, tuple(sorted(clean.items())))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":

@@ -94,6 +94,18 @@ def _upper_half_plane_point(text: str) -> complex:
     return complex(x, y)
 
 
+def _attach_tau(argv: list[str]) -> list[str]:
+    """`--tau -0.25,1` as `--tau=-0.25,1`: argparse reads a value that
+    starts with '-' as an option unless it is a plain number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _mpc_pair(value, digits: int) -> list[str]:
     import mpmath
     z = mpmath.mpc(value)
@@ -248,7 +260,7 @@ def _run(args) -> tuple[object, int]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_tau(sys.argv[1:] if argv is None else list(argv)))
     try:
         if hasattr(args, "form"):
             try:

@@ -668,14 +668,17 @@ def expression_by_name(name: str) -> FormExpression:
             c = Fraction(key.split(":", 1)[1])
         except ZeroDivisionError:
             raise InvalidInput("the constant c of jminus:c has a zero denominator") from None
+        except ValueError:
+            raise InvalidInput(f"jminus:c needs a rational c: {name!r}") from None
         return FormExpression.of(JMinus(c))
     if key.startswith("eta:"):
-        _, level, body = key.split(":", 2)
-        exps = {}
-        for part in body.split(","):
-            m, r = map(int, part.split("="))
-            if m in exps:
-                raise InvalidInput(f"eta argument {m} is repeated")
-            exps[m] = r
-        return FormExpression.of(EtaQuotient(EtaQuotientSpec.make(int(level), exps)))
+        try:
+            _, level, body = key.split(":", 2)
+            pairs = [tuple(map(int, part.split("="))) for part in body.split(",")]
+            level, exps = int(level), dict(pairs)  # dict refuses a part that is no m=r
+        except ValueError:
+            raise InvalidInput(f"eta:<level>:<m>=<r>,... needs integers: {name!r}") from None
+        if len(exps) < len(pairs):
+            raise InvalidInput(f"an eta argument of {name!r} is repeated")
+        return FormExpression.of(EtaQuotient(EtaQuotientSpec.make(level, exps)))
     raise InvalidInput(f"unknown form name {name!r}")

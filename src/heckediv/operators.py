@@ -18,12 +18,12 @@ sum_b e(bM/d) = d [d | M]:
   product maps E4 to E12 - (36882000/691) Delta and makes every scalar
   coset the exact identity).  With l = Theta(f)/f, the image g has
   Theta(g)/g = sum e a sum_k l_{dk} q^(ak), and the exp recurrence
-  ``series.exp_coeffs`` rebuilds g from its leading term
-  (``hecke_multiplicative`` and the multiplicative ``apply_element``).  l
-  is read from the atoms of f (``FormExpression.log_derivative``), or by
-  the log recurrence from the expansion of f = c_0 q^h g with g on grid 1,
-  where h may be fractional: the pair (a, d) then adds q^(a h) and the
-  phase e(h (d-1)/2).
+  ``series.exp_coeffs`` rebuilds g from its leading term: one function,
+  ``_multiplicative_image``, for ``hecke_multiplicative`` and the
+  multiplicative ``apply_element`` alike.  l is read from the atoms of f
+  (``FormExpression.log_derivative``), or by the log recurrence from the
+  expansion of f = c_0 q^h g with g on grid 1, where h may be fractional:
+  the pair (a, d) then adds q^(a h) and the phase e(h (d-1)/2).
 
 The coset products and sums remain as verification oracles, with no
 log-derivative and no character sum; both routes give the same
@@ -35,7 +35,11 @@ enters a series, and certifies the sum rational (``_certified``).
 
 Expansion budgets count exponents past the leading one, so an expansion on
 the grid (1/D)Z is asked for D times as many coefficients (``_expansion``),
-in both routes alike.
+in both routes alike.  One window rule bounds every image: with span the
+largest d/a over its translates, an expansion known through w exponents
+keeps ceil(w/span) image coefficients, the least ceil(w a/d) over the
+translates.  Translates that cancel between the terms of an element still
+bound it, as in the sum over the double cosets.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .algebra import AlgebraElement, check_hecke_parameter, double_coset_reps, left_coset_reps
+from .algebra import AlgebraElement, check_hecke_parameter, left_coset_reps
 from .cyclotomic import Cyclo, coeff_rational
 from .errors import (InvalidInput, NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
                      UnsupportedParameter, UnsupportedWeightParity)
@@ -74,19 +78,21 @@ def _term_pairs(m: int, N: int) -> list:
 
 
 def _element_pairs(u: AlgebraElement) -> list:
-    """The merged pairs of an algebra element, each T(a, d) as T(1, d/a)."""
+    """The merged pairs of an algebra element, each T(a, d) as T(1, d/a).
+    A pair whose translates cancel between terms stays, with e = 0: it
+    still bounds the window, as in the sum over the double cosets."""
     acc = {}
     for (a, d), mult in u.terms:
         for pair, mu in _term_pairs(d // a, u.N):
             acc[pair] = acc.get(pair, 0) + mu * mult
-    return [(pair, e) for pair, e in acc.items() if e]
+    return list(acc.items())
 
 
-def _slash_sums(f: PuiseuxSeries, k: int, pairs, ratios, scale=1) -> PuiseuxSeries:
+def _slash_sums(f: PuiseuxSeries, k: int, pairs, scale=1) -> PuiseuxSeries:
     """scale * sum over `pairs` of e (ad)^(k/2) d^(1-k) sum_{d|M} c_M q^(aM/d),
-    known below ceil(min c a/d) over the (a, d) in `ratios` (every
-    translate, cancelled or not), c the cutoff of f: where the coset
-    sum's window ends."""
+    known below the least ceil(c a/d) over the pairs, c the cutoff of f:
+    where the coset sum's window ends.  For c >= 0 that is ceil(c/span),
+    span the largest d/a."""
     if k % 2 != 0:
         raise UnsupportedWeightParity(f"odd weight {k}")
     if f.D != 1:
@@ -94,7 +100,7 @@ def _slash_sums(f: PuiseuxSeries, k: int, pairs, ratios, scale=1) -> PuiseuxSeri
     if not _is_rational(f.coeffs):
         raise UnsupportedParameter("coefficient formula needs rational coefficients")
     o, c = f.order, f.cutoff
-    hi = min(-(-c * a // d) for a, d in ratios)
+    hi = min(-(-c * a // d) for (a, d), _ in pairs)
     lo = min([hi] + [a * -(-o // d) for (a, d), _ in pairs])
     weights = [((a, d), e * scale * Fraction(a * d) ** (k // 2) * Fraction(d) ** (1 - k))
                for (a, d), e in pairs]
@@ -123,7 +129,7 @@ def hecke_additive_formula(f: PuiseuxSeries, k: int, n: int,
     check_hecke_parameter(n, N, "additive T")
     pairs = _tn_pairs(n, N)
     scale = 1 if normalization == "normalized" else Fraction(n) ** (k // 2 - 1)
-    return _slash_sums(f, k, pairs, [pair for pair, _ in pairs], scale)
+    return _slash_sums(f, k, pairs, scale)
 
 
 def _slash_upper(f: PuiseuxSeries, rep, k: int) -> PuiseuxSeries:
@@ -273,54 +279,52 @@ def _translate_order(h, pairs) -> tuple[int, int]:
     return int(x), -1 if t % 2 else 1
 
 
-def _rational_image(c0, h, l: list, prec: int, pairs) -> PuiseuxSeries:
+def _multiplicative_image(f: FormExpression, pairs, prec: int, N: int,
+                          terms=()) -> FormExpression:
     """The product of the bare translates of f = c_0 q^h g (g = 1 + O(q)
-    on grid 1, l = Theta(f)/f) named by `pairs`, in Q: s c_0^(sum e d) q^x
+    on grid 1, l = Theta(f)/f) named by the signed `pairs`, in Q, as an
+    opaque expansion of weight k sum e d at level N: s c_0^(sum e d) q^x
     times the unit u with m u_m = sum_{i>=1} H_i u_{m-i}, where
-    H = sum e a sum_k l_{dk} q^(ak) and (x, s) = _translate_order(h, pairs).
-    l must reach every d/a * (prec - 1); l_0 is not read."""
-    order, sign = _translate_order(h, pairs)
+    H = sum e a sum_k l_{dk} q^(ak) and (x, s) = _translate_order(h, pairs),
+    after each pair list of `terms` is certified on its own.
+
+    l (l_0 = h) comes from the atoms of f, or else from the expansion by
+    the log recurrence on g.  With span the largest d/a over the pairs, an
+    expansion known through w exponents keeps ceil(w/span) of the `prec`
+    coefficients, as the coset products do.  Coefficients outside Q, and
+    those of g off grid 1 below the exponent span * prec (where the image
+    would show them), are refused."""
+    k = f.weight
+    span = max(d // a for (a, d), _ in pairs)
+    # read before prec is checked: a shifted f that cancels is refused first
+    slack = int(abs(f.order) * span) + 8
+    if prec < 1:
+        raise PrecisionExhausted("the image must keep at least one coefficient")
+    c0, l = 1, f.log_derivative(span * (prec - 1) + 1)
+    if l is None:
+        reach = span * prec
+        series = _expansion(f, reach + slack)
+        D = series.D
+        prec = min(prec, -(-series.precision // (D * span)))
+        if series.is_zero():
+            raise NonUnitLeading("multiplicative Hecke image of the zero series")
+        if not _is_rational(series.coeffs):
+            raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
+        if any(c for i, c in enumerate(series.coeffs[:D * reach]) if i % D):
+            raise NotIntegralSeries("f/q^h is off the integral grid in the image's window")
+        g = series.coeffs[::D]
+        c0, l = g[0], log_derivative_coeffs(g, exact_div(series.order, D), span * (prec - 1) + 1)
+    for term in terms:
+        _translate_order(l[0], term)
+    order, sign = _translate_order(l[0], pairs)
     H = [0] * prec
     for (a, d), e in pairs:
         for M in range(a, prec, a):
             H[M] += e * a * l[d * (M // a)]
-    lead = sign * Fraction(c0) ** sum(e * d for (_, d), e in pairs)
+    ncosets = sum(e * d for (_, d), e in pairs)
+    lead = sign * Fraction(c0) ** ncosets
     u = exp_coeffs(exact_div(lead.numerator, lead.denominator), H, prec)
-    return PuiseuxSeries(1, order, u)
-
-
-def _rational_log_derivative(f: FormExpression, prec: int, span: int, slack: int,
-                             coset_jobs) -> tuple:
-    """(c0, h, l, prec): f = c0 q^h g with g_0 = 1 on grid 1,
-    l = Theta(f)/f to span * (prec - 1) + 1 coefficients, and the image's
-    precision.  l comes from the atoms of f, or else from the expansion by
-    the log recurrence on g.  A short expansion limits the image as it
-    limits the coset route: `coset_jobs` lists the (budget, d/a) of each
-    coset product, which keeps ceil(w a/d) of a window of w exponents.
-    Coefficients outside Q, and those of g off grid 1 below the exponent
-    span * prec (where the image would show them), are refused."""
-    if prec < 1:
-        raise PrecisionExhausted("the image must keep at least one coefficient")
-    l = f.log_derivative(span * (prec - 1) + 1)
-    if l is not None:
-        return 1, l[0], l, prec
-    reach = span * prec
-    series = _expansion(f, reach + slack)
-    if series.precision < series.D * reach:
-        expansions = [(_expansion(f, budget), s) for budget, s in coset_jobs]
-        prec = min([prec] + [-(-g.precision // (g.D * s)) for g, s in expansions])
-        series = max((g for g, _ in expansions), key=lambda g: Fraction(g.precision, g.D),
-                     default=series)
-    if series.is_zero():
-        raise NonUnitLeading("multiplicative Hecke image of the zero series")
-    if not _is_rational(series.coeffs):
-        raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
-    D = series.D
-    if any(c for i, c in enumerate(series.coeffs[:D * reach]) if i % D):
-        raise NotIntegralSeries("f/q^h is off the integral grid in the image's window")
-    g = series.coeffs[::D]
-    l = log_derivative_coeffs(g, 0, span * (prec - 1) + 1)
-    return g[0], exact_div(series.order, D), l, prec
+    return FormExpression.of(OpaqueSeries(PuiseuxSeries(1, order, u), k * ncosets, N))
 
 
 def hecke_multiplicative(f: FormExpression, n: int, N: int,
@@ -330,13 +334,7 @@ def hecke_multiplicative(f: FormExpression, n: int, N: int,
     coefficients, computed in Q."""
     f.check_level(N)
     check_hecke_parameter(n, N, "multiplicative T")
-    pairs = _tn_pairs(n, N)
-    ncosets = sum(d for (_, d), _ in pairs)
-    k = f.weight
-    slack = int(abs(f.order) * n) + 8
-    found = _rational_log_derivative(f, prec, n, slack, [(ncosets * prec + slack, n)])
-    image = _rational_image(*found, pairs)
-    return FormExpression.of(OpaqueSeries(image, k * ncosets, N))
+    return _multiplicative_image(f, _tn_pairs(n, N), prec, N)
 
 
 # ---------------------------------------------------------------------------
@@ -353,37 +351,15 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
     f.check_level(u.N)
     k = f.weight
     N = u.N
-    if mode == "additive":
-        if not u.terms:
+    if not u.terms:
+        if mode == "additive":
             raise UnsupportedParameter(
                 "the empty element sums no slashes, so its additive image has no precision")
-        budget = max(a * d for (a, d), _ in u.terms) * prec + 8
-        ratios = [pair for (a, d), _ in u.terms for pair, _ in _tn_pairs(d // a, N)]
-        image = _slash_sums(f.qexp(budget), k, _element_pairs(u), ratios)
-        return FormExpression.of(OpaqueSeries(image, k, N))
-
-    if not u.terms:  # the empty product, whatever f is
         return FormExpression.of(OpaqueSeries(PuiseuxSeries.one(prec + 4), 0, N))
-    jobs = _coset_jobs(f, u, prec)
-    weight = sum(k * len(reps) * mult for reps, mult, _, _ in jobs)
-    span = max(s for *_, s in jobs)
-    slack = int(abs(f.order) * span) + 8
-    c0, h, l, image_prec = _rational_log_derivative(
-        f, prec + 4, span, slack, [(budget, s) for _, _, budget, s in jobs])
+    if mode == "additive":
+        budget = max(a * d for (a, d), _ in u.terms) * prec + 8
+        image = _slash_sums(f.qexp(budget), k, _element_pairs(u))
+        return FormExpression.of(OpaqueSeries(image, k, N))
     # each double coset's product is certified on its own, as by the oracle
-    for (a, d), _ in u.terms:
-        _translate_order(h, _term_pairs(d // a, N))
-    out = _rational_image(c0, h, l, image_prec, _element_pairs(u))
-    return FormExpression.of(OpaqueSeries(out, weight, N))
-
-
-def _coset_jobs(f: FormExpression, u: AlgebraElement, prec: int) -> list:
-    """(representatives, multiplicity, expansion budget, d/a) of each term
-    of u."""
-    order = f.order
-    jobs = []
-    for (a, d), mult in u.terms:
-        reps = double_coset_reps(a, d, u.N)
-        budget = len(reps) * (prec + 4) + int(abs(order) * a * d) + 8
-        jobs.append((reps, mult, budget, d // a))
-    return jobs
+    return _multiplicative_image(f, _element_pairs(u), prec + 4, N,
+                                 [_term_pairs(d // a, N) for (a, d), _ in u.terms])

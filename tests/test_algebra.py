@@ -271,6 +271,9 @@ def test_make_rejects_bad_labels():
         A.AlgebraElement.make(2, {(2, 4): 1})   # gcd(a, N) != 1
     with pytest.raises(UnsupportedParameter):
         A.AlgebraElement.make(1, {(3, 4): 1})   # a does not divide d
+    # the constructor checks too, so no operator reads T(2, 3) as T(1, 1)
+    with pytest.raises(UnsupportedParameter):
+        A.AlgebraElement(1, (((2, 3), 1),))
 
 
 def _element(draw, N):

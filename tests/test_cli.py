@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from heckediv import cli, curve as C, forms as F, pairing as P
+from heckediv.errors import InvalidInput
 from heckediv.niebur import EvalParams
 
 
@@ -242,8 +243,12 @@ def test_forms_off_their_level_are_refused(capsys, argv):
     assert code == 1 and json.loads(out)["error"] == "UnsupportedParameter"
 
 
-@pytest.mark.parametrize("name", ("nosuch", "eta:2:3=24", "eta:2:1=1x"))
+@pytest.mark.parametrize("name", ("nosuch", "eta:2:3=24", "eta:2:1=1x", "eta:4:1=x", "eta:4",
+                                  "eta:x:1=2", "eta:4:1=2,,", "jminus:abc"))
 def test_malformed_form_names_are_usage_errors(capsys, name):
+    # InvalidInput in the library, and so a usage error (exit 2) on the CLI
+    with pytest.raises(InvalidInput):
+        F.expression_by_name(name)
     with pytest.raises(SystemExit) as exc:
         cli.main(["qexp", "--form", name])
     assert exc.value.code == 2
@@ -363,6 +368,16 @@ def test_niebur_at_a_huge_re_tau_answers_the_value_at_i(capsys, argv):
     code, out = run_cli(capsys, "niebur", "--N", "1", "--C", "30", *argv)
     want = run_cli(capsys, "niebur", "--N", "1", "--C", "30", *argv[:-1], "0,1")[1]
     assert code == 0 and out == want
+
+
+def test_niebur_takes_a_negative_re_tau_after_a_space(capsys):
+    # argparse reads "-0.25,1" as an option unless it is attached to --tau;
+    # F is 1-periodic, so -0.25 + i answers as 0.75 + i
+    argv = ("niebur", "--N", "1", "--m", "1", "--s", "1.5", "--C", "30")
+    code, out = run_cli(capsys, *argv, "--tau", "-0.25,1")
+    assert code == 0
+    assert out == run_cli(capsys, *argv, "--tau=-0.25,1")[1]
+    assert out == run_cli(capsys, *argv, "--tau", "0.75,1")[1]
 
 
 def test_niebur_sweep_answers_or_refuses_with_a_typed_error(capsys):

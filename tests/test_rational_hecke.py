@@ -16,7 +16,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckediv import algebra as A, forms as F, operators as O, verify as V
 from heckediv.cyclotomic import Cyclo
@@ -31,10 +31,15 @@ def _eta(level, exps):
 
 def element_cosets(f, u, prec):
     """Oracle: f|*u as the product of each term's coset product to the
-    power of its multiplicity, with prec + 4 coefficients, from the same
-    jobs (representatives, budgets) as the multiplicative apply_element."""
+    power of its multiplicity, with prec + 4 coefficients.  Each term reads
+    its own double coset representatives and asks the expansion for a
+    budget of its own, len(reps) (prec + 4) + |order| a d + 8 exponents,
+    as hecke_multiplicative_cosets does for T(n): no window of the
+    rational route enters it."""
     out = None
-    for reps, mult, budget, _ in O._coset_jobs(f, u, prec):
+    for (a, d), mult in u.terms:
+        reps = A.double_coset_reps(a, d, u.N)
+        budget = len(reps) * (prec + 4) + int(abs(f.order) * a * d) + 8
         piece = O._coset_product(O._expansion(f, budget), reps, prec + 4) ** mult
         out = piece if out is None else out * piece
     return out
@@ -163,6 +168,28 @@ def elements(draw, N):
 def test_apply_element_agrees_with_the_element_oracle(data, f, N, prec):
     u = data.draw(elements(N))
     assert outcome(apply_mult, f, u, prec) == outcome(element_cosets, f, u, prec)
+
+
+def image_or_refusal(fn, *args):
+    """The image's grid, leading exponent, typed coefficients, weight and
+    level, or the type of its refusal."""
+    try:
+        img = fn(*args)
+    except HeckeDivError as exc:
+        return type(exc)
+    return exact(img) + (img.level,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=st.one_of(st.sampled_from([f for f, _ in FORMS.values()]), opaque_forms()),
+       N=st.sampled_from((1, 2, 3)),
+       n=st.integers(1, 7), p=st.integers(-5, 12))
+def test_t_n_is_the_t_n_case_of_the_element_route(f, N, n, p):
+    # f|*T(n) at prec p + 4 is f|*t_n(n, N) at p, bit for bit, refusals
+    # included: one image route, whose window comes from the span n
+    assume(gcd(n, N) == 1 or F.prime_factors(n) == [n])
+    assert image_or_refusal(O.hecke_multiplicative, f, n, N, p + 4) == \
+        image_or_refusal(O.apply_element, f, A.t_n(n, N), "multiplicative", p)
 
 
 # eta quotients of non-integral order: their expansions live on the grid
@@ -423,7 +450,7 @@ def test_equivariance_suite_uses_the_coset_route(monkeypatch):
         raise AssertionError("the equivariance check reached the rational route")
 
     monkeypatch.setattr(O, "hecke_multiplicative_cosets", spy)
-    monkeypatch.setattr(O, "_rational_image", refuse)
+    monkeypatch.setattr(O, "_multiplicative_image", refuse)
     reports = V.run_suite("equivariance")
     assert reports and all(r.passed for r in reports)
     assert len(calls) == len(reports)
