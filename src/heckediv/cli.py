@@ -107,9 +107,12 @@ def _attach_tau(argv: list[str]) -> list[str]:
 
 
 def _mpc_pair(value, digits: int) -> list[str]:
+    # at a working precision of `digits`, so that an mpmath value keeps the
+    # digits it is printed with (a double converts exactly from dps 15 up)
     import mpmath
-    z = mpmath.mpc(value)
-    return [mpmath.nstr(mpmath.re(z), digits), mpmath.nstr(mpmath.im(z), digits)]
+    with mpmath.workdps(max(digits, 15)):
+        z = mpmath.mpc(value)
+        return [mpmath.nstr(mpmath.re(z), digits), mpmath.nstr(mpmath.im(z), digits)]
 
 
 def build_parser() -> argparse.ArgumentParser:

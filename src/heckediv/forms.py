@@ -44,9 +44,13 @@ that many are stored it is the cheaper route (the warm one), and it is
 the oracle of the tests.  Otherwise j_n = F_n(j) + 24 sigma_1(n) for the
 Faber polynomial F_n of j (Bruinier, Kohnen and Ono, Compositio Math.
 140, 2004), which reads only max(prec, n + 1) of them.  Its recursion,
-:func:`_faber_windows`, holds for any t = q^-1 + c(0) + sum c(i) q^i
-(Curtiss, Amer. Math. Monthly 78, 1971), and at the Hauptmoduln t_N of
-levels 1-5 it builds the harmonic slices F_m(t_N) of :mod:`heckediv.niebur`.
+:func:`_faber`, holds for any t = q^-1 + c(0) + sum c(i) q^i (Curtiss,
+Amer. Math. Monthly 78, 1971) and runs over a small ring interface, in
+two rings.  On q-series windows (:func:`_faber_windows`) it builds j_n
+and, at the Hauptmoduln t_N of levels 1-5, the harmonic slices F_m(t_N)
+of :mod:`heckediv.niebur`.  On exact scalars (:func:`jn_at`) it gives
+j_n(z) = F_n(j(z)) + 24 sigma_1(n) at a rational j(z), the value that the
+level-1 BKO pairing sums over the CM points of a divisor.
 
 :func:`euler_product` is no longer on any route; it keeps its cache for
 tools that read it.
@@ -244,30 +248,87 @@ def j_shifted(prec: int) -> PuiseuxSeries:
     return j_function(prec) - 720
 
 
+class _Windows:
+    """The q-series ring of :func:`_faber`: F_m(t) as its window of `prec`
+    coefficients from q^-m, so that F_m(t) = q^-m + O(q) holds q^0 at
+    index m, and J F_(m-1) is one Kronecker product of the window qJ with
+    that of F_(m-1)."""
+    __slots__ = ("J", "prec")
+
+    def __init__(self, qJ: list, prec: int):
+        self.J, self.prec = qJ, prec
+
+    def times_J(self, f: list) -> list:
+        return _kronecker_product(self.J, f, self.prec)
+
+    def submul(self, w: list, c, f: list, shift: int) -> list:
+        # F_(m-1-i) enters the window of F_m at offset shift = i + 1
+        w[shift:] = [a - c * b for a, b in zip(w[shift:], f)]
+        return w
+
+    def add(self, w: list, k, m: int) -> list:
+        if m < self.prec:
+            w[m] += k
+        return w
+
+
+class _Values:
+    """The exact-scalar ring of :func:`_faber`: F_m(x) at one rational x,
+    with J = x - c(0)."""
+    __slots__ = ("J",)
+
+    def __init__(self, J):
+        self.J = J
+
+    def times_J(self, f):
+        return self.J * f
+
+    def submul(self, w, c, f, shift: int):
+        return w - c * f
+
+    def add(self, w, k, m: int):
+        return w + k
+
+
+def _faber(u: list, n: int, ring) -> list:
+    """[None, F_1, .., F_n] in `ring`, for the Faber polynomials F_m of
+    t = q^-1 + c(0) + sum_{i>=1} c(i) q^i, given u = q t = 1 + c(0) q +
+    sum c(i) q^(i+1) through q^n.
+
+    J = t - c(0), F_1 = J and F_m = J F_(m-1) - sum_{i=1}^{m-2} c(i)
+    F_(m-1-i) - m c(m-1) (Curtiss 1971; for j, Asai, Kaneko and Ninomiya
+    1997).  The ring holds J and gives the three steps: J times an element,
+    an element minus c times another of degree `shift` lower, and an element
+    of degree m plus a constant."""
+    F = [None, ring.J]
+    for m in range(2, n + 1):
+        w = ring.times_J(F[m - 1])
+        for i in range(1, m - 1):
+            w = ring.submul(w, u[i + 1], F[m - 1 - i], i + 1)
+        F.append(ring.add(w, -m * u[m], m))
+    return F
+
+
 def _faber_windows(N: int, n: int, prec: int) -> list:
     """The window of F_n(t), `prec` coefficients from q^-n, for the Faber
     polynomial F_n of the Hauptmodul t of level N (j at N = 1, the eta
     quotient of :func:`hauptmodul_spec` at N = 2-5): F_n(t) = q^-n + O(q).
-
-    For any t = q^-1 + c(0) + sum_{i>=1} c(i) q^i, J = t - c(0), F_1(t) = J
-    and F_m(t) = J F_(m-1)(t) - sum_{i=1}^{m-2} c(i) F_(m-1-i)(t) - m c(m-1)
-    (Curtiss 1971; for j, Asai, Kaneko and Ninomiya 1997): c(0) is never
-    read.  The window of F_m starts at q^-m, so J F_(m-1) is one Kronecker
-    product of the window qJ with that of F_(m-1), and F_(m-1-i) enters
-    it at offset i + 1.  It reads max(prec, n + 1) coefficients of q t."""
+    It is :func:`_faber` in the ring of windows, where c(0) is never read,
+    and reads max(prec, n + 1) coefficients of q t."""
     k = max(prec, n + 1)
     u = _j_unit(k) if N == 1 else _eta_unit(hauptmodul_spec(N).exponents, k)
-    qJ = [1, 0][:prec] + u[2:prec]  # u = q t = 1 + c(0) q + sum c(i) q^(i+1)
-    windows = [None, qJ]
-    for m in range(2, n + 1):
-        w = _kronecker_product(qJ, windows[m - 1], prec)
-        for i in range(1, m - 1):
-            c = u[i + 1]
-            w[i + 1:] = [a - c * b for a, b in zip(w[i + 1:], windows[m - 1 - i])]
-        if m < prec:
-            w[m] -= m * u[m]
-        windows.append(w)
-    return windows[n]
+    qJ = [1, 0][:prec] + u[2:prec]  # the window of J = t - c(0)
+    return _faber(u, n, _Windows(qJ, prec))[n]
+
+
+def jn_at(n: int, x) -> int | Fraction:
+    """j_n(z) exactly at a point z with j(z) = x, a rational:
+    F_n(x) + 24 sigma_1(n), :func:`_faber` in the ring of exact scalars.
+    It reads c(1), .., c(n - 1) of j, and c(0) = 744."""
+    if n < 1:
+        raise UnsupportedParameter(f"j_n needs n >= 1, got {n}")
+    u = _j_unit(n + 1)
+    return _faber(u, n, _Values(x - u[1]))[n] + 24 * sigma(1, n)
 
 
 @lru_cache(maxsize=128)

@@ -12,12 +12,15 @@ inversion turns the rows into a Ramanujan-sum convolution of a table of
 K-Bessel values with about 7/Im tau entries.  At m >= 1, row c is its
 Fourier expansion: Kloosterman sums S(+-n, -m; c), the same K-Bessel
 table, and power series of I and J Bessel functions, about 7/Im tau terms
-a row near the real axis and fewer far up.  The Kloosterman sums are
-built a chunk of moduli at a time (rows of 2^16 values in all, a few
-chunks a call), a chunk ahead of the blocks of Fourier terms that read
-them: one vectorised pass gives the inverses r^-1 mod c of the units
-r <= c/2 of every modulus of the chunk, one exp the phases e(-m r^-1/c),
-and one real inverse DFT of length c each row.  A row S(., -m; c) does
+a row near the real axis and fewer far up.  Where a series of the
+I-Bessel factor of a term would pass its budget (the identity term from
+about Im tau = 90/m on, a d-window term near the real axis), that factor
+takes the expansion of I at infinity instead, up to the double overflow.
+The Kloosterman sums are built a chunk of moduli at a time (rows of 2^16
+values in all, a few chunks a call), a chunk ahead of the blocks of
+Fourier terms that read them: one vectorised pass gives the inverses
+r^-1 mod c of the units r <= c/2 of every modulus of the chunk, one exp
+the phases e(-m r^-1/c), and one real inverse DFT of length c each row.  A row S(., -m; c) does
 not depend on tau or s, so each is built once per (c, m) and kept in one
 process-wide store of Kloosterman rows only, at most STORE_BYTES:
 evaluations at many points, such as a point and its Gamma_0(N) images,
@@ -134,17 +137,70 @@ def _phi_np(m: int, v: np.ndarray, s: float) -> np.ndarray:
     doubles: I^ of `_bessel_ij` at x = 2 pi m v.  The lead
     (x/2)^nu/Gamma(nu+1) of the series is carried in logarithms, so that
     neither factor overflows at large s; an entry below the double range
-    comes out 0."""
+    comes out 0.  Where the series of the largest entry would pass the
+    series budget, the entries from x = _EXPANSION_FROM on take the
+    expansion of I_nu at infinity (`_phi_expansion`) and the rest the
+    series."""
     import numpy as np
     if m == 0:
         return v ** s
     nu = s - 0.5
     x = 2.0 * math.pi * m * v
     half = x / 2.0
-    acc = _bessel_ij(half * half, nu)[0]
+    try:
+        acc = _bessel_ij(half * half, nu)[0]
+    except ConvergenceBudgetExceeded:
+        far = x >= _EXPANSION_FROM
+        out = np.empty_like(x)
+        out[~far] = _phi_np(m, v[~far], s)
+        out[far] = _phi_expansion(x[far], nu)
+        return out
     with np.errstate(divide="ignore"):  # log 0 = -inf gives the lead 0 at v = 0
         lead = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
     return 2.0 * math.pi * np.sqrt(m * v) * lead * acc
+
+
+# the least argument at which `_phi_np` takes the expansion at infinity: a
+# series of argument below it fits the series budget at every order
+_EXPANSION_FROM = 300.0
+
+
+def _phi_expansion(x: np.ndarray, nu: float) -> np.ndarray:
+    """sqrt(2 pi x) I_nu(x) = e^x sum_k (-1)^k a_k(nu) x^-k for x >=
+    _EXPANSION_FROM, a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k)
+    (Abramowitz and Stegun 9.7.1; the e^-x part is below e^-600 relative).
+    The lead is e^x itself: x is its logarithm, and no factor of it
+    overflows before the value does.
+
+    |a_k x^-k| falls as x grows, so the terms at the least x bound those of
+    every entry: the sum stops where they fall below 1e-18 there, and is
+    refused unless the terms past the first sum to at most 1/2, which
+    keeps the rounding within a few ulps.  An entry past the double range
+    is refused: it is a term of the Poincare sum, whose value overflows
+    with it."""
+    import numpy as np
+    xmin = float(x.min())
+    four_nu2 = 4.0 * nu * nu
+    term, spread, k = 1.0, 0.0, 0
+    while abs(term) >= 1e-18:
+        k += 1
+        term *= ((2 * k - 1) ** 2 - four_nu2) / (8.0 * k * xmin)
+        spread += abs(term)
+        if k > _SERIES_BUDGET or spread > 0.5:
+            raise ConvergenceBudgetExceeded(
+                f"neither the Bessel series nor its expansion at infinity converges "
+                f"at x = {xmin:g}, order {nu:g}")
+    acc = np.ones_like(x)
+    term = np.ones_like(x)
+    for j in range(1, k + 1):
+        term *= ((2 * j - 1) ** 2 - four_nu2) / (8.0 * j) / x
+        acc += term
+    with np.errstate(over="ignore"):
+        out = np.exp(x) * acc
+    if not np.isfinite(out).all():
+        raise UnsupportedParameter(
+            f"a term e^{float(x.max()):g} of the Poincare sum overflows a double")
+    return out
 
 
 def _bessel_ij(y: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:

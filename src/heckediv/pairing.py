@@ -1,9 +1,15 @@
-"""Divisor sums: the pairing D_F(D) = sum n_z F(z), its specialization to
-the 24 sigma_1(n)-normalized j_n pairing, Rohrlich sums R_{N,m}(s; f), and
-the exact s = 1 equivariance checks.
+"""Divisor sums: the pairing D_F(D) = sum n_z F(z), the 24 sigma_1(n)-
+normalized j_n pairing of Bruinier, Kohnen and Ono, Rohrlich sums
+R_{N,m}(s; f), and the exact s = 1 equivariance checks.
 
-Policy on cusp values: only the j_n evaluator at level 1 hard-codes its
-cusp value (24 sigma_1(n)); every other evaluator must be given explicit
+The BKO pairing is exact on the j-line: every point of a level-1 divisor
+has its j in `curve.CM_J`, and j_n = F_n(j) + 24 sigma_1(n) for the Faber
+polynomial F_n of j, so the sum is a rational (rounded to `digits` by
+:func:`bko_pairing`).  Summing the q-series of j_n at the points
+(``niebur.jn_value``) is the numeric oracle of the tests.
+
+Policy on cusp values: only the BKO pairing hard-codes its cusp value
+(24 sigma_1(n) at infinity); every point evaluator must be given explicit
 cusp values, and pairings refuse divisors that touch a cusp without one.
 Identities with a rational route (the s = 1 slice) are checked in exact
 arithmetic; numerics are reserved for CM values and real s > 1.
@@ -92,25 +98,40 @@ def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
 # the BKO pairing against j_n
 # ---------------------------------------------------------------------------
 
-def jn_evaluator(n: int, digits: int = 50) -> PointEvaluator:
-    """j_n on X_0(1) with the cusp value 24 sigma_1(n) at infinity."""
-    inf = curve.canonical_cusp(1, 0, 1)
-    return PointEvaluator(
-        interior=lambda z: niebur.jn_value(n, z, digits),
-        cusp_values={inf: 24 * forms.sigma(1, n)},
-        name=f"j_{n}",
-    )
+def _bko_sum(n: int, f: forms.FormExpression) -> tuple[Fraction, tuple]:
+    """(j_n, f)_BKO = sum n_z j_n(z) + 24 sigma_1(n) n_inf over the level-1
+    divisor of f, exactly, with its per-point breakdown (key, n_z, j_n(z)).
+    Each j(z) comes from `curve.CM_J` and j_n(z) = F_n(j(z)) + 24 sigma_1(n)
+    from the Faber recursion on exact scalars (`forms.jn_at`)."""
+    if n < 1:
+        raise UnsupportedParameter(f"n={n}: the BKO pairing needs n >= 1")
+    if f.level != 1:
+        raise UnsupportedParameter("the BKO pairing is a level-1 statement")
+    D = curve.divisor_of_form(f, 1)
+    total = Fraction(0)
+    breakdown = []
+    for key, coeff in D.interior:
+        A, B, C = key.form  # a level-1 divisor_of_form names table points only
+        val = forms.jn_at(n, curve.CM_J[B * B - 4 * A * C])
+        total += coeff * val
+        breakdown.append((repr(key), coeff, val))
+    for cusp, coeff in D.cusp_part:
+        val = 24 * forms.sigma(1, n)
+        total += coeff * val
+        breakdown.append((repr(cusp), coeff, val))
+    return total, tuple(breakdown)
 
 
 def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingResult:
     """(j_n, f)_BKO: the divisor of f paired against j_n with the
-    24 sigma_1(n) cusp normalization (level 1)."""
+    24 sigma_1(n) cusp normalization (level 1).  The sum is exact on the
+    j-line (:func:`_bko_sum`); the value is that rational rounded to
+    `digits` as an mpmath number, and the breakdown holds the exact j_n(z)."""
     import mpmath
-    if f.level != 1:
-        raise UnsupportedParameter("the BKO pairing is a level-1 statement")
-    D = curve.divisor_of_form(f, 1)
-    with mpmath.workdps(digits + 10):
-        return pair(jn_evaluator(n, digits), D)
+    total, breakdown = _bko_sum(n, f)
+    with mpmath.workdps(digits):
+        value = mpmath.mpc(mpmath.mpf(total.numerator) / total.denominator)
+    return PairingResult(value=value, exact=False, breakdown=breakdown)
 
 
 def _log_derivative(f: forms.FormExpression, n: int) -> list:

@@ -62,7 +62,7 @@ def suite_bko() -> list[EvalReport]:
     j8000 = forms.FormExpression.of(forms.JMinus(Fraction(8000)))
     for f, tag in ((e4, "E4"), (j8000, "j - 8000")):
         for n in (1, 2, 3):
-            got, want = _bko_j_line(n, f), pairing.r_at_s1(1, n, f)
+            got, want = pairing._bko_sum(n, f)[0], pairing.r_at_s1(1, n, f)
             out.append(EvalReport(
                 name=f"(j_{n}, {tag})_BKO = -Coeff_q^{n}(Theta f/f)",
                 lhs=str(got), rhs=str(want), exact=True, tolerance=None,
@@ -227,18 +227,6 @@ def _j_line_report(name, img, TD) -> EvalReport:
         rhs=f"coefficient at inf {cusp}, prod (x - j(z))^n_z {show(want)}",
         exact=True, tolerance=None, passed=(monic == want and ord_inf == cusp),
         detail="coefficients from degree 0 up; j(z) from the class-number-one table")
-
-
-def _bko_j_line(n: int, f) -> Fraction:
-    """(j_n, f)_BKO = sum n_z P_n(j(z)) + 24 sigma_1(n) n_inf over the
-    level-1 divisor of f, with P_n the j-polynomial of j_n."""
-    P = curve.weight0_to_j_polynomial(forms.jn(n, n + 2))
-    D = curve.divisor_of_form(f, 1)
-    total = 24 * forms.sigma(1, n) * D.cusp_coefficient(1, 0)
-    for key, nz in D.interior:
-        A, B, C = key.form  # a level-1 divisor_of_form names table points only
-        total += nz * sum(a * curve.CM_J[B * B - 4 * A * C] ** e for e, a in P.items())
-    return total
 
 
 # ---------------------------------------------------------------------------

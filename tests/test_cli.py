@@ -67,6 +67,12 @@ def test_bko_verb(capsys):
     assert data["digits"] == 35
     code, out = run_cli(capsys, "bko", "--n", "1", "--form", "E4")
     assert code == 0 and json.loads(out)["digits"] == 30
+    # the printed value keeps its 40 digits: it used to pass through a
+    # double, 22804995243537595070333059072.0 here
+    code, out = run_cli(capsys, "bko", "--n", "12", "--form", "E4", "--digits", "40")
+    data = json.loads(out)
+    assert code == 0 and data["exact_s1"] == "22804995243537595828606337280"
+    assert data["value"][0] == data["exact_s1"] + ".0"
 
 
 def test_rohrlich_exact_and_numeric(capsys):

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckediv import forms as F, operators, pairing
+from heckediv import curve, forms as F, operators, pairing
 from heckediv.errors import NonUnitLeading, PrecisionExhausted, UnsupportedParameter, \
     UnsupportedWeight
 from heckediv.series import PuiseuxSeries as S, log_derivative_coeffs
@@ -658,6 +659,31 @@ def test_jn_takes_the_faber_route_cold_and_the_hecke_formula_warm(monkeypatch, n
     for got in (cold, warm):
         assert (got.D, got.order, got.coeffs) == (want.D, want.order, want.coeffs)
         assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@lru_cache(maxsize=None)
+def _jn_j_polynomial(n):
+    """The j-line reading of j_n = F_n(j) + 24 sigma_1(n): the j-polynomial
+    of the window of F_n(j) through q^1 from the q-series ring of the
+    Faber loop."""
+    window = S(1, -n, F._faber_windows(1, n, n + 2))
+    return curve.weight0_to_j_polynomial(window + 24 * F.sigma(1, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30),
+       x=st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+def test_the_faber_loop_on_scalars_is_the_j_polynomial_of_its_windows(n, x):
+    # one recursion in two rings: j_n(z) at j(z) = x from the exact scalars
+    # equals the j-polynomial of the q-series windows, evaluated at x
+    P = _jn_j_polynomial(n)
+    assert F.jn_at(n, x) == sum(a * x ** e for e, a in P.items())
+
+
+def test_jn_at_needs_a_positive_index():
+    for n in (0, -1):
+        with pytest.raises(UnsupportedParameter):
+            F.jn_at(n, 0)
 
 
 def test_jn_refuses_an_empty_precision():

@@ -1125,6 +1125,53 @@ def test_bessel_ij_against_mpmath(s):
             assert abs(jh - want_j) <= 1e-14 * want_i, (xi, jh, want_j)
 
 
+@pytest.mark.parametrize("s", (1.01, 1.5, 2.0, 3.7, 10.0, 16.0))
+def test_phi_past_the_series_budget_against_mpmath(s):
+    # the largest argument passes the series budget, so the entries from
+    # x = 300 on take the expansion of I_nu at infinity and those below
+    # the series; each keeps its digits (worst measured 3.6e-16 relative
+    # past 300, 1.5e-14 below)
+    m = 3
+    x = np.concatenate((np.geomspace(1.0, 299.0, 12), np.geomspace(300.0, 709.0, 30)))
+    with pytest.raises(ConvergenceBudgetExceeded):
+        NB._bessel_ij(x * x / 4, s - 0.5)
+    v = x / (2 * math.pi * m)
+    got = NB._phi_np(m, v, s)
+    x = 2.0 * math.pi * m * v  # the argument as _phi_np rounds it
+    with mpmath.workdps(30):
+        for xi, g in zip(x, got):
+            X = mpmath.mpf(float(xi))
+            want = mpmath.sqrt(2 * mpmath.pi * X) * mpmath.besseli(s - 0.5, X)
+            assert abs(g - want) <= 4e-14 * want, (xi, g, want)
+
+
+def test_the_expansion_at_infinity_refuses_where_it_does_not_converge():
+    # at order 49.5 and x = 660 neither the series nor the expansion
+    # converges in doubles, although the value is a normal double
+    with pytest.raises(ConvergenceBudgetExceeded):
+        NB.niebur_value(1, 3, 35j, EvalParams(truncation=30, s=50.0))
+
+
+def test_niebur_value_past_the_series_budget_is_invariant():
+    # Im(-1/tau) = 33.3 puts the identity term of the image, and a d-window
+    # term at tau, at x = 628, past the series budget: both values are
+    # normal doubles (about 7.5e272) and agree within their estimates
+    tau = 0.03j
+    for C in (30, 300):
+        a = NB.niebur_value(1, 3, tau, EvalParams(truncation=C))
+        b = NB.niebur_value(1, 3, -1 / tau, EvalParams(truncation=C))
+        assert 7e272 < abs(a.value) < 8e272
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
+    # the identity term at x = 660 is the value
+    assert 3e286 < abs(NB.niebur_value(1, 3, 0.2 + 35j, EvalParams(truncation=30)).value) \
+        < 3.5e286
+    # at Im tau = 40 the identity term overflows, at 0.0255i (e^739) the
+    # d-window term of the row c = 1
+    for tau in (0.2 + 40j, 0.0255j):
+        with pytest.raises(UnsupportedParameter):
+            NB.niebur_value(1, 3, tau, EvalParams(truncation=30))
+
+
 def test_the_plan_admits_no_series_past_the_budget():
     for N, m, tau, s in ((1, 3, 0.3 + 0.013j, 1.5), (2, 1, -0.4 + 0.02j, 2.0),
                          (1, 4, 0.1 + 3.0j, 1.05)):
@@ -1203,9 +1250,16 @@ def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C
     try:
         rows = [_wide_window_row(m, u, v, s, c, WIDEN) for c in range(N, C * N + 1, N)]
     except ConvergenceBudgetExceeded:
-        # a d-window term past the Bessel series budget: cu near an integer
-        # at small Im tau puts gamma tau near Im 1/(c^2 Im tau)
+        # a d-window term where neither the Bessel series nor its expansion
+        # at infinity converges: cu near an integer at small Im tau puts
+        # gamma tau near Im 1/(c^2 Im tau)
         assume(False)
+    except UnsupportedParameter:
+        # such a term past the double range: the value overflows with it,
+        # and the sum refuses it too
+        with pytest.raises(UnsupportedParameter):
+            NB.niebur_value(N, m, complex(u, v), EvalParams(truncation=C, s=s))
+        return
     want = NB._identity_term(m, u, v, s) + sum(row for row, _, _ in rows)
     tail = sum(_wide_window_tail(m, v, s, c, X) + 2.0 ** -50 * size
                for c, (_, size, X) in zip(range(N, C * N + 1, N), rows))

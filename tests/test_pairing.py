@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P, \
-    verify as V
+from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import MissingCuspValue, UnsupportedParameter
+from heckediv.errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
 from heckediv.niebur import EvalParams
 from heckediv.series import PuiseuxSeries as S
 
@@ -17,12 +17,26 @@ DELTA = F.FormExpression.of(F.DeltaShift(1))
 JM1728 = F.FormExpression.of(F.JMinus(Fraction(1728)))
 
 
+def jn_evaluator(n: int, digits: int = 50) -> P.PointEvaluator:
+    """Oracle: j_n on X_0(1) summed from its q-series at each point
+    (``niebur.jn_value``), with the cusp value 24 sigma_1(n) at infinity.
+    The library pairs against j_n exactly on the j-line instead."""
+    inf = C.canonical_cusp(1, 0, 1)
+    return P.PointEvaluator(
+        interior=lambda z: NB.jn_value(n, z, digits),
+        cusp_values={inf: 24 * F.sigma(1, n)},
+        name=f"j_{n}",
+    )
+
+
 def test_pair_e4_against_j1():
     res = P.bko_pairing(1, E4)
     assert abs(res.value + 240) < mpmath.mpf(10) ** -25
-    # breakdown: a single interior point with coefficient 1/3
+    # breakdown: a single interior point with coefficient 1/3, at which
+    # j_1 = j - 720 = -720 exactly
     assert len(res.breakdown) == 1
     assert res.breakdown[0][1] == Fraction(1, 3)
+    assert res.breakdown[0][2] == -720 and not res.exact
 
 
 def test_pair_constant_evaluator_gives_degree():
@@ -50,7 +64,7 @@ def test_hecke_image_evaluator_skips_a_cusp_whose_images_have_no_value():
 
 
 def test_pair_linearity_exact_in_breakdown():
-    ev = P.jn_evaluator(1, digits=40)
+    ev = jn_evaluator(1, digits=40)
     D1 = C.point_divisor(1, POINT_I, Fraction(1, 2))
     D2 = C.point_divisor(1, OMEGA, Fraction(1, 3)) + C.cusp_divisor(1, 1, 0, -1)
     whole = P.pair(ev, D1 + D2)
@@ -90,18 +104,69 @@ BKO_FORMS = ([F.FormExpression.of(F.Eisenstein(k)) for k in (4, 6, 8, 10, 14)] +
 
 def test_numeric_bko_pairing_is_an_oracle_for_the_exact_j_line_value():
     # oracle: the numeric route (j_n summed from its Fourier series at 50
-    # digits) against the exact sum n_z P_n(j(z)) + 24 sigma_1(n) n_inf of
-    # the bko suite, to 40 significant digits; the exact value is in turn
-    # -Coeff_{q^n}(Theta f/f)
+    # digits) against the exact j-line value of bko_pairing, to 40
+    # significant digits; the exact value is in turn -Coeff_{q^n}(Theta f/f)
     for f in BKO_FORMS:
         for n in range(1, 6):
-            exact = V._bko_j_line(n, f)
+            exact = P._bko_sum(n, f)[0]
             assert exact == P.r_at_s1(1, n, f), (f, n)
             if n <= 4:
-                got = P.bko_pairing(n, f, 50).value
+                D = C.divisor_of_form(f, 1)
                 with mpmath.workdps(60):
+                    got = P.pair(jn_evaluator(n, 50), D).value
                     want = mpmath.mpf(exact.numerator) / exact.denominator
                     assert abs(got - want) <= mpmath.mpf(10) ** -40 * max(1, abs(want)), (f, n)
+                    assert abs(P.bko_pairing(n, f, 50).value - want) \
+                        <= mpmath.mpf(10) ** -48 * max(1, abs(want)), (f, n)
+
+
+BKO_ATOMS = [F.Eisenstein(k) for k in (4, 6, 8, 10, 14)] + [F.DeltaShift(1)] \
+    + [F.JMinus(Fraction(c)) for c in C.CM_J.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.tuples(st.sampled_from(BKO_ATOMS), st.sampled_from((-2, -1, 1, 2, 3))),
+                        min_size=1, max_size=3),
+       n=st.integers(1, 60))
+def test_exact_bko_pairing_is_the_s1_rohrlich_sum(factors, n):
+    # (j_n, f)_BKO = -Coeff_{q^n}(Theta f/f) for every product of the atoms:
+    # the left side is the Faber recursion at the CM j-values of div(f),
+    # the right side the log-derivative of f's expansion
+    f = F.FormExpression.of(*factors)
+    assert P._bko_sum(n, f)[0] == P.r_at_s1(1, n, f)
+
+
+def test_exact_bko_pairing_fails_against_the_next_coefficient():
+    # negative control: the same check at the wrong index
+    for f in (E4, JM1728):
+        for n in range(1, 30):
+            assert P._bko_sum(n, f)[0] != P.r_at_s1(1, n + 1, f), (f, n)
+
+
+def test_exact_bko_pairing_at_large_n():
+    # far past where the q-series route is practical (n = 100 took minutes)
+    for n in (100, 200):
+        res = P.bko_pairing(n, E4)
+        want = P.r_at_s1(1, n, E4)
+        assert P._bko_sum(n, E4)[0] == want
+        with mpmath.workdps(60):
+            assert abs(res.value / (mpmath.mpf(want.numerator) / want.denominator) - 1) \
+                < mpmath.mpf(10) ** -48
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", ["E4", "Delta", "E12"])
+def test_bko_pairing_refuses_n_below_one(n, name):
+    # checked before the divisor: Delta at n = 0 used to return 0, E12 to
+    # raise UnknownDivisor and n = -1 an IndexError
+    with pytest.raises(UnsupportedParameter):
+        P.bko_pairing(n, F.expression_by_name(name))
+
+
+def test_bko_pairing_refuses_e12():
+    # E12/Delta = j - 432000/691 has its zero at no point of the CM table
+    with pytest.raises(UnknownDivisor):
+        P.bko_pairing(1, F.expression_by_name("E12"))
 
 
 def test_r_at_s1_values():
@@ -251,11 +316,11 @@ def test_equivariance_for_composite_n_and_p_dividing_the_level():
 
 def test_divisor_sum_identity_j1():
     D = C.point_divisor(1, POINT_I)
-    rep = P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 60), D, 1,
+    rep = P.verify_prop_divisor_sums(2, jn_evaluator(1, 60), D, 1,
                                      tolerance=1e-20)
     assert rep.passed
     # both sides equal j_1(2i) + j_1(i/2) + j_1((i+1)/2) = 2*286776 + 1008
-    lhs = P.pair(P.jn_evaluator(1, 60), C.hecke_divisor(2, D)).value
+    lhs = P.pair(jn_evaluator(1, 60), C.hecke_divisor(2, D)).value
     assert abs(lhs - 574560) < mpmath.mpf(10) ** -25
 
 
@@ -270,7 +335,7 @@ def test_divisor_sum_identity_constant():
 
 def test_divisor_sum_identity_j2_on_divE4():
     D = C.divisor_of_form(E4, 1)
-    rep = P.verify_prop_divisor_sums(2, P.jn_evaluator(2, 50), D, 1,
+    rep = P.verify_prop_divisor_sums(2, jn_evaluator(2, 50), D, 1,
                                      tolerance=1e-18)
     assert rep.passed
 

@@ -65,7 +65,7 @@ def test_lift_grid_needs_a_refinement():
 def test_divisor_sums_check_the_level():
     D = C.point_divisor(1, POINT_I)
     with pytest.raises(UnsupportedParameter):
-        P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20), D, 2)
+        P.verify_prop_divisor_sums(2, P.PointEvaluator(interior=abs, cusp_values={}), D, 2)
 
 
 def test_jn_and_harmonic_slices_need_a_positive_index():
@@ -119,7 +119,7 @@ checks = [
     lambda: C.point_divisor(1, C.POINT_I) + C.point_divisor(2, C.POINT_I),
     lambda: A.t_n(3, 1) + A.t_n(3, 2),
     lambda: S(2, 1, [1]).lift_grid(3),
-    lambda: P.verify_prop_divisor_sums(2, P.jn_evaluator(1, 20),
+    lambda: P.verify_prop_divisor_sums(2, P.PointEvaluator(interior=abs, cusp_values={}),
                                        C.point_divisor(1, C.POINT_I), 2),
     lambda: _poly_divexact([1, 1], [0, 2]),
     lambda: _poly_divexact([1, 0, 1], [1, 1]),

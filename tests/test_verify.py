@@ -41,9 +41,9 @@ def test_bko_j_line_value_fails_on_a_wrong_table_entry(monkeypatch):
     # (j_1, E6) = (j(i) - 720)/2 = 504 = -Coeff_q(Theta E6/E6) holds only
     # with the table's j(i) = 1728
     e6 = F.FormExpression.of(F.Eisenstein(6))
-    assert V._bko_j_line(1, e6) == P.r_at_s1(1, 1, e6) == 504
+    assert P._bko_sum(1, e6)[0] == P.r_at_s1(1, 1, e6) == 504
     monkeypatch.setitem(C.CM_J, -4, 1729)
-    assert V._bko_j_line(1, e6) != P.r_at_s1(1, 1, e6)
+    assert P._bko_sum(1, e6)[0] != P.r_at_s1(1, 1, e6)
 
 
 # -- negative controls of the j-line check -------------------------------------
