@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .errors import (InvalidInput, NonUnitLeading, PrecisionExhausted, UnsupportedParameter,
                      UnsupportedWeight)
@@ -382,20 +383,19 @@ class EtaQuotientSpec:
         items = tuple(sorted((m, r) for m, r in exponents.items() if r != 0))
         return EtaQuotientSpec(level, items)
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(sum(r for _, r in self.exponents), 2)
-
 
 def _eta_log_derivative(exponents, n: int) -> list:
     """Theta(f)/f for f = prod eta(m tau)^r over the pairs (m, r), m >= 1,
     to n coefficients from q^0: sum (r m/24) E2(m tau), with
-    E2 = 1 - 24 sum_k sigma_1(k) q^k.  The constant term is the order."""
-    out = [exact_div(sum(m * r for m, r in exponents), 24)] + [0] * (n - 1)
-    s1 = sigma_table(1, n)
-    for m, r in exponents:
-        out[m::m] = [x - r * m * s for x, s in zip(out[m::m], s1[1:])]
-    return out
+    E2 = 1 - 24 sum_k sigma_1(k) q^k.  The constant term is the order.  A
+    stored prefix: a longer request sums its rows afresh."""
+    def extend(known, n):
+        out = [exact_div(sum(m * r for m, r in exponents), 24)] + [0] * (n - 1)
+        s1 = sigma_table(1, n)
+        for m, r in exponents:
+            out[m::m] = [x - r * m * s for x, s in zip(out[m::m], s1[1:])]
+        return out
+    return _prefix(("eta log", exponents), n, extend)
 
 
 def _eta_unit(exponents, n: int) -> list:
@@ -511,9 +511,8 @@ class EtaQuotient:
     spec: EtaQuotientSpec
 
     @property
-    def weight(self):
-        w = self.spec.weight
-        return int(w) if w.denominator == 1 else w
+    def weight(self) -> int | Fraction:
+        return exact_div(sum(r for _, r in self.spec.exponents), 2)
 
     @property
     def level(self) -> int:
@@ -530,7 +529,7 @@ class EtaQuotient:
         """sum (r m/24) E2(m tau) over the factors eta(m tau)^r, to n
         coefficients from q^0.  None when the order is not an integer (the
         expansion lives on a finer grid)."""
-        if self.order.denominator != 1:
+        if sum(m * r for m, r in self.spec.exponents) % 24:
             return None
         return _eta_log_derivative(self.spec.exponents, n)
 
@@ -569,18 +568,18 @@ class FormExpression:
     a rational constant (the constant is only meaningful at weight 0, where
     it lets Hauptmodul shifts like j_{2,1} - 512 stay symbolic)."""
     atoms: tuple[tuple[Atom, int], ...]
-    shift: Fraction = Fraction(0)
+    shift: int | Fraction = 0
 
     @staticmethod
     def of(*atoms, shift=0) -> "FormExpression":
-        """Build from atoms or (atom, exponent) pairs."""
+        """Build from atoms or (atom, exponent) pairs and a rational shift."""
         pairs = []
         for a in atoms:
             if isinstance(a, tuple):
                 pairs.append((a[0], int(a[1])))
             else:
                 pairs.append((a, 1))
-        expr = FormExpression(tuple(pairs), Fraction(shift))
+        expr = FormExpression(tuple(pairs), shift)
         if expr.shift != 0 and expr.weight != 0:
             raise InvalidInput("additive constant only makes sense at weight 0")
         return expr
@@ -682,13 +681,14 @@ class FormExpression:
         the log-derivative recurrence on ``qexp`` covers those."""
         if self.shift:
             return None
-        total = [0] * n
+        total = None
         for atom, e in self.atoms:
             l = atom.log_derivative(n)
             if l is None:
                 return None
-            total = [t + e * x for t, x in zip(total, l)]
-        return total
+            l = l if e == 1 else [e * x for x in l]
+            total = l if total is None else list(map(add, total, l))
+        return [0] * n if total is None else total
 
     def __mul__(self, other: "FormExpression") -> "FormExpression":
         if self.shift or other.shift:

@@ -23,7 +23,9 @@ sum_b e(bM/d) = d [d | M]:
   multiplicative ``apply_element`` alike.  l is read from the atoms of f
   (``FormExpression.log_derivative``), or by the log recurrence from the
   expansion of f = c_0 q^h g with g on grid 1, where h may be fractional:
-  the pair (a, d) then adds q^(a h) and the phase e(h (d-1)/2).
+  the pair (a, d) then adds q^(a h) and the phase e(h (d-1)/2).  For
+  integral f the route stays in Z: a Fraction enters only with a fractional
+  h, a Fraction shift or coefficient of f, or an exp row that m does not divide.
 
 The coset products and sums remain as verification oracles, with no
 log-derivative and no character sum; both routes give the same
@@ -260,21 +262,23 @@ def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
     :func:`hecke_multiplicative`."""
     f.check_level(N)
     check_hecke_parameter(n, N, "multiplicative T")
+    k = f.weight  # a half-integral weight is refused before the product, as by the route
     reps = left_coset_reps(N, n)
     series = _expansion(f, len(reps) * prec + int(abs(f.order) * n) + 8)
     image = _coset_product(series, reps, prec)
-    return FormExpression.of(OpaqueSeries(image, f.weight * len(reps), N))
+    return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
 def _translate_order(h, pairs) -> tuple[int, int]:
     """(x, s) with s q^x the product of the translates of q^h: the d
     translates of a pair multiply to q^(a h) e(h (d-1)/2), so x = h sum e a,
-    and the phase e(t/2), t = h sum e (d-1), is s = +-1 when t is integral."""
-    x = Fraction(h * sum(e * a for (a, _), e in pairs))
-    t = Fraction(h * sum(e * (d - 1) for (_, d), e in pairs))
-    if x.denominator != 1:
+    and the phase e(t/2), t = h sum e (d-1), is s = +-1 when t is integral.
+    Both are ints when h is."""
+    x = h * sum(e * a for (a, _), e in pairs)
+    t = h * sum(e * (d - 1) for (_, d), e in pairs)
+    if x % 1:
         raise NotIntegralSeries(f"the image starts at the non-integral exponent {x}")
-    if t.denominator != 1:
+    if t % 1:
         raise NotIntegralSeries(f"the image leads with the phase e({t}/2), not +-1")
     return int(x), -1 if t % 2 else 1
 
@@ -293,15 +297,16 @@ def _multiplicative_image(f: FormExpression, pairs, prec: int, N: int,
     expansion known through w exponents keeps ceil(w/span) of the `prec`
     coefficients, as the coset products do.  Coefficients outside Q, and
     those of g off grid 1 below the exponent span * prec (where the image
-    would show them), are refused."""
+    would show them), are refused.  One arithmetic serves Z and Q: with
+    h, c_0 and l ints every value is an int, and the exp recurrence makes a
+    Fraction only at a row that m does not divide."""
     k = f.weight
     span = max(d // a for (a, d), _ in pairs)
-    # read before prec is checked: a shifted f that cancels is refused first
-    slack = int(abs(f.order) * span) + 8
-    if prec < 1:
-        raise PrecisionExhausted("the image must keep at least one coefficient")
-    c0, l = 1, f.log_derivative(span * (prec - 1) + 1)
-    if l is None:
+    c0, l = 1, f.log_derivative(span * (prec - 1) + 1) if prec > 0 else None
+    if l is None:  # whenever prec < 1 too; a shifted f that cancels is refused first
+        slack = int(abs(f.order) * span) + 8
+        if prec < 1:
+            raise PrecisionExhausted("the image must keep at least one coefficient")
         reach = span * prec
         series = _expansion(f, reach + slack)
         D = series.D
@@ -319,12 +324,12 @@ def _multiplicative_image(f: FormExpression, pairs, prec: int, N: int,
     order, sign = _translate_order(l[0], pairs)
     H = [0] * prec
     for (a, d), e in pairs:
-        for M in range(a, prec, a):
-            H[M] += e * a * l[d * (M // a)]
+        H[a::a] = [x + e * a * y for x, y in zip(H[a::a], l[d::d])]
     ncosets = sum(e * d for (_, d), e in pairs)
-    lead = sign * Fraction(c0) ** ncosets
-    u = exp_coeffs(exact_div(lead.numerator, lead.denominator), H, prec)
-    return FormExpression.of(OpaqueSeries(PuiseuxSeries(1, order, u), k * ncosets, N))
+    lead = exact_div(sign * c0 ** max(ncosets, 0), c0 ** max(-ncosets, 0))
+    # u[0] = lead is nonzero and every row is reduced: the image is normal as it stands
+    u = PuiseuxSeries._raw(1, order, tuple(exp_coeffs(lead, H, prec)))
+    return FormExpression(((OpaqueSeries(u, k * ncosets, N), 1),))
 
 
 def hecke_multiplicative(f: FormExpression, n: int, N: int,

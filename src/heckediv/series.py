@@ -35,7 +35,9 @@ b = 1, and the log recurrence :func:`log_derivative_coeffs` (f to
 Theta(f)/f, no series division) is b_m = (h + m) c_m.  Its inverse, the
 exp recurrence :func:`exp_coeffs` (Theta(f)/f back to f), builds the eta
 quotients of :mod:`heckediv.forms`, Delta among them, and the rational
-multiplicative Hecke route runs both.  The log recurrence is the one
+multiplicative Hecke route runs both.  Each divides its row once, by
+:func:`exact_div`: an int where the row is integral, else a reduced
+Fraction, so integral data stay in Z.  The log recurrence is the one
 route to Theta(f)/f: :meth:`PuiseuxSeries.log_derivative` is one pass of
 it over the series' window, and the atoms of :mod:`heckediv.forms` run
 it on the expansions of E_k.  Row m of each reads only the inputs up to
@@ -63,15 +65,17 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _as_rational(x):
     """Normalize a rational coefficient: Fraction with denominator 1 -> int."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
     return x
 
 
 def exact_div(x, y):
-    """x / y for rational x and y, kept an int when it is one."""
-    if type(x) is int and type(y) is int and x % y == 0:
-        return x // y
+    """x / y for rational x and y, kept an int when it is one: two ints take
+    one divmod, a Fraction operand the Fraction division (divmod is slower)."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
     return _as_rational(Fraction(x) / y)
 
 
@@ -79,8 +83,8 @@ def solve_coeffs(a, b, n: int, prefix=()) -> list:
     """The first n terms x_0, ..., x_{n-1} of the solution of the
     lower-triangular Toeplitz system sum_{i=0}^{m} a_i x_{m-i} = b_m, for
     rational a_i and b_m with a_0 != 0 and a_0, ..., a_{n-1},
-    b_0, ..., b_{n-1} known: x = b/a as power series, one O(n^2) pass.
-    Integral values come out as int.
+    b_0, ..., b_{n-1} known: x = b/a as power series, one O(n^2) pass,
+    each row divided by a_0 with :func:`exact_div`.
 
     Row m reads only a_0, ..., a_m, b_m and the rows before it, so a
     known `prefix` x_0, ..., x_{p-1} (p <= n, as an earlier call returned
@@ -108,8 +112,8 @@ def exp_coeffs(c0, l, n: int, prefix=()) -> list:
     Theta(q^h u)/(q^h u) = l, for rational c_0 != 0 and l_1, ..., l_{n-1}
     known.  l_0 (the order h) is not read: c_m solves the exp recurrence
     m c_m = sum_{i=1}^{m} l_i c_{m-i}, one O(n^2) pass (Knuth, TAOCP
-    vol. 2, 4.7).  Integral values come out as int.  A known `prefix`
-    c_0, ..., c_{p-1} resumes the pass at m = p, as for
+    vol. 2, 4.7), each row divided by m with :func:`exact_div`.  A known
+    `prefix` c_0, ..., c_{p-1} resumes the pass at m = p, as for
     :func:`solve_coeffs`."""
     c = list(prefix) or [c0]
     for m in range(len(c), n):

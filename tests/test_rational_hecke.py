@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from heckediv import algebra as A, forms as F, operators as O, verify as V
 from heckediv.cyclotomic import Cyclo
-from heckediv.errors import (HeckeDivError, NotIntegralSeries, PrecisionExhausted,
-                             UnsupportedParameter)
+from heckediv.errors import (HeckeDivError, NonUnitLeading, NotIntegralSeries,
+                             PrecisionExhausted, UnsupportedParameter, UnsupportedWeight)
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -246,6 +246,40 @@ def test_both_routes_refuse_an_empty_precision():
     for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets):
         with pytest.raises(PrecisionExhausted):
             fn(e4, 3, 1, 0)
+
+
+def _apply_t_n(f, n, N, prec):
+    return O.apply_element(f, A.t_n(n, N), "multiplicative", prec)
+
+
+# eta^r with r odd has weight r/2: the route and its oracle refuse it by its
+# weight before any product, whether or not the image would be integral
+@pytest.mark.parametrize("r", (1, 3, 5, 9, 15, 21))
+@pytest.mark.parametrize("n", (*range(2, 10), 24))
+def test_both_routes_refuse_a_half_integral_weight(r, n):
+    f = F.FormExpression.of(_eta(1, {1: r}))
+    for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets, _apply_t_n):
+        with pytest.raises(UnsupportedWeight):
+            fn(f, n, 1, 6)
+
+
+def test_both_routes_refuse_a_half_integral_weight_at_level_2():
+    f = F.FormExpression.of(_eta(2, {1: 1, 2: 2}))  # weight 3/2, order 5/24
+    for n in (2, 3, 5):
+        for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets, _apply_t_n):
+            with pytest.raises(UnsupportedWeight):
+                fn(f, n, 2, 6)
+
+
+def test_a_shifted_expression_that_cancels_is_refused_before_its_precision():
+    # E4/E4 - 1 is identically 0: it has no order, and that refusal comes
+    # before an empty or a short precision on every route
+    e4 = F.Eisenstein(4)
+    zero = F.FormExpression.of(e4, (e4, -1), shift=-1)
+    for prec in (0, 3):
+        for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets, _apply_t_n):
+            with pytest.raises(NonUnitLeading):
+                fn(zero, 2, 1, prec)
 
 
 def test_fractional_grid_takes_the_rational_route(monkeypatch):

@@ -20,6 +20,8 @@ of the result.  The triangular solve x = b/a is checked as b times that
 reference reciprocal, and the reciprocal also against the schoolbook loop
 it replaced.
 
+The solve and both recurrences keep the values and types of the loops they
+replaced (kept here as the labelled reference), from scratch and resumed.
 The exp recurrence is checked as the inverse of the log recurrence, both
 recurrences and the solve resumed from a prefix against one pass, and the eta
 quotients the exp recurrence builds against the product
@@ -29,6 +31,7 @@ dict.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +332,66 @@ def test_solve_is_b_times_the_reference_reciprocal(a, data):
     earlier = solve_coeffs(a.coeffs[:p], b[:p], p)
     assert earlier == got[:p]
     assert solve_coeffs(a.coeffs, b, n, tuple(earlier)) == got
+
+
+# Reference: the three kernels as they were before two ints were divided by
+# one divmod.  The loops are those of solve_coeffs, log_derivative_coeffs
+# and exp_coeffs; the division tests two ints for an int quotient, and
+# divides anything else as Fractions.
+
+def _reference_div(x, y):
+    if type(x) is int and type(y) is int and x % y == 0:
+        return x // y
+    q = Fraction(x) / y
+    return q.numerator if q.denominator == 1 else q
+
+
+def _reference_solve(a, b, n, prefix=()):
+    x = list(prefix)
+    for m in range(len(x), n):
+        x.append(_reference_div(b[m] - sum(map(mul, a[1:m + 1], reversed(x))), a[0]))
+    return x
+
+
+def _reference_log(c, h, n, prefix=()):
+    return _reference_solve(c, [(h + m) * c[m] for m in range(n)], n, prefix)
+
+
+def _reference_exp(c0, l, n, prefix=()):
+    c = list(prefix) or [c0]
+    for m in range(len(c), n):
+        c.append(_reference_div(sum(map(mul, l[1:m + 1], reversed(c))), m))
+    return c
+
+
+def _reduced(coeffs):
+    """Each value an int where it is integral, else a Fraction that is not."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in coeffs)
+
+
+# ints and Fractions, integral ones among them (Fraction(4, 1) is drawn as is)
+KERNEL_VALUES = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                          st.fractions(max_denominator=12).map(lambda x: x * 7))
+LEADS = st.sampled_from((1, -1, 3, Fraction(2, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a0=LEADS, rest=st.lists(KERNEL_VALUES, max_size=24), data=st.data())
+def test_kernels_keep_the_values_and_types_of_the_reference_loops(a0, rest, data):
+    a = [a0] + rest
+    n = len(a)
+    b = data.draw(st.lists(KERNEL_VALUES, min_size=n, max_size=n))
+    h = data.draw(st.one_of(st.integers(-5, 5), st.sampled_from((Fraction(1, 2), Fraction(-7, 3)))))
+    p = data.draw(st.integers(0, n))
+    cases = [(solve_coeffs, _reference_solve, (a, b)),
+             (log_derivative_coeffs, _reference_log, (a, h)),
+             (exp_coeffs, _reference_exp, (a0, b))]
+    for kernel, reference, args in cases:
+        want = reference(*args, n)
+        for got in (kernel(*args, n), kernel(*args, n, tuple(kernel(*args, p)))):
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in want], kernel
+        assert _reduced(want), kernel
 
 
 @settings(max_examples=120, deadline=None)
