@@ -91,8 +91,10 @@ class PointValue:
 
     `error_estimate` is empirical, not a bound: K * C^(2-2s) with K fitted
     to the partial sums at power-of-two truncations, plus 1e-15 of the
-    value.  At m = 0 it matches the true error against the Fourier
-    expansion of E(tau, s) to within 1.1% (C = 150 and 300, s = 1.5 and 2).
+    value, or the rounding spread of the terms of large exponent where that
+    is larger (`_rounding_spread`).  At m = 0 it matches the true error
+    against the Fourier expansion of E(tau, s) to within 1.1% (C = 150 and
+    300, s = 1.5 and 2).
     At m >= 1 the tail decays like C^(1-2s), so it over-reports, by
     8.0e2-3.9e3 at m = 1 (C = 150 and 300, s = 1.5 and 2, tau = 0.25 + i
     and -0.4 + 0.9i, against the sum at C = 4800 extrapolated in C).  The
@@ -446,6 +448,56 @@ def _window_rows(m: int, u: float, v: float, s: float, cs) -> np.ndarray:
         else:
             rows[i] = complex(np.sum(amp))
     return rows
+
+
+def _rounding_spread(m: int, u: float, v: float, s: float, first: complex, cs) -> float:
+    """The rounding of the terms of large exponent: the sum of |term| times
+    2^-52 (x + |phase|) + |dt| |d(x + phase)/dt| over the identity term
+    `first` and the terms of the d-window rows cs with x = 2 pi m
+    Im(gamma tau) >= 1, dt the exact rounding of t = cu + d.
+
+    A term is about e^x times a phase, x and the phase come out of doubles
+    each within a few ulps, and t carries the rounding of cu, which the
+    slope of a near term multiplies by hundreds: a term moves by its size
+    times that many ulps, past 1e-15 of the value where one term of x near
+    50 dominates (1.6e7 off a value of 4e21 at N = 3, m = 2, s = 2, tau =
+    0.34375 + 0.0234375i; 5.5e5 off 5.5e18 at u = 0.6725, v = 1/32, where
+    t = 0.0175 is rounded at 2.0175).  The terms of x < 1 are below 2 pi m
+    times their size in phase and stay within 1e-15 of their sum.  x >= 1
+    needs t^2 + (cv)^2 <= 2 pi m v: a few d about -cu of the rows c <=
+    sqrt(2 pi m/v).  The phase is bounded by 2 pi m + |2 pi m t/(c (t^2 +
+    (cv)^2))|, with no inverse mod c.  0 at m = 0."""
+    import numpy as np
+    if not m:
+        return 0.0
+    ulp = 2.0 ** -52  # scaled first: a term near the overflow times x stays finite
+    total = ulp * abs(first) * (2.0 * math.pi * m * v + math.pi * m)
+    reach = math.sqrt(2.0 * math.pi * m * v)
+    c = np.asarray(cs, dtype=np.int64)
+    c = c[c * c * v <= 2.0 * math.pi * m]
+    if not c.size:
+        return total
+    cu = c * u
+    # the exact rounding of each cu, then of each cu + d by two-sum
+    cu_off = np.array([float(Fraction(p) - int(ci) * Fraction(u)) for p, ci in zip(cu, c)])
+    lo = np.ceil(-cu - reach).astype(np.int64)
+    d = lo[:, None] + np.arange(int(2 * reach) + 2)
+    c, cu, cu_off = (np.broadcast_to(a[:, None], d.shape) for a in (c, cu, cu_off))
+    keep = (d <= -cu + reach) & (np.gcd(d, c) == 1)
+    c, cu, cu_off, d = c[keep], cu[keep], cu_off[keep], d[keep].astype(np.float64)
+    t = cu + d
+    back = t - cu
+    dt = cu_off - ((cu - (t - back)) + (d - back))
+    cv = c * v
+    den = t * t + cv * cv
+    x = 2.0 * math.pi * m * v / den
+    near = x >= 1.0
+    t, cv, den, x, dt = t[near], cv[near], den[near], x[near], dt[near]
+    # d x/dt = -2 t x/den, d phase/dt = x ((cv)^2 - t^2)/(cv den)
+    slope = (2.0 * np.abs(t) * x + x * np.abs(cv * cv - t * t) / cv) / den
+    size = _phi_np(m, v / den, s)
+    return total + float(np.sum(ulp * size * (x + 2.0 * math.pi * m + np.abs(x * t / cv))
+                                + size * np.abs(dt) * slope))
 
 
 def _checkpoints(C: int) -> list[int]:
@@ -855,6 +907,7 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
         rows[closed], rounding[closed] = _eisenstein_rows(N, u, v, s, C) if m == 0 \
             else _poincare_rows(m, u, v, s, c[closed], K[closed])
     pending = ~closed
+    windowed = pending.copy()
     while True:
         if pending.any():
             _refuse_wide_windows(tau, c[pending], v)
@@ -865,6 +918,9 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
         if not pending.any():
             break
         rounding[pending] = 0.0
+        windowed |= pending
+    # where a term of large x dominates, its rounding passes the c-tail
+    estimate = max(estimate, _rounding_spread(m, u, v, s, first, c[windowed]))
     if not cmath.isfinite(value):
         raise UnsupportedParameter(f"tau={tau}: F_(N,-{m}) overflows a double")
     # at m >= 1 the identity term carries 1/Gamma(s + 1/2) and may underflow

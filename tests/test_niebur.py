@@ -1182,9 +1182,27 @@ def test_the_plan_admits_no_series_past_the_budget():
         assert np.all(x[closed] <= X_ADMITTED)
 
 
+def _near_terms(m, u, v, s, c, d, a):
+    """The terms of row c at d (inverses a mod c) in mpmath from the exact
+    t = cu + d: phi_m(v/|c tau + d|^2) e(-m Re gamma tau)."""
+    with mpmath.workdps(30):
+        U, V = mpmath.mpf(u), mpmath.mpf(v)
+        total = mpmath.mpc(0)
+        for di, ai in zip(d.tolist(), a.tolist()):
+            t = c * U + di
+            den = t * t + (c * V) ** 2
+            x = 2 * mpmath.pi * m * V / den
+            amp = mpmath.sqrt(2 * mpmath.pi * x) * mpmath.besseli(s - 0.5, x)
+            total += amp * mpmath.expj(-2 * mpmath.pi * ((m * ai) % c) / c
+                                       + 2 * mpmath.pi * m * t / (c * den))
+        return complex(total)
+
+
 def _wide_window_row(m, u, v, s, c, widen):
     """Row c over a d-window widen times the default one, summed with
-    math.fsum, with the sum of the absolute values of its terms."""
+    math.fsum, with the sum of the absolute values of its terms.  The terms
+    of x = 2 pi m Im(gamma tau) >= 1 run in mpmath: in doubles the rounding
+    of cu, x and the phase moves them by up to hundreds of ulps."""
     X = widen * NB._row_halfwidth(c, v)
     d = np.arange(math.ceil(-c * u - X), math.floor(-c * u + X) + 1, dtype=np.int64)
     d = d[np.gcd(d, c) == 1]
@@ -1193,8 +1211,11 @@ def _wide_window_row(m, u, v, s, c, widen):
     amp = NB._phi_np(m, v / denom, s)
     a = _oracle_inverse_table(c)[d % c]
     phase = -2 * math.pi * ((m * a) % c) / c + 2 * math.pi * m * t / (c * denom)
-    row = complex(math.fsum((amp * np.cos(phase)).tolist()),
-                  math.fsum((amp * np.sin(phase)).tolist()))
+    near = 2 * math.pi * m * v / denom >= 1.0 if m else np.zeros(d.size, dtype=bool)
+    exact = _near_terms(m, u, v, s, c, d[near], a[near])
+    far = ~near
+    row = complex(math.fsum((amp[far] * np.cos(phase[far])).tolist() + [exact.real]),
+                  math.fsum((amp[far] * np.sin(phase[far])).tolist() + [exact.imag]))
     return row, float(amp.sum()), X
 
 
@@ -1236,6 +1257,8 @@ WIDEN = 4
 @example(N=3, m=1, s=1.25, u=0.0, v=2.0, C=4)
 @example(N=1, m=2, s=2.0, u=-0.17551692550551706, v=3.0, C=4)
 @example(N=1, m=3, s=2.0, u=-0.03125, v=2.0, C=4)
+@example(N=3, m=2, s=2.0, u=0.34375, v=0.0234375, C=4)
+@example(N=3, m=2, s=2.0, u=-0.32749369512067106, v=0.03125, C=4)
 def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C):
     # the closed-form rows change a value only by the d-window leftover of
     # the rows they replace, far below the reported c-tail estimate.  The
@@ -1246,7 +1269,9 @@ def test_full_sums_against_the_window_route_within_the_estimate(N, m, s, u, v, C
     # dominates: at u + 1 = 0.8244830744944829 (u % 1.0, rounded) the value
     # 2.3e16 would move by 40, past its estimate of 23, and at u + 1 =
     # 0.96875 (exact) a phase 2 pi m u read off the unreduced u would move
-    # 2.3e16 by 52, past 24
+    # 2.3e16 by 52, past 24.  In the last two one d-window term of x near 50
+    # dominates: rounding x, the phase and, at u + 1 = 0.6725, cu moves
+    # the values 4e21 and 5.5e18 by 1.6e7 and 5.5e5, past 1e-15 of them
     try:
         rows = [_wide_window_row(m, u, v, s, c, WIDEN) for c in range(N, C * N + 1, N)]
     except ConvergenceBudgetExceeded:
