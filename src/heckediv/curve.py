@@ -155,8 +155,6 @@ def p1_lift(label: tuple[int, int], N: int) -> Mat:
     """A deterministic SL_2(Z) matrix whose bottom row represents the given
     P^1(Z/N) class."""
     c0, d0 = label
-    if N == 1:
-        return (1, 0, 0, 1)
     if c0 % N == 0:
         return (1, 0, 0, 1)  # (0 : 1) class
     c = c0

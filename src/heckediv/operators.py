@@ -20,39 +20,40 @@ sum_b e(bM/d) = d [d | M]:
   Theta(g)/g = sum e a sum_k l_{dk} q^(ak), and the exp recurrence
   ``series.exp_coeffs`` rebuilds g from its leading term: one function,
   ``_multiplicative_image``, for ``hecke_multiplicative`` and the
-  multiplicative ``apply_element`` alike.  l is read from the atoms of f
-  (``FormExpression.log_derivative``), or by the log recurrence from the
-  expansion of f = c_0 q^h g with g on grid 1, where h may be fractional:
-  the pair (a, d) then adds q^(a h) and the phase e(h (d-1)/2).  For
+  multiplicative ``apply_element`` alike.  l is read, here and for the
+  s = 1 sums of ``pairing``, by ``_log_derivative``: from the atoms of f, or
+  by the log recurrence on f = c_0 q^h g with g on grid 1, where h may be
+  fractional: the pair (a, d) then adds q^(a h) and the phase e(h (d-1)/2).  For
   integral f the route stays in Z: a Fraction enters only with a fractional
   h, a Fraction shift or coefficient of f, or an exp row that m does not divide.
 
 The coset products and sums remain as verification oracles, with no
-log-derivative and no character sum; both routes give the same
-coefficients, types, precision and refusals.  ``hecke_multiplicative_cosets``
+log-derivative and no character sum; both routes give the same coefficients,
+types, precision and refusals, bar a coefficient outside Q past what the
+route reads, which only the oracle refuses.  ``hecke_multiplicative_cosets``
 multiplies the translates in Q, as norms of the d-dissection
-(``_coset_product``).  ``hecke_additive_cosets`` sums the
-twisted translates of ``_slash_upper``, the only place where Q(zeta_d)
-enters a series, and certifies the sum rational (``_certified``).
+(``_coset_product``).  ``hecke_additive_cosets`` sums the twisted translates
+of ``_slash_upper``, the only place where Q(zeta_d) enters a series, and
+certifies the sum rational (``_certified``).
 
 Expansion budgets count exponents past the leading one, so an expansion on
 the grid (1/D)Z is asked for D times as many coefficients (``_expansion``),
-in both routes alike.  One window rule bounds every image: with span the
-largest d/a over its translates, an expansion known through w exponents
-keeps ceil(w/span) image coefficients, the least ceil(w a/d) over the
-translates.  Translates that cancel between the terms of an element still
-bound it, as in the sum over the double cosets.
+in both routes alike; the route reads span * prec exponents.  One window
+rule bounds every image: with span the largest d/a over its translates, an
+expansion known through w exponents keeps ceil(w/span) image coefficients,
+the least ceil(w a/d) over the translates.  Translates that cancel between
+the terms of an element still bound it, as in the sum over the double cosets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 
 from .algebra import AlgebraElement, check_hecke_parameter, left_coset_reps
 from .cyclotomic import Cyclo, coeff_rational
-from .errors import (InvalidInput, NonUnitLeading, NotIntegralSeries, PrecisionExhausted,
-                     UnsupportedParameter, UnsupportedWeightParity)
+from .errors import (InvalidInput, NotIntegralSeries, PrecisionExhausted, UnsupportedParameter,
+                     UnsupportedWeightParity)
 from .forms import FormExpression, OpaqueSeries, prime_factors
 from .series import PuiseuxSeries, _is_rational, exact_div, exp_coeffs, log_derivative_coeffs
 
@@ -198,6 +199,33 @@ def _expansion(f: FormExpression, budget: int) -> PuiseuxSeries:
     return series if series.D == 1 else f.qexp(series.D * budget)
 
 
+def _log_derivative(f: FormExpression, n: int) -> tuple:
+    """(c_0, l) for f = c_0 q^h g, g = 1 + O(q) on grid 1: l_0 = h, ...,
+    l_(n-1) of l = Theta(f)/f, from the atoms where they have a closed form
+    (c_0 = 1), else by the log recurrence on g expanded exactly n exponents
+    past h, asked once more for the shortfall where a shift cancels leading
+    terms; l is shorter where an opaque expansion ends sooner.  Refused, in
+    this order: an f with no order, n < 1, and among the n exponents read,
+    coefficients outside Q or of g off grid 1."""
+    if n < 1:  # f.order refuses an f with no order first
+        raise PrecisionExhausted(f"Theta(f)/f read to {n} < 1 exponents past q^{f.order}")
+    l = f.log_derivative(n)
+    if l is not None:
+        return 1, l
+    series = _expansion(f, n)
+    short = f.order + n - Fraction(series.cutoff, series.D)
+    if short > 0:
+        series = _expansion(f, n + ceil(short))
+    D = series.D
+    window = series.coeffs[:D * n]
+    if not _is_rational(window):
+        raise UnsupportedParameter("Theta(f)/f is read in Q: f needs rational coefficients")
+    if any(c for i, c in enumerate(window) if i % D):
+        raise NotIntegralSeries("f/q^h is off the integral grid in the exponents read")
+    g = window[::D]
+    return g[0], log_derivative_coeffs(g, exact_div(series.order, D), len(g))
+
+
 def _dissection_norm(g, d: int, n: int) -> PuiseuxSeries:
     """The norm N_d(g)(y) = prod_{b<d} g(zeta_d^b x), y = x^d, to n
     coefficients: det M, M_ij = P_(i-j) (i >= j), y P_(i-j+d) (i < j), for
@@ -292,33 +320,17 @@ def _multiplicative_image(f: FormExpression, pairs, prec: int, N: int,
     H = sum e a sum_k l_{dk} q^(ak) and (x, s) = _translate_order(h, pairs),
     after each pair list of `terms` is certified on its own.
 
-    l (l_0 = h) comes from the atoms of f, or else from the expansion by
-    the log recurrence on g.  With span the largest d/a over the pairs, an
-    expansion known through w exponents keeps ceil(w/span) of the `prec`
-    coefficients, as the coset products do.  Coefficients outside Q, and
-    those of g off grid 1 below the exponent span * prec (where the image
-    would show them), are refused.  One arithmetic serves Z and Q: with
-    h, c_0 and l ints every value is an int, and the exp recurrence makes a
-    Fraction only at a row that m does not divide."""
+    With span the largest d/a over the pairs, l is read to span * prec
+    exponents (``_log_derivative``, which refuses g off grid 1 there, where
+    the image would show it), and an l known to w exponents keeps
+    ceil(w/span) of the `prec` coefficients, as the coset products do.
+    One arithmetic serves Z and Q: with h, c_0 and l ints every value is an
+    int, and the exp recurrence makes a Fraction only at a row that m does
+    not divide."""
     k = f.weight
     span = max(d // a for (a, d), _ in pairs)
-    c0, l = 1, f.log_derivative(span * (prec - 1) + 1) if prec > 0 else None
-    if l is None:  # whenever prec < 1 too; a shifted f that cancels is refused first
-        slack = int(abs(f.order) * span) + 8
-        if prec < 1:
-            raise PrecisionExhausted("the image must keep at least one coefficient")
-        reach = span * prec
-        series = _expansion(f, reach + slack)
-        D = series.D
-        prec = min(prec, -(-series.precision // (D * span)))
-        if series.is_zero():
-            raise NonUnitLeading("multiplicative Hecke image of the zero series")
-        if not _is_rational(series.coeffs):
-            raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
-        if any(c for i, c in enumerate(series.coeffs[:D * reach]) if i % D):
-            raise NotIntegralSeries("f/q^h is off the integral grid in the image's window")
-        g = series.coeffs[::D]
-        c0, l = g[0], log_derivative_coeffs(g, exact_div(series.order, D), span * (prec - 1) + 1)
+    c0, l = _log_derivative(f, span * prec)
+    prec = min(prec, -(-len(l) // span))
     for term in terms:
         _translate_order(l[0], term)
     order, sign = _translate_order(l[0], pairs)

@@ -11,19 +11,20 @@ polynomial F_n of j, so the sum is a rational (rounded to `digits` by
 Policy on cusp values: only the BKO pairing hard-codes its cusp value
 (24 sigma_1(n) at infinity); every point evaluator must be given explicit
 cusp values, and pairings refuse divisors that touch a cusp without one.
-Identities with a rational route (the s = 1 slice) are checked in exact
-arithmetic; numerics are reserved for CM values and real s > 1.
+Identities with a rational route (the s = 1 slice, which reads Theta(f)/f
+by ``operators._log_derivative`` as the multiplicative Hecke image does) are
+checked in exact arithmetic; numerics are for CM values and real s > 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from . import curve, forms, niebur, operators
 from .curve import CuspClass, Divisor
-from .errors import MissingCuspValue, UnsupportedParameter
+from .errors import MissingCuspValue, PrecisionExhausted, UnsupportedParameter
 from .niebur import EvalParams
 
 
@@ -134,31 +135,17 @@ def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingRes
     return PairingResult(value=value, exact=False, breakdown=breakdown)
 
 
-def _log_derivative(f: forms.FormExpression, n: int) -> list:
-    """The coefficients of Theta(f)/f at q^0, ..., q^(n-1): read from the
-    atoms of f (``FormExpression.log_derivative``), or, for a shifted or
-    opaque expression, by the log recurrence on an expansion known n
-    exponents past its order."""
-    l = f.log_derivative(n)
-    if l is None:
-        series = operators._expansion(f, n)
-        # a shift that cancels leading terms shortens the window from q^0
-        short = n - Fraction(series.precision, series.D)
-        if short > 0:
-            series = operators._expansion(f, n + ceil(short))
-        ld = series.log_derivative()
-        l = [ld.coefficient(i) for i in range(n)]
-    return l
-
-
 def r_at_s1(N: int, m: int, f: forms.FormExpression) -> Fraction:
-    """The exact s = 1 Rohrlich sum: -Coeff_{q^m}(Theta f / f), with
-    Theta f / f read from the atoms of f where they have a closed form
-    (no expansion of f is built), else from its expansion."""
+    """The exact s = 1 Rohrlich sum: -Coeff_{q^m}(Theta f / f), read by
+    ``operators._log_derivative`` from the atoms of f where they have a closed
+    form (no expansion of f is built), else from m + 1 exponents of f."""
     if m < 1:
         raise UnsupportedParameter(f"m={m}: the s = 1 Rohrlich sum needs m >= 1")
     f.check_level(N)
-    return -Fraction(_log_derivative(f, m + 1)[m])
+    l = operators._log_derivative(f, m + 1)[1]
+    if len(l) <= m:
+        raise PrecisionExhausted(f"Theta f / f is known below q^{len(l)} only")
+    return -Fraction(l[m])
 
 
 def r_numeric(N: int, m: int, s, f: forms.FormExpression,
@@ -199,15 +186,16 @@ def verify_equivariance(n: int, m: int, f: forms.FormExpression, N: int = 1,
     ad = n, (a, N) = 1, a | m, with l = Theta(f)/f and l' that of f|*T(n):
     l_(pm) + p l_(m/p) at a prime p not dividing N, l_(pm) at p | N (U_p).
 
-    The image comes from the coset product: the rational route of
+    The image comes from the coset product, asked for the m + 1
+    coefficients that l'_m reads: the rational route of
     hecke_multiplicative computes it from this very identity."""
-    order = f.order
-    sig = forms.sigma(1, n)
-    img = operators.hecke_multiplicative_cosets(
-        f, n, N, prec=m + int(abs(order)) * sig + 8)
+    if m < 0:
+        raise UnsupportedParameter(f"m={m}: the equivariance check needs m >= 0")
+    img = operators.hecke_multiplicative_cosets(f, n, N, prec=m + 1)
     g = img.atoms[0][0].series
     lhs = Fraction(g.log_derivative().coefficient(m))
-    base = _log_derivative(f, n * m + 1)
+    # an image known through q^m comes from f known through q^(h + nm)
+    base = operators._log_derivative(f, n * m + 1)[1]
     rhs = sum(a * Fraction(base[n // a * (m // a)])
               for a in range(1, n + 1) if n % a == 0 and m % a == 0 and gcd(a, N) == 1)
     name = label or f"equivariance n={n} m={m} N={N}"

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from heckediv import curve as C, forms as F, niebur as NB, operators as O, pairing as P
 from heckediv.curve import HeegnerPoint as H, OMEGA, POINT_I
-from heckediv.errors import MissingCuspValue, UnknownDivisor, UnsupportedParameter
+from heckediv.errors import (MissingCuspValue, NotIntegralSeries, PrecisionExhausted,
+                             UnknownDivisor, UnsupportedParameter)
 from heckediv.niebur import EvalParams
 from heckediv.series import PuiseuxSeries as S
 
@@ -246,6 +247,58 @@ def test_r_at_s1_refuses_m_below_one():
         P.r_at_s1(1, 0, E4)
 
 
+def test_r_at_s1_refuses_an_expansion_off_grid_1():
+    # eta(tau)/eta(2 tau) + 5 = 5 + q^(-1/24)(1 - q + ...) is no function on
+    # X_0(2): the constant sits off the grid q^(-1/24) Z of its order
+    f = F.FormExpression.of(_eta(2, {1: 1, 2: -1}), shift=5)
+    with pytest.raises(NotIntegralSeries):
+        P.r_at_s1(2, 1, f)
+
+
+@st.composite
+def opaque_units(draw):
+    """(D, order, g, m): an opaque c_0 q^(order/D) g with g on grid 1 and
+    rational coefficients, and m >= 1 with g known through q^m exactly."""
+    D = draw(st.sampled_from((1, 2, 3)))
+    m = draw(st.integers(1, 12))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    g = [draw(coeff.filter(bool))] + draw(st.lists(coeff, min_size=m, max_size=m))
+    return D, draw(st.integers(-2 * D, 2 * D)), g, m
+
+
+def _on_grid(D, order, g):
+    coeffs = [0] * (D * (len(g) - 1) + 1)
+    coeffs[::D] = g
+    return S(D, order, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(opaque_units())
+def test_r_at_s1_reads_exactly_m_plus_one_exponents(data):
+    # an expansion known through q^m past its order answers at q^m, and one
+    # known an exponent less is PrecisionExhausted
+    D, order, g, m = data
+    want = -Fraction(_on_grid(D, order, g).log_derivative().coefficient(m))
+    f, short = (F.FormExpression.of(F.OpaqueSeries(_on_grid(D, order, x), 0, 1))
+                for x in (g, g[:-1]))
+    assert P.r_at_s1(1, m, f) == want
+    with pytest.raises(PrecisionExhausted):
+        P.r_at_s1(1, m, short)
+
+
+def test_r_at_s1_reads_past_a_shift_that_cancels_its_whole_first_window():
+    # f - 1 starts at q^2: Theta/f at q^0 reads exponents the first
+    # expansion of one exponent does not reach; a window the shift cancels
+    # through its end gives no order at all
+    g = S(1, 0, [1, 0, 3, Fraction(1, 2)] + [1] * 40)
+    f = F.FormExpression.of(F.OpaqueSeries(g, 0, 1), shift=-1)
+    assert P.verify_equivariance(2, 0, f).lhs == "6"
+    assert P.r_at_s1(1, 1, f) == -Fraction(1, 6)
+    cancelled = F.FormExpression.of(F.OpaqueSeries(S(1, 0, [1, 0, 0]), 0, 1), shift=-1)
+    with pytest.raises(PrecisionExhausted):
+        P.r_at_s1(1, 1, cancelled)
+
+
 def test_r_numeric_on_e4():
     params = EvalParams(truncation=150, digits=14, s=1.5)
     res = P.r_numeric(1, 1, 1.5, E4, params)
@@ -279,6 +332,31 @@ def test_verify_equivariance_known_values():
     assert r.passed and r.lhs == "-53280" and r.exact
     r3 = P.verify_equivariance(3, 1, E4)
     assert r3.passed and r3.lhs == "12288960"
+
+
+def test_equivariance_refuses_m_below_zero_before_any_expansion(monkeypatch):
+    # m = 0 reads the order on both sides
+    for n, f, order in [(2, E4, "0"), (3, JM1728, "-4")]:
+        r = P.verify_equivariance(n, 0, f)
+        assert r.passed and (r.lhs, r.rhs) == (order, order)
+    monkeypatch.setattr(O, "_expansion", lambda *_: pytest.fail("expanded for m < 0"))
+    for n, m, f in [(2, -1, E4), (2, -2, E4), (2, -5, E4), (3, -1, JM1728)]:
+        with pytest.raises(UnsupportedParameter):
+            P.verify_equivariance(n, m, f)
+
+
+def test_equivariance_asks_the_coset_product_for_m_plus_one_coefficients(monkeypatch):
+    precs = []
+    cosets = O.hecke_multiplicative_cosets
+
+    def spy(f, n, N, prec):
+        precs.append(prec)
+        return cosets(f, n, N, prec)
+
+    monkeypatch.setattr(O, "hecke_multiplicative_cosets", spy)
+    for m in (1, 3):
+        assert P.verify_equivariance(2, m, JM1728).passed
+    assert precs == [2, 4]
 
 
 def test_equivariance_full_grid():

@@ -472,6 +472,26 @@ def test_closed_form_atoms_skip_the_product_expansion(monkeypatch):
         O.apply_element(f, A.t_n(4, N), "multiplicative", prec=12)
 
 
+def test_the_route_expands_exactly_the_exponents_it_reads(monkeypatch):
+    # span * prec exponents of f; a shift that cancels the constant term of
+    # E4^3/E6^2 asks once more, for the one exponent it cancelled
+    asked = []
+    expansion = O._expansion
+
+    def spy(f, budget):
+        asked.append(budget)
+        return expansion(f, budget)
+
+    monkeypatch.setattr(O, "_expansion", spy)
+    t2, _ = FORMS["j21-512"]
+    e = F.FormExpression.of((F.Eisenstein(4), 3), (F.Eisenstein(6), -2), shift=-1)
+    for f, n, N, span in ((t2, 3, 2, 3), (t2, 2, 2, 2), (e, 2, 1, 2), (e, 5, 1, 5)):
+        for prec in (1, 8, 16):
+            asked.clear()
+            O.hecke_multiplicative(f, n, N, prec)
+            assert asked == ([span * prec] if f is t2 else [span * prec, span * prec + 1])
+
+
 def test_equivariance_suite_uses_the_coset_route(monkeypatch):
     calls = []
     cosets = O.hecke_multiplicative_cosets
