@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import InvariantViolation, UnsupportedParameter
-from .forms import prime_factors
+from .forms import check_level, prime_factors
 
 Mat = tuple[int, int, int, int]
 
@@ -92,7 +92,8 @@ def left_coset_reps(N: int, n: int) -> list[Mat]:
 
 
 def check_hecke_parameter(n: int, N: int, name: str = "T") -> None:
-    """Refuse n < 1, and a composite n sharing a factor with the level."""
+    """Refuse N < 1, n < 1, and a composite n sharing a factor with the level."""
+    check_level(N)
     if n < 1:
         raise UnsupportedParameter("Hecke parameter must be positive")
     if gcd(n, N) > 1 and prime_factors(n) != [n]:
@@ -119,7 +120,8 @@ class AlgebraElement:
 
     def __post_init__(self):
         """Refuse a label that names no double coset at level N, however
-        the element is built."""
+        the element is built, and a level N < 1."""
+        check_level(self.N)
         for (a, d), _ in self.terms:
             if a <= 0 or d <= 0 or d % a != 0 or gcd(a, self.N) != 1:
                 raise UnsupportedParameter(

@@ -199,7 +199,7 @@ def _run(args) -> tuple[object, int]:
     if args.verb == "hecke-add":
         expr.check_level(args.level)
         k = expr.weight
-        series = expr.qexp(max(args.prec * args.n + 8, 16))
+        series = expr.qexp(max(args.prec * args.n + 8, 16))  # sets the output window
         img = operators.hecke_additive_formula(series, k, args.n, args.normalization,
                                                args.level)
         # the formula's images live on grid 1

@@ -200,6 +200,7 @@ class CanonicalPoint:
 def reduce_point(z: HeegnerPoint, N: int) -> tuple[CanonicalPoint, Mat]:
     """Canonical Gamma_0(N)-class key of z plus an SL_2(Z) witness gamma
     with gamma . z equal to the level-1 reduced point."""
+    forms.check_level(N)
     red, wit = _gauss_reduce(z.primitive())
     form = (red.A, red.B, red.C)
     # (-wit[2], wit[0]) is the bottom row of wit^{-1}, which maps form to z
@@ -209,6 +210,7 @@ def reduce_point(z: HeegnerPoint, N: int) -> tuple[CanonicalPoint, Mat]:
 def period(z: HeegnerPoint, N: int) -> int:
     """Order of the PSL_2-stabilizer of [z] in Gamma_0(N): 2 at points over
     i, 3 at points over omega (when the elliptic element survives), else 1."""
+    forms.check_level(N)
     red, wit = _gauss_reduce(z.primitive())
     return _class_label((red.A, red.B, red.C), -wit[2], wit[0], N)[1]
 
@@ -257,6 +259,7 @@ def _cusp_class(d: int, x: int, N: int) -> CuspClass:
 def cusps(N: int) -> tuple[CuspClass, ...]:
     """A complete system of inequivalent cusps of X_0(N) with widths: one
     representative per class (d, x), d | N, x in (Z/gcd(d, N/d))^*."""
+    forms.check_level(N)
     out = []
     for d in range(1, N + 1):
         if N % d == 0:
@@ -267,6 +270,7 @@ def cusps(N: int) -> tuple[CuspClass, ...]:
 
 def canonical_cusp(a: int, c: int, N: int) -> CuspClass:
     """Canonical representative of the cusp a/c (use (1, 0) for infinity)."""
+    forms.check_level(N)
     if c == 0:
         return _cusp_class(N, 0, N)
     g = gcd(a, c)

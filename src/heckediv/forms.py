@@ -167,6 +167,12 @@ def prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def check_level(N: int) -> None:
+    """Refuse a level N < 1, where a level enters the library."""
+    if N < 1:
+        raise UnsupportedParameter(f"level N={N}: X_0(N) needs N >= 1")
+
+
 def psl2_index(N: int) -> int:
     """Index of the image of Gamma_0(N) in PSL_2(Z): N * prod(1 + 1/p)."""
     idx = N
@@ -370,8 +376,7 @@ class EtaQuotientSpec:
     exponents: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.level < 1:
-            raise UnsupportedParameter(f"eta quotient level {self.level} is not positive")
+        check_level(self.level)
         for m, _ in self.exponents:
             if m < 1:
                 raise UnsupportedParameter(f"eta argument {m} is not positive")
@@ -650,6 +655,7 @@ class FormExpression:
 
     def check_level(self, N: int) -> None:
         """Refuse a level N that the expression does not live at."""
+        check_level(N)
         if N % self.level != 0:
             raise UnsupportedParameter(
                 f"expression of level {self.level} does not live on X_0({N})")

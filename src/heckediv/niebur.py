@@ -80,9 +80,9 @@ class EvalParams:
         if self.digits > 15:
             raise UnsupportedParameter(
                 f"digits={self.digits}: the Poincare sum runs in doubles (at most 15 digits)")
-        if not self.s > 1:
+        if not (self.s > 1 and math.isfinite(self.s)):
             raise UnsupportedParameter(
-                f"s={self.s}: must lie in the absolute-convergence region s > 1")
+                f"s={self.s}: must be finite and lie in the absolute-convergence region s > 1")
 
 
 @dataclass(frozen=True)
@@ -876,8 +876,7 @@ def niebur_value(N: int, m: int, tau, params: EvalParams = EvalParams()) -> Poin
     import numpy as np
     if m < 0:
         raise UnsupportedParameter(f"m={m}: F_(N,-m) needs m >= 0")
-    if N < 1:
-        raise UnsupportedParameter(f"N={N}: the level must be >= 1")
+    forms.check_level(N)
     if isinstance(tau, HeegnerPoint):
         tau = tau.approx()
     u, v = float(tau.real), float(tau.imag)
@@ -969,6 +968,8 @@ def jn_value(n: int, z: HeegnerPoint, digits: int = 50):
     SL_2(Z)-invariant, so z is first reduced exactly into the standard
     fundamental domain."""
     import mpmath
+    if digits < 1:
+        raise UnsupportedParameter(f"digits={digits}: must be >= 1")
     if not isinstance(z, HeegnerPoint):
         raise InvalidInput(f"z={z!r}: jn_value takes a CM point (a HeegnerPoint)")
     rep = reduce_point(z, 1)[0].representative()

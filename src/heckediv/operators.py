@@ -28,18 +28,17 @@ sum_b e(bM/d) = d [d | M]:
   h, a Fraction shift or coefficient of f, or an exp row that m does not divide.
 
 The coset products and sums remain as verification oracles, with no
-log-derivative and no character sum; both routes give the same coefficients,
-types, precision and refusals, bar a coefficient outside Q past what the
-route reads, which only the oracle refuses.  ``hecke_multiplicative_cosets``
-multiplies the translates in Q, as norms of the d-dissection
-(``_coset_product``).  ``hecke_additive_cosets`` sums the twisted translates
-of ``_slash_upper``, the only place where Q(zeta_d) enters a series, and
-certifies the sum rational (``_certified``).
+log-derivative and no character sum; both routes read the same exponents
+and give the same coefficients, types, precision and refusals.
+``hecke_multiplicative_cosets`` multiplies the translates in Q, as norms of
+the d-dissection (``_coset_product``).  ``hecke_additive_cosets`` sums the
+twisted translates of ``_slash_upper``, the only place where Q(zeta_d)
+enters a series, and certifies the sum rational (``_certified``).
 
-Expansion budgets count exponents past the leading one, so an expansion on
-the grid (1/D)Z is asked for D times as many coefficients (``_expansion``),
-in both routes alike; the route reads span * prec exponents.  One window
-rule bounds every image: with span the largest d/a over its translates, an
+Expansion budgets count exponents past the order of f; ``_expansion`` turns
+one into a single ``qexp`` request, sized before anything is expanded, and
+both multiplicative routes read span * prec exponents.  One window rule
+bounds every image: with span the largest d/a over its translates, an
 expansion known through w exponents keeps ceil(w/span) image coefficients,
 the least ceil(w a/d) over the translates.  Translates that cancel between
 the terms of an element still bound it, as in the sum over the double cosets.
@@ -48,7 +47,7 @@ the terms of an element still bound it, as in the sum over the double cosets.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .algebra import AlgebraElement, check_hecke_parameter, left_coset_reps
 from .cyclotomic import Cyclo, coeff_rational
@@ -193,29 +192,27 @@ def hecke_additive_cosets(f: PuiseuxSeries, k: int, n: int, N: int) -> PuiseuxSe
 # ---------------------------------------------------------------------------
 
 def _expansion(f: FormExpression, budget: int) -> PuiseuxSeries:
-    """f.qexp known `budget` exponents past its order where the atoms allow:
-    an expansion on the grid (1/D)Z is asked for D * budget coefficients."""
-    series = f.qexp(budget)
-    return series if series.D == 1 else f.qexp(series.D * budget)
+    """f known `budget` exponents past its order where the atoms allow, from one
+    qexp request sized before expanding: on the grid (1/D)Z of the product order,
+    D (budget + the exponents a shift cancels, f.order - f._product_order), >= 1."""
+    order = f._product_order
+    D = order.denominator
+    return f.qexp(max(D * budget - (-D * (f.order - order) // 1), 1))
 
 
 def _log_derivative(f: FormExpression, n: int) -> tuple:
     """(c_0, l) for f = c_0 q^h g, g = 1 + O(q) on grid 1: l_0 = h, ...,
     l_(n-1) of l = Theta(f)/f, from the atoms where they have a closed form
     (c_0 = 1), else by the log recurrence on g expanded exactly n exponents
-    past h, asked once more for the shortfall where a shift cancels leading
-    terms; l is shorter where an opaque expansion ends sooner.  Refused, in
-    this order: an f with no order, n < 1, and among the n exponents read,
-    coefficients outside Q or of g off grid 1."""
+    past h (``_expansion``); l is shorter where an opaque expansion ends
+    sooner.  Refused, in this order: an f with no order, n < 1, and among
+    the n exponents read, coefficients outside Q or of g off grid 1."""
     if n < 1:  # f.order refuses an f with no order first
         raise PrecisionExhausted(f"Theta(f)/f read to {n} < 1 exponents past q^{f.order}")
     l = f.log_derivative(n)
     if l is not None:
         return 1, l
     series = _expansion(f, n)
-    short = f.order + n - Fraction(series.cutoff, series.D)
-    if short > 0:
-        series = _expansion(f, n + ceil(short))
     D = series.D
     window = series.coeffs[:D * n]
     if not _is_rational(window):
@@ -265,8 +262,6 @@ def _coset_product(f: PuiseuxSeries, reps, prec: int) -> PuiseuxSeries:
     leading terms c_0 e(h b/d) q^(h a/d) multiply to +-c_0^|reps| q^x, x
     integral, and g is on grid 1 where the image shows it.  Oracle only."""
     h, D = f.leading_exponent(), f.D
-    if prec < 1:
-        raise PrecisionExhausted("the image must keep at least one coefficient")
     if not _is_rational(f.coeffs):
         raise UnsupportedParameter("the multiplicative operator needs rational coefficients")
     x = sum(h * Fraction(a, d) for a, _, _, d in reps)
@@ -287,13 +282,13 @@ def hecke_multiplicative_cosets(f: FormExpression, n: int, N: int,
                                 prec: int = 30) -> FormExpression:
     """f|_* T(n) as the product of the translates over the coset
     representatives, multiplied as norms in Q: the verification oracle of
-    :func:`hecke_multiplicative`."""
+    :func:`hecke_multiplicative`, reading the n * prec exponents it does."""
     f.check_level(N)
-    check_hecke_parameter(n, N, "multiplicative T")
-    k = f.weight  # a half-integral weight is refused before the product, as by the route
     reps = left_coset_reps(N, n)
-    series = _expansion(f, len(reps) * prec + int(abs(f.order) * n) + 8)
-    image = _coset_product(series, reps, prec)
+    k = f.weight  # a half-integral weight is refused before the product, as by the route
+    if prec < 1:  # f.order refuses an f with no order first, as in the route
+        raise PrecisionExhausted(f"the image keeps {prec} < 1 coefficients past q^{f.order}")
+    image = _coset_product(_expansion(f, n * prec), reps, prec)
     return FormExpression.of(OpaqueSeries(image, k * len(reps), N))
 
 
@@ -362,7 +357,8 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
                   prec: int = 30) -> FormExpression:
     """Apply a formal sum of double cosets in Q, from its pair list:
     additively (the sum of the slash sums) or multiplicatively (the product
-    over terms with multiplicity exponents, keeping prec + 4 coefficients)."""
+    over terms with multiplicity exponents, keeping prec + 4 coefficients).
+    The + 4 and the additive budget's + 8 fix the output windows, not slack."""
     if mode not in ("additive", "multiplicative"):
         raise InvalidInput(f"unknown mode {mode!r}")
     f.check_level(u.N)
@@ -372,6 +368,8 @@ def apply_element(f: FormExpression, u: AlgebraElement, mode: str,
         if mode == "additive":
             raise UnsupportedParameter(
                 "the empty element sums no slashes, so its additive image has no precision")
+        if prec + 4 < 1:
+            raise PrecisionExhausted(f"the image keeps {prec + 4} < 1 coefficients")
         return FormExpression.of(OpaqueSeries(PuiseuxSeries.one(prec + 4), 0, N))
     if mode == "additive":
         budget = max(a * d for (a, d), _ in u.terms) * prec + 8

@@ -129,6 +129,8 @@ def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingRes
     j-line (:func:`_bko_sum`); the value is that rational rounded to
     `digits` as an mpmath number, and the breakdown holds the exact j_n(z)."""
     import mpmath
+    if digits < 1:
+        raise UnsupportedParameter(f"digits={digits}: must be >= 1")
     total, breakdown = _bko_sum(n, f)
     with mpmath.workdps(digits):
         value = mpmath.mpc(mpmath.mpf(total.numerator) / total.denominator)

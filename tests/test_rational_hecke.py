@@ -18,7 +18,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heckediv import algebra as A, forms as F, operators as O, verify as V
+from heckediv import algebra as A, forms as F, operators as O, pairing as P, verify as V
 from heckediv.cyclotomic import Cyclo
 from heckediv.errors import (HeckeDivError, NonUnitLeading, NotIntegralSeries,
                              PrecisionExhausted, UnsupportedParameter, UnsupportedWeight)
@@ -32,15 +32,13 @@ def _eta(level, exps):
 def element_cosets(f, u, prec):
     """Oracle: f|*u as the product of each term's coset product to the
     power of its multiplicity, with prec + 4 coefficients.  Each term reads
-    its own double coset representatives and asks the expansion for a
-    budget of its own, len(reps) (prec + 4) + |order| a d + 8 exponents,
-    as hecke_multiplicative_cosets does for T(n): no window of the
-    rational route enters it."""
+    its own double coset representatives and the (d/a)(prec + 4) exponents
+    that the window rule of its product reads, as hecke_multiplicative_cosets
+    does for T(n): no pair list of the rational route enters it."""
     out = None
     for (a, d), mult in u.terms:
         reps = A.double_coset_reps(a, d, u.N)
-        budget = len(reps) * (prec + 4) + int(abs(f.order) * a * d) + 8
-        piece = O._coset_product(O._expansion(f, budget), reps, prec + 4) ** mult
+        piece = O._coset_product(O._expansion(f, d // a * (prec + 4)), reps, prec + 4) ** mult
         out = piece if out is None else out * piece
     return out
 
@@ -77,7 +75,7 @@ def outcome(fn, *args):
         return type(exc)
     if isinstance(img, S):
         return img.D, img.order, [(type(c), c) for c in img.coeffs]
-    return exact(img)
+    return exact(img) if isinstance(img, F.FormExpression) else img
 
 
 @pytest.mark.parametrize("name,n", GRID)
@@ -472,24 +470,135 @@ def test_closed_form_atoms_skip_the_product_expansion(monkeypatch):
         O.apply_element(f, A.t_n(4, N), "multiplicative", prec=12)
 
 
-def test_the_route_expands_exactly_the_exponents_it_reads(monkeypatch):
-    # span * prec exponents of f; a shift that cancels the constant term of
-    # E4^3/E6^2 asks once more, for the one exponent it cancelled
+def _qexp_asks(monkeypatch):
+    """The precisions asked of FormExpression.qexp, in order."""
     asked = []
-    expansion = O._expansion
+    qexp = F.FormExpression.qexp
 
-    def spy(f, budget):
-        asked.append(budget)
-        return expansion(f, budget)
+    def spy(f, prec):
+        asked.append(prec)
+        return qexp(f, prec)
 
-    monkeypatch.setattr(O, "_expansion", spy)
+    monkeypatch.setattr(F.FormExpression, "qexp", spy)
+    return asked
+
+
+def test_the_route_expands_exactly_the_exponents_it_reads(monkeypatch):
+    # one ask of span * prec exponents of f; a shift that cancels the
+    # constant term of E4^3/E6^2 adds the one exponent it cancels to that
+    # ask, after f.order has read it with qexp(pole bound + 1) = qexp(3)
+    asked = _qexp_asks(monkeypatch)
     t2, _ = FORMS["j21-512"]
     e = F.FormExpression.of((F.Eisenstein(4), 3), (F.Eisenstein(6), -2), shift=-1)
     for f, n, N, span in ((t2, 3, 2, 3), (t2, 2, 2, 2), (e, 2, 1, 2), (e, 5, 1, 5)):
         for prec in (1, 8, 16):
             asked.clear()
             O.hecke_multiplicative(f, n, N, prec)
-            assert asked == ([span * prec] if f is t2 else [span * prec, span * prec + 1])
+            assert asked == ([span * prec] if f is t2 else [3, span * prec + 1])
+    # the route, the oracle and both sides of the s = 1 check at T(3), prec 16
+    for call, want in ((lambda: O.hecke_multiplicative(e, 3, 1, 16), [3, 49]),
+                       (lambda: O.hecke_multiplicative_cosets(e, 3, 1, 16), [3, 49]),
+                       (lambda: P.verify_equivariance(3, 3, e), [3, 13, 3, 11])):
+        asked.clear()
+        call()
+        assert asked == want
+
+
+LONG = [1] + [(7 * i) % 11 - 5 for i in range(1, 200)]
+
+
+def _opaque(series, shift=0):
+    return F.FormExpression.of(F.OpaqueSeries(series, 0, 1), shift=shift)
+
+
+# each of these reads Theta(f)/f from an expansion of f: an atom with no
+# closed form, shifts (two of them cancel leading terms), eta quotients of
+# fractional order, and opaque series, on a grid finer than their order's
+# or shorter than most reads
+EXPANDED = {
+    "j-5/3": (F.FormExpression.of(F.JMinus(Fraction(5, 3))), 1),
+    "E4^3/E6^2-1": (F.FormExpression.of((F.Eisenstein(4), 3), (F.Eisenstein(6), -2),
+                                        shift=-1), 1),
+    "1+3q^2+...-1": (_opaque(S(1, 0, [1, 0, 3] + LONG[1:]), shift=-1), 1),
+    "j21-512": FORMS["j21-512"],
+    "eta^2": (F.FormExpression.of(_eta(1, {1: 2})), 1),
+    "eta(t)eta(2t)": (F.FormExpression.of(_eta(2, {1: 1, 2: 1})), 2),
+    "eta^16/eta(3t)^4": (F.FormExpression.of(_eta(3, {1: 16, 3: -4})), 3),
+    "opaque": (_opaque(S(1, -1, LONG)), 1),
+    "opaque on (1/2)Z": (_opaque(S(2, 0, [c if i % 2 == 0 else 0 for i, c in enumerate(LONG)]
+                                   + [0, 1])), 1),
+    "opaque at q^(1/2)": (_opaque(S(2, 1, [1] + [0, 3] * 150)), 1),
+    "opaque short": (_opaque(S(1, 0, LONG[:9])), 1),
+}
+
+
+def _expanded_read(f, which, n, N, prec):
+    """The call, as its outcome, and the exponents of f that it reads:
+    span * prec for the image of T(n) by either route, m + 1 for r_at_s1
+    at m = prec."""
+    if which == "r_at_s1":
+        return (lambda: outcome(P.r_at_s1, N, prec, f)), prec + 1
+    fn = O.hecke_multiplicative if which == "route" else O.hecke_multiplicative_cosets
+    return (lambda: outcome(fn, f, n, N, prec)), n * prec
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(EXPANDED)), which=st.sampled_from(("route", "oracle", "r_at_s1")),
+       n=st.integers(1, 6), prec=st.integers(1, 8))
+def test_each_read_expands_exactly_the_exponents_it_reads(name, which, n, prec):
+    f, N = EXPANDED[name]
+    assume(gcd(n, N) == 1 or F.prime_factors(n) == [n])
+    call, budget = _expanded_read(f, which, n, N, prec)
+    expansion = O._expansion
+    asked = []
+
+    def spy(g, b):
+        asked.append(expansion(g, b))
+        return asked[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_expansion", spy)
+        full = call()
+    # one expansion, known exactly `budget` exponents past the order of f
+    # where the series reaches that far
+    [series] = asked
+    known = Fraction(series.cutoff, series.D) - f.order
+    assert known == (min(budget, 9) if name == "opaque short" else budget)
+
+    # one exponent fewer: r_at_s1 has nothing to read, and an image keeps
+    # the ceil((known - 1)/span) coefficients of the window rule, one less
+    # where span = 1; they are the leading ones of the full image
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "_expansion", lambda g, b: expansion(g, b).truncate(g.order + known - 1))
+        short = call()
+    if which == "r_at_s1":
+        assert short is PrecisionExhausted or full is PrecisionExhausted
+    elif not isinstance(full, type):
+        D, order, coeffs, weight = full
+        keep = min(prec, -(-(known - 1) // n))
+        assert short is PrecisionExhausted if keep < 1 else \
+            short == (D, order, coeffs[:keep], weight)
+
+
+@pytest.mark.parametrize("shift", (0, -1))
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_both_routes_read_no_coefficient_past_span_prec(n, shift):
+    # a zeta_3 past the span * prec exponents that either route reads is
+    # read by neither, so both give the same image; one exponent lower,
+    # both refuse it.  With shift -1, 1 + 3q^2 + ... starts at q^2.
+    prec, order = 6, 2 if shift else 0
+    for at, read in ((order + n * prec, False), (order + n * prec - 1, True)):
+        coeffs = [1, 0, 3] + LONG[1:n * prec + 8]
+        coeffs[at] = Cyclo.zeta(3)
+        f = _opaque(S(1, 0, coeffs), shift)
+        if read:
+            for fn in (O.hecke_multiplicative, O.hecke_multiplicative_cosets):
+                with pytest.raises(UnsupportedParameter):
+                    fn(f, n, 1, prec)
+        else:
+            img = exact(O.hecke_multiplicative(f, n, 1, prec))
+            assert img == exact(O.hecke_multiplicative_cosets(f, n, 1, prec))
+            assert len(img[2]) == prec
 
 
 def test_equivariance_suite_uses_the_coset_route(monkeypatch):

@@ -110,6 +110,60 @@ def test_operators_refuse_a_form_off_its_level():
     assert P.r_at_s1(6, 1, t3) == P.r_at_s1(3, 1, t3)
 
 
+# each public entry where a level, a digit count or a spectral s enters;
+# a level below 1 used to divide by zero, fail on a None label, or answer
+# (cusps(0) == (), a zero divisor, an image, coset representatives), and
+# jn_value(1, i, -3) returned 1007.9999999998836
+REFUSED_PARAMETERS = {
+    "reduce_point": lambda N: C.reduce_point(POINT_I, N),
+    "period": lambda N: C.period(POINT_I, N),
+    "point_divisor": lambda N: C.point_divisor(N, POINT_I),
+    "cusps": lambda N: C.cusps(N),
+    "canonical_cusp": lambda N: C.canonical_cusp(1, 2, N),
+    "cusp_divisor": lambda N: C.cusp_divisor(N, 1, 0),
+    "divisor_of_form": lambda N: C.divisor_of_form(E4, N),
+    "hecke_multiplicative": lambda N: O.hecke_multiplicative(E4, 2, N, 4),
+    "hecke_multiplicative_cosets": lambda N: O.hecke_multiplicative_cosets(E4, 2, N, 4),
+    "hecke_additive_formula": lambda N: O.hecke_additive_formula(E4.qexp(8), 4, 2, N=N),
+    "left_coset_reps": lambda N: A.left_coset_reps(N, 2),
+    "t_n": lambda N: A.t_n(2, N),
+    "AlgebraElement": lambda N: A.AlgebraElement.make(N, {}),
+    "EtaQuotientSpec": lambda N: F.EtaQuotientSpec.make(N, {1: 24}),
+    "r_at_s1": lambda N: P.r_at_s1(N, 1, E4),
+    "niebur_value": lambda N: NB.niebur_value(N, 1, 0.1 + 1.2j, NB.EvalParams(truncation=4)),
+    "jn_value digits": lambda d: NB.jn_value(1, POINT_I, d),
+    "bko_pairing digits": lambda d: P.bko_pairing(1, E4, d),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, -3])
+@pytest.mark.parametrize("name", REFUSED_PARAMETERS)
+def test_a_level_or_digit_count_below_one_is_refused(name, value):
+    with pytest.raises(UnsupportedParameter):
+        REFUSED_PARAMETERS[name](value)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_a_spectral_s_that_is_not_finite_is_refused(s):
+    # s = inf used to run the Poincare sums through NaN intermediates
+    with pytest.raises(UnsupportedParameter):
+        NB.EvalParams(s=s)
+    with pytest.raises(UnsupportedParameter):
+        P.r_numeric(1, 1, s, E4)
+
+
+def test_the_empty_element_refuses_an_empty_window():
+    # its multiplicative image is 1 with prec + 4 coefficients, refused as
+    # every other element's is when prec + 4 < 1
+    empty = A.AlgebraElement.make(1, {})
+    assert O.apply_element(E4, empty, "multiplicative", -3).atoms[0][0].series == S.one(1)
+    for prec in (-4, -5, -30):
+        with pytest.raises(PrecisionExhausted):
+            O.apply_element(E4, empty, "multiplicative", prec)
+        with pytest.raises(PrecisionExhausted):
+            O.apply_element(E4, A.t_n(2, 1), "multiplicative", prec)
+
+
 _UNDER_O = """
 from heckediv import algebra as A, curve as C, forms as F, pairing as P
 from heckediv.cyclotomic import Cyclo, _poly_divexact
