@@ -93,8 +93,7 @@ def act_matrix(m: Mat, z: HeegnerPoint) -> HeegnerPoint:
     A2 = A * d * d - B * c * d + C * c * c
     B2 = -2 * A * b * d + B * (a * d + b * c) - 2 * C * a * c
     C2 = A * b * b - B * a * b + C * a * a
-    if A2 < 0:
-        A2, B2, C2 = -A2, -B2, -C2
+    # A2 = z(d, -c) > 0: z is positive definite, and det m > 0 rules out c = d = 0
     return HeegnerPoint(A2, B2, C2)
 
 
@@ -183,6 +182,9 @@ class CanonicalPoint:
     N: int
     form: tuple[int, int, int]       # level-1 reduced primitive form
     label: tuple[int, int]           # canonical coset invariant
+
+    def __post_init__(self):
+        forms.check_level(self.N)
 
     def representative(self) -> HeegnerPoint:
         g = p1_lift(self.label, self.N)
@@ -296,6 +298,9 @@ class Divisor:
     N: int
     interior: tuple[tuple[CanonicalPoint, Fraction], ...]
     cusp_part: tuple[tuple[CuspClass, Fraction], ...]
+
+    def __post_init__(self):
+        forms.check_level(self.N)
 
     @staticmethod
     def make(N: int, interior=None, cusp_part=None) -> "Divisor":

@@ -61,7 +61,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import add
 
@@ -602,7 +602,7 @@ class FormExpression:
     def level(self) -> int:
         return lcm(1, *[a.level for a, _ in self.atoms])
 
-    @property
+    @cached_property
     def _product_order(self) -> Fraction:
         return sum((e * a.order for a, e in self.atoms), Fraction(0))
 

@@ -2,18 +2,18 @@
 normalized j_n pairing of Bruinier, Kohnen and Ono, Rohrlich sums
 R_{N,m}(s; f), and the exact s = 1 equivariance checks.
 
-The BKO pairing is exact on the j-line: every point of a level-1 divisor
-has its j in `curve.CM_J`, and j_n = F_n(j) + 24 sigma_1(n) for the Faber
-polynomial F_n of j, so the sum is a rational (rounded to `digits` by
-:func:`bko_pairing`).  Summing the q-series of j_n at the points
-(``niebur.jn_value``) is the numeric oracle of the tests.
+:func:`pair` is the one divisor sum, in the arithmetic of F's own values.
+The BKO pairing is `pair` over an exact j_n evaluator: a level-1 divisor
+has its points' j in `curve.CM_J`, and j_n = F_n(j) + 24 sigma_1(n) for the
+Faber polynomial F_n of j, so the sum is a rational.  Summing the q-series
+of j_n at the points (``niebur.jn_value``) is the oracle of the tests.
 
-Policy on cusp values: only the BKO pairing hard-codes its cusp value
-(24 sigma_1(n) at infinity); every point evaluator must be given explicit
-cusp values, and pairings refuse divisors that touch a cusp without one.
-Identities with a rational route (the s = 1 slice, which reads Theta(f)/f
-by ``operators._log_derivative`` as the multiplicative Hecke image does) are
-checked in exact arithmetic; numerics are for CM values and real s > 1.
+Policy on cusp values: every point evaluator carries its own (j_n has
+24 sigma_1(n) at infinity), and pairings refuse divisors that touch a cusp
+without one.  Identities with a rational route (the s = 1 slice, which reads
+Theta(f)/f by ``operators._log_derivative`` as the multiplicative Hecke
+image does) are checked in exact arithmetic; numerics are for CM values and
+real s > 1.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ class PointEvaluator:
 
 @dataclass(frozen=True)
 class PairingResult:
-    """A divisor sum; `error_estimate` is sum |n_z| times the estimated
-    error of F(z) when the evaluator reports one (None otherwise)."""
-    value: complex
+    """A divisor sum, `exact` when its value is a Fraction; `error_estimate`
+    is sum |n_z| times the estimated error of F(z) where F reports one."""
+    value: object
     exact: bool
     breakdown: tuple = ()
     error_estimate: float | None = None
@@ -77,22 +77,15 @@ class EvalReport:
 
 
 def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
-    """sum of n_z F(z) over the divisor, with a per-point breakdown.
-
-    Summation happens at the ambient mpmath precision; wrap the call in
-    mpmath.workdps when the evaluator returns high-precision values."""
-    import mpmath
-    breakdown = []
-    total = mpmath.mpc(0)
-    for key, coeff in D.interior:
-        val = F.interior(key.representative())
-        total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
-        breakdown.append((repr(key), coeff, complex(val)))
-    for cusp, coeff in D.cusp_part:
-        val = F.at_cusp(cusp)
-        total += mpmath.mpc(val) * mpmath.mpf(coeff.numerator) / coeff.denominator
-        breakdown.append((repr(cusp), coeff, complex(val)))
-    return PairingResult(value=total, exact=False, breakdown=tuple(breakdown))
+    """sum n_z F(z) over the divisor from Fraction(0), in the arithmetic of
+    F's values: a Fraction (then `exact`) for int or Fraction values, a double
+    for doubles, mpmath at its ambient precision for mpmath values.  The
+    breakdown (key, n_z, F(z)) keeps each value as F returned it."""
+    terms = [(key, coeff, F.interior(key.representative())) for key, coeff in D.interior]
+    terms += [(cusp, coeff, F.at_cusp(cusp)) for cusp, coeff in D.cusp_part]
+    total = sum((coeff * val for _, coeff, val in terms), Fraction(0))
+    return PairingResult(value=total, exact=isinstance(total, Fraction),
+                         breakdown=tuple((repr(key), coeff, val) for key, coeff, val in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -100,27 +93,19 @@ def pair(F: PointEvaluator, D: Divisor) -> PairingResult:
 # ---------------------------------------------------------------------------
 
 def _bko_sum(n: int, f: forms.FormExpression) -> tuple[Fraction, tuple]:
-    """(j_n, f)_BKO = sum n_z j_n(z) + 24 sigma_1(n) n_inf over the level-1
-    divisor of f, exactly, with its per-point breakdown (key, n_z, j_n(z)).
-    Each j(z) comes from `curve.CM_J` and j_n(z) = F_n(j(z)) + 24 sigma_1(n)
-    from the Faber recursion on exact scalars (`forms.jn_at`)."""
+    """(j_n, f)_BKO over the level-1 divisor of f, exactly, with its breakdown
+    (key, n_z, j_n(z)): :func:`pair` over j_n = F_n(j) + 24 sigma_1(n) from
+    the Faber recursion on exact scalars (`forms.jn_at`) at j(z) in
+    `curve.CM_J`, and over 24 sigma_1(n) at the cusp."""
     if n < 1:
         raise UnsupportedParameter(f"n={n}: the BKO pairing needs n >= 1")
     if f.level != 1:
         raise UnsupportedParameter("the BKO pairing is a level-1 statement")
-    D = curve.divisor_of_form(f, 1)
-    total = Fraction(0)
-    breakdown = []
-    for key, coeff in D.interior:
-        A, B, C = key.form  # a level-1 divisor_of_form names table points only
-        val = forms.jn_at(n, curve.CM_J[B * B - 4 * A * C])
-        total += coeff * val
-        breakdown.append((repr(key), coeff, val))
-    for cusp, coeff in D.cusp_part:
-        val = 24 * forms.sigma(1, n)
-        total += coeff * val
-        breakdown.append((repr(cusp), coeff, val))
-    return total, tuple(breakdown)
+    # a level-1 divisor_of_form names table points only
+    jn = PointEvaluator(lambda z: forms.jn_at(n, curve.CM_J[z.discriminant]),
+                        {curve.canonical_cusp(1, 0, 1): 24 * forms.sigma(1, n)}, f"j_{n}")
+    res = pair(jn, curve.divisor_of_form(f, 1))
+    return res.value, res.breakdown
 
 
 def bko_pairing(n: int, f: forms.FormExpression, digits: int = 50) -> PairingResult:
@@ -170,9 +155,7 @@ def r_numeric(N: int, m: int, s, f: forms.FormExpression,
         errors.append(pv.error_estimate)
         return pv.value
 
-    evaluator = PointEvaluator(interior=interior, cusp_values={},
-                               name=f"F_{N},-{m}(s={s})")
-    res = pair(evaluator, D)
+    res = pair(PointEvaluator(interior, {}, f"F_{N},-{m}(s={s})"), D)
     # pair evaluates the points in the order of its breakdown
     error = sum(abs(c) * e for (_, c, _), e in zip(res.breakdown, errors))
     return replace(res, error_estimate=float(error))
@@ -207,26 +190,19 @@ def verify_equivariance(n: int, m: int, f: forms.FormExpression, N: int = 1,
 
 def hecke_image_evaluator(F: PointEvaluator, n: int, N: int) -> PointEvaluator:
     """F|_0 T(n) as a point evaluator: the sum of F over the exact coset
-    images of a Heegner point."""
-    import mpmath
+    images of a Heegner point (or of a cusp where F has a value at every
+    image), in the arithmetic of F's values as :func:`pair` sums."""
     from .algebra import left_coset_reps
     reps = left_coset_reps(N, n)
 
     def interior(z):
-        total = mpmath.mpc(0)
-        for mat in reps:
-            total += mpmath.mpc(F.interior(curve.act_matrix(mat, z)))
-        return total
+        return sum(F.interior(curve.act_matrix(mat, z)) for mat in reps)
 
     cusp_values = {}
     for cusp in F.cusp_values:
-        try:
-            val = mpmath.mpc(0)
-            for mat in reps:
-                val += mpmath.mpc(F.at_cusp(curve.act_cusp(mat, cusp, N)))
-            cusp_values[cusp] = val
-        except MissingCuspValue:
-            continue
+        images = [curve.act_cusp(mat, cusp, N) for mat in reps]
+        if all(c in F.cusp_values for c in images):
+            cusp_values[cusp] = sum(F.cusp_values[c] for c in images)
     return PointEvaluator(interior=interior, cusp_values=cusp_values,
                           name=f"{F.name}|T({n})")
 
@@ -235,18 +211,17 @@ def verify_prop_divisor_sums(n: int, F: PointEvaluator, D: Divisor, N: int,
                              tolerance: float = 1e-20,
                              label: str | None = None,
                              digits: int = 60) -> EvalReport:
-    """Numeric check of D_F(T(n) D) = D_{F|T(n)}(D) on X_0(N), the curve
-    D lives on."""
+    """Numeric check of D_F(T(n) D) = D_{F|T(n)}(D) on X_0(N), the curve D
+    lives on: both sides by :func:`pair` at `digits`, compared in mpmath."""
     import mpmath
     if N != D.N:
         raise UnsupportedParameter(f"divisor lives on X_0({D.N}), not X_0({N})")
     with mpmath.workdps(digits):
-        lhs = pair(F, curve.hecke_divisor(n, D)).value
-        rhs = pair(hecke_image_evaluator(F, n, N), D).value
-        diff = abs(mpmath.mpc(lhs) - mpmath.mpc(rhs))
+        lhs = mpmath.mpc(mpmath.mpmathify(pair(F, curve.hecke_divisor(n, D)).value))
+        rhs = mpmath.mpc(mpmath.mpmathify(pair(hecke_image_evaluator(F, n, N), D).value))
+        diff = abs(lhs - rhs)
     name = label or f"divisor-sum identity T({n}) on X_0({N})"
-    return EvalReport(name=name, lhs=mpmath.nstr(mpmath.mpc(lhs), 30),
-                      rhs=mpmath.nstr(mpmath.mpc(rhs), 30), exact=False,
-                      tolerance=f"{tolerance:g}",
+    return EvalReport(name=name, lhs=mpmath.nstr(lhs, 30), rhs=mpmath.nstr(rhs, 30),
+                      exact=False, tolerance=f"{tolerance:g}",
                       passed=bool(diff < tolerance),
                       detail=f"|lhs-rhs| = {mpmath.nstr(diff, 8)}")

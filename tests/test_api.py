@@ -100,6 +100,25 @@ def test_the_curve_layer_runs_without_mpmath():
                    text=True, timeout=120, check=True)
 
 
+def test_the_divisor_sums_run_without_mpmath():
+    # pair sums in the arithmetic of the values it is given: the doubles of
+    # the Niebur series and the exact j_n of the BKO sum need no mpmath
+    src = str(Path(heckediv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "from heckediv import forms, pairing\n"
+            "from heckediv.niebur import EvalParams\n"
+            "E4 = forms.FormExpression.of(forms.Eisenstein(4))\n"
+            "r = pairing.r_numeric(1, 1, 1.5, E4, EvalParams(truncation=40))\n"
+            "total, _ = pairing._bko_sum(5, E4)\n"
+            "print(type(r.value).__name__, r.exact, r.error_estimate > 0, total)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    e4 = forms.FormExpression.of(forms.Eisenstein(4))
+    assert out.stdout.split() == ["complex", "False", "True", str(pairing.r_at_s1(1, 5, e4))]
+
+
 def _imports_cyclotomic(tree) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

@@ -55,6 +55,65 @@ def test_pair_missing_cusp_value():
         P.pair(bare, C.cusp_divisor(1, 1, 0, 1))
 
 
+def _z_double(z):
+    return z.approx()
+
+
+def _z_mp(z):
+    """z at the ambient mpmath precision."""
+    return mpmath.mpc(-z.B, mpmath.sqrt(-z.discriminant)) / (2 * z.A)
+
+
+def _mp_sum(terms):
+    """sum c v over (c, v) with c a Fraction, at the ambient mpmath precision."""
+    return sum((mpmath.mpf(c.numerator) / c.denominator * mpmath.mpc(v) for c, v in terms),
+               mpmath.mpc(0))
+
+
+def test_pair_sums_in_the_arithmetic_of_the_values():
+    inf = C.canonical_cusp(1, 0, 1)
+    D = (C.point_divisor(1, POINT_I, Fraction(5, 7)) + C.point_divisor(1, OMEGA, Fraction(1, 3))
+         + C.cusp_divisor(1, 1, 0, Fraction(2, 3)))
+    # int values: an exact Fraction, the breakdown holding the ints
+    res = P.pair(P.PointEvaluator(lambda z: z.discriminant, {inf: 3}), D)
+    assert res.exact and res.value == Fraction(-13, 7) and type(res.value) is Fraction
+    assert sorted(type(v).__name__ for _, _, v in res.breakdown) == ["int"] * 3
+    # doubles: a complex, within a few ulps of the sum at 30 digits
+    res = P.pair(P.PointEvaluator(_z_double, {inf: 1 + 1j}), D)
+    assert type(res.value) is complex and not res.exact
+    with mpmath.workdps(30):
+        want = _mp_sum([(Fraction(5, 7), _z_mp(POINT_I)), (Fraction(1, 3), _z_mp(OMEGA)),
+                        (Fraction(2, 3), 1 + 1j)])
+        assert abs(res.value - complex(want)) <= 1e-15 * abs(want)
+    # mpmath values: an mpc at the ambient precision
+    with mpmath.workdps(60):
+        res = P.pair(P.PointEvaluator(_z_mp, {inf: mpmath.mpc(1, 1)}), D)
+        assert isinstance(res.value, mpmath.mpc) and not res.exact
+        want = _mp_sum([(Fraction(5, 7), _z_mp(POINT_I)), (Fraction(1, 3), _z_mp(OMEGA)),
+                        (Fraction(2, 3), 1 + 1j)])
+        assert abs(res.value - want) < mpmath.mpf(10) ** -55
+
+
+def test_hecke_image_evaluator_sums_in_the_arithmetic_of_the_values():
+    from heckediv.algebra import left_coset_reps
+    inf = C.canonical_cusp(1, 0, 1)
+    z = H(1, 1, 2)  # (-1 + sqrt(-7))/2
+    images = [C.act_matrix(m, z) for m in left_coset_reps(1, 3)]
+    ints = P.hecke_image_evaluator(P.PointEvaluator(lambda w: w.A, {inf: 2}), 3, 1)
+    assert ints.interior(z) == sum(w.A for w in images) and type(ints.interior(z)) is int
+    assert ints.cusp_values == {inf: 8}  # T(3) has four cosets, each fixing infinity
+    assert P.pair(ints, C.point_divisor(1, z, Fraction(1, 2))).exact
+    doubles = P.hecke_image_evaluator(P.PointEvaluator(_z_double, {}), 3, 1)
+    assert type(doubles.interior(z)) is complex
+    with mpmath.workdps(30):
+        want = sum(_z_mp(w) for w in images)
+        assert abs(doubles.interior(z) - complex(want)) <= 1e-15 * abs(want)
+    with mpmath.workdps(60):
+        mp = P.hecke_image_evaluator(P.PointEvaluator(_z_mp, {}), 3, 1).interior(z)
+        assert isinstance(mp, mpmath.mpc)
+        assert abs(mp - sum(_z_mp(w) for w in images)) < mpmath.mpf(10) ** -55
+
+
 def test_hecke_image_evaluator_skips_a_cusp_whose_images_have_no_value():
     # on X_0(9), T(2) sends the cusp 1/3 to 2/3 by all three cosets, and back
     third, two_thirds = C.canonical_cusp(1, 3, 9), C.canonical_cusp(2, 3, 9)
@@ -114,7 +173,9 @@ def test_numeric_bko_pairing_is_an_oracle_for_the_exact_j_line_value():
             if n <= 4:
                 D = C.divisor_of_form(f, 1)
                 with mpmath.workdps(60):
-                    got = P.pair(jn_evaluator(n, 50), D).value
+                    # Delta's divisor is the cusp alone: pair sums its int
+                    # cusp value exactly, to a Fraction
+                    got = mpmath.mpmathify(P.pair(jn_evaluator(n, 50), D).value)
                     want = mpmath.mpf(exact.numerator) / exact.denominator
                     assert abs(got - want) <= mpmath.mpf(10) ** -40 * max(1, abs(want)), (f, n)
                     assert abs(P.bko_pairing(n, f, 50).value - want) \

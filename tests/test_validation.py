@@ -14,7 +14,8 @@ from heckediv import algebra as A, curve as C, forms as F, niebur as NB, operato
     pairing as P, verify as V
 from heckediv.curve import POINT_I
 from heckediv.cyclotomic import Cyclo
-from heckediv.errors import HeckeDivError, PrecisionExhausted, UnsupportedParameter
+from heckediv.errors import HeckeDivError, PrecisionExhausted, UnknownDivisor, \
+    UnsupportedParameter
 from heckediv.series import PuiseuxSeries as S
 
 
@@ -110,11 +111,13 @@ def test_operators_refuse_a_form_off_its_level():
     assert P.r_at_s1(6, 1, t3) == P.r_at_s1(3, 1, t3)
 
 
-# each public entry where a level, a digit count or a spectral s enters;
+# each public entry where a level, a Hecke index or a digit count enters;
 # a level below 1 used to divide by zero, fail on a None label, or answer
 # (cusps(0) == (), a zero divisor, an image, coset representatives), and
 # jn_value(1, i, -3) returned 1007.9999999998836
 REFUSED_PARAMETERS = {
+    "Divisor": lambda N: C.Divisor.make(N, {}, {}),
+    "CanonicalPoint": lambda N: C.CanonicalPoint(N, (1, 0, 1), (0, 0)),
     "reduce_point": lambda N: C.reduce_point(POINT_I, N),
     "period": lambda N: C.period(POINT_I, N),
     "point_divisor": lambda N: C.point_divisor(N, POINT_I),
@@ -133,6 +136,7 @@ REFUSED_PARAMETERS = {
     "niebur_value": lambda N: NB.niebur_value(N, 1, 0.1 + 1.2j, NB.EvalParams(truncation=4)),
     "jn_value digits": lambda d: NB.jn_value(1, POINT_I, d),
     "bko_pairing digits": lambda d: P.bko_pairing(1, E4, d),
+    "hecke_multiplicative n": lambda n: O.hecke_multiplicative(E4, n, 1, 4),
 }
 
 
@@ -141,6 +145,28 @@ REFUSED_PARAMETERS = {
 def test_a_level_or_digit_count_below_one_is_refused(name, value):
     with pytest.raises(UnsupportedParameter):
         REFUSED_PARAMETERS[name](value)
+
+
+# inputs the library refuses, each with its typed error
+TYPED_REFUSALS = {
+    "double_coset_reps off a label": (lambda: A.double_coset_reps(2, 3, 1),
+                                      UnsupportedParameter),
+    "algebra_multiply across levels": (lambda: A.algebra_multiply(A.t_n(2, 1), A.t_n(2, 2)),
+                                       UnsupportedParameter),
+    # t_2 takes -64 at (1 + i)/2, a fiber the Hauptmodul table does not hold
+    "t_2 + 64": (lambda: C.divisor_of_form(
+        F.FormExpression.of(F.EtaQuotient(F.hauptmodul_spec(2)), shift=64), 2), UnknownDivisor),
+    "1/t_2 + 1": (lambda: C.divisor_of_form(
+        F.FormExpression.of(F.EtaQuotient(F.EtaQuotientSpec.make(2, {1: -24, 2: 24})), shift=1),
+        2), UnknownDivisor),
+}
+
+
+@pytest.mark.parametrize("name", TYPED_REFUSALS)
+def test_a_refusal_raises_its_typed_error(name):
+    call, error = TYPED_REFUSALS[name]
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
